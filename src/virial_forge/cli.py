@@ -6,7 +6,8 @@ printed with 17 significant digits, and identical configurations produce
 byte-identical kv/CSV output.
 
 Exit codes: 0 = success (certify/mollify: verdict pass), 1 = verdict fail,
-2 = solver or evaluation failure, 3 = invalid configuration.
+2 = solver or numerical failure (overflow included), 3 = invalid or
+non-finite configuration.
 """
 
 from __future__ import annotations
@@ -14,25 +15,22 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, fields
 
 from . import functionals, mollifier, scans, solvers
 from .errors import ConfigError, ProfileError, VirialForgeError
-from .profiles import AngularProfile, Piece, PiecewiseProfile, SeparableAnsatz
+from .profiles import AngularProfile, Piece, PiecewiseProfile, SeparableAnsatz, check_radii
 from .scans import format_float
 
 __all__ = ["RunConfig", "main", "entrypoint", "build_parser"]
 
-FAMILIES = ("uniform", "core-halo", "monotonic", "custom")
+FAMILY_CHOICES = (*solvers.FAMILIES, "custom")
 FORMATS = ("human", "kv", "csv")
 
-_RESULT_KEYS = (
-    "family", "R", "P", "n", "alpha", "a", "a_star",
-    "norm_constant", "mass", "kinetic", "potential", "total_energy",
-    "energy_residual", "energy_tol", "virial", "virial_margin",
-    "l32_norm", "norm_margin", "critical_norm", "verdict",
-)
+# Document key of each params field the documents report.
+_SOLVED_KEYS = (("R", "r"), ("P", "p"), ("n", "n"), ("alpha", "alpha"))
 
 
 @dataclass(frozen=True)
@@ -77,22 +75,33 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _finite_float(text):
+    """argparse type for every float flag: nan and +-inf are config errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _add_family_options(sub):
-    sub.add_argument("--family", choices=FAMILIES, required=True)
-    sub.add_argument("--r1", type=float)
-    sub.add_argument("--r2", type=float)
-    sub.add_argument("--r3", type=float)
-    sub.add_argument("--p", type=float)
-    sub.add_argument("--n", type=float)
-    sub.add_argument("--a", type=float)
-    sub.add_argument("--alpha", type=float, help="override the solved halo level")
+    sub.add_argument("--family", choices=FAMILY_CHOICES, required=True)
+    sub.add_argument("--r1", type=_finite_float)
+    sub.add_argument("--r2", type=_finite_float)
+    sub.add_argument("--r3", type=_finite_float)
+    sub.add_argument("--p", type=_finite_float)
+    sub.add_argument("--n", type=_finite_float)
+    sub.add_argument("--a", type=_finite_float)
+    sub.add_argument("--alpha", type=_finite_float, help="override the solved halo level")
     sub.add_argument("--profiles", help="profile-literal JSON file (custom family)")
 
 
 def _add_output_options(sub, formats=FORMATS):
     sub.add_argument("--format", choices=formats, default="human")
     sub.add_argument("--out", default="", help="output path (default stdout)")
-    sub.add_argument("--tol-energy", type=float, default=1e-9, dest="tol_energy")
+    sub.add_argument("--tol-energy", type=_finite_float, default=1e-9, dest="tol_energy")
 
 
 def build_parser():
@@ -112,8 +121,8 @@ def build_parser():
     _add_output_options(report, formats=("human", "kv"))
 
     scan = commands.add_parser("scan", help="uniform-ball virial floor sweep")
-    scan.add_argument("--p-min", type=float, default=1e-2, dest="p_min")
-    scan.add_argument("--p-max", type=float, default=1e4, dest="p_max")
+    scan.add_argument("--p-min", type=_finite_float, default=1e-2, dest="p_min")
+    scan.add_argument("--p-max", type=_finite_float, default=1e4, dest="p_max")
     scan.add_argument("--p-points", type=int, default=200, dest="p_points")
     scan.add_argument("--a-points", type=int, default=40, dest="a_points")
     _add_output_options(scan)
@@ -121,17 +130,17 @@ def build_parser():
     asym = commands.add_parser(
         "asymptotics", help="large-P halo-level and virial scaling fits"
     )
-    asym.add_argument("--p-min", type=float, default=1e2, dest="p_min")
-    asym.add_argument("--p-max", type=float, default=1e4, dest="p_max")
+    asym.add_argument("--p-min", type=_finite_float, default=1e2, dest="p_min")
+    asym.add_argument("--p-max", type=_finite_float, default=1e4, dest="p_max")
     asym.add_argument("--p-points", type=int, default=9, dest="p_points")
-    asym.add_argument("--a", type=float, default=-0.9)
+    asym.add_argument("--a", type=_finite_float, default=-0.9)
     _add_output_options(asym)
 
     moll = commands.add_parser(
         "mollify", help="smooth the steps, re-solve zero energy, certify"
     )
     _add_family_options(moll)
-    moll.add_argument("--delta", type=float, help="ramp half-width (default 1e-3 * feature)")
+    moll.add_argument("--delta", type=_finite_float, help="ramp half-width (default 1e-3 * feature)")
     _add_output_options(moll, formats=("human", "kv"))
     return parser
 
@@ -155,33 +164,23 @@ def _require(cfg, *names):
 
 
 def _validate_family(cfg):
-    if cfg.family not in FAMILIES:
+    if cfg.family not in FAMILY_CHOICES:
         raise ConfigError(f"unknown family {cfg.family!r}")
     if cfg.tol_energy is None or cfg.tol_energy <= 0.0:
         raise ConfigError("--tol-energy must be positive")
-    if cfg.family == "uniform":
-        _require(cfg, "p", "a")
-        if cfg.p <= 0.0:
-            raise ConfigError("--p must be positive")
-    elif cfg.family == "core-halo":
-        _require(cfg, "r1", "r2", "r3", "p", "a")
-        if not (0.0 < cfg.r1 <= cfg.r2 <= cfg.r3):
-            raise ConfigError("core-halo radii must satisfy 0 < r1 <= r2 <= r3")
-        if cfg.p <= 0.0:
-            raise ConfigError("--p must be positive")
-        if cfg.alpha is not None and cfg.alpha <= 0.0:
-            raise ConfigError("--alpha override must be positive")
-    elif cfg.family == "monotonic":
-        _require(cfg, "r1", "r2", "r3", "n", "a")
-        if not (0.0 < cfg.r1 <= cfg.r2 <= cfg.r3):
-            raise ConfigError("radii must satisfy 0 < r1 <= r2 <= r3")
-        if cfg.n <= 0.0:
-            raise ConfigError("--n must be positive")
-        if cfg.p is not None and cfg.p <= 0.0:
-            raise ConfigError("--p override must be positive")
-    else:
+    family = solvers.FAMILIES.get(cfg.family)
+    if family is None:
         if not cfg.profiles:
             raise ConfigError("custom family requires --profiles FILE")
+    else:
+        _require(cfg, *family.inputs)
+        if "r1" in family.inputs:
+            check_radii(cfg.r1, cfg.r2, cfg.r3)
+        # The free parameter is optional: given, it replaces the solve.
+        for name in (*family.inputs, family.free):
+            value = getattr(cfg, name, None)
+            if name != "a" and value is not None and value <= 0.0:
+                raise ConfigError(f"--{name} must be positive")
     if cfg.a is not None and not (-1.0 < cfg.a <= 1.0):
         raise ConfigError("--a must lie in (-1, 1]")
     if cfg.delta is not None and cfg.delta < 0.0:
@@ -232,28 +231,16 @@ def _load_custom_ansatz(path):
 
 
 def _solve_family(cfg):
-    """(params_or_None, ansatz, solved key/values for the output document)."""
-    if cfg.family == "uniform":
-        params = solvers.solve_uniform(cfg.p, cfg.a)
-        return params, solvers.uniform_ansatz(params), {"R": params.r, "P": params.p}
-    if cfg.family == "core-halo":
-        alpha = cfg.alpha
-        if alpha is None:
-            alpha = solvers.solve_corehalo_alpha(cfg.r1, cfg.r2, cfg.r3, cfg.p)
-        params = solvers.CoreHaloParams(
-            r1=cfg.r1, r2=cfg.r2, r3=cfg.r3, p=cfg.p, alpha=alpha, a=cfg.a
-        )
-        return params, solvers.core_halo_ansatz(params), {"alpha": alpha, "P": cfg.p}
-    if cfg.family == "monotonic":
-        p = cfg.p
-        if p is None:
-            p = solvers.solve_monotonic_P(cfg.r1, cfg.r2, cfg.r3, cfg.n)
-        params = solvers.MonotonicParams(
-            r1=cfg.r1, r2=cfg.r2, r3=cfg.r3, n=cfg.n, p=p, a=cfg.a
-        )
-        return params, solvers.monotonic_ansatz(params), {"P": p, "n": cfg.n}
-    ansatz = _load_custom_ansatz(cfg.profiles)
-    return None, ansatz, {}
+    """(params, step ansatz); params is None for the custom family."""
+    family = solvers.FAMILIES.get(cfg.family)
+    if family is None:
+        return None, _load_custom_ansatz(cfg.profiles)
+    known = {name: getattr(cfg, name) for name in family.inputs}
+    value = getattr(cfg, family.free, None)
+    if value is None:
+        value = family.solve(**known)
+    params = family.params(**known, **{family.free: value})
+    return params, family.ansatz(params)
 
 
 def _fmt_value(value):
@@ -277,30 +264,32 @@ def _render(pairs, fmt):
     return "".join(f"{k:<{width}}  {v}\n" for k, v in pairs)
 
 
-def _certificate_pairs(cfg, cert, solved, a_star):
-    values = {
-        "family": cfg.family,
-        "R": solved.get("R"),
-        "P": solved.get("P"),
-        "n": solved.get("n"),
-        "alpha": solved.get("alpha"),
-        "a": cfg.a,
-        "a_star": a_star,
-        "norm_constant": cert.report.norm_constant,
-        "mass": cert.report.mass,
-        "kinetic": cert.report.kinetic,
-        "potential": cert.report.potential,
-        "total_energy": cert.report.total_energy,
-        "energy_residual": cert.energy_residual,
-        "energy_tol": cert.energy_tol,
-        "virial": cert.report.virial,
-        "virial_margin": cert.virial_margin,
-        "l32_norm": cert.report.l32_norm,
-        "norm_margin": cert.norm_margin,
-        "critical_norm": cert.critical_norm,
-        "verdict": "pass" if cert.passed else "fail",
-    }
-    return [(k, _fmt_value(values[k])) for k in _RESULT_KEYS]
+def _family_pairs(cfg, params, a_star):
+    """family, the solved parameters (R, P, n, alpha), a and a_star."""
+    pairs = [("family", cfg.family)]
+    pairs += [(key, _fmt_value(getattr(params, name, None))) for key, name in _SOLVED_KEYS]
+    return pairs + [("a", _fmt_value(cfg.a)), ("a_star", _fmt_value(a_star))]
+
+
+def _certificate_pairs(cfg, cert, params, a_star):
+    rep = cert.report
+    return _family_pairs(cfg, params, a_star) + [
+        (key, _fmt_value(value)) for key, value in (
+            ("norm_constant", rep.norm_constant),
+            ("mass", rep.mass),
+            ("kinetic", rep.kinetic),
+            ("potential", rep.potential),
+            ("total_energy", rep.total_energy),
+            ("energy_residual", cert.energy_residual),
+            ("energy_tol", cert.energy_tol),
+            ("virial", rep.virial),
+            ("virial_margin", cert.virial_margin),
+            ("l32_norm", rep.l32_norm),
+            ("norm_margin", cert.norm_margin),
+            ("critical_norm", cert.critical_norm),
+            ("verdict", "pass" if cert.passed else "fail"),
+        )
+    ]
 
 
 def _threshold_or_none(ansatz):
@@ -312,27 +301,19 @@ def _threshold_or_none(ansatz):
 
 def _cmd_certify(cfg):
     _validate_family(cfg)
-    params, ansatz, solved = _solve_family(cfg)
+    params, ansatz = _solve_family(cfg)
     cert = functionals.check_criteria(ansatz, energy_tol=cfg.tol_energy)
     a_star = _threshold_or_none(ansatz)
-    pairs = _config_pairs(cfg) + _certificate_pairs(cfg, cert, solved, a_star)
+    pairs = _config_pairs(cfg) + _certificate_pairs(cfg, cert, params, a_star)
     return (0 if cert.passed else 1), _render(pairs, cfg.format)
 
 
 def _cmd_report(cfg):
     _validate_family(cfg)
-    params, ansatz, solved = _solve_family(cfg)
+    params, ansatz = _solve_family(cfg)
     rep = functionals.evaluate(ansatz)
-    a_star = _threshold_or_none(ansatz)
-    pairs = _config_pairs(cfg)
+    pairs = _config_pairs(cfg) + _family_pairs(cfg, params, _threshold_or_none(ansatz))
     pairs += [
-        ("family", cfg.family),
-        ("R", _fmt_value(solved.get("R"))),
-        ("P", _fmt_value(solved.get("P"))),
-        ("n", _fmt_value(solved.get("n"))),
-        ("alpha", _fmt_value(solved.get("alpha"))),
-        ("a", _fmt_value(cfg.a)),
-        ("a_star", _fmt_value(a_star)),
         ("method", rep.method),
         ("norm_constant", _fmt_value(rep.norm_constant)),
         ("mass", _fmt_value(rep.mass)),
@@ -421,7 +402,7 @@ def _cmd_mollify(cfg):
     _validate_family(cfg)
     if cfg.family == "custom":
         raise ConfigError("mollify supports the uniform, core-halo and monotonic families")
-    params, step_ansatz, solved = _solve_family(cfg)
+    params, step_ansatz = _solve_family(cfg)
     delta = cfg.delta
     if delta is None:
         delta = mollifier.default_delta(step_ansatz)
@@ -429,20 +410,12 @@ def _cmd_mollify(cfg):
     new_params, moll_ansatz = mollifier.rebalance(params, spec, energy_tol=cfg.tol_energy)
     cert = functionals.check_criteria(moll_ansatz, energy_tol=cfg.tol_energy)
     drift = mollifier.functional_drift(step_ansatz, moll_ansatz)
-
-    solved = dict(solved)
-    if cfg.family == "uniform":
-        solved["R"] = new_params.r
-    elif cfg.family == "core-halo":
-        solved["alpha"] = new_params.alpha
-    else:
-        solved["P"] = new_params.p
     pairs = _config_pairs(cfg)
     pairs.append(("delta", _fmt_value(delta)))
     pairs.append(("seam_smoothness", _fmt_value(
         mollifier.seam_smoothness(moll_ansatz.spatial)
     )))
-    pairs += _certificate_pairs(cfg, cert, solved, _threshold_or_none(moll_ansatz))
+    pairs += _certificate_pairs(cfg, cert, new_params, _threshold_or_none(moll_ansatz))
     for key, entry in drift.items():
         pairs.append((f"step.{key}", _fmt_value(entry["step"])))
         pairs.append((f"mollified.{key}", _fmt_value(entry["mollified"])))
@@ -474,6 +447,9 @@ def main(argv=None):
         return 3
     except VirialForgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:
+        print(f"error: numerical failure ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 2
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8", newline="") as fh:

@@ -37,6 +37,7 @@ __all__ = [
     "mass",
     "l32_norm",
     "kinetic_energy",
+    "kinetic_energy_profile",
     "spatial_density",
     "potential_energy",
     "potential_energy_profile",
@@ -158,9 +159,8 @@ def mass(ansatz, method="auto"):
     return c * 8.0 * math.pi**2 * m2q * m2p * m0
 
 
-def kinetic_energy(ansatz, method="auto"):
-    """Mean sqrt(1+|p|^2), the kinetic-plus-rest-mass energy (>= 1)."""
-    phi = ansatz.momentum
+def kinetic_energy_profile(phi, method="auto"):
+    """Kinetic energy determined by the momentum profile alone (>= 1)."""
     if method != _QUAD:
         ind = _as_indicator(phi)
         if ind is not None:
@@ -175,6 +175,11 @@ def kinetic_energy(ansatz, method="auto"):
     ).value
     den = quadrature.profile_moment_quad(phi, 2).value
     return num / _factor(den, "momentum")
+
+
+def kinetic_energy(ansatz, method="auto"):
+    """Mean sqrt(1+|p|^2), the kinetic-plus-rest-mass energy (>= 1)."""
+    return kinetic_energy_profile(ansatz.momentum, method=method)
 
 
 def spatial_density(ansatz, q_radius):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 from scipy.optimize import brentq
 
-from . import functionals, quadrature
+from . import functionals, quadrature, solvers
 from .errors import NoPositiveRootError, NoRootError, ProfileError, RampOverlapError
 from .profiles import (
     CONSTANT,
@@ -33,14 +33,7 @@ from .profiles import (
     monotonic_eta,
     uniform_eta,
 )
-from . import solvers
-from .solvers import (
-    CoreHaloParams,
-    MonotonicParams,
-    RootBracket,
-    UniformParams,
-    solve_quadratic,
-)
+from .solvers import RootBracket, solve_quadratic
 
 __all__ = [
     "MollifySpec",
@@ -211,20 +204,6 @@ def _mollified_angular(a, spec):
     return ang
 
 
-def _kinetic_of(phi):
-    if not phi.has_ramp:
-        # Sharp momentum ball: closed form.
-        return functionals.kinetic_energy_ball(phi.support_radius)
-    num = quadrature.profile_moment_quad(
-        phi, 2, weight=lambda q: math.sqrt(1.0 + q * q)
-    ).value
-    return num / phi.moment(2)
-
-
-def _potential_of(eta):
-    return functionals.potential_energy_profile(eta)
-
-
 def rebalance(params, spec, energy_tol=1e-10):
     """Re-solve the family's free parameter on the mollified profiles.
 
@@ -235,34 +214,12 @@ def rebalance(params, spec, energy_tol=1e-10):
 
     With ``spec.delta == 0`` this reproduces the step solve exactly.
     """
+    family = solvers.family_of(params)
     if spec.delta == 0.0:
-        return _step_solve(params)
-    if isinstance(params, UniformParams):
-        return _rebalance_uniform(params, spec, energy_tol)
-    if isinstance(params, CoreHaloParams):
-        return _rebalance_corehalo(params, spec, energy_tol)
-    if isinstance(params, MonotonicParams):
-        return _rebalance_monotonic(params, spec, energy_tol)
-    raise TypeError(f"unsupported family parameters {type(params).__name__}")
-
-
-def _step_solve(params):
-    if isinstance(params, UniformParams):
-        new = replace(params, r=solvers.solve_uniform_R(params.p))
-        return new, solvers.uniform_ansatz(new)
-    if isinstance(params, CoreHaloParams):
-        new = replace(
-            params,
-            alpha=solvers.solve_corehalo_alpha(params.r1, params.r2, params.r3, params.p),
-        )
-        return new, solvers.core_halo_ansatz(new)
-    if isinstance(params, MonotonicParams):
-        new = replace(
-            params,
-            p=solvers.solve_monotonic_P(params.r1, params.r2, params.r3, params.n),
-        )
-        return new, solvers.monotonic_ansatz(new)
-    raise TypeError(f"unsupported family parameters {type(params).__name__}")
+        known = {name: getattr(params, name) for name in family.inputs}
+        new_params = replace(params, **{family.free: family.solve(**known)})
+        return new_params, family.ansatz(new_params)
+    return _REBALANCE[family.name](params, spec, energy_tol)
 
 
 def _spatial_of_uniform(r, spec):
@@ -273,10 +230,10 @@ def _spatial_of_uniform(r, spec):
 
 
 def _rebalance_uniform(params, spec, energy_tol):
-    kin = _kinetic_of(_mollified_momentum(params.p, spec))
+    kin = functionals.kinetic_energy_profile(_mollified_momentum(params.p, spec))
 
     def residual(r):
-        return kin + _potential_of(_spatial_of_uniform(r, spec))
+        return kin + functionals.potential_energy_profile(_spatial_of_uniform(r, spec))
 
     r0 = 3.0 / (5.0 * kin)
     bracket = RootBracket.expand(residual, 0.25 * r0, 4.0 * r0)
@@ -295,7 +252,7 @@ def _rebalance_uniform(params, spec, energy_tol):
 
 
 def _rebalance_corehalo(params, spec, energy_tol):
-    kin = _kinetic_of(_mollified_momentum(params.p, spec))
+    kin = functionals.kinetic_energy_profile(_mollified_momentum(params.p, spec))
 
     def spatial_of(alpha):
         eta = core_halo_eta(params.r1, params.r2, params.r3, alpha)
@@ -328,7 +285,7 @@ def _rebalance_corehalo(params, spec, energy_tol):
 
     def residual(x):
         eta = spatial_of(x)
-        return kin + _potential_of(eta)
+        return kin + functionals.potential_energy_profile(eta)
 
     if abs(residual(alpha)) > energy_tol:
         try:
@@ -351,14 +308,14 @@ def _rebalance_monotonic(params, spec, energy_tol):
     eta = monotonic_eta(params.r1, params.r2, params.r3, params.n)
     if "spatial" in spec.targets:
         eta = mollify_profile(eta, spec.delta)
-    pot = _potential_of(eta)
+    pot = functionals.potential_energy_profile(eta)
     if pot >= -1.0:
         raise NoRootError(
             f"mollified potential energy {pot:.6g} cannot balance the rest-mass floor"
         )
 
     def residual(p):
-        return _kinetic_of(_mollified_momentum(p, spec)) + pot
+        return functionals.kinetic_energy_profile(_mollified_momentum(p, spec)) + pot
 
     bracket = RootBracket.expand(residual, 1e-3, 10.0)
     p_star = bracket.lo if bracket.lo == bracket.hi else brentq(
@@ -371,6 +328,13 @@ def _rebalance_monotonic(params, spec, energy_tol):
         eta, _mollified_momentum(p_star, spec), _mollified_angular(params.a, spec)
     )
     return new_params, ansatz
+
+
+_REBALANCE = {
+    "uniform": _rebalance_uniform,
+    "core-halo": _rebalance_corehalo,
+    "monotonic": _rebalance_monotonic,
+}
 
 
 def seam_smoothness(profile, h=1e-6):

@@ -20,7 +20,12 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import DegenerateFactorError, DivergentMomentError, ProfileError
+from .errors import (
+    DegenerateFactorError,
+    DivergentMomentError,
+    ProfileError,
+    QuadratureBudgetError,
+)
 
 __all__ = [
     "Piece",
@@ -31,6 +36,7 @@ __all__ = [
     "momentum_ball",
     "core_halo_eta",
     "monotonic_eta",
+    "check_radii",
 ]
 
 CONSTANT = "constant"
@@ -218,8 +224,8 @@ class Piece:
         """int value(r)**beta * r^k dr over the piece.
 
         Closed form for constant and power-law pieces; fractional powers of a
-        ramp are not polynomial, so ramps integrate numerically (tight fixed
-        tolerance, deterministic).
+        ramp are not polynomial, so ramps integrate adaptively (tight fixed
+        tolerance, deterministic; QuadratureBudgetError if it does not converge).
         """
         if self.is_zero:
             return 0.0
@@ -228,17 +234,21 @@ class Piece:
         if self.kind == POWER:
             pref = self.value**beta * self.lo ** (beta * self.exponent)
             return pref * power_integral(k - beta * self.exponent, self.lo, self.hi)
-        from scipy.integrate import quad
+        from .quadrature import integrate
 
-        val, _ = quad(
-            lambda r: self.value_at(r) ** beta * r**k,
-            self.lo,
-            self.hi,
-            epsabs=1e-15,
-            epsrel=1e-13,
-            limit=200,
-        )
-        return val
+        try:
+            return integrate(lambda r: self.value_at(r) ** beta * r**k,
+                             self.lo, self.hi, abs_tol=1e-15, rel_tol=1e-13).value
+        except QuadratureBudgetError:
+            # On a ramp narrow against its radius, r - lo loses the digits the
+            # tolerance needs and QUADPACK stops on roundoff; the ramp's own
+            # coordinate u = r - lo keeps them.  The r form stays first so every
+            # value that converges there keeps its bytes.
+            w, d = self.hi - self.lo, self.right - self.left
+            return integrate(
+                lambda u: (self.left + d * smoothstep(u / w)) ** beta * (self.lo + u) ** k,
+                0.0, w, abs_tol=1e-15, rel_tol=1e-13,
+            ).value
 
 
 def _check_coverage(pieces, start, end):
@@ -513,10 +523,17 @@ def momentum_ball(p_max):
     )
 
 
+def check_radii(r1, r2, r3):
+    """ProfileError unless the shell radii are finite, positive and ordered."""
+    if not (0.0 < r1 <= r2 <= r3 < math.inf):
+        raise ProfileError(
+            f"radii must be finite with 0 < r1 <= r2 <= r3, got ({r1}, {r2}, {r3})"
+        )
+
+
 def core_halo_eta(r1, r2, r3, halo_value):
     """Unit core on [0, r1] plus a constant halo on [r2, r3] (disjoint shells)."""
-    if not (0.0 < r1 <= r2 <= r3):
-        raise ProfileError("core-halo radii must satisfy 0 < r1 <= r2 <= r3")
+    check_radii(r1, r2, r3)
     if halo_value < 0.0:
         raise ProfileError("halo value must be >= 0")
     segments = [Piece.constant(1.0, 0.0, r1)]
@@ -532,8 +549,7 @@ def monotonic_eta(r1, r2, r3, n):
 
     Continuous and non-increasing on its support by construction.
     """
-    if not (0.0 < r1 <= r2 <= r3):
-        raise ProfileError("radii must satisfy 0 < r1 <= r2 <= r3")
+    check_radii(r1, r2, r3)
     if n <= 0.0:
         raise ProfileError("atmosphere exponent must be positive")
     segments = [Piece.constant(1.0, 0.0, r1)]

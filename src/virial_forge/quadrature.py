@@ -88,7 +88,9 @@ def integrate(f, lo, hi, breakpoints=(), abs_tol=DEFAULT_ABS_TOL,
             value, err, info = out
             return QuadResult(value, err, int(info["last"]))
         message = out[3]
-        if limit >= budget:
+        if out[2]["last"] < limit or limit >= budget:
+            # Stopped short of the limit (roundoff, divergence): a larger
+            # limit repeats the same subdivisions and cannot help.
             break
     raise QuadratureBudgetError(
         f"integration failed within budget {budget}: {message}"

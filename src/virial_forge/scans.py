@@ -16,9 +16,6 @@ against the adaptive-quadrature oracle.
 from __future__ import annotations
 
 import csv
-import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +46,6 @@ __all__ = [
     "format_float",
     "rows_to_csv",
 ]
-
-THREADS_ENV = "VIRIAL_FORGE_THREADS"
 
 CSV_COLUMNS = ("family", "P", "a", "alpha", "R", "KE", "PE", "E", "V", "l32_norm")
 
@@ -102,24 +97,6 @@ class ScalingScanResult:
     virial_fit: FitResult
     rows: tuple
     failures: tuple  # P values whose zero-energy solve had no positive root
-
-
-def _thread_count():
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise VirialForgeError(f"{THREADS_ENV} must be an integer, got {raw!r}")
-    return max(1, n)
-
-
-def _ordered_map(fn, items):
-    """Map preserving item order; parallel when VIRIAL_FORGE_THREADS > 1."""
-    n = _thread_count()
-    if n <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 def default_floor_grid(n_p=200, n_a=40):
@@ -178,11 +155,7 @@ def uniform_ball_floor(grid=None):
     if grid is None:
         grid = default_floor_grid()
 
-    def per_p(P):
-        return [_uniform_row(P, a) for a in grid.a_values]
-
-    blocks = _ordered_map(per_p, grid.P_values)
-    rows = [row for block in blocks for row in block]
+    rows = [_uniform_row(P, a) for P in grid.P_values for a in grid.a_values]
 
     best = min(rows, key=lambda r: r["V"])
     rng = np.random.default_rng(_CROSSCHECK_SEED)
@@ -244,20 +217,15 @@ def asymptotic_scaling(P_values=None, a=-0.9):
     if not (-1.0 < a < 1.0):
         raise VirialForgeError("scaling scan needs a in (-1, 1)")
 
-    def per_p(P):
-        try:
-            return _corehalo_scaling_row(P, a)
-        except NoPositiveRootError:
-            return None
-
-    results = _ordered_map(per_p, P_values)
     rows, ansaetze, failures = [], [], []
-    for P, res in zip(P_values, results):
-        if res is None:
+    for P in P_values:
+        try:
+            row, ansatz = _corehalo_scaling_row(P, a)
+        except NoPositiveRootError:
             failures.append(P)
-        else:
-            rows.append(res[0])
-            ansaetze.append(res[1])
+            continue
+        rows.append(row)
+        ansaetze.append(ansatz)
     if len(rows) < 5:
         raise VirialForgeError(
             f"only {len(rows)} grid points solved; cannot fit (failures: {failures})"

@@ -9,6 +9,9 @@ energy to vanish exactly:
 * monotonic core-halo: the momentum cutoff, found by bracketing + Brent
   iteration (the kinetic term is strictly increasing in it).
 
+``FAMILIES`` is the one place a family is defined: its params class, free
+parameter, step-ansatz builder and exact zero-energy solve.
+
 The angular threshold a* = 1 - 1/S (S the spatial*momentum virial factor)
 marks where the virial reaches -1/2; any cutoff at or below a* certifies
 the virial hypothesis.
@@ -17,7 +20,8 @@ the virial hypothesis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, fields
 
 from scipy.optimize import brentq
 
@@ -32,6 +36,7 @@ from .errors import (
 from .profiles import (
     AngularProfile,
     SeparableAnsatz,
+    check_radii,
     core_halo_eta,
     momentum_ball,
     monotonic_eta,
@@ -39,6 +44,9 @@ from .profiles import (
 )
 
 __all__ = [
+    "FAMILIES",
+    "Family",
+    "family_of",
     "UniformParams",
     "CoreHaloParams",
     "MonotonicParams",
@@ -91,8 +99,7 @@ class CoreHaloParams:
     a: float
 
     def __post_init__(self):
-        if not (0.0 < self.r1 <= self.r2 <= self.r3):
-            raise ProfileError("core-halo radii must satisfy 0 < r1 <= r2 <= r3")
+        check_radii(self.r1, self.r2, self.r3)
         if self.p <= 0.0:
             raise ProfileError("momentum cutoff must be positive")
         if self.alpha < 0.0:
@@ -112,8 +119,7 @@ class MonotonicParams:
     a: float
 
     def __post_init__(self):
-        if not (0.0 < self.r1 <= self.r2 <= self.r3):
-            raise ProfileError("radii must satisfy 0 < r1 <= r2 <= r3")
+        check_radii(self.r1, self.r2, self.r3)
         if self.n <= 0.0:
             raise ProfileError("atmosphere exponent must be positive")
         if self.p <= 0.0:
@@ -220,8 +226,7 @@ def solve_corehalo_alpha(r1, r2, r3, p, full_output=False):
 
     With ``full_output`` the returned value is ``(alpha, roots)``.
     """
-    if not (0.0 < r1 <= r2 <= r3):
-        raise ProfileError("core-halo radii must satisfy 0 < r1 <= r2 <= r3")
+    check_radii(r1, r2, r3)
     if p <= 0.0:
         raise ProfileError("momentum cutoff must be positive")
     a_coef, b_coef, c_coef = corehalo_energy_quadratic(r1, r2, r3, p)
@@ -296,18 +301,44 @@ def solve_threshold_a(ansatz):
     return virial_threshold_angle(ansatz.spatial, ansatz.momentum)
 
 
-def solve_uniform(p, a):
-    """Solved uniform-ball parameters (zero-energy radius)."""
-    return UniformParams(r=solve_uniform_R(p), p=p, a=a)
+@dataclass(frozen=True)
+class Family:
+    """One ansatz family: a spatial profile plus one free parameter.
+
+    ``params`` is the family's parameter dataclass and ``free`` the name of
+    its field fixed by zero energy.  ``ansatz`` builds the step ansatz from
+    the params; ``solve`` takes the other fields (``inputs``) as keywords
+    and returns the exact zero-energy value of the free one.
+    """
+
+    name: str
+    params: type
+    free: str
+    ansatz: Callable
+    solve: Callable
+
+    @property
+    def inputs(self):
+        """Parameter fields other than the free one, in declaration order."""
+        return tuple(f.name for f in fields(self.params) if f.name != self.free)
 
 
-def solve_corehalo(r1, r2, r3, p, a):
-    """Solved core-halo parameters (zero-energy halo level)."""
-    alpha = solve_corehalo_alpha(r1, r2, r3, p)
-    return CoreHaloParams(r1=r1, r2=r2, r3=r3, p=p, alpha=alpha, a=a)
+FAMILIES = {
+    family.name: family
+    for family in (
+        Family("uniform", UniformParams, "r", uniform_ansatz,
+               lambda p, a: solve_uniform_R(p)),
+        Family("core-halo", CoreHaloParams, "alpha", core_halo_ansatz,
+               lambda r1, r2, r3, p, a: solve_corehalo_alpha(r1, r2, r3, p)),
+        Family("monotonic", MonotonicParams, "p", monotonic_ansatz,
+               lambda r1, r2, r3, n, a: solve_monotonic_P(r1, r2, r3, n)),
+    )
+}
 
 
-def solve_monotonic(r1, r2, r3, n, a):
-    """Solved monotonic-family parameters (zero-energy momentum cutoff)."""
-    p = solve_monotonic_P(r1, r2, r3, n)
-    return MonotonicParams(r1=r1, r2=r2, r3=r3, n=n, p=p, a=a)
+def family_of(params):
+    """The FAMILIES entry whose params class built ``params``."""
+    for family in FAMILIES.values():
+        if type(params) is family.params:
+            return family
+    raise TypeError(f"unsupported family parameters {type(params).__name__}")

@@ -1,8 +1,11 @@
 """CLI contract: exit codes, determinism, config echo, custom profiles."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from virial_forge.cli import RunConfig, main
 from virial_forge.solvers import solve_corehalo_alpha
@@ -274,3 +277,81 @@ def test_runconfig_round_trip():
     assert RunConfig.from_dict(cfg.to_dict()) == cfg
     with pytest.raises(Exception):
         RunConfig.from_dict({"command": "certify", "bogus": 1})
+
+
+NON_FINITE = ("nan", "inf", "-inf")
+COREHALO_NO_P = ["--family", "core-halo", "--r1", "0.2", "--r2", "1", "--r3", "2",
+                 "--a", "-0.8"]
+
+
+class TestNonFiniteFlags:
+    @pytest.mark.parametrize("argv, flag", [
+        (["certify", *COREHALO, "--tol-energy", "nan"], "--tol-energy"),
+        (["certify", *COREHALO, "--tol-energy", "inf"], "--tol-energy"),
+        (["certify", *COREHALO_NO_P, "--p", "nan"], "--p"),
+        (["certify", *COREHALO_NO_P, "--p", "inf"], "--p"),
+        (["certify", "--family", "core-halo", "--r1", "0.2", "--r2", "1", "--r3", "inf",
+          "--p", "1", "--a", "-0.8"], "--r3"),
+        (["certify", "--family", "core-halo", "--r1", "inf", "--r2", "inf",
+          "--r3", "inf", "--p", "1", "--a", "-0.8"], "--r1"),
+        (["certify", "--family", "uniform", "--p", "nan", "--a", "-0.5"], "--p"),
+        (["certify", "--family", "uniform", "--p", "inf", "--a", "-0.5"], "--p"),
+        (["mollify", *COREHALO, "--delta", "nan"], "--delta"),
+        (["scan", "--p-max", "inf"], "--p-max"),
+        (["asymptotics", "--p-max", "inf"], "--p-max"),
+    ])
+    def test_exit_3_naming_the_flag(self, capsys, argv, flag):
+        code, _, err = run_cli(capsys, argv)
+        assert code == 3
+        assert f"argument {flag}:" in err
+
+
+class TestExtremeFlags:
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--family", "uniform", "--p", "1e308", "--a", "-0.5"],
+        ["certify", "--family", "uniform", "--p", "1e-320", "--a", "-0.5"],
+        ["certify", "--family", "core-halo", "--r1", "1e-300", "--r2", "1",
+         "--r3", "1e300", "--p", "1", "--a", "-0.8"],
+        ["certify", *MONOTONIC[:-4], "--n", "1e300", "--a", "-0.95"],
+        ["mollify", "--family", "uniform", "--p", "1e200", "--a", "-0.5"],
+        ["scan", "--p-min", "1e-300", "--p-max", "1e300"],
+    ])
+    def test_exit_2_with_one_line(self, capsys, argv):
+        code, _, err = run_cli(capsys, argv)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+VALID_FLAGS = {
+    "uniform": {"p": "1", "a": "-0.99"},
+    "core-halo": {"r1": "0.2", "r2": "1", "r3": "2", "p": "1", "a": "-0.8"},
+    "monotonic": {"r1": "0.01", "r2": "0.0909090909", "r3": "0.1", "n": "3", "a": "-0.95"},
+}
+FLAG_VALUES = ("0", "-1", "1e-320", "1e308", *NON_FINITE)
+
+
+@st.composite
+def certify_or_report_argv(draw):
+    """certify/report argv: up to three float flags drawn from FLAG_VALUES, the rest valid."""
+    family = draw(st.sampled_from(sorted(VALID_FLAGS)))
+    flags = {**VALID_FLAGS[family], "tol-energy": "1e-9"}
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=3, unique=True)):
+        flags[flag] = draw(st.sampled_from(FLAG_VALUES))
+    argv = [draw(st.sampled_from(("certify", "report"))), "--family", family,
+            "--format", "kv", *(f"--{flag}={value}" for flag, value in flags.items())]
+    return argv, any(value in NON_FINITE for value in flags.values())
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(certify_or_report_argv())
+def test_every_flag_combination_exits_with_a_documented_code(case):
+    argv, non_finite = case
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)  # an uncaught exception fails the test with its traceback
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert "verdict=fail" in out.getvalue()
+    if non_finite:
+        assert code == 3

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import random_radial_profile
-from virial_forge.errors import DegenerateFactorError, ProfileError
+from virial_forge import quadrature
+from virial_forge.errors import DegenerateFactorError, ProfileError, QuadratureBudgetError
 from virial_forge.profiles import (
     AngularProfile,
     Piece,
     PiecewiseProfile,
+    check_radii,
     core_halo_eta,
     momentum_ball,
     monotonic_eta,
@@ -187,6 +189,58 @@ class TestPowerMoments:
         piece = Piece.power(1.0, 2.0, 0.5, 1.5)
         closed = piece.power_moment(1.5, 2)
         assert closed == pytest.approx(0.5**3 * math.log(3.0), rel=1e-14)
+
+
+    def test_ramp_matches_direct_quad(self):
+        from scipy.integrate import quad
+
+        ramp = Piece.ramp(1.0, 0.25, 0.5, 1.5)
+        ref, _ = quad(lambda r: ramp.value_at(r) ** 1.5 * r**2, 0.5, 1.5,
+                      epsabs=1e-15, epsrel=1e-13, limit=200)
+        assert ramp.power_moment(1.5, 2) == ref
+
+    def test_narrow_ramp_at_large_radius(self):
+        # The r form stops on roundoff here (the ramp is ~5e-10 of its radius).
+        import mpmath
+
+        lo, hi = 955.6225263478642, 955.622526863737
+        ramp = Piece.ramp(1.0, 0.0, lo, hi)
+        with mpmath.workdps(40):
+            w = mpmath.mpf(hi) - mpmath.mpf(lo)
+            ref = mpmath.quad(
+                lambda u: ((1 - u / w) ** 2 * (1 + 2 * u / w)) ** 1.5 * (lo + u) ** 2,
+                [0, w],
+            )
+        assert ramp.power_moment(1.5, 2) == pytest.approx(float(ref), rel=1e-12)
+
+    def test_ramp_non_convergence_raises(self, monkeypatch):
+        def stalled(f, lo, hi, **kwargs):
+            return 0.0, 1.0, {"last": kwargs["limit"]}, "maximum subdivisions reached"
+
+        monkeypatch.setattr(quadrature, "_quad", stalled)
+        with pytest.raises(QuadratureBudgetError):
+            Piece.ramp(1.0, 0.25, 0.5, 1.5).power_moment(1.5, 2)
+
+
+class TestRadii:
+    @pytest.mark.parametrize("radii", [(0.2, 1.0, 2.0), (1.0, 1.0, 1.0)])
+    def test_ordered_finite_accepted(self, radii):
+        check_radii(*radii)
+
+    @pytest.mark.parametrize("radii", [
+        (0.0, 1.0, 2.0), (-0.1, 1.0, 2.0), (2.0, 1.0, 3.0), (0.2, 3.0, 2.0),
+        (0.2, 1.0, math.inf), (math.inf, math.inf, math.inf), (math.nan, 1.0, 2.0),
+        (0.2, math.nan, 2.0), (0.2, 1.0, math.nan),
+    ])
+    def test_rejected(self, radii):
+        with pytest.raises(ProfileError):
+            check_radii(*radii)
+
+    def test_builders_share_the_check(self):
+        with pytest.raises(ProfileError):
+            core_halo_eta(0.2, 1.0, math.inf, 1e-3)
+        with pytest.raises(ProfileError):
+            monotonic_eta(0.01, math.nan, 0.1, 3.0)
 
 
 class TestAngular:

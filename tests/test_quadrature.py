@@ -65,6 +65,21 @@ def test_budget_exhaustion_raises():
         integrate(spike, 0.0, 1.0, abs_tol=1e-13, rel_tol=1e-12, budget=2)
 
 
+def test_failure_short_of_the_limit_is_not_retried(monkeypatch):
+    from virial_forge import quadrature
+
+    limits = []
+
+    def roundoff(f, lo, hi, **kwargs):
+        limits.append(kwargs["limit"])
+        return 1.0, 1e-9, {"last": 7}, "roundoff error is detected"
+
+    monkeypatch.setattr(quadrature, "_quad", roundoff)
+    with pytest.raises(QuadratureBudgetError, match="roundoff"):
+        integrate(lambda x: x, 0.0, 1.0)
+    assert limits == [200]
+
+
 def test_validation():
     with pytest.raises(ValueError):
         integrate(lambda r: r, 0.0, 1.0, abs_tol=0.0)

@@ -131,16 +131,3 @@ class TestCsv:
     def test_float_format_round_trips(self):
         for x in (1.0 / 3.0, 7.816488155904346e-4, -0.5007330147533631):
             assert float(format_float(x)) == x
-
-
-class TestThreads:
-    def test_parallel_matches_sequential(self, monkeypatch):
-        seq = uniform_ball_floor(SMALL_GRID)
-        monkeypatch.setenv("VIRIAL_FORGE_THREADS", "4")
-        par = uniform_ball_floor(SMALL_GRID)
-        assert par == seq
-
-    def test_bad_thread_count(self, monkeypatch):
-        monkeypatch.setenv("VIRIAL_FORGE_THREADS", "many")
-        with pytest.raises(VirialForgeError):
-            uniform_ball_floor(SMALL_GRID)

@@ -21,12 +21,14 @@ from virial_forge.functionals import (
 from virial_forge.profiles import core_halo_eta, momentum_ball, uniform_eta
 from virial_forge.quadrature import nested_mass_integral
 from virial_forge.solvers import (
+    FAMILIES,
     CoreHaloParams,
     MonotonicParams,
     RootBracket,
     UniformParams,
     core_halo_ansatz,
     corehalo_energy_quadratic,
+    family_of,
     monotonic_ansatz,
     solve_corehalo_alpha,
     solve_monotonic_P,
@@ -242,3 +244,28 @@ class TestQuadraticAndBracket:
     def test_bracket_validate(self):
         with pytest.raises(BracketError):
             RootBracket(0.0, 1.0).validate(lambda x: x + 5.0)
+
+
+class TestFamilies:
+    KNOWN = {
+        "uniform": {"p": 1.0, "a": -0.99},
+        "core-halo": {"r1": 0.2, "r2": 1.0, "r3": 2.0, "p": 1.0, "a": -0.8},
+        "monotonic": {"r1": 0.01, "r2": 1.0 / 11.0, "r3": 0.1, "n": 3.0, "a": -0.95},
+    }
+
+    def test_inputs_are_the_non_free_fields(self):
+        assert FAMILIES["uniform"].inputs == ("p", "a")
+        assert FAMILIES["core-halo"].inputs == ("r1", "r2", "r3", "p", "a")
+        assert FAMILIES["monotonic"].inputs == ("r1", "r2", "r3", "n", "a")
+
+    @pytest.mark.parametrize("name", sorted(KNOWN))
+    def test_solve_gives_zero_energy(self, name):
+        family = FAMILIES[name]
+        known = self.KNOWN[name]
+        params = family.params(**known, **{family.free: family.solve(**known)})
+        assert family_of(params) is family
+        assert abs(total_energy(family.ansatz(params))) < 1e-9
+
+    def test_unknown_params_rejected(self):
+        with pytest.raises(TypeError):
+            family_of(object())
