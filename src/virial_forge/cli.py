@@ -347,7 +347,6 @@ def _cmd_scan(cfg):
     grid = scans.ScanGrid(
         P_values=tuple(np.geomspace(cfg.p_min, cfg.p_max, cfg.p_points)),
         a_values=tuple(np.linspace(-1.0 + 1e-6, 0.9, cfg.a_points)),
-        family="uniform",
     )
     result = scans.uniform_ball_floor(grid)
     floor_ok = result.min_virial > -0.45

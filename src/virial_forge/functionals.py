@@ -11,11 +11,13 @@ functional reduces to products and ratios of one-dimensional moments:
 * L^{3/2} norm        = (int g^{3/2} r^2 * int h^{3/2} p^2 * int L^{3/2})^{2/3}
                         / (2 pi^{2/3} ||g r^2|| ||h p^2|| int L)
 
-The closed-form route evaluates these from exact piecewise moments; the
-quadrature route recomputes every integral adaptively and is kept as an
-independent oracle.  Certification checks the three blow-up hypotheses:
-zero total energy, virial <= -1/2, and L^{3/2} norm above the critical
-constant (3/8)(15/16)^{1/3}.
+Each formula is written once and reads its moments from a moment source.
+The exact source (``method="auto"``) takes them from exact piecewise
+moments, with quadrature only where ramps force it; the adaptive source
+(``method="quadrature"``) integrates every moment adaptively, once per
+evaluation, and is kept as an independent oracle.  Certification checks the
+three blow-up hypotheses: zero total energy, virial <= -1/2, and L^{3/2}
+norm above the critical constant (3/8)(15/16)^{1/3}.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 
 from . import quadrature
 from .errors import DegenerateFactorError
-from .profiles import CONSTANT, POWER, power_integral
+from .profiles import CONSTANT, POWER, check_positive, power_integral
 
 __all__ = [
     "CRITICAL_L32_NORM",
@@ -65,8 +67,7 @@ def momentum_energy_moment(p_max):
     P = 0.05 that expression cancels catastrophically, so a Maclaurin
     series accurate to ~1e-13 takes over.
     """
-    if p_max < 0.0:
-        raise ValueError("momentum cutoff must be >= 0")
+    check_positive(p_max, "momentum cutoff", ValueError, zero_ok=True)
     if p_max < 0.05:
         x = p_max * p_max
         series = 1.0 / 3.0 + x * (
@@ -83,9 +84,12 @@ def kinetic_energy_ball(p_max):
     Equals (3/8)(sqrt(1+P^2)/P^2 + 2 sqrt(1+P^2) - asinh(P)/P^3); always
     >= 1 and strictly increasing, with KE ~ 3P/4 as P grows.
     """
-    if p_max <= 0.0:
-        raise ValueError("momentum cutoff must be positive")
+    check_positive(p_max, "momentum cutoff", ValueError)
     return 3.0 * momentum_energy_moment(p_max) / p_max**3
+
+
+def _relativistic(p):
+    return math.sqrt(1.0 + p * p)
 
 
 def _as_indicator(profile):
@@ -140,46 +144,173 @@ def _factor(value, name):
     return value
 
 
+class _MomentSource:
+    """Every functional, written once over a source of one-dimensional moments.
+
+    A source supplies ``moment(g, k)`` = int g r^k dr, ``norm_moment(g)`` =
+    int g^{3/2} r^2 dr, ``angular(L)`` = (int L, int x L, int L^{3/2}),
+    ``kinetic(h)`` = (int sqrt(1+p^2) h p^2 dp, int h p^2 dp) up to a common
+    positive factor, and ``nested(g)`` = int g(q) q (int_0^q g s^2 ds) dq;
+    ``label`` and ``residuals`` fill the report's route and error estimates.
+    """
+
+    def mass(self, ansatz):
+        c = ansatz.norm_constant
+        m2q = self.moment(ansatz.spatial, 2)
+        m2p = self.moment(ansatz.momentum, 2)
+        m0 = self.angular(ansatz.angular)[0]
+        return c * 8.0 * math.pi**2 * m2q * m2p * m0
+
+    def kinetic_energy(self, phi):
+        num, den = self.kinetic(phi)
+        return num / _factor(den, "momentum")
+
+    def potential_energy(self, eta):
+        m2 = _factor(self.moment(eta, 2), "spatial")
+        return -self.nested(eta) / m2**2
+
+    def spatial_momentum_factor(self, eta, phi):
+        m3q, m2q = self.moment(eta, 3), self.moment(eta, 2)
+        m3p, m2p = self.moment(phi, 3), self.moment(phi, 2)
+        return (m3q / _factor(m2q, "spatial")) * (m3p / _factor(m2p, "momentum"))
+
+    def virial(self, ansatz):
+        factor = self.spatial_momentum_factor(ansatz.spatial, ansatz.momentum)
+        m0, m1, _ = self.angular(ansatz.angular)
+        return factor * m1 / _factor(m0, "angular")
+
+    def l32_norm(self, ansatz):
+        nq = self.norm_moment(ansatz.spatial)
+        np_ = self.norm_moment(ansatz.momentum)
+        m0, _, nl = self.angular(ansatz.angular)
+        m2q = self.moment(ansatz.spatial, 2)
+        m2p = self.moment(ansatz.momentum, 2)
+        numerator = (nq * np_ * nl) ** (2.0 / 3.0)
+        denominator = (
+            2.0
+            * math.pi ** (2.0 / 3.0)
+            * _factor(m2q, "spatial")
+            * _factor(m2p, "momentum")
+            * _factor(m0, "angular")
+        )
+        return numerator / denominator
+
+
+class _Exact(_MomentSource):
+    """The profiles' exact memoized moments; quadrature only where ramps force it."""
+
+    def moment(self, profile, k):
+        return profile.moment(k)
+
+    def norm_moment(self, profile):
+        return profile.power_moment(1.5, 2)
+
+    def angular(self, angular):
+        return angular.moments()
+
+    def kinetic(self, phi):
+        ind = _as_indicator(phi)
+        if ind is not None:
+            # The ball's moments times 3/value, as kinetic_energy_ball divides them.
+            return 3.0 * momentum_energy_moment(ind[1]), ind[1] ** 3
+        # Ramps keep exact second moments; only the weighted factor needs quad.
+        return quadrature.profile_moment_quad(phi, 2, 1.0, _relativistic).value, phi.moment(2)
+
+    def nested(self, eta):
+        nested = _nested_closed_value(eta)
+        return quadrature.nested_mass_integral(eta) if nested is None else nested
+
+    def label(self, ansatz):
+        return _QUAD if ansatz.has_ramp else _CLOSED
+
+    def residuals(self, ansatz):
+        return {}
+
+
+class _Adaptive(_MomentSource):
+    """Every integral by adaptive quadrature, each kept so it runs once."""
+
+    def __init__(self):
+        self.results = {}
+
+    def _result(self, integral, *args):
+        key = (integral, *args)
+        if key not in self.results:
+            self.results[key] = integral(*args)
+        return self.results[key]
+
+    def moment(self, profile, k):
+        return self._result(quadrature.profile_moment_quad, profile, k).value
+
+    def norm_moment(self, profile):
+        return self._result(quadrature.profile_moment_quad, profile, 2, 1.5).value
+
+    def angular(self, angular):
+        return tuple(
+            self._result(quadrature.angular_moment_quad, angular, k, beta).value
+            for k, beta in ((0, 1.0), (1, 1.0), (0, 1.5))
+        )
+
+    def kinetic(self, phi):
+        weighted = self._result(quadrature.profile_moment_quad, phi, 2, 1.0, _relativistic)
+        return weighted.value, self.moment(phi, 2)
+
+    def nested(self, eta):
+        return self._result(quadrature.nested_mass_quad, eta).value
+
+    def label(self, ansatz):
+        return _QUAD
+
+    def residuals(self, ansatz):
+        """Crude relative error estimates propagated from the integrator."""
+
+        def rel(integral, *args):
+            result = self._result(integral, *args)
+            return abs(result.abs_error_estimate / result.value) if result.value else 0.0
+
+        moment = quadrature.profile_moment_quad
+        base = (
+            rel(moment, ansatz.spatial, 2)
+            + rel(moment, ansatz.momentum, 2)
+            + rel(quadrature.angular_moment_quad, ansatz.angular, 0, 1.0)
+        )
+        return {
+            "mass": base,
+            "kinetic": base + rel(moment, ansatz.momentum, 2, 1.0, _relativistic),
+            "potential": base + rel(quadrature.nested_mass_quad, ansatz.spatial),
+            "virial": base + rel(moment, ansatz.spatial, 3) + rel(moment, ansatz.momentum, 3),
+            "l32_norm": base,
+        }
+
+
+_SOURCES = {"auto": _Exact, _QUAD: _Adaptive}
+
+
+def _source(method):
+    """A fresh moment source for ``method`` ("auto" or "quadrature")."""
+    if method not in _SOURCES:
+        raise ValueError(f"unknown evaluation method {method!r}")
+    return _SOURCES[method]()
+
+
 def normalization(ansatz):
     """Mass-normalizing constant C of the ansatz."""
     return ansatz.norm_constant
 
 
 def mass(ansatz, method="auto"):
-    """Total mass (1 by construction; the quadrature route re-derives it)."""
-    c = ansatz.norm_constant
-    if method == _QUAD:
-        m2q = quadrature.profile_moment_quad(ansatz.spatial, 2).value
-        m2p = quadrature.profile_moment_quad(ansatz.momentum, 2).value
-        m0 = quadrature.angular_moment_quad(ansatz.angular, 0).value
-    else:
-        m2q = ansatz.spatial.moment(2)
-        m2p = ansatz.momentum.moment(2)
-        m0 = ansatz.angular.moments()[0]
-    return c * 8.0 * math.pi**2 * m2q * m2p * m0
+    """Total mass (1 by construction; the adaptive source re-derives it)."""
+    return _source(method).mass(ansatz)
 
 
 def kinetic_energy_profile(phi, method="auto"):
     """Kinetic energy determined by the momentum profile alone (>= 1)."""
-    if method != _QUAD:
-        ind = _as_indicator(phi)
-        if ind is not None:
-            return kinetic_energy_ball(ind[1])
-        # Ramps keep exact second moments; only the weighted factor needs quad.
-        num = quadrature.profile_moment_quad(
-            phi, 2, weight=lambda p: math.sqrt(1.0 + p * p)
-        ).value
-        return num / _factor(phi.moment(2), "momentum")
-    num = quadrature.profile_moment_quad(
-        phi, 2, weight=lambda p: math.sqrt(1.0 + p * p)
-    ).value
-    den = quadrature.profile_moment_quad(phi, 2).value
-    return num / _factor(den, "momentum")
+    return _source(method).kinetic_energy(phi)
 
 
 def kinetic_energy(ansatz, method="auto"):
     """Mean sqrt(1+|p|^2), the kinetic-plus-rest-mass energy (>= 1)."""
-    return kinetic_energy_profile(ansatz.momentum, method=method)
+    return _source(method).kinetic_energy(ansatz.momentum)
 
 
 def spatial_density(ansatz, q_radius):
@@ -190,21 +321,12 @@ def spatial_density(ansatz, q_radius):
 
 def potential_energy_profile(eta, method="auto"):
     """Potential energy determined by the spatial profile alone (<= 0)."""
-    if method != _QUAD:
-        m2 = _factor(eta.moment(2), "spatial")
-        nested = _nested_closed_value(eta)
-        if nested is not None:
-            return -nested / m2**2
-        nested = quadrature.nested_mass_integral(eta)
-        return -nested / m2**2
-    m2 = _factor(quadrature.profile_moment_quad(eta, 2).value, "spatial")
-    nested = quadrature.nested_mass_integral(eta)
-    return -nested / m2**2
+    return _source(method).potential_energy(eta)
 
 
 def potential_energy(ansatz, method="auto"):
     """Potential (binding) energy of the ansatz."""
-    return potential_energy_profile(ansatz.spatial, method=method)
+    return _source(method).potential_energy(ansatz.spatial)
 
 
 def total_energy(ansatz, method="auto"):
@@ -214,61 +336,26 @@ def total_energy(ansatz, method="auto"):
 
 def spatial_momentum_factor(eta, phi, method="auto"):
     """(||g r^3||/||g r^2||) * (||h p^3||/||h p^2||), the a-free virial factor."""
-    if method == _QUAD:
-        m3q = quadrature.profile_moment_quad(eta, 3).value
-        m2q = quadrature.profile_moment_quad(eta, 2).value
-        m3p = quadrature.profile_moment_quad(phi, 3).value
-        m2p = quadrature.profile_moment_quad(phi, 2).value
-    else:
-        m3q, m2q = eta.moment(3), eta.moment(2)
-        m3p, m2p = phi.moment(3), phi.moment(2)
-    return (m3q / _factor(m2q, "spatial")) * (m3p / _factor(m2p, "momentum"))
+    return _source(method).spatial_momentum_factor(eta, phi)
 
 
 def virial(ansatz, method="auto"):
     """Mean q.p; negative when momenta point inward on average."""
-    factor = spatial_momentum_factor(ansatz.spatial, ansatz.momentum, method=method)
-    if method == _QUAD:
-        m0 = quadrature.angular_moment_quad(ansatz.angular, 0).value
-        m1 = quadrature.angular_moment_quad(ansatz.angular, 1).value
-    else:
-        m0, m1, _ = ansatz.angular.moments()
-    return factor * m1 / _factor(m0, "angular")
+    return _source(method).virial(ansatz)
 
 
 def l32_norm(ansatz, method="auto"):
     """L^{3/2} norm of the normalized phase-space density."""
-    if method == _QUAD:
-        nq = quadrature.profile_moment_quad(ansatz.spatial, 2, beta=1.5).value
-        np_ = quadrature.profile_moment_quad(ansatz.momentum, 2, beta=1.5).value
-        nl = quadrature.angular_moment_quad(ansatz.angular, 0, beta=1.5).value
-        m2q = quadrature.profile_moment_quad(ansatz.spatial, 2).value
-        m2p = quadrature.profile_moment_quad(ansatz.momentum, 2).value
-        m0 = quadrature.angular_moment_quad(ansatz.angular, 0).value
-    else:
-        nq = ansatz.spatial.power_moment(1.5, 2)
-        np_ = ansatz.momentum.power_moment(1.5, 2)
-        m0, _, nl = ansatz.angular.moments()
-        m2q = ansatz.spatial.moment(2)
-        m2p = ansatz.momentum.moment(2)
-    numerator = (nq * np_ * nl) ** (2.0 / 3.0)
-    denominator = (
-        2.0
-        * math.pi ** (2.0 / 3.0)
-        * _factor(m2q, "spatial")
-        * _factor(m2p, "momentum")
-        * _factor(m0, "angular")
-    )
-    return numerator / denominator
+    return _source(method).l32_norm(ansatz)
 
 
 @dataclass(frozen=True)
 class FunctionalReport:
     """Every functional of one ansatz, plus evaluation-error estimates.
 
-    ``residuals`` maps entry names to absolute error estimates; the
-    closed-form route reports zeros, the quadrature route propagates the
-    integrator's estimates.
+    ``residuals`` maps entry names to relative error estimates; the exact
+    source reports none, the adaptive source propagates the integrator's
+    estimates.
     """
 
     norm_constant: float
@@ -282,56 +369,26 @@ class FunctionalReport:
     residuals: dict = field(default_factory=dict)
 
 
-def _quad_residuals(ansatz):
-    """Crude relative error estimates propagated from the integrator."""
-
-    def rel(result):
-        return abs(result.abs_error_estimate / result.value) if result.value else 0.0
-
-    base = (
-        rel(quadrature.profile_moment_quad(ansatz.spatial, 2))
-        + rel(quadrature.profile_moment_quad(ansatz.momentum, 2))
-        + rel(quadrature.angular_moment_quad(ansatz.angular, 0))
-    )
-    return {
-        "mass": base,
-        "kinetic": base + rel(
-            quadrature.profile_moment_quad(
-                ansatz.momentum, 2, weight=lambda p: math.sqrt(1.0 + p * p)
-            )
-        ),
-        "potential": base + rel(quadrature.nested_mass_quad(ansatz.spatial)),
-        "virial": base
-        + rel(quadrature.profile_moment_quad(ansatz.spatial, 3))
-        + rel(quadrature.profile_moment_quad(ansatz.momentum, 3)),
-        "l32_norm": base,
-    }
-
-
 def evaluate(ansatz, method="auto"):
     """Full functional report for one ansatz.
 
-    ``method`` is "auto" (closed forms wherever exact, adaptive quadrature
-    only where ramps force it), "closed-form" (alias of auto), or
-    "quadrature" (every integral evaluated adaptively -- the oracle route).
+    ``method`` picks the moment source: "auto" (exact moments wherever they
+    exist, adaptive quadrature only where ramps force it) or "quadrature"
+    (every integral adaptive, each computed once -- the oracle route).
     """
-    if method not in ("auto", _CLOSED, _QUAD):
-        raise ValueError(f"unknown evaluation method {method!r}")
-    route = _QUAD if method == _QUAD else "auto"
-    kin = kinetic_energy(ansatz, method=route)
-    pot = potential_energy(ansatz, method=route)
-    label = _QUAD if (method == _QUAD or ansatz.has_ramp) else _CLOSED
-    residuals = _quad_residuals(ansatz) if method == _QUAD else {}
+    source = _source(method)
+    kin = source.kinetic_energy(ansatz.momentum)
+    pot = source.potential_energy(ansatz.spatial)
     return FunctionalReport(
         norm_constant=ansatz.norm_constant,
-        mass=mass(ansatz, method=route),
-        l32_norm=l32_norm(ansatz, method=route),
+        mass=source.mass(ansatz),
+        l32_norm=source.l32_norm(ansatz),
         kinetic=kin,
         potential=pot,
         total_energy=kin + pot,
-        virial=virial(ansatz, method=route),
-        method=label,
-        residuals=residuals,
+        virial=source.virial(ansatz),
+        method=source.label(ansatz),
+        residuals=source.residuals(ansatz),
     )
 
 
@@ -363,8 +420,7 @@ def check_criteria(ansatz, energy_tol=DEFAULT_ENERGY_TOL, method="auto"):
     parameters are floating-point roots; the residual is reported so callers
     can tighten the solve.
     """
-    if energy_tol <= 0.0:
-        raise ValueError("energy tolerance must be positive")
+    check_positive(energy_tol, "energy tolerance", ValueError)
     report = evaluate(ansatz, method=method)
     energy_residual = abs(report.total_energy)
     virial_margin = -0.5 - report.virial

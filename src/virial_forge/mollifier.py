@@ -176,32 +176,18 @@ def mollify_angular(angular, delta):
     return AngularProfile(_mollify_pieces(angular.pieces, delta))
 
 
+def _smoothed(profile, target, spec):
+    """The radial ``profile``, mollified when ``target`` is one of spec's targets."""
+    return mollify_profile(profile, spec.delta) if target in spec.targets else profile
+
+
 def mollify(ansatz, spec):
     """Mollify the selected factors of an ansatz."""
-    spatial = ansatz.spatial
-    momentum = ansatz.momentum
     angular = ansatz.angular
-    if "spatial" in spec.targets:
-        spatial = mollify_profile(spatial, spec.delta)
-    if "momentum" in spec.targets:
-        momentum = mollify_profile(momentum, spec.delta)
     if "angular" in spec.targets:
         angular = mollify_angular(angular, spec.delta)
-    return SeparableAnsatz(spatial, momentum, angular)
-
-
-def _mollified_momentum(p, spec):
-    phi = momentum_ball(p)
-    if "momentum" in spec.targets:
-        phi = mollify_profile(phi, spec.delta)
-    return phi
-
-
-def _mollified_angular(a, spec):
-    ang = AngularProfile.cutoff(a)
-    if "angular" in spec.targets:
-        ang = mollify_angular(ang, spec.delta)
-    return ang
+    return SeparableAnsatz(_smoothed(ansatz.spatial, "spatial", spec),
+                           _smoothed(ansatz.momentum, "momentum", spec), angular)
 
 
 def rebalance(params, spec, energy_tol=1e-10):
@@ -219,21 +205,16 @@ def rebalance(params, spec, energy_tol=1e-10):
         known = {name: getattr(params, name) for name in family.inputs}
         new_params = replace(params, **{family.free: family.solve(**known)})
         return new_params, family.ansatz(new_params)
-    return _REBALANCE[family.name](params, spec, energy_tol)
-
-
-def _spatial_of_uniform(r, spec):
-    eta = uniform_eta(r)
-    if "spatial" in spec.targets:
-        eta = mollify_profile(eta, spec.delta)
-    return eta
+    new_params = _REBALANCE[family.name](params, spec, energy_tol)
+    return new_params, mollify(family.ansatz(new_params), spec)
 
 
 def _rebalance_uniform(params, spec, energy_tol):
-    kin = functionals.kinetic_energy_profile(_mollified_momentum(params.p, spec))
+    kin = functionals.kinetic_energy_profile(_smoothed(momentum_ball(params.p), "momentum", spec))
 
     def residual(r):
-        return kin + functionals.potential_energy_profile(_spatial_of_uniform(r, spec))
+        return kin + functionals.potential_energy_profile(
+            _smoothed(uniform_eta(r), "spatial", spec))
 
     r0 = 3.0 / (5.0 * kin)
     bracket = RootBracket.expand(residual, 0.25 * r0, 4.0 * r0)
@@ -242,23 +223,14 @@ def _rebalance_uniform(params, spec, energy_tol):
     )
     if abs(residual(r_star)) > energy_tol:
         raise NoRootError(f"rebalanced energy residual {residual(r_star):.3e}")
-    new_params = replace(params, r=r_star)
-    ansatz = SeparableAnsatz(
-        _spatial_of_uniform(r_star, spec),
-        _mollified_momentum(params.p, spec),
-        _mollified_angular(params.a, spec),
-    )
-    return new_params, ansatz
+    return replace(params, r=r_star)
 
 
 def _rebalance_corehalo(params, spec, energy_tol):
-    kin = functionals.kinetic_energy_profile(_mollified_momentum(params.p, spec))
+    kin = functionals.kinetic_energy_profile(_smoothed(momentum_ball(params.p), "momentum", spec))
 
     def spatial_of(alpha):
-        eta = core_halo_eta(params.r1, params.r2, params.r3, alpha)
-        if "spatial" in spec.targets:
-            eta = mollify_profile(eta, spec.delta)
-        return eta
+        return _smoothed(core_halo_eta(params.r1, params.r2, params.r3, alpha), "spatial", spec)
 
     def balance(alpha):
         # g(alpha) = KE * m2(alpha)^2 - N(alpha); exactly quadratic in alpha
@@ -295,19 +267,11 @@ def _rebalance_corehalo(params, spec, energy_tol):
             raise NoRootError(f"could not polish the mollified halo level: {exc}")
         if abs(residual(alpha)) > energy_tol:
             raise NoRootError(f"rebalanced energy residual {residual(alpha):.3e}")
-    new_params = replace(params, alpha=alpha)
-    ansatz = SeparableAnsatz(
-        spatial_of(alpha),
-        _mollified_momentum(params.p, spec),
-        _mollified_angular(params.a, spec),
-    )
-    return new_params, ansatz
+    return replace(params, alpha=alpha)
 
 
 def _rebalance_monotonic(params, spec, energy_tol):
-    eta = monotonic_eta(params.r1, params.r2, params.r3, params.n)
-    if "spatial" in spec.targets:
-        eta = mollify_profile(eta, spec.delta)
+    eta = _smoothed(monotonic_eta(params.r1, params.r2, params.r3, params.n), "spatial", spec)
     pot = functionals.potential_energy_profile(eta)
     if pot >= -1.0:
         raise NoRootError(
@@ -315,7 +279,8 @@ def _rebalance_monotonic(params, spec, energy_tol):
         )
 
     def residual(p):
-        return functionals.kinetic_energy_profile(_mollified_momentum(p, spec)) + pot
+        phi = _smoothed(momentum_ball(p), "momentum", spec)
+        return functionals.kinetic_energy_profile(phi) + pot
 
     bracket = RootBracket.expand(residual, 1e-3, 10.0)
     p_star = bracket.lo if bracket.lo == bracket.hi else brentq(
@@ -323,11 +288,7 @@ def _rebalance_monotonic(params, spec, energy_tol):
     )
     if abs(residual(p_star)) > energy_tol:
         raise NoRootError(f"rebalanced energy residual {residual(p_star):.3e}")
-    new_params = replace(params, p=p_star)
-    ansatz = SeparableAnsatz(
-        eta, _mollified_momentum(p_star, spec), _mollified_angular(params.a, spec)
-    )
-    return new_params, ansatz
+    return replace(params, p=p_star)
 
 
 _REBALANCE = {

@@ -37,6 +37,7 @@ __all__ = [
     "core_halo_eta",
     "monotonic_eta",
     "check_radii",
+    "check_positive",
 ]
 
 CONSTANT = "constant"
@@ -394,8 +395,7 @@ class PiecewiseProfile(_PieceSet):
 
     def dilate(self, lam):
         """Profile r -> g(r / lam): support scales by lam, values unchanged."""
-        if lam <= 0.0 or not math.isfinite(lam):
-            raise ValueError("dilation factor must be positive and finite")
+        check_positive(lam, "dilation factor", ValueError)
         out = []
         for p in self.pieces:
             lo, hi = lam * p.lo, p.hi if math.isinf(p.hi) else lam * p.hi
@@ -452,16 +452,20 @@ class AngularProfile(_PieceSet):
         Raises DegenerateFactorError when m0 = 0 (normalization undefined);
         warns when m0 is positive but tiny.
         """
-        m0 = self.moment(0)
-        if m0 <= 0.0:
-            raise DegenerateFactorError("angular profile integrates to zero")
+        cache = self._cache
+        if "moments" not in cache:
+            m0 = self.moment(0)
+            if m0 <= 0.0:
+                raise DegenerateFactorError("angular profile integrates to zero")
+            cache["moments"] = (m0, self.moment(1), self.power_moment(1.5, 0))
+        m0 = cache["moments"][0]
         if m0 < NEAR_DEGENERATE_ANGULAR:
             warnings.warn(
                 f"angular profile nearly degenerate (integral {m0:.3e})",
                 RuntimeWarning,
                 stacklevel=2,
             )
-        return m0, self.moment(1), self.power_moment(1.5, 0)
+        return cache["moments"]
 
 
 @dataclass(frozen=True)
@@ -509,18 +513,23 @@ class SeparableAnsatz:
 
 def uniform_eta(radius):
     """Indicator of the ball of the given radius (uniform spatial profile)."""
-    if radius <= 0.0:
-        raise ProfileError("ball radius must be positive")
+    check_positive(radius, "ball radius")
     return PiecewiseProfile.from_segments([Piece.constant(1.0, 0.0, radius)])
 
 
 def momentum_ball(p_max):
     """Indicator of the momentum ball |p| <= p_max."""
-    if p_max <= 0.0:
-        raise ProfileError("momentum cutoff must be positive")
+    check_positive(p_max, "momentum cutoff")
     return PiecewiseProfile.from_segments(
         [Piece.constant(1.0, 0.0, p_max)], domain_label="radial-momentum"
     )
+
+
+def check_positive(value, name, error=ProfileError, zero_ok=False):
+    """``error`` unless ``value`` is finite and positive (or zero, with ``zero_ok``)."""
+    if not (0.0 < value < math.inf or zero_ok and value == 0.0):
+        bound = ">= 0" if zero_ok else "positive"
+        raise error(f"{name} must be finite and {bound}, got {value}")
 
 
 def check_radii(r1, r2, r3):
@@ -534,8 +543,7 @@ def check_radii(r1, r2, r3):
 def core_halo_eta(r1, r2, r3, halo_value):
     """Unit core on [0, r1] plus a constant halo on [r2, r3] (disjoint shells)."""
     check_radii(r1, r2, r3)
-    if halo_value < 0.0:
-        raise ProfileError("halo value must be >= 0")
+    check_positive(halo_value, "halo value", zero_ok=True)
     segments = [Piece.constant(1.0, 0.0, r1)]
     if r2 > r1:
         segments.append(Piece.constant(0.0, r1, r2))
@@ -550,8 +558,7 @@ def monotonic_eta(r1, r2, r3, n):
     Continuous and non-increasing on its support by construction.
     """
     check_radii(r1, r2, r3)
-    if n <= 0.0:
-        raise ProfileError("atmosphere exponent must be positive")
+    check_positive(n, "atmosphere exponent")
     segments = [Piece.constant(1.0, 0.0, r1)]
     if r2 > r1:
         segments.append(Piece.power(1.0, n, r1, r2))

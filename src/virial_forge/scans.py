@@ -20,16 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import functionals
+from . import functionals, solvers
 from .errors import GridExhaustedError, NoPositiveRootError, VirialForgeError
-from .solvers import (
-    CoreHaloParams,
-    UniformParams,
-    core_halo_ansatz,
-    solve_corehalo_alpha,
-    solve_uniform_R,
-    uniform_ansatz,
-)
+from .profiles import check_positive
+from .solvers import CoreHaloParams, UniformParams, solve_corehalo_alpha, solve_uniform_R
 
 __all__ = [
     "ScanGrid",
@@ -48,6 +42,9 @@ __all__ = [
 ]
 
 CSV_COLUMNS = ("family", "P", "a", "alpha", "R", "KE", "PE", "E", "V", "l32_norm")
+# CSV column -> the FunctionalReport field it prints.
+_REPORT_FIELDS = {"KE": "kinetic", "PE": "potential", "E": "total_energy", "V": "virial",
+                  "l32_norm": "l32_norm"}
 
 _CROSSCHECK_SEED = 20260809
 _CROSSCHECK_RTOL = 1e-8
@@ -59,15 +56,14 @@ class ScanGrid:
 
     P_values: tuple
     a_values: tuple
-    family: str = "uniform"
 
     def __post_init__(self):
         object.__setattr__(self, "P_values", tuple(float(p) for p in self.P_values))
         object.__setattr__(self, "a_values", tuple(float(a) for a in self.a_values))
         if not self.P_values or not self.a_values:
             raise VirialForgeError("scan grid must be non-empty")
-        if any(p <= 0.0 for p in self.P_values):
-            raise VirialForgeError("momentum grid values must be positive")
+        for p in self.P_values:
+            check_positive(p, "momentum grid value", VirialForgeError)
         if any(not (-1.0 < a <= 1.0) for a in self.a_values):
             raise VirialForgeError("angular grid values must lie in (-1, 1]")
 
@@ -104,7 +100,6 @@ def default_floor_grid(n_p=200, n_a=40):
     return ScanGrid(
         P_values=tuple(np.geomspace(1e-2, 1e4, n_p)),
         a_values=tuple(np.linspace(-1.0 + 1e-6, 0.9, n_a)),
-        family="uniform",
     )
 
 
@@ -113,31 +108,30 @@ def default_scaling_pvalues(n=9):
     return tuple(np.geomspace(1e2, 1e4, n))
 
 
-def _uniform_row(P, a):
-    params = UniformParams(r=solve_uniform_R(P), p=P, a=a)
-    ansatz = uniform_ansatz(params)
+def _row(params):
+    """(scan row, ansatz) of solved family params; R is the outer support radius."""
+    family = solvers.family_of(params)
+    ansatz = family.ansatz(params)
     report = functionals.evaluate(ansatz)
-    return {
-        "family": "uniform",
-        "P": P,
-        "a": a,
-        "alpha": None,
-        "R": params.r,
-        "KE": report.kinetic,
-        "PE": report.potential,
-        "E": report.total_energy,
-        "V": report.virial,
-        "l32_norm": report.l32_norm,
-    }
+    row = {"family": family.name, "P": params.p, "a": params.a,
+           "alpha": getattr(params, "alpha", None), "R": ansatz.spatial.support_radius}
+    for col, name in _REPORT_FIELDS.items():
+        row[col] = getattr(report, name)
+    return row, ansatz
+
+
+def _scaling_params(P, a):
+    """Zero-energy core-halo parameters with radii (P^-2, P, P^2)."""
+    r1, r2, r3 = P**-2, P, P**2
+    alpha = solve_corehalo_alpha(r1, r2, r3, P)
+    return CoreHaloParams(r1=r1, r2=r2, r3=r3, p=P, alpha=alpha, a=a)
 
 
 def _crosscheck_row(row, ansatz):
     """Closed-form row vs the quadrature oracle at one grid point."""
     oracle = functionals.evaluate(ansatz, method="quadrature")
-    for key, ours in (("KE", row["KE"]), ("PE", row["PE"]), ("V", row["V"]),
-                      ("l32_norm", row["l32_norm"])):
-        ref = getattr(oracle, {"KE": "kinetic", "PE": "potential", "V": "virial",
-                               "l32_norm": "l32_norm"}[key])
+    for key in ("KE", "PE", "V", "l32_norm"):
+        ours, ref = row[key], getattr(oracle, _REPORT_FIELDS[key])
         scale = max(abs(ref), 1e-30)
         if abs(ours - ref) / scale > _CROSSCHECK_RTOL:
             raise VirialForgeError(
@@ -155,37 +149,18 @@ def uniform_ball_floor(grid=None):
     if grid is None:
         grid = default_floor_grid()
 
-    rows = [_uniform_row(P, a) for P in grid.P_values for a in grid.a_values]
+    rows = [_row(UniformParams(r=solve_uniform_R(P), p=P, a=a))[0]
+            for P in grid.P_values for a in grid.a_values]
 
     best = min(rows, key=lambda r: r["V"])
     rng = np.random.default_rng(_CROSSCHECK_SEED)
     probe = rows[int(rng.integers(len(rows)))]
-    _crosscheck_row(probe, uniform_ansatz(
+    _crosscheck_row(probe, solvers.uniform_ansatz(
         UniformParams(r=probe["R"], p=probe["P"], a=probe["a"])
     ))
     return FloorScanResult(
         min_virial=best["V"], argmin_P=best["P"], argmin_a=best["a"], rows=tuple(rows)
     )
-
-
-def _corehalo_scaling_row(P, a):
-    r1, r2, r3 = P**-2, P, P**2
-    alpha = solve_corehalo_alpha(r1, r2, r3, P)
-    params = CoreHaloParams(r1=r1, r2=r2, r3=r3, p=P, alpha=alpha, a=a)
-    ansatz = core_halo_ansatz(params)
-    report = functionals.evaluate(ansatz)
-    return {
-        "family": "core-halo",
-        "P": P,
-        "a": a,
-        "alpha": alpha,
-        "R": r3,
-        "KE": report.kinetic,
-        "PE": report.potential,
-        "E": report.total_energy,
-        "V": report.virial,
-        "l32_norm": report.l32_norm,
-    }, ansatz
 
 
 def loglog_fit(xs, ys):
@@ -220,7 +195,7 @@ def asymptotic_scaling(P_values=None, a=-0.9):
     rows, ansaetze, failures = [], [], []
     for P in P_values:
         try:
-            row, ansatz = _corehalo_scaling_row(P, a)
+            row, ansatz = _row(_scaling_params(P, a))
         except NoPositiveRootError:
             failures.append(P)
             continue
@@ -258,7 +233,7 @@ def virial_unbounded_below(threshold, a=-0.9, P_values=None):
         P_values = tuple(np.geomspace(1.5, 1e4, 40))
     for P in P_values:
         try:
-            row, _ = _corehalo_scaling_row(P, a)
+            row, _ = _row(_scaling_params(P, a))
         except NoPositiveRootError:
             continue
         if row["V"] < threshold:

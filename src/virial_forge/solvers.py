@@ -36,6 +36,7 @@ from .errors import (
 from .profiles import (
     AngularProfile,
     SeparableAnsatz,
+    check_positive,
     check_radii,
     core_halo_eta,
     momentum_ball,
@@ -82,8 +83,8 @@ class UniformParams:
     a: float
 
     def __post_init__(self):
-        if self.r <= 0.0 or self.p <= 0.0:
-            raise ProfileError("uniform-ball radius and momentum cutoff must be positive")
+        check_positive(self.r, "uniform-ball radius")
+        check_positive(self.p, "momentum cutoff")
         _check_angle(self.a)
 
 
@@ -100,10 +101,8 @@ class CoreHaloParams:
 
     def __post_init__(self):
         check_radii(self.r1, self.r2, self.r3)
-        if self.p <= 0.0:
-            raise ProfileError("momentum cutoff must be positive")
-        if self.alpha < 0.0:
-            raise ProfileError("halo level must be >= 0")
+        check_positive(self.p, "momentum cutoff")
+        check_positive(self.alpha, "halo level", zero_ok=True)
         _check_angle(self.a)
 
 
@@ -120,10 +119,8 @@ class MonotonicParams:
 
     def __post_init__(self):
         check_radii(self.r1, self.r2, self.r3)
-        if self.n <= 0.0:
-            raise ProfileError("atmosphere exponent must be positive")
-        if self.p <= 0.0:
-            raise ProfileError("momentum cutoff must be positive")
+        check_positive(self.n, "atmosphere exponent")
+        check_positive(self.p, "momentum cutoff")
         _check_angle(self.a)
 
 
@@ -177,6 +174,7 @@ def monotonic_ansatz(params):
 
 def solve_uniform_R(p):
     """Zero-energy radius of the uniform ball: R = 3 / (5 KE(P))."""
+    check_positive(p, "momentum cutoff")
     return 3.0 / (5.0 * functionals.kinetic_energy_ball(p))
 
 
@@ -227,8 +225,7 @@ def solve_corehalo_alpha(r1, r2, r3, p, full_output=False):
     With ``full_output`` the returned value is ``(alpha, roots)``.
     """
     check_radii(r1, r2, r3)
-    if p <= 0.0:
-        raise ProfileError("momentum cutoff must be positive")
+    check_positive(p, "momentum cutoff")
     a_coef, b_coef, c_coef = corehalo_energy_quadratic(r1, r2, r3, p)
     if r2 == r3:
         # Zero-width halo: the residual no longer depends on the halo level.

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_ansatz, random_momentum_profile
-from virial_forge import functionals
+from virial_forge import functionals, quadrature
 from virial_forge.errors import DegenerateFactorError
 from virial_forge.functionals import (
     CRITICAL_L32_NORM,
@@ -350,3 +350,51 @@ class TestOracleEquivalence:
             assert closed.virial == pytest.approx(oracle.virial, rel=1e-10, abs=1e-14)
             assert closed.l32_norm == pytest.approx(oracle.l32_norm, rel=1e-10)
             assert closed.potential == pytest.approx(oracle.potential, rel=1e-8)
+
+
+class TestMomentSources:
+    def test_oracle_integrates_each_moment_once(self, monkeypatch):
+        # Ramp-free, so the exact norm constant needs no quadrature; the
+        # oracle needs 3 spatial, 4 momentum, 3 angular and 1 nested integral.
+        ans = SeparableAnsatz(
+            monotonic_eta(0.2, 0.6, 1.0, 2.0),
+            PiecewiseProfile.from_segments(
+                [Piece.constant(1.0, 0.0, 0.5), Piece.constant(0.3, 0.5, 1.5)],
+                domain_label="radial-momentum",
+            ),
+            AngularProfile((Piece.constant(1.0, -1.0, 0.2), Piece.constant(0.4, 0.2, 1.0))),
+        )
+        calls = []
+        real = quadrature.integrate
+
+        def counting(*args, **kwargs):
+            calls.append(args[1:3])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "integrate", counting)
+        evaluate(ans, method="quadrature")
+        assert len(calls) == 11
+
+    @pytest.mark.parametrize("method", ["closed-form", "quad", "exact", ""])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda a, m: mass(a, method=m),
+            lambda a, m: kinetic_energy(a, method=m),
+            lambda a, m: functionals.kinetic_energy_profile(a.momentum, method=m),
+            lambda a, m: potential_energy(a, method=m),
+            lambda a, m: potential_energy_profile(a.spatial, method=m),
+            lambda a, m: total_energy(a, method=m),
+            lambda a, m: functionals.spatial_momentum_factor(a.spatial, a.momentum, method=m),
+            lambda a, m: virial(a, method=m),
+            lambda a, m: l32_norm(a, method=m),
+            lambda a, m: evaluate(a, method=m),
+            lambda a, m: check_criteria(a, method=m),
+        ],
+        ids=["mass", "kinetic_energy", "kinetic_energy_profile", "potential_energy",
+             "potential_energy_profile", "total_energy", "spatial_momentum_factor",
+             "virial", "l32_norm", "evaluate", "check_criteria"],
+    )
+    def test_unknown_method_rejected(self, call, method):
+        with pytest.raises(ValueError, match="unknown evaluation method"):
+            call(reference_corehalo(), method)

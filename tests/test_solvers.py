@@ -11,15 +11,19 @@ from virial_forge.errors import (
     NoRootError,
     ProfileError,
     ThresholdUnreachableError,
+    VirialForgeError,
 )
 from virial_forge.functionals import (
+    check_criteria,
     kinetic_energy_ball,
+    momentum_energy_moment,
     potential_energy_profile,
     total_energy,
     virial,
 )
 from virial_forge.profiles import core_halo_eta, momentum_ball, uniform_eta
 from virial_forge.quadrature import nested_mass_integral
+from virial_forge.scans import ScanGrid
 from virial_forge.solvers import (
     FAMILIES,
     CoreHaloParams,
@@ -269,3 +273,32 @@ class TestFamilies:
     def test_unknown_params_rejected(self):
         with pytest.raises(TypeError):
             family_of(object())
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: UniformParams(r=NAN, p=1.0, a=0.0), ProfileError),
+        (lambda: UniformParams(r=1.0, p=INF, a=0.0), ProfileError),
+        (lambda: CoreHaloParams(r1=0.2, r2=1.0, r3=2.0, p=NAN, alpha=0.1, a=0.0), ProfileError),
+        (lambda: CoreHaloParams(r1=0.2, r2=1.0, r3=2.0, p=1.0, alpha=NAN, a=0.0), ProfileError),
+        (lambda: MonotonicParams(r1=0.01, r2=0.09, r3=0.1, n=INF, p=1.0, a=0.0), ProfileError),
+        (lambda: solve_uniform_R(NAN), ProfileError),
+        (lambda: solve_uniform_R(INF), ProfileError),
+        (lambda: solve_corehalo_alpha(0.2, 1.0, 2.0, NAN), ProfileError),
+        (lambda: kinetic_energy_ball(NAN), ValueError),
+        (lambda: momentum_energy_moment(INF), ValueError),
+        (lambda: check_criteria(uniform_ansatz(UniformParams(r=0.5, p=1.0, a=0.0)),
+                                energy_tol=NAN), ValueError),
+        (lambda: ScanGrid(P_values=(NAN,), a_values=(0.0,)), VirialForgeError),
+    ],
+    ids=["uniform-r-nan", "uniform-p-inf", "corehalo-p-nan", "corehalo-alpha-nan",
+         "monotonic-n-inf", "solve-R-nan", "solve-R-inf", "solve-alpha-p-nan",
+         "ke-ball-nan", "energy-moment-inf", "energy-tol-nan", "scan-grid-P-nan"],
+)
+def test_non_finite_input_rejected(build, error):
+    with pytest.raises(error, match="finite"):
+        build()
