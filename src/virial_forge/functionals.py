@@ -23,6 +23,7 @@ norm above the critical constant (3/8)(15/16)^{1/3}.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from . import quadrature
@@ -82,9 +83,12 @@ def kinetic_energy_ball(p_max):
     """Kinetic (rest mass included) energy of a unit-mass momentum ball.
 
     Equals (3/8)(sqrt(1+P^2)/P^2 + 2 sqrt(1+P^2) - asinh(P)/P^3); always
-    >= 1 and strictly increasing, with KE ~ 3P/4 as P grows.
+    >= 1 and strictly increasing, with KE ~ 3P/4 as P grows.  Where P^3
+    underflows (P below ~2.8e-103) the exact limit 1 is returned.
     """
     check_positive(p_max, "momentum cutoff", ValueError)
+    if p_max**3 < sys.float_info.min:
+        return 1.0
     return 3.0 * momentum_energy_moment(p_max) / p_max**3
 
 
@@ -92,16 +96,17 @@ def _relativistic(p):
     return math.sqrt(1.0 + p * p)
 
 
-def _as_indicator(profile):
-    """(value, upper) when the profile is a single constant plateau from 0."""
-    live = [p for p in profile.pieces if not p.is_zero]
+def _exact_kinetic(phi):
+    """(int sqrt(1+p^2) h p^2 dp, int h p^2 dp), up to a common positive factor."""
+    live = [p for p in phi.pieces if not p.is_zero]
     if len(live) == 1 and live[0].kind == CONSTANT and live[0].lo == 0.0:
-        return live[0].value, live[0].hi
-    return None
+        return kinetic_energy_ball(live[0].hi), 1.0  # a single plateau from 0: a ball
+    # Ramps keep exact second moments; only the weighted factor needs quad.
+    return quadrature.profile_moment_quad(phi, 2, 1.0, _relativistic).value, phi.moment(2)
 
 
-def _nested_closed_value(profile):
-    """Closed-form nested mass integral, or None when ramps are present.
+def _exact_nested(profile):
+    """Nested mass integral, in closed form unless ramps are present.
 
     Walks pieces left to right keeping the exact enclosed mass M and adds
     int piece(q) * q * (M + local cumulative) dq analytically.  Constant and
@@ -134,7 +139,7 @@ def _nested_closed_value(profile):
             total += pref * (lead + pref * inner)
             enclosed += pref * power_integral(2.0 - n, lo, hi)
         else:
-            return None
+            return quadrature.nested_mass_integral(profile)
     return total
 
 
@@ -197,7 +202,7 @@ class _MomentSource:
 
 
 class _Exact(_MomentSource):
-    """The profiles' exact memoized moments; quadrature only where ramps force it."""
+    """Exact moments and integrals, memoized per profile; quad only where ramps force it."""
 
     def moment(self, profile, k):
         return profile.moment(k)
@@ -209,16 +214,10 @@ class _Exact(_MomentSource):
         return angular.moments()
 
     def kinetic(self, phi):
-        ind = _as_indicator(phi)
-        if ind is not None:
-            # The ball's moments times 3/value, as kinetic_energy_ball divides them.
-            return 3.0 * momentum_energy_moment(ind[1]), ind[1] ** 3
-        # Ramps keep exact second moments; only the weighted factor needs quad.
-        return quadrature.profile_moment_quad(phi, 2, 1.0, _relativistic).value, phi.moment(2)
+        return phi.memo("kinetic", _exact_kinetic)
 
     def nested(self, eta):
-        nested = _nested_closed_value(eta)
-        return quadrature.nested_mass_integral(eta) if nested is None else nested
+        return eta.memo("nested", _exact_nested)
 
     def label(self, ansatz):
         return _QUAD if ansatz.has_ramp else _CLOSED

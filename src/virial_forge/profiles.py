@@ -10,7 +10,8 @@ virial functionals has a closed form piece by piece; the only integrals that
 fall back to numerics are fractional powers of ramp pieces.
 
 All profile objects are immutable after construction and safe to share
-between threads.  Derived quantities (moments) are memoized per instance.
+between threads.  Derived quantities (the moments here, the exact route's
+kinetic and nested integrals in ``functionals``) are memoized per instance.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import bisect
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import (
     DegenerateFactorError,
@@ -264,19 +266,32 @@ def _check_coverage(pieces, start, end):
         raise ProfileError(f"pieces must end at {end}, got {pieces[-1].hi}")
 
 
+def _piece_starts(profile):
+    # Module-level, like _mass_prefix: pointwise memo hits then allocate nothing.
+    return [p.lo for p in profile.pieces]
+
+
+def _finite_sum(terms, what):
+    total = math.fsum(terms)
+    if not math.isfinite(total):
+        raise DivergentMomentError(f"{what} diverges")
+    return total
+
+
 class _PieceSet:
     """Shared evaluation/moment machinery over an ordered piece tuple."""
 
     pieces: tuple
 
-    def _starts(self):
+    def memo(self, key, compute):
+        """``compute(self)``, computed on first use of ``key`` and kept on the profile."""
         cache = self._cache
-        if "starts" not in cache:
-            cache["starts"] = [p.lo for p in self.pieces]
-        return cache["starts"]
+        if key not in cache:
+            cache[key] = compute(self)
+        return cache[key]
 
     def _piece_at(self, r):
-        idx = bisect.bisect_right(self._starts(), r) - 1
+        idx = bisect.bisect_right(self.memo("starts", _piece_starts), r) - 1
         return self.pieces[idx]
 
     def _value(self, r):
@@ -297,27 +312,20 @@ class _PieceSet:
         """Exact int g(r) r^k dr over the whole domain, memoized."""
         if k < 0:
             raise ValueError("moment order must be >= 0")
-        cache = self._cache
-        key = ("moment", k)
-        if key not in cache:
-            total = math.fsum(p.moment(k) for p in self.pieces)
-            if not math.isfinite(total):
-                raise DivergentMomentError(f"moment of order {k} diverges")
-            cache[key] = total
-        return cache[key]
+        return self.memo(("moment", k), lambda s: _finite_sum(
+            (p.moment(k) for p in s.pieces), f"moment of order {k}"))
 
     def power_moment(self, beta, k):
         """Exact/deterministic int g(r)**beta r^k dr, memoized."""
         if beta <= 0.0:
             raise ValueError("power must be > 0")
-        cache = self._cache
-        key = ("power_moment", beta, k)
-        if key not in cache:
-            total = math.fsum(p.power_moment(beta, k) for p in self.pieces)
-            if not math.isfinite(total):
-                raise DivergentMomentError(f"power moment ({beta}, {k}) diverges")
-            cache[key] = total
-        return cache[key]
+        return self.memo(("power_moment", beta, k), lambda s: _finite_sum(
+            (p.power_moment(beta, k) for p in s.pieces), f"power moment ({beta}, {k})"))
+
+
+def _mass_prefix(profile):
+    """int_0^lo g(s) s^2 ds at the left end of every piece."""
+    return list(accumulate((p.moment(2) for p in profile.pieces[:-1]), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -379,16 +387,9 @@ class PiecewiseProfile(_PieceSet):
         """Exact cumulative int_0^r g(s) s^2 ds (the enclosed-mass integral)."""
         if r < 0.0:
             raise ValueError("radial argument must be >= 0")
-        cache = self._cache
-        if "prefix2" not in cache:
-            acc, prefix = 0.0, []
-            for p in self.pieces:
-                prefix.append(acc)
-                acc += p.moment(2)
-            cache["prefix2"] = prefix
-        idx = bisect.bisect_right(self._starts(), r) - 1
+        idx = bisect.bisect_right(self.memo("starts", _piece_starts), r) - 1
         piece = self.pieces[idx]
-        base = cache["prefix2"][idx]
+        base = self.memo("prefix2", _mass_prefix)[idx]
         if r <= piece.lo:
             return base
         return base + piece.partial_moment(2, min(r, piece.hi))
@@ -452,20 +453,20 @@ class AngularProfile(_PieceSet):
         Raises DegenerateFactorError when m0 = 0 (normalization undefined);
         warns when m0 is positive but tiny.
         """
-        cache = self._cache
-        if "moments" not in cache:
-            m0 = self.moment(0)
+        def compute(angular):
+            m0 = angular.moment(0)
             if m0 <= 0.0:
                 raise DegenerateFactorError("angular profile integrates to zero")
-            cache["moments"] = (m0, self.moment(1), self.power_moment(1.5, 0))
-        m0 = cache["moments"][0]
-        if m0 < NEAR_DEGENERATE_ANGULAR:
+            return m0, angular.moment(1), angular.power_moment(1.5, 0)
+
+        moments = self.memo("moments", compute)
+        if moments[0] < NEAR_DEGENERATE_ANGULAR:
             warnings.warn(
-                f"angular profile nearly degenerate (integral {m0:.3e})",
+                f"angular profile nearly degenerate (integral {moments[0]:.3e})",
                 RuntimeWarning,
                 stacklevel=2,
             )
-        return cache["moments"]
+        return moments
 
 
 @dataclass(frozen=True)
@@ -494,7 +495,11 @@ class SeparableAnsatz:
             for name, val in (("spatial", m2q), ("momentum", m2p), ("angular", m0)):
                 if val <= 0.0 or not math.isfinite(val):
                     raise DegenerateFactorError(f"{name} factor integral is {val}")
-            cache["C"] = 1.0 / (8.0 * math.pi**2 * m2q * m2p * m0)
+            scale = 8.0 * math.pi**2 * m2q * m2p * m0  # may underflow to 0
+            c = 1.0 / scale if scale > 0.0 else math.inf
+            if not math.isfinite(c):
+                raise DegenerateFactorError(f"normalization constant is {c}")
+            cache["C"] = c
         return cache["C"]
 
     @property

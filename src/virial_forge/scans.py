@@ -8,9 +8,11 @@ keeps a positive zero-energy halo level that decays like P^-23/2 while its
 virial grows like -(1 - a) P^3, so zero-energy data reach arbitrarily
 negative virial.
 
-Scans run the closed-form pipeline for speed; one grid point per scan
-(chosen by a fixed-seed RNG so output stays deterministic) is cross-checked
-against the adaptive-quadrature oracle.
+Scans run the closed-form pipeline for speed.  The floor grid builds each
+P's radial profiles and each a's cutoff once and shares them, so their
+memoized moments are computed once per profile, not per grid point.  One
+grid point per scan (chosen by a fixed-seed RNG so output stays
+deterministic) is cross-checked against the adaptive-quadrature oracle.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ import numpy as np
 
 from . import functionals, solvers
 from .errors import GridExhaustedError, NoPositiveRootError, VirialForgeError
-from .profiles import check_positive
-from .solvers import CoreHaloParams, UniformParams, solve_corehalo_alpha, solve_uniform_R
+from .profiles import AngularProfile, SeparableAnsatz, check_positive
+from .solvers import CoreHaloParams, UniformParams, solve_corehalo_alpha
 
 __all__ = [
     "ScanGrid",
@@ -109,15 +111,20 @@ def default_scaling_pvalues(n=9):
 
 
 def _row(params):
-    """(scan row, ansatz) of solved family params; R is the outer support radius."""
+    """(scan row, ansatz) of solved family params."""
     family = solvers.family_of(params)
     ansatz = family.ansatz(params)
+    return _report_row(family, params, ansatz), ansatz
+
+
+def _report_row(family, params, ansatz):
+    """Scan row of ``ansatz`` built from ``params``; R is the outer support radius."""
     report = functionals.evaluate(ansatz)
     row = {"family": family.name, "P": params.p, "a": params.a,
            "alpha": getattr(params, "alpha", None), "R": ansatz.spatial.support_radius}
     for col, name in _REPORT_FIELDS.items():
         row[col] = getattr(report, name)
-    return row, ansatz
+    return row
 
 
 def _scaling_params(P, a):
@@ -149,8 +156,16 @@ def uniform_ball_floor(grid=None):
     if grid is None:
         grid = default_floor_grid()
 
-    rows = [_row(UniformParams(r=solve_uniform_R(P), p=P, a=a))[0]
-            for P in grid.P_values for a in grid.a_values]
+    uniform = solvers.FAMILIES["uniform"]
+    cutoffs = [AngularProfile.cutoff(a) for a in grid.a_values]
+    rows = []
+    for P in grid.P_values:
+        # The radial profiles depend on P alone; the ball's own cutoff goes unused.
+        R = uniform.solve(p=P, a=1.0)
+        ball = uniform.ansatz(UniformParams(r=R, p=P, a=1.0))
+        rows += [_report_row(uniform, UniformParams(r=R, p=P, a=a),
+                             SeparableAnsatz(ball.spatial, ball.momentum, angular))
+                 for a, angular in zip(grid.a_values, cutoffs)]
 
     best = min(rows, key=lambda r: r["V"])
     rng = np.random.default_rng(_CROSSCHECK_SEED)

@@ -321,6 +321,14 @@ class TestExtremeFlags:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("p", ["1e-104", "1e-106", "1e-110", "1e-300"])
+    def test_tiny_p_is_a_degenerate_factor(self, capsys, p):
+        code, _, err = run_cli(capsys, ["certify", "--family", "uniform", "--p", p,
+                                        "--a", "-0.5"])
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "ZeroDivisionError" not in err
+
 
 VALID_FLAGS = {
     "uniform": {"p": "1", "a": "-0.99"},

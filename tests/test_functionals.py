@@ -23,6 +23,7 @@ from virial_forge.functionals import (
     total_energy,
     virial,
 )
+from virial_forge.mollifier import MollifySpec, mollify
 from virial_forge.profiles import (
     AngularProfile,
     Piece,
@@ -103,6 +104,14 @@ class TestNormalization:
         broken = SeparableAnsatz(zero, momentum_ball(1.0), AngularProfile.cutoff(1.0))
         with pytest.raises(DegenerateFactorError):
             broken.norm_constant
+
+    @pytest.mark.parametrize("radius", [1e-52, 1e-103], ids=["overflow", "underflow"])
+    def test_infinite_constant_rejected(self, radius):
+        # Every factor is positive, but 1/C overflows or underflows.
+        tiny = SeparableAnsatz(uniform_eta(radius), momentum_ball(radius),
+                               AngularProfile.cutoff(1.0))
+        with pytest.raises(DegenerateFactorError, match="normalization constant is inf"):
+            tiny.norm_constant
 
 
 class TestKineticEnergy:
@@ -374,6 +383,41 @@ class TestMomentSources:
         monkeypatch.setattr(quadrature, "integrate", counting)
         evaluate(ans, method="quadrature")
         assert len(calls) == 11
+
+    def test_exact_route_memoizes_per_profile(self, monkeypatch):
+        # A second exact evaluate of a ramped ansatz reads every integral back
+        # from the profiles; the oracle reads none of those memos.
+        def build():
+            return mollify(reference_corehalo(), MollifySpec(0.01))
+
+        calls = []
+        real = quadrature.integrate
+
+        def counting(*args, **kwargs):
+            calls.append(args[1:3])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "integrate", counting)
+        ans = build()
+        evaluate(ans)
+        assert calls
+        calls.clear()
+        evaluate(ans)
+        assert calls == []
+
+        oracle_calls = []
+        for name in ("profile_moment_quad", "angular_moment_quad", "nested_mass_quad"):
+            def counted(*args, _real=getattr(quadrature, name), **kwargs):
+                oracle_calls.append(_real)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(quadrature, name, counted)
+        memoized = evaluate(ans, method="quadrature")
+        n_memoized = len(oracle_calls)
+        oracle_calls.clear()
+        fresh = evaluate(build(), method="quadrature")
+        assert n_memoized == len(oracle_calls) == 11
+        assert repr(memoized) == repr(fresh)
 
     @pytest.mark.parametrize("method", ["closed-form", "quad", "exact", ""])
     @pytest.mark.parametrize(

@@ -5,8 +5,10 @@ import io
 import numpy as np
 import pytest
 
+from virial_forge import scans
 from virial_forge.errors import GridExhaustedError, VirialForgeError
 from virial_forge.functionals import kinetic_energy_ball
+from virial_forge.profiles import AngularProfile, Piece
 from virial_forge.scans import (
     CSV_COLUMNS,
     ScanGrid,
@@ -19,6 +21,7 @@ from virial_forge.scans import (
     uniform_ball_floor,
     virial_unbounded_below,
 )
+from virial_forge.solvers import UniformParams, solve_uniform_R
 
 SMALL_GRID = ScanGrid(
     P_values=tuple(np.geomspace(1e-2, 1e4, 50)),
@@ -131,3 +134,46 @@ class TestCsv:
     def test_float_format_round_trips(self):
         for x in (1.0 / 3.0, 7.816488155904346e-4, -0.5007330147533631):
             assert float(format_float(x)) == x
+
+
+SHARING_GRIDS = {
+    "series-branch": ScanGrid(P_values=tuple(np.geomspace(1e-4, 0.049, 6)),
+                              a_values=(-1.0 + 1e-6, -0.3, 0.5, 1.0)),
+    "wide-P": ScanGrid(P_values=tuple(np.geomspace(1e-2, 1e9, 12)),
+                       a_values=tuple(np.linspace(-1.0 + 1e-6, 0.9, 5))),
+    "single-point": ScanGrid(P_values=(2.5,), a_values=(-0.7,)),
+}
+
+
+class TestSharedProfiles:
+    @pytest.mark.parametrize("grid", SHARING_GRIDS.values(), ids=SHARING_GRIDS.keys())
+    def test_rows_match_per_point_pipeline(self, grid):
+        rows = uniform_ball_floor(grid).rows
+        expected = [scans._row(UniformParams(r=solve_uniform_R(P), p=P, a=a))[0]
+                    for P in grid.P_values for a in grid.a_values]
+        assert len(rows) == len(expected)
+        for got, want in zip(rows, expected):
+            assert repr(got) == repr(want)
+
+    def test_construction_scales_with_axis_lengths(self, monkeypatch):
+        # Profiles are built once per P and once per a, not once per grid point.
+        count = [0]
+        real = Piece.__post_init__
+
+        def counting(self):
+            count[0] += 1
+            real(self)
+
+        monkeypatch.setattr(Piece, "__post_init__", counting)
+
+        def pieces_built(n_p, n_a):
+            grid = ScanGrid(P_values=tuple(np.geomspace(1e-2, 1e4, n_p)),
+                            a_values=tuple(np.linspace(-0.9, 0.9, n_a)))
+            count[0] = 0
+            uniform_ball_floor(grid)
+            return count[0]
+
+        base = pieces_built(10, 10)
+        assert pieces_built(10, 40) - base == 30 * len(AngularProfile.cutoff(0.0).pieces)
+        # What ten more P values cost does not depend on the number of cutoffs.
+        assert pieces_built(20, 10) - base == pieces_built(20, 40) - pieces_built(10, 40)

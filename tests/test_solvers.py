@@ -64,6 +64,12 @@ class TestUniform:
     def test_rest_mass_limit(self):
         assert solve_uniform_R(1e-5) == pytest.approx(0.6, abs=1e-8)
 
+    @pytest.mark.parametrize("p", [1e-104, 1e-106, 1e-110, 1e-300])
+    def test_tiny_p_takes_the_series_limit(self, p):
+        # p**3 underflows below ~2.8e-103; KE keeps its exact limit 1.
+        assert kinetic_energy_ball(p) == 1.0
+        assert solve_uniform_R(p) == 0.6
+
     def test_ultrarelativistic_asymptote(self):
         p = 1e5
         assert solve_uniform_R(p) == pytest.approx(4.0 / (5.0 * p), rel=1e-6)
