@@ -25,7 +25,6 @@ from .functionals import (
     kinetic_energy_ball,
     l32_norm,
     mass,
-    normalization,
     potential_energy,
     potential_energy_profile,
     spatial_density,

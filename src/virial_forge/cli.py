@@ -35,7 +35,7 @@ _SOLVED_KEYS = (("R", "r"), ("P", "p"), ("n", "n"), ("alpha", "alpha"))
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved run configuration; round-trips through to_dict."""
+    """Fully resolved run configuration, defaults included."""
 
     command: str
     family: str = ""
@@ -58,14 +58,6 @@ class RunConfig:
 
     def to_dict(self):
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data):
-        names = {f.name for f in fields(cls)}
-        unknown = set(data) - names
-        if unknown:
-            raise ConfigError(f"unknown config keys {sorted(unknown)}")
-        return cls(**data)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -202,31 +194,38 @@ def _piece_from_dict(entry):
     raise ConfigError(f"unknown piece kind {kind!r}")
 
 
+def _pieces_of(section, name):
+    """The pieces of one document section; its ``pieces`` must be a list."""
+    pieces = section["pieces"]
+    if not isinstance(pieces, list):
+        raise ConfigError(f"{name} pieces must be a list, got {type(pieces).__name__}")
+    return [_piece_from_dict(e) for e in pieces]
+
+
 def _load_custom_ansatz(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read profile file: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise ConfigError(f"profile file is not valid JSON: {exc}")
     try:
-        spatial = PiecewiseProfile.from_segments(
-            [_piece_from_dict(e) for e in doc["spatial"]["pieces"]]
-        )
+        spatial = PiecewiseProfile.from_segments(_pieces_of(doc["spatial"], "spatial"))
         momentum = PiecewiseProfile.from_segments(
-            [_piece_from_dict(e) for e in doc["momentum"]["pieces"]],
-            domain_label="radial-momentum",
+            _pieces_of(doc["momentum"], "momentum"), domain_label="radial-momentum"
         )
         ang = doc["angular"]
         if "cutoff" in ang:
             angular = AngularProfile.cutoff(float(ang["cutoff"]))
         else:
-            angular = AngularProfile(tuple(_piece_from_dict(e) for e in ang["pieces"]))
+            angular = AngularProfile(tuple(_pieces_of(ang, "angular")))
     except KeyError as exc:
         raise ConfigError(f"profile file missing section {exc}")
     except ProfileError as exc:
         raise ConfigError(f"invalid profile literal: {exc}")
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"malformed profile file: {exc}")
     return SeparableAnsatz(spatial, momentum, angular)
 
 

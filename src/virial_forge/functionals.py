@@ -36,7 +36,6 @@ __all__ = [
     "Certificate",
     "kinetic_energy_ball",
     "momentum_energy_moment",
-    "normalization",
     "mass",
     "l32_norm",
     "kinetic_energy",
@@ -290,11 +289,6 @@ def _source(method):
     if method not in _SOURCES:
         raise ValueError(f"unknown evaluation method {method!r}")
     return _SOURCES[method]()
-
-
-def normalization(ansatz):
-    """Mass-normalizing constant C of the ansatz."""
-    return ansatz.norm_constant
 
 
 def mass(ansatz, method="auto"):

@@ -37,7 +37,6 @@ from .solvers import RootBracket, solve_quadratic
 
 __all__ = [
     "MollifySpec",
-    "ALL_TARGETS",
     "default_delta",
     "mollify_profile",
     "mollify_angular",
@@ -47,50 +46,29 @@ __all__ = [
     "functional_drift",
 ]
 
-ALL_TARGETS = frozenset({"spatial", "momentum", "angular"})
-
 # Values closer than this (relative) across a breakpoint count as continuous.
 _JUMP_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class MollifySpec:
-    """Transition half-width and which profile factors to smooth.
+    """Transition half-width of the ramps that smooth all three factors.
 
     ``delta`` is in the units of the mollified variable and must stay below
-    half the smallest piece width so ramps cannot collide.  ``targets`` is a
-    subset of {"spatial", "momentum", "angular"}; the string "all" selects
-    every factor.
+    half the smallest piece width so ramps cannot collide.
     """
 
     delta: float
-    targets: frozenset = ALL_TARGETS
 
     def __post_init__(self):
         if self.delta < 0.0 or not math.isfinite(self.delta):
             raise ProfileError("mollification half-width must be finite and >= 0")
-        if isinstance(self.targets, str):
-            targets = ALL_TARGETS if self.targets == "all" else frozenset({self.targets})
-            object.__setattr__(self, "targets", targets)
-        else:
-            object.__setattr__(self, "targets", frozenset(self.targets))
-        unknown = self.targets - ALL_TARGETS
-        if unknown:
-            raise ProfileError(f"unknown mollification targets {sorted(unknown)}")
 
 
-def default_delta(ansatz, targets=ALL_TARGETS, fraction=1e-3):
-    """fraction * (smallest piece width among the targeted factors)."""
-    widths = []
-    if "spatial" in targets:
-        widths.append(ansatz.spatial.smallest_width)
-    if "momentum" in targets:
-        widths.append(ansatz.momentum.smallest_width)
-    if "angular" in targets:
-        widths.append(ansatz.angular.smallest_width)
-    if not widths:
-        raise ProfileError("no mollification targets selected")
-    return fraction * min(widths)
+def default_delta(ansatz, fraction=1e-3):
+    """fraction * (smallest piece width of the spatial, momentum and angular factors)."""
+    return fraction * min(ansatz.spatial.smallest_width, ansatz.momentum.smallest_width,
+                          ansatz.angular.smallest_width)
 
 
 def _is_jump(left, right):
@@ -176,18 +154,11 @@ def mollify_angular(angular, delta):
     return AngularProfile(_mollify_pieces(angular.pieces, delta))
 
 
-def _smoothed(profile, target, spec):
-    """The radial ``profile``, mollified when ``target`` is one of spec's targets."""
-    return mollify_profile(profile, spec.delta) if target in spec.targets else profile
-
-
 def mollify(ansatz, spec):
-    """Mollify the selected factors of an ansatz."""
-    angular = ansatz.angular
-    if "angular" in spec.targets:
-        angular = mollify_angular(angular, spec.delta)
-    return SeparableAnsatz(_smoothed(ansatz.spatial, "spatial", spec),
-                           _smoothed(ansatz.momentum, "momentum", spec), angular)
+    """Mollify all three factors of an ansatz."""
+    return SeparableAnsatz(mollify_profile(ansatz.spatial, spec.delta),
+                           mollify_profile(ansatz.momentum, spec.delta),
+                           mollify_angular(ansatz.angular, spec.delta))
 
 
 def rebalance(params, spec, energy_tol=1e-10):
@@ -210,11 +181,11 @@ def rebalance(params, spec, energy_tol=1e-10):
 
 
 def _rebalance_uniform(params, spec, energy_tol):
-    kin = functionals.kinetic_energy_profile(_smoothed(momentum_ball(params.p), "momentum", spec))
+    kin = functionals.kinetic_energy_profile(mollify_profile(momentum_ball(params.p), spec.delta))
 
     def residual(r):
         return kin + functionals.potential_energy_profile(
-            _smoothed(uniform_eta(r), "spatial", spec))
+            mollify_profile(uniform_eta(r), spec.delta))
 
     r0 = 3.0 / (5.0 * kin)
     bracket = RootBracket.expand(residual, 0.25 * r0, 4.0 * r0)
@@ -227,10 +198,10 @@ def _rebalance_uniform(params, spec, energy_tol):
 
 
 def _rebalance_corehalo(params, spec, energy_tol):
-    kin = functionals.kinetic_energy_profile(_smoothed(momentum_ball(params.p), "momentum", spec))
+    kin = functionals.kinetic_energy_profile(mollify_profile(momentum_ball(params.p), spec.delta))
 
     def spatial_of(alpha):
-        return _smoothed(core_halo_eta(params.r1, params.r2, params.r3, alpha), "spatial", spec)
+        return mollify_profile(core_halo_eta(params.r1, params.r2, params.r3, alpha), spec.delta)
 
     def balance(alpha):
         # g(alpha) = KE * m2(alpha)^2 - N(alpha); exactly quadratic in alpha
@@ -271,7 +242,7 @@ def _rebalance_corehalo(params, spec, energy_tol):
 
 
 def _rebalance_monotonic(params, spec, energy_tol):
-    eta = _smoothed(monotonic_eta(params.r1, params.r2, params.r3, params.n), "spatial", spec)
+    eta = mollify_profile(monotonic_eta(params.r1, params.r2, params.r3, params.n), spec.delta)
     pot = functionals.potential_energy_profile(eta)
     if pot >= -1.0:
         raise NoRootError(
@@ -279,7 +250,7 @@ def _rebalance_monotonic(params, spec, energy_tol):
         )
 
     def residual(p):
-        phi = _smoothed(momentum_ball(p), "momentum", spec)
+        phi = mollify_profile(momentum_ball(p), spec.delta)
         return functionals.kinetic_energy_profile(phi) + pot
 
     bracket = RootBracket.expand(residual, 1e-3, 10.0)
@@ -298,15 +269,16 @@ _REBALANCE = {
 }
 
 
-def seam_smoothness(profile, h=1e-6):
+def seam_smoothness(profile):
     """Worst one-sided derivative mismatch across ramp seams.
 
     Each ramp is examined in its own normalized coordinates (unit ramp
     width, values scaled by the larger endpoint magnitude): at both seams
-    the left and right difference quotients with step ``h`` are compared.
-    A C^1 seam gives a discrepancy of order h; a kinked (merely continuous)
-    seam gives an order-one discrepancy regardless of h.
+    the left and right difference quotients with step h = 1e-6 are
+    compared.  A C^1 seam gives a discrepancy of order h; a kinked (merely
+    continuous) seam gives an order-one discrepancy regardless of h.
     """
+    h = 1e-6
     worst = 0.0
     for p in profile.pieces:
         if p.kind != RAMP:

@@ -506,15 +506,6 @@ class SeparableAnsatz:
     def has_ramp(self):
         return self.spatial.has_ramp or self.momentum.has_ramp or self.angular.has_ramp
 
-    def density(self, p_mag, q_mag, cos_angle):
-        """Pointwise phase-space density f(p, q) for given magnitudes/angle."""
-        return (
-            self.norm_constant
-            * self.spatial(q_mag)
-            * self.momentum(p_mag)
-            * self.angular(cos_angle)
-        )
-
 
 def uniform_eta(radius):
     """Indicator of the ball of the given radius (uniform spatial profile)."""

@@ -97,8 +97,7 @@ def integrate(f, lo, hi, breakpoints=(), abs_tol=DEFAULT_ABS_TOL,
     )
 
 
-def profile_moment_quad(profile, k, beta=1.0, weight=None,
-                        abs_tol=DEFAULT_ABS_TOL, rel_tol=DEFAULT_REL_TOL):
+def profile_moment_quad(profile, k, beta=1.0, weight=None):
     """Numeric int weight(r) * g(r)**beta * r^k dr over the profile's support."""
     upper = profile.support_radius
     if upper == 0.0:
@@ -107,19 +106,16 @@ def profile_moment_quad(profile, k, beta=1.0, weight=None,
         f = lambda r: profile(r) ** beta * r**k  # noqa: E731
     else:
         f = lambda r: weight(r) * profile(r) ** beta * r**k  # noqa: E731
-    return integrate(f, 0.0, upper, breakpoints=profile.breakpoints,
-                     abs_tol=abs_tol, rel_tol=rel_tol)
+    return integrate(f, 0.0, upper, breakpoints=profile.breakpoints)
 
 
-def angular_moment_quad(angular, k=0, beta=1.0,
-                        abs_tol=DEFAULT_ABS_TOL, rel_tol=DEFAULT_REL_TOL):
+def angular_moment_quad(angular, k=0, beta=1.0):
     """Numeric int L(x)**beta * x^k dx over [-1, 1]."""
     f = lambda x: angular(x) ** beta * x**k  # noqa: E731
-    return integrate(f, -1.0, 1.0, breakpoints=angular.breakpoints,
-                     abs_tol=abs_tol, rel_tol=rel_tol)
+    return integrate(f, -1.0, 1.0, breakpoints=angular.breakpoints)
 
 
-def nested_mass_quad(eta, abs_tol=DEFAULT_ABS_TOL, rel_tol=DEFAULT_REL_TOL):
+def nested_mass_quad(eta):
     """Double radial integral int g(q) q (int_0^q g(s) s^2 ds) dq as QuadResult.
 
     The inner cumulative mass is evaluated through the exact piecewise
@@ -132,10 +128,9 @@ def nested_mass_quad(eta, abs_tol=DEFAULT_ABS_TOL, rel_tol=DEFAULT_REL_TOL):
     def outer(q):
         return eta(q) * q * eta.cumulative_moment2(q)
 
-    return integrate(outer, 0.0, upper, breakpoints=eta.breakpoints,
-                     abs_tol=abs_tol, rel_tol=rel_tol)
+    return integrate(outer, 0.0, upper, breakpoints=eta.breakpoints)
 
 
-def nested_mass_integral(eta, abs_tol=DEFAULT_ABS_TOL, rel_tol=DEFAULT_REL_TOL):
+def nested_mass_integral(eta):
     """Value of the nested mass integral (see nested_mass_quad)."""
-    return nested_mass_quad(eta, abs_tol=abs_tol, rel_tol=rel_tol).value
+    return nested_mass_quad(eta).value

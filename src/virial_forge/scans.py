@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import functionals, solvers
-from .errors import GridExhaustedError, NoPositiveRootError, VirialForgeError
+from .errors import GridExhaustedError, NoPositiveRootError, ProfileError, VirialForgeError
 from .profiles import AngularProfile, SeparableAnsatz, check_positive
 from .solvers import CoreHaloParams, UniformParams, solve_corehalo_alpha
 
@@ -129,6 +129,8 @@ def _report_row(family, params, ansatz):
 
 def _scaling_params(P, a):
     """Zero-energy core-halo parameters with radii (P^-2, P, P^2)."""
+    if not P >= 1.0:
+        raise ProfileError(f"scaling family needs P >= 1 (radii P^-2, P, P^2), got P={P}")
     r1, r2, r3 = P**-2, P, P**2
     alpha = solve_corehalo_alpha(r1, r2, r3, P)
     return CoreHaloParams(r1=r1, r2=r2, r3=r3, p=P, alpha=alpha, a=a)
@@ -204,6 +206,7 @@ def asymptotic_scaling(P_values=None, a=-0.9):
     """
     if P_values is None:
         P_values = default_scaling_pvalues()
+    P_values = [float(P) for P in P_values]
     if not (-1.0 < a < 1.0):
         raise VirialForgeError("scaling scan needs a in (-1, 1)")
 
@@ -245,8 +248,8 @@ def virial_unbounded_below(threshold, a=-0.9, P_values=None):
     if threshold >= 0.0:
         raise VirialForgeError("threshold must be negative")
     if P_values is None:
-        P_values = tuple(np.geomspace(1.5, 1e4, 40))
-    for P in P_values:
+        P_values = np.geomspace(1.5, 1e4, 40)
+    for P in map(float, P_values):
         try:
             row, _ = _row(_scaling_params(P, a))
         except NoPositiveRootError:

@@ -130,24 +130,18 @@ class RootBracket:
 
     lo: float
     hi: float
-    tol: float = PARAM_TOL
-
-    def validate(self, f):
-        if not (f(self.lo) * f(self.hi) < 0.0):
-            raise BracketError(f"no sign change on [{self.lo}, {self.hi}]")
-        return self
 
     @classmethod
-    def expand(cls, f, lo, hi, cap=BRACKET_CAP, tol=PARAM_TOL):
-        """Double hi until f changes sign on [lo, hi]; error at the cap."""
+    def expand(cls, f, lo, hi):
+        """Double hi until f changes sign on [lo, hi]; error past BRACKET_CAP."""
         flo = f(lo)
         if flo == 0.0:
-            return cls(lo, lo, tol)
-        while hi <= cap:
+            return cls(lo, lo)
+        while hi <= BRACKET_CAP:
             if flo * f(hi) < 0.0:
-                return cls(lo, hi, tol)
+                return cls(lo, hi)
             hi *= 2.0
-        raise BracketError(f"no sign change up to {cap}")
+        raise BracketError(f"no sign change up to {BRACKET_CAP}")
 
 
 def uniform_ansatz(params):
@@ -248,7 +242,7 @@ def solve_corehalo_alpha(r1, r2, r3, p, full_output=False):
     return (alpha, roots) if full_output else alpha
 
 
-def solve_monotonic_P(r1, r2, r3, n, residual_tol=ENERGY_RESIDUAL_TOL):
+def solve_monotonic_P(r1, r2, r3, n):
     """Momentum cutoff balancing the monotonic profile's potential energy.
 
     The potential energy is independent of the cutoff while the kinetic
@@ -271,7 +265,7 @@ def solve_monotonic_P(r1, r2, r3, n, residual_tol=ENERGY_RESIDUAL_TOL):
     if bracket.lo == bracket.hi:
         return bracket.lo
     p_star = brentq(residual, bracket.lo, bracket.hi, xtol=PARAM_TOL)
-    if abs(residual(p_star)) > residual_tol:
+    if abs(residual(p_star)) > ENERGY_RESIDUAL_TOL:
         raise NoRootError(f"energy residual {residual(p_star):.3e} above tolerance")
     return p_star
 

@@ -170,8 +170,8 @@ def test_criterion_8_mollification():
             drift = mollifier.functional_drift(step, moll)
             ladder.append({k: drift[k]["drift"] for k in keys})
             for profile in (moll.spatial, moll.momentum):
-                assert mollifier.seam_smoothness(profile, h=1e-6) < 1e-4
-            assert mollifier.seam_smoothness(moll.angular, h=1e-6) < 1e-4
+                assert mollifier.seam_smoothness(profile) < 1e-4
+            assert mollifier.seam_smoothness(moll.angular) < 1e-4
             if frac == 1e-3:
                 certified = check_criteria(moll, energy_tol=1e-9)
         for coarse, fine in zip(ladder, ladder[1:]):

@@ -7,13 +7,17 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from virial_forge.cli import RunConfig, main
+from virial_forge.cli import main
 from virial_forge.solvers import solve_corehalo_alpha
 
 COREHALO = ["--family", "core-halo", "--r1", "0.2", "--r2", "1", "--r3", "2",
             "--p", "1", "--a", "-0.8"]
 MONOTONIC = ["--family", "monotonic", "--r1", "0.01", "--r2", "0.0909090909090909",
              "--r3", "0.1", "--n", "3", "--a", "-0.95"]
+
+# Well-formed sections of a --profiles document, as JSON text.
+GOOD_SPATIAL = '"spatial": {"pieces": [{"kind": "constant", "lo": 0, "hi": 1, "value": 1}]}'
+GOOD_MOMENTUM = '"momentum": {"pieces": [{"kind": "constant", "lo": 0, "hi": 1, "value": 1}]}'
 
 
 def run_cli(capsys, argv):
@@ -162,6 +166,19 @@ class TestAsymptotics:
         assert code == 0
         assert any(line.startswith("# alpha_slope=") for line in out.splitlines())
 
+    def test_failures_print_as_plain_floats(self, capsys):
+        code, _, err = run_cli(capsys, ["asymptotics", "--p-points", "5", "--p-min", "1",
+                                        "--p-max", "1", "--a", "-0.5"])
+        assert code == 2
+        assert "(failures: [1.0, 1.0, 1.0, 1.0, 1.0])" in err
+        assert "np.float64" not in err
+
+    def test_small_p_names_the_scaling_family(self, capsys):
+        code, _, err = run_cli(capsys, ["asymptotics", "--p-min", "1e-3", "--p-max", "1e-2"])
+        assert code == 3
+        assert err == ("error: invalid parameters: scaling family needs P >= 1 "
+                       "(radii P^-2, P, P^2), got P=0.001\n")
+
 
 class TestMollify:
     def test_corehalo_mollified_passes(self, capsys):
@@ -253,6 +270,83 @@ class TestCustomFamily:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("text", [
+        '{"spatial": [], "momentum": 1}',
+        "[1, 2]",
+        '{"spatial": {"pieces": [{"kind": "constant", "lo": "x", "hi": 1, "value": 1}]}, '
+        + GOOD_MOMENTUM + ', "angular": {"cutoff": 0}}',
+        '{"spatial": {"pieces": [{"kind": "constant", "lo": 0, "hi": 1, "value": null}]}, '
+        + GOOD_MOMENTUM + ', "angular": {"cutoff": 0}}',
+        "{" + GOOD_SPATIAL + ", " + GOOD_MOMENTUM + ', "angular": {"cutoff": "abc"}}',
+        b"\xff\xfe",
+        "{" + GOOD_SPATIAL.replace('"hi": 1', '"hi": ' + "1" * 401) + ", " + GOOD_MOMENTUM
+        + ', "angular": {"cutoff": 0}}',
+    ], ids=["section-types", "top-level-list", "lo-string", "value-null", "cutoff-string",
+            "not-utf8", "int-overflow"])
+    def test_malformed_document_is_config_error(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.json"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
+        code, out, err = run_cli(
+            capsys, ["certify", "--family", "custom", "--profiles", str(path)]
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: invalid configuration: ") and err.count("\n") == 1
+
+
+# Sections of a --profiles document: arbitrary JSON, a "pieces" or "cutoff" key
+# holding arbitrary JSON, or a well-formed section with good or arbitrary numbers.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=8,
+)
+PIECES = st.lists(
+    st.fixed_dictionaries({
+        "kind": st.sampled_from(("constant", "power", "ramp", "warp")),
+        "lo": JSON_VALUES, "hi": JSON_VALUES, "value": JSON_VALUES,
+        "exponent": JSON_VALUES, "left": JSON_VALUES, "right": JSON_VALUES,
+    }) | JSON_VALUES,
+    max_size=3,
+)
+MALFORMED = st.one_of(JSON_VALUES, st.fixed_dictionaries({"pieces": PIECES | JSON_VALUES}),
+                      st.fixed_dictionaries({"cutoff": JSON_VALUES}))
+# Numbers that often build a valid section, and any float.
+NUMBERS = st.sampled_from((-1, 0, 0.5, 1, 2)) | st.floats()
+RADIAL = st.one_of(
+    st.just({"pieces": [{"kind": "constant", "lo": 0, "hi": 1, "value": 1}]}),
+    st.builds(lambda hi, value: {"pieces": [
+        {"kind": "constant", "lo": 0, "hi": hi, "value": value}]}, NUMBERS, NUMBERS),
+    MALFORMED)
+ANGULAR = st.one_of(st.just({"cutoff": -0.5}), st.fixed_dictionaries({"cutoff": NUMBERS}),
+                    MALFORMED)
+
+
+def _well_formed(section):
+    """An object holding a ``pieces`` list or a ``cutoff``."""
+    return isinstance(section, dict) and (
+        isinstance(section.get("pieces"), list) or "cutoff" in section)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(st.fixed_dictionaries({"spatial": RADIAL, "momentum": RADIAL, "angular": ANGULAR}))
+def test_any_profile_document_exits_with_a_documented_code(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "profiles-fuzz.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["certify", "--family", "custom", "--profiles", str(path)])
+    # An uncaught exception fails the test with its traceback.
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if not all(_well_formed(section) for section in doc.values()):
+        assert code == 3
+        assert err.getvalue().startswith("error: invalid configuration: ")
+
 
 class TestOutputFile:
     def test_out_matches_stdout(self, capsys, tmp_path):
@@ -269,14 +363,6 @@ class TestOutputFile:
             if a != b
         ]
         assert all(a.startswith("config.out") for a, _ in diff)
-
-
-def test_runconfig_round_trip():
-    cfg = RunConfig(command="certify", family="core-halo", r1=0.2, r2=1.0,
-                    r3=2.0, p=1.0, a=-0.8, format="kv")
-    assert RunConfig.from_dict(cfg.to_dict()) == cfg
-    with pytest.raises(Exception):
-        RunConfig.from_dict({"command": "certify", "bogus": 1})
 
 
 NON_FINITE = ("nan", "inf", "-inf")

@@ -8,7 +8,6 @@ import pytest
 from virial_forge.errors import ProfileError, RampOverlapError
 from virial_forge.functionals import check_criteria, evaluate, total_energy
 from virial_forge.mollifier import (
-    ALL_TARGETS,
     MollifySpec,
     default_delta,
     functional_drift,
@@ -212,12 +211,7 @@ class TestRebalance:
 
 
 class TestSpec:
-    def test_targets_parsing(self):
-        assert MollifySpec(delta=0.1, targets="all").targets == ALL_TARGETS
-        assert MollifySpec(delta=0.1, targets="spatial").targets == frozenset({"spatial"})
-        assert MollifySpec(delta=0.1, targets={"momentum"}).targets == frozenset({"momentum"})
-        with pytest.raises(ProfileError):
-            MollifySpec(delta=0.1, targets="sideways")
+    def test_negative_delta_rejected(self):
         with pytest.raises(ProfileError):
             MollifySpec(delta=-0.1)
 
@@ -225,10 +219,3 @@ class TestSpec:
         step = core_halo_ansatz(reference_params(a=-0.85))
         # Smallest feature: the angular slab [-1, -0.85] of width 0.15.
         assert default_delta(step) == pytest.approx(1.5e-4, rel=1e-12)
-
-    def test_partial_targets(self):
-        step = core_halo_ansatz(reference_params())
-        moll = mollify(step, MollifySpec(delta=1e-3, targets="momentum"))
-        assert not moll.spatial.has_ramp
-        assert moll.momentum.has_ramp
-        assert not moll.angular.has_ramp

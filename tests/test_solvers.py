@@ -249,11 +249,7 @@ class TestQuadraticAndBracket:
         br = RootBracket.expand(f, 1.0, 2.0)
         assert f(br.lo) * f(br.hi) < 0.0
         with pytest.raises(BracketError):
-            RootBracket.expand(lambda x: x + 1.0, 1.0, 2.0, cap=100.0)
-
-    def test_bracket_validate(self):
-        with pytest.raises(BracketError):
-            RootBracket(0.0, 1.0).validate(lambda x: x + 5.0)
+            RootBracket.expand(lambda x: x + 1.0, 1.0, 2.0)
 
 
 class TestFamilies:
