@@ -226,6 +226,9 @@ def _load_custom_ansatz(path):
         raise ConfigError(f"invalid profile literal: {exc}")
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed profile file: {exc}")
+    for name, profile in (("spatial", spatial), ("momentum", momentum), ("angular", angular)):
+        if all(piece.is_zero for piece in profile.pieces):
+            raise ConfigError(f"{name} profile is zero everywhere")
     return SeparableAnsatz(spatial, momentum, angular)
 
 

@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from scipy.optimize import brentq
-
 from . import functionals, quadrature, solvers
 from .errors import NoPositiveRootError, NoRootError, ProfileError, RampOverlapError
 from .profiles import (
@@ -33,7 +31,7 @@ from .profiles import (
     monotonic_eta,
     uniform_eta,
 )
-from .solvers import RootBracket, solve_quadratic
+from .solvers import RootBracket, brentq, solve_quadratic
 
 __all__ = [
     "MollifySpec",

@@ -28,6 +28,7 @@ from .errors import (
     ProfileError,
     QuadratureBudgetError,
 )
+from .quadrature import integrate
 
 __all__ = [
     "Piece",
@@ -237,8 +238,6 @@ class Piece:
         if self.kind == POWER:
             pref = self.value**beta * self.lo ** (beta * self.exponent)
             return pref * power_integral(k - beta * self.exponent, self.lo, self.hi)
-        from .quadrature import integrate
-
         try:
             return integrate(lambda r: self.value_at(r) ** beta * r**k,
                              self.lo, self.hi, abs_tol=1e-15, rel_tol=1e-13).value

@@ -4,14 +4,17 @@ Backed by QUADPACK's adaptive Gauss-Kronrod rules (``scipy.integrate.quad``),
 which accept interior breakpoints so subdivision never straddles a supplied
 discontinuity.  Improper upper limits are never integrated: compact support
 is enforced upstream, so all integrals here run over finite intervals.
+
+scipy is imported on the first integration, not with the package: the
+closed-form route for step data never integrates, so certifying it does
+not pay for loading scipy.  ``_quad`` looks ``quad`` up in
+``scipy.integrate`` on every call, so a wrapper installed there is seen.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy.integrate import quad as _quad
 
 from .errors import QuadratureBudgetError
 
@@ -31,6 +34,13 @@ DEFAULT_BUDGET = 10**6
 # Subdivision limits are escalated lazily; allocating the full budget's
 # workspace up front would dominate the cost of easy integrals.
 _LIMIT_LADDER = (200, 5000)
+
+
+def _quad(*args, **kwargs):
+    """``scipy.integrate.quad``, imported on each call."""
+    from scipy.integrate import quad
+
+    return quad(*args, **kwargs)
 
 
 @dataclass(frozen=True)

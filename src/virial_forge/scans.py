@@ -13,14 +13,15 @@ P's radial profiles and each a's cutoff once and shares them, so their
 memoized moments are computed once per profile, not per grid point.  One
 grid point per scan (chosen by a fixed-seed RNG so output stays
 deterministic) is cross-checked against the adaptive-quadrature oracle.
+
+numpy is imported inside the functions that use it (grids, the crosscheck
+RNG, the fits), so importing this module does not load it.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import functionals, solvers
 from .errors import GridExhaustedError, NoPositiveRootError, ProfileError, VirialForgeError
@@ -99,6 +100,8 @@ class ScalingScanResult:
 
 def default_floor_grid(n_p=200, n_a=40):
     """P log-spaced over [1e-2, 1e4], a linear over [-1 + 1e-6, 0.9]."""
+    import numpy as np
+
     return ScanGrid(
         P_values=tuple(np.geomspace(1e-2, 1e4, n_p)),
         a_values=tuple(np.linspace(-1.0 + 1e-6, 0.9, n_a)),
@@ -107,6 +110,8 @@ def default_floor_grid(n_p=200, n_a=40):
 
 def default_scaling_pvalues(n=9):
     """Log-spaced momentum cutoffs over [1e2, 1e4] for the scaling fits."""
+    import numpy as np
+
     return tuple(np.geomspace(1e2, 1e4, n))
 
 
@@ -155,6 +160,8 @@ def uniform_ball_floor(grid=None):
     cannot reach virial <= -1/2: the infimum -9/20 is approached only as
     P -> inf with a -> -1.
     """
+    import numpy as np
+
     if grid is None:
         grid = default_floor_grid()
 
@@ -182,6 +189,8 @@ def uniform_ball_floor(grid=None):
 
 def loglog_fit(xs, ys):
     """Least-squares line through (log x, log y); max residual in log y."""
+    import numpy as np
+
     if len(xs) < 5:
         raise VirialForgeError(f"need at least 5 points for a fit, got {len(xs)}")
     lx = np.log(np.asarray(xs, dtype=float))
@@ -204,6 +213,8 @@ def asymptotic_scaling(P_values=None, a=-0.9):
     then fits log alpha and log(-V) against log P.  Expected slopes:
     -23/2 for the halo level and +3 for -V.
     """
+    import numpy as np
+
     if P_values is None:
         P_values = default_scaling_pvalues()
     P_values = [float(P) for P in P_values]
@@ -248,6 +259,8 @@ def virial_unbounded_below(threshold, a=-0.9, P_values=None):
     if threshold >= 0.0:
         raise VirialForgeError("threshold must be negative")
     if P_values is None:
+        import numpy as np
+
         P_values = np.geomspace(1.5, 1e4, 40)
     for P in map(float, P_values):
         try:

@@ -9,6 +9,12 @@ energy to vanish exactly:
 * monotonic core-halo: the momentum cutoff, found by bracketing + Brent
   iteration (the kinetic term is strictly increasing in it).
 
+Brent iteration (R. P. Brent, *Algorithms for Minimization without
+Derivatives*, 1973, ch. 4) is ``brentq``, a step-for-step port of the C
+routine behind ``scipy.optimize.brentq`` at its default tolerances, so its
+roots are bit-identical to scipy's while the package never imports scipy
+for a root.
+
 ``FAMILIES`` is the one place a family is defined: its params class, free
 parameter, step-ansatz builder and exact zero-energy solve.
 
@@ -20,10 +26,9 @@ the virial hypothesis.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, fields
-
-from scipy.optimize import brentq
 
 from . import functionals
 from .errors import (
@@ -52,6 +57,7 @@ __all__ = [
     "CoreHaloParams",
     "MonotonicParams",
     "RootBracket",
+    "brentq",
     "uniform_ansatz",
     "core_halo_ansatz",
     "monotonic_ansatz",
@@ -67,6 +73,8 @@ PARAM_TOL = 1e-12
 ENERGY_RESIDUAL_TOL = 1e-10
 BRACKET_START = (1e-3, 10.0)
 BRACKET_CAP = 1e6
+# scipy's default (and smallest allowed) relative tolerance of brentq.
+_BRENT_RTOL = 4 * sys.float_info.epsilon
 
 
 def _check_angle(a):
@@ -142,6 +150,76 @@ class RootBracket:
                 return cls(lo, hi)
             hi *= 2.0
         raise BracketError(f"no sign change up to {BRACKET_CAP}")
+
+
+def brentq(f, a, b, xtol, maxiter=100):
+    """Root of f in [a, b] by Brent's method, as ``scipy.optimize.brentq``.
+
+    A step-for-step port of scipy's C routine at its default rtol: the same
+    sign test, update order and interpolate/extrapolate/bisect choice, with
+    a, b and every f(x) taken as floats, so the iterates and the root match
+    it bit for bit.  Raises ValueError (scipy's messages) when xtol <= 0,
+    when f(a) and f(b) have the same sign or when f returns NaN, and
+    NoRootError when ``maxiter`` iterations do not converge.
+    """
+    if xtol <= 0.0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+
+    def call(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre = call(xpre)
+    fcur = call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                stry = math.inf  # C divides to +-inf or NaN here; both bisect below
+            # min(b, a) is C's MIN(a, b), NaN included.
+            if 2 * abs(stry) < min(3 * abs(sbis) - delta, abs(spre)):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise NoRootError(f"Brent iteration did not converge in {maxiter} iterations, "
+                      f"last x={xcur!r}")
 
 
 def uniform_ansatz(params):

@@ -296,6 +296,30 @@ class TestCustomFamily:
         assert out == ""
         assert err.startswith("error: invalid configuration: ") and err.count("\n") == 1
 
+    ZERO_PIECE = '{"pieces": [{"kind": "constant", "lo": 0, "hi": 1, "value": 0}]}'
+
+    @pytest.mark.parametrize("name, text", [
+        ("spatial", '{"spatial": {"pieces": []}, ' + GOOD_MOMENTUM + ', "angular": {"cutoff": 0}}'),
+        ("spatial", '{"spatial": ' + ZERO_PIECE + ", " + GOOD_MOMENTUM
+         + ', "angular": {"cutoff": 0}}'),
+        ("momentum", "{" + GOOD_SPATIAL + ', "momentum": {"pieces": []}, "angular": {"cutoff": 0}}'),
+        ("momentum", "{" + GOOD_SPATIAL + ', "momentum": {"pieces": [{"kind": "constant", '
+         '"lo": 0, "hi": 0.5, "value": 0}, {"kind": "power", "lo": 0.5, "hi": 1, "value": 0, '
+         '"exponent": 2}]}, "angular": {"cutoff": 0}}'),
+        ("angular", "{" + GOOD_SPATIAL + ", " + GOOD_MOMENTUM + ', "angular": {"pieces": '
+         '[{"kind": "ramp", "lo": -1, "hi": 1, "left": 0, "right": 0}]}}'),
+    ], ids=["spatial-empty", "spatial-zero", "momentum-empty", "momentum-zero-power",
+            "angular-zero-ramp"])
+    def test_zero_section_is_config_error(self, capsys, tmp_path, name, text):
+        path = tmp_path / "zero.json"
+        path.write_text(text)
+        code, out, err = run_cli(
+            capsys, ["certify", "--family", "custom", "--profiles", str(path)]
+        )
+        assert code == 3
+        assert out == ""
+        assert err == f"error: invalid configuration: {name} profile is zero everywhere\n"
+
 
 # Sections of a --profiles document: arbitrary JSON, a "pieces" or "cutoff" key
 # holding arbitrary JSON, or a well-formed section with good or arbitrary numbers.

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_ansatz, random_momentum_profile
-from virial_forge import functionals, quadrature
+from virial_forge import functionals, profiles, quadrature
 from virial_forge.errors import DegenerateFactorError
 from virial_forge.functionals import (
     CRITICAL_L32_NORM,
@@ -398,9 +398,11 @@ class TestMomentSources:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(quadrature, "integrate", counting)
+        # Ramp power moments integrate through the name profiles binds.
+        monkeypatch.setattr(profiles, "integrate", counting)
         ans = build()
         evaluate(ans)
-        assert calls
+        assert len(calls) == 7
         calls.clear()
         evaluate(ans)
         assert calls == []

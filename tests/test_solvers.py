@@ -1,10 +1,14 @@
-"""Zero-energy solves and the virial threshold angle."""
+"""Zero-energy solves, the Brent port and the virial threshold angle."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
+from virial_forge import solvers
+from virial_forge.cli import main
 from virial_forge.errors import (
     BracketError,
     NoPositiveRootError,
@@ -21,15 +25,18 @@ from virial_forge.functionals import (
     total_energy,
     virial,
 )
-from virial_forge.profiles import core_halo_eta, momentum_ball, uniform_eta
+from virial_forge.profiles import core_halo_eta, momentum_ball, monotonic_eta, uniform_eta
 from virial_forge.quadrature import nested_mass_integral
 from virial_forge.scans import ScanGrid
 from virial_forge.solvers import (
+    BRACKET_START,
     FAMILIES,
+    PARAM_TOL,
     CoreHaloParams,
     MonotonicParams,
     RootBracket,
     UniformParams,
+    brentq,
     core_halo_ansatz,
     corehalo_energy_quadratic,
     family_of,
@@ -250,6 +257,138 @@ class TestQuadraticAndBracket:
         assert f(br.lo) * f(br.hi) < 0.0
         with pytest.raises(BracketError):
             RootBracket.expand(lambda x: x + 1.0, 1.0, 2.0)
+
+
+def _brent_trace(solver, f, lo, hi, **kwargs):
+    """Root and evaluation points of one solve, as float.hex strings."""
+    xs = []
+
+    def g(x):
+        xs.append(x)
+        return f(x)
+
+    return solver(g, lo, hi, **kwargs).hex(), [x.hex() for x in xs]
+
+
+def _seeded_residuals(seed, count, scale_exp):
+    """(f, lo, hi, scale) cycling polynomial, atan and exp residuals.
+
+    Each has one root inside [lo, hi]; ``scale`` (log-uniform over
+    10**scale_exp) sets the size of the root, as the halo level does for
+    the core-halo rebalance.
+    """
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        scale = 10.0 ** float(rng.uniform(*scale_exp))
+        root = scale * float(rng.uniform(0.6, 1.8))
+        lo, hi = 0.5 * scale, 2.0 * scale
+        c1, c2, s = (float(v) for v in rng.uniform(0.1, 3.0, size=3))
+        if i % 3 == 0:
+            f = lambda x, r=root, c1=c1, c2=c2, k=scale: (  # noqa: E731
+                (x / k - r / k) * (1.0 + c1 * x / k + c2 * (x / k) ** 2))
+        elif i % 3 == 1:
+            f = lambda x, r=root, s=s, k=scale: math.atan(s * (x - r) / k)  # noqa: E731
+        else:
+            f = lambda x, r=root, s=s, k=scale: math.exp(s * (x - r) / k) - 1.0  # noqa: E731
+        yield f, lo, hi, scale
+
+
+class TestBrent:
+    """``solvers.brentq`` is bit-identical to ``scipy.optimize.brentq``."""
+
+    # The xtol/maxiter of every call site: solve_monotonic_P, then the
+    # uniform, monotonic and core-halo rebalances of the mollifier.
+    CALL_SITES = {
+        "param-tol": (lambda scale: {"xtol": PARAM_TOL}, (-1.0, 1.0)),
+        "rebalance-uniform": (lambda scale: {"xtol": 1e-14}, (-3.0, 0.0)),
+        "rebalance-monotonic": (lambda scale: {"xtol": 1e-12}, (-1.0, 1.0)),
+        "rebalance-corehalo": (lambda scale: {"xtol": max(1e-18, 1e-12 * scale),
+                                              "maxiter": 200}, (-14.0, 0.0)),
+    }
+
+    @pytest.mark.parametrize("site", sorted(CALL_SITES))
+    def test_matches_scipy_bit_for_bit(self, site):
+        kwargs_of, scale_exp = self.CALL_SITES[site]
+        for f, lo, hi, scale in _seeded_residuals(20261018, 240, scale_exp):
+            kwargs = kwargs_of(scale)
+            ours = _brent_trace(brentq, f, lo, hi, **kwargs)
+            assert ours == _brent_trace(scipy.optimize.brentq, f, lo, hi, **kwargs)
+
+    def test_monotonic_solves_match_scipy(self):
+        # The ranges of the monotonic data in the certify benchmark pool.
+        rng = np.random.default_rng(20261018)
+        solved = 0
+        for _ in range(40):
+            r1 = math.exp(float(rng.uniform(math.log(0.005), math.log(0.05))))
+            r2 = r1 * float(rng.uniform(3.0, 15.0))
+            r3 = r2 * float(rng.uniform(1.05, 1.5))
+            n = float(rng.uniform(2.0, 4.0))
+            pot = potential_energy_profile(monotonic_eta(r1, r2, r3, n))
+            if pot >= -1.0:
+                continue
+            residual = lambda p, pot=pot: kinetic_energy_ball(p) + pot  # noqa: E731
+            bracket = RootBracket.expand(residual, *BRACKET_START)
+            ours = _brent_trace(brentq, residual, bracket.lo, bracket.hi, xtol=PARAM_TOL)
+            theirs = _brent_trace(scipy.optimize.brentq, residual, bracket.lo, bracket.hi,
+                                  xtol=PARAM_TOL)
+            assert ours == theirs
+            assert solve_monotonic_P(r1, r2, r3, n).hex() == theirs[0]
+            solved += 1
+        assert solved >= 30
+
+    def test_zero_denominator_bisects_as_scipy(self):
+        # The extrapolation denominator underflows to 0; C divides to +-inf
+        # or NaN there and bisects.
+        f = lambda x: 1e-170 * (x - 0.3) if x < 0.9 else 1e-170  # noqa: E731
+        ours = _brent_trace(brentq, f, 0.0, 1.0, xtol=2e-12)
+        assert ours == _brent_trace(scipy.optimize.brentq, f, 0.0, 1.0, xtol=2e-12)
+
+    @pytest.mark.parametrize(
+        "f, xtol, match",
+        [
+            (lambda x: x + 1.0, 2e-12, "f\\(a\\) and f\\(b\\) must have different signs"),
+            (lambda x: x - 0.7 if x in (0.0, 1.0) else math.nan, 2e-12, "NaN"),
+            (lambda x: math.nan, 2e-12, "NaN"),
+            (lambda x: x - 0.7, 0.0, "xtol too small"),
+            (lambda x: x - 0.7, -1e-12, "xtol too small"),
+        ],
+        ids=["same-sign", "nan-iterate", "nan-endpoint", "xtol-zero", "xtol-negative"],
+    )
+    def test_invalid_calls_raise_value_error(self, f, xtol, match):
+        with pytest.raises(ValueError, match=match):
+            brentq(f, 0.0, 1.0, xtol)
+        with pytest.raises(ValueError, match=match):
+            scipy.optimize.brentq(f, 0.0, 1.0, xtol=xtol)
+
+    def test_endpoint_root_is_exact(self):
+        f = lambda x: x - 0.1  # noqa: E731
+        assert brentq(f, 0.1, 1.0, 2e-12) == 0.1
+        assert brentq(f, -1.0, 0.1, 2e-12) == 0.1
+
+    def test_numpy_scalars_give_float(self):
+        # As scipy's C wrapper does, endpoints and values are taken as floats.
+        f = lambda x: np.float64(x) ** 3 - np.float64(0.1)  # noqa: E731
+        lo, hi = np.geomspace(0.01, 10.0, 2)
+        root = brentq(f, lo, hi, 2e-12)
+        assert type(root) is float
+        assert root.hex() == scipy.optimize.brentq(f, lo, hi, xtol=2e-12).hex()
+
+    def test_iteration_cap_raises_no_root(self):
+        with pytest.raises(NoRootError, match="did not converge in 3 iterations"):
+            brentq(lambda x: x**3 - 0.1, 0.0, 10.0, 2e-12, maxiter=3)
+        # scipy stops at the same cap, with a bare RuntimeError.
+        with pytest.raises(RuntimeError, match="after 3 iterations"):
+            scipy.optimize.brentq(lambda x: x**3 - 0.1, 0.0, 10.0, xtol=2e-12, maxiter=3)
+
+    def test_iteration_cap_exits_2(self, monkeypatch, capsys):
+        # scipy's RuntimeError escaped the CLI as a traceback (exit 1).
+        monkeypatch.setattr(solvers, "brentq", functools.partial(brentq, maxiter=2))
+        code = main(["certify", "--family", "monotonic", "--r1", "0.01",
+                     "--r2", "0.0909090909", "--r3", "0.1", "--n", "3", "--a", "-0.95"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: Brent iteration did not converge in 2 iterations")
+        assert err.count("\n") == 1
 
 
 class TestFamilies:
