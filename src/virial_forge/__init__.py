@@ -55,7 +55,6 @@ from .profiles import (
 from .quadrature import (
     QuadResult,
     integrate,
-    nested_mass_integral,
     nested_mass_quad,
 )
 from .scans import (

@@ -13,11 +13,13 @@ functional reduces to products and ratios of one-dimensional moments:
 
 Each formula is written once and reads its moments from a moment source.
 The exact source (``method="auto"``) takes them from exact piecewise
-moments, with quadrature only where ramps force it; the adaptive source
-(``method="quadrature"``) integrates every moment adaptively, once per
-evaluation, and is kept as an independent oracle.  Certification checks the
-three blow-up hypotheses: zero total energy, virial <= -1/2, and L^{3/2}
-norm above the critical constant (3/8)(15/16)^{1/3}.
+moments and an exact nested integral, with quadrature only for the kinetic
+weight of a momentum profile that is not a ball and for fractional powers
+of ramps; the adaptive source (``method="quadrature"``) integrates every
+moment adaptively, once per evaluation, and is kept as an independent
+oracle.  Certification checks the three blow-up hypotheses: zero total
+energy, virial <= -1/2, and L^{3/2} norm above the critical constant
+(3/8)(15/16)^{1/3}.
 """
 
 from __future__ import annotations
@@ -58,6 +60,13 @@ DEFAULT_ENERGY_TOL = 1e-9
 
 _CLOSED = "closed-form"
 _QUAD = "quadrature"
+
+# The 6-point Gauss-Legendre rule on [-1, 1], exact for polynomials up to
+# degree 11: nodes (the roots of P_6) and weights, correctly rounded.
+_GL6_NODES = (-0.932469514203152, -0.6612093864662645, -0.2386191860831969,
+              0.2386191860831969, 0.6612093864662645, 0.932469514203152)
+_GL6_WEIGHTS = (0.17132449237917036, 0.3607615730481386, 0.46791393457269104,
+                0.46791393457269104, 0.3607615730481386, 0.17132449237917036)
 
 
 def momentum_energy_moment(p_max):
@@ -105,13 +114,14 @@ def _exact_kinetic(phi):
 
 
 def _exact_nested(profile):
-    """Nested mass integral, in closed form unless ramps are present.
+    """Nested mass integral, exact piece by piece.
 
     Walks pieces left to right keeping the exact enclosed mass M and adds
-    int piece(q) * q * (M + local cumulative) dq analytically.  Constant and
-    power-law pieces (any real exponent, with the exact logarithmic cases)
-    are covered; smoothstep ramps make this unwieldy and fall back to the
-    adaptive route.
+    int piece(q) * q * (M + local cumulative) dq.  Constant and power-law
+    pieces (any real exponent, with the exact logarithmic cases) use closed
+    forms.  On a smoothstep ramp the integrand is a polynomial of degree 10
+    (cubic value, linear q, degree-6 cumulative), which the 6-point
+    Gauss-Legendre rule integrates exactly.
     """
     total = 0.0
     enclosed = 0.0
@@ -138,7 +148,11 @@ def _exact_nested(profile):
             total += pref * (lead + pref * inner)
             enclosed += pref * power_integral(2.0 - n, lo, hi)
         else:
-            return quadrature.nested_mass_integral(profile)
+            half = 0.5 * (hi - lo)
+            nodes = ((lo + half * (1.0 + x), w) for x, w in zip(_GL6_NODES, _GL6_WEIGHTS))
+            total += half * sum(w * p.value_at(q) * q * (enclosed + p.partial_moment(2, q))
+                                for q, w in nodes)
+            enclosed += p.moment(2)
     return total
 
 

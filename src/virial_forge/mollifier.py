@@ -7,31 +7,22 @@ zero get a one-sided ramp on the positive side, so non-negativity and the
 support are preserved exactly.  Plateau values away from the ramps are
 unchanged, and the smoothstep's zero end slopes make every seam C^1.
 
-Smoothing perturbs the energy balance, so each family's free parameter is
-re-solved against quadrature-evaluated functionals (ramps make the nested
-potential-energy integral closed-form-unwieldy).
+Smoothing perturbs the energy balance, so ``rebalance`` re-solves each
+family's free parameter on the mollified profiles with one bracketed Brent
+solve for all of ``solvers.FAMILIES``; the nested potential integral stays
+exact on ramps (see ``functionals``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache, partial
 
-from . import functionals, quadrature, solvers
-from .errors import NoPositiveRootError, NoRootError, ProfileError, RampOverlapError
-from .profiles import (
-    CONSTANT,
-    RAMP,
-    AngularProfile,
-    Piece,
-    PiecewiseProfile,
-    SeparableAnsatz,
-    core_halo_eta,
-    momentum_ball,
-    monotonic_eta,
-    uniform_eta,
-)
-from .solvers import RootBracket, brentq, solve_quadratic
+from . import functionals, solvers
+from .errors import NoRootError, ProfileError, RampOverlapError
+from .profiles import CONSTANT, RAMP, AngularProfile, Piece, PiecewiseProfile, SeparableAnsatz
+from .solvers import RootBracket, brentq
 
 __all__ = [
     "MollifySpec",
@@ -167,104 +158,35 @@ def rebalance(params, spec, energy_tol=1e-10):
     momentum cutoff for the monotonic family) has been re-solved so the
     mollified datum's total energy vanishes to ``energy_tol``.
 
-    With ``spec.delta == 0`` this reproduces the step solve exactly.
+    Starting from the step solve x0, the root is bracketed on [x0/2, x0]
+    (hi doubled until the energy changes sign) and refined by Brent
+    iteration.  With ``spec.delta == 0`` this is the step solve exactly.
     """
     family = solvers.family_of(params)
+    x0 = family.solve(**{name: getattr(params, name) for name in family.inputs})
     if spec.delta == 0.0:
-        known = {name: getattr(params, name) for name in family.inputs}
-        new_params = replace(params, **{family.free: family.solve(**known)})
+        new_params = replace(params, **{family.free: x0})
         return new_params, family.ansatz(new_params)
-    new_params = _REBALANCE[family.name](params, spec, energy_tol)
-    return new_params, mollify(family.ansatz(new_params), spec)
 
+    # The factor x does not move is the same step profile at every x, so
+    # its smoothed copy, and the integrals memoized on it, are made once.
+    smooth = lru_cache(maxsize=None)(partial(mollify_profile, delta=spec.delta))
 
-def _rebalance_uniform(params, spec, energy_tol):
-    kin = functionals.kinetic_energy_profile(mollify_profile(momentum_ball(params.p), spec.delta))
-
-    def residual(r):
-        return kin + functionals.potential_energy_profile(
-            mollify_profile(uniform_eta(r), spec.delta))
-
-    r0 = 3.0 / (5.0 * kin)
-    bracket = RootBracket.expand(residual, 0.25 * r0, 4.0 * r0)
-    r_star = bracket.lo if bracket.lo == bracket.hi else brentq(
-        residual, bracket.lo, bracket.hi, xtol=1e-14
-    )
-    if abs(residual(r_star)) > energy_tol:
-        raise NoRootError(f"rebalanced energy residual {residual(r_star):.3e}")
-    return replace(params, r=r_star)
-
-
-def _rebalance_corehalo(params, spec, energy_tol):
-    kin = functionals.kinetic_energy_profile(mollify_profile(momentum_ball(params.p), spec.delta))
-
-    def spatial_of(alpha):
-        return mollify_profile(core_halo_eta(params.r1, params.r2, params.r3, alpha), spec.delta)
-
-    def balance(alpha):
-        # g(alpha) = KE * m2(alpha)^2 - N(alpha); exactly quadratic in alpha
-        # because the halo ramps scale linearly with the halo level.
-        eta = spatial_of(alpha)
-        m2 = eta.moment(2)
-        nested = quadrature.nested_mass_integral(eta)
-        return kin * m2 * m2 - nested
-
-    scale = params.alpha if params.alpha > 0.0 else 1e-3
-    g0 = balance(0.0)
-    g1 = balance(scale)
-    g2 = balance(2.0 * scale)
-    a_coef = (g2 - 2.0 * g1 + g0) / (2.0 * scale * scale)
-    b_coef = (g1 - g0) / scale - a_coef * scale
-    roots = solve_quadratic(a_coef, b_coef, g0)
-    positive = [x for x in roots if x > 0.0]
-    if not positive:
-        raise NoPositiveRootError(
-            f"mollified zero-energy condition lost its positive root (roots {roots})",
-            roots=roots,
-        )
-    alpha = min(positive)
+    def mollified(x):
+        step = family.ansatz(replace(params, **{family.free: x}))
+        return SeparableAnsatz(smooth(step.spatial), smooth(step.momentum),
+                               mollify_angular(step.angular, spec.delta))
 
     def residual(x):
-        eta = spatial_of(x)
-        return kin + functionals.potential_energy_profile(eta)
+        return functionals.total_energy(mollified(x))
 
-    if abs(residual(alpha)) > energy_tol:
-        try:
-            alpha = brentq(residual, 0.5 * alpha, 2.0 * alpha,
-                           xtol=max(1e-18, 1e-12 * alpha), maxiter=200)
-        except ValueError as exc:
-            raise NoRootError(f"could not polish the mollified halo level: {exc}")
-        if abs(residual(alpha)) > energy_tol:
-            raise NoRootError(f"rebalanced energy residual {residual(alpha):.3e}")
-    return replace(params, alpha=alpha)
-
-
-def _rebalance_monotonic(params, spec, energy_tol):
-    eta = mollify_profile(monotonic_eta(params.r1, params.r2, params.r3, params.n), spec.delta)
-    pot = functionals.potential_energy_profile(eta)
-    if pot >= -1.0:
-        raise NoRootError(
-            f"mollified potential energy {pot:.6g} cannot balance the rest-mass floor"
-        )
-
-    def residual(p):
-        phi = mollify_profile(momentum_ball(p), spec.delta)
-        return functionals.kinetic_energy_profile(phi) + pot
-
-    bracket = RootBracket.expand(residual, 1e-3, 10.0)
-    p_star = bracket.lo if bracket.lo == bracket.hi else brentq(
-        residual, bracket.lo, bracket.hi, xtol=1e-12
+    bracket = RootBracket.expand(residual, 0.5 * x0, x0)
+    x = bracket.lo if bracket.lo == bracket.hi else brentq(
+        residual, bracket.lo, bracket.hi, xtol=1e-15 * x0
     )
-    if abs(residual(p_star)) > energy_tol:
-        raise NoRootError(f"rebalanced energy residual {residual(p_star):.3e}")
-    return replace(params, p=p_star)
-
-
-_REBALANCE = {
-    "uniform": _rebalance_uniform,
-    "core-halo": _rebalance_corehalo,
-    "monotonic": _rebalance_monotonic,
-}
+    if abs(residual(x)) > energy_tol:
+        raise NoRootError(f"rebalanced energy residual {residual(x):.3e}")
+    return replace(params, **{family.free: x}), mollified(x)
 
 
 def seam_smoothness(profile):

@@ -5,9 +5,10 @@ one-dimensional profiles: a radial spatial factor, a radial momentum factor,
 and an angular factor in the cosine of the position-momentum angle.  Each is
 a non-negative piecewise function assembled from constant plateaus, power-law
 decays anchored at the left endpoint of their interval, and C^1 cubic
-smoothstep ramps.  Every moment integral needed by the mass, energy, norm and
-virial functionals has a closed form piece by piece; the only integrals that
-fall back to numerics are fractional powers of ramp pieces.
+smoothstep ramps.  Every integer moment has a closed form piece by piece,
+and the nested potential integral in ``functionals`` is exact too; numerics
+remain only for fractional powers of ramp pieces and for the relativistic
+kinetic weight of a momentum profile that is not a ball.
 
 All profile objects are immutable after construction and safe to share
 between threads.  Derived quantities (the moments here, the exact route's

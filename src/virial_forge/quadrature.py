@@ -24,7 +24,6 @@ __all__ = [
     "profile_moment_quad",
     "angular_moment_quad",
     "nested_mass_quad",
-    "nested_mass_integral",
 ]
 
 DEFAULT_ABS_TOL = 1e-12
@@ -139,8 +138,3 @@ def nested_mass_quad(eta):
         return eta(q) * q * eta.cumulative_moment2(q)
 
     return integrate(outer, 0.0, upper, breakpoints=eta.breakpoints)
-
-
-def nested_mass_integral(eta):
-    """Value of the nested mass integral (see nested_mass_quad)."""
-    return nested_mass_quad(eta).value

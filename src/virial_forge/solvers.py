@@ -141,7 +141,13 @@ class RootBracket:
 
     @classmethod
     def expand(cls, f, lo, hi):
-        """Double hi until f changes sign on [lo, hi]; error past BRACKET_CAP."""
+        """Double hi until f changes sign on [lo, hi]; error past BRACKET_CAP.
+
+        Doubling cannot move a hi at or below max(lo, 0), so such a start
+        raises BracketError at once.
+        """
+        if hi <= max(lo, 0.0):
+            raise BracketError(f"cannot expand [{lo!r}, {hi!r}]: need hi > max(lo, 0)")
         flo = f(lo)
         if flo == 0.0:
             return cls(lo, lo)

@@ -1,5 +1,7 @@
 """Shared helpers: seeded random profiles/ansaetze for the property suites."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,28 @@ from virial_forge.profiles import (
     PiecewiseProfile,
     momentum_ball,
 )
+from virial_forge.quadrature import integrate
 
 PROPERTY_SEED = 1139
+
+
+def tight_integral(f, profile):
+    """int f over the profile's nonzero pieces, one adaptive integral per piece.
+
+    Asks rel 1e-13 of each piece and 1e-15 of the whole (from a first pass at
+    the default tolerances) in absolute terms: far below the exact route's
+    1e-12 agreement bound.  QUADPACK's roundoff floor, ~50 eps, rules out rel
+    1e-14, and a ramp narrow against its radius cannot meet a fixed abs 1e-24.
+    """
+    pieces = [p for p in profile.pieces if not p.is_zero]
+    whole = math.fsum(abs(integrate(f, p.lo, p.hi).value) for p in pieces)
+    return math.fsum(integrate(f, p.lo, p.hi, abs_tol=1e-15 * whole, rel_tol=1e-13).value
+                     for p in pieces)
+
+
+def tight_nested(eta):
+    """Tight reference for the nested mass integral int g(q) q (int_0^q g s^2 ds) dq."""
+    return tight_integral(lambda q: eta(q) * q * eta.cumulative_moment2(q), eta)
 
 
 def random_radial_profile(rng, domain_label="radial-position", max_pieces=4):

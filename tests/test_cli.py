@@ -224,6 +224,36 @@ class TestMollify:
         )
         assert code == 3
 
+    def test_zero_step_halo_exits_2(self, capsys):
+        # r2 == r3 and r1 = 3 / (5 KE(1)): the core alone balances, so the step
+        # halo level is 0 and there is no bracket to expand from.
+        code, out, err = run_cli(
+            capsys,
+            ["mollify", "--family", "core-halo", "--r1", "0.4760109662075118", "--r2", "0.8",
+             "--r3", "0.8", "--p", "1", "--a", "-0.9"],
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        # The ramp does not fit in a ball of radius R/4, but does at R/2.
+        ["--family", "uniform", "--p", "1287.2546222345445", "--a", "-0.9",
+         "--delta", "0.00022970155178984967"],
+        # The ramp is wider than a momentum ball of radius 1e-3.
+        ["--family", "monotonic", "--r1", "0.08404399306939374", "--r2", "2.4744658544970974",
+         "--r3", "4.6748628834501735", "--n", "4.129748844169259", "--a", "-0.9",
+         "--delta", "0.007596679686750897"],
+        # KE ~ 2000: the potential must be exact to ~1e-13 relative to meet 1e-9.
+        ["--family", "uniform", "--p", "2730.5078166847998", "--a", "-0.9",
+         "--delta", "3.5584807221008097e-06"],
+    ], ids=["uniform-narrow-ball", "monotonic-wide-ramp", "uniform-large-p"])
+    def test_rebalance_reaches_zero_energy(self, capsys, argv):
+        code, out, err = run_cli(capsys, ["mollify", *argv, "--format", "kv"])
+        assert code in (0, 1), err
+        doc = kv_parse(out)
+        assert float(doc["energy_residual"]) <= float(doc["energy_tol"])
+
 
 class TestCustomFamily:
     def make_profiles_file(self, tmp_path):

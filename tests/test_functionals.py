@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import random_ansatz, random_momentum_profile
+from conftest import random_ansatz, random_momentum_profile, tight_nested
 from virial_forge import functionals, profiles, quadrature
 from virial_forge.errors import DegenerateFactorError
 from virial_forge.functionals import (
@@ -23,7 +24,7 @@ from virial_forge.functionals import (
     total_energy,
     virial,
 )
-from virial_forge.mollifier import MollifySpec, mollify
+from virial_forge.mollifier import MollifySpec, mollify, mollify_profile
 from virial_forge.profiles import (
     AngularProfile,
     Piece,
@@ -215,6 +216,64 @@ class TestPotentialEnergy:
             assert potential_energy(random_ansatz(rng)) <= 0.0
 
 
+NESTED_PROPERTY = settings(derandomize=True, deadline=None, max_examples=60, database=None)
+SCALES = st.floats(min_value=1e-3, max_value=1e3)
+# Ramp half-width as a fraction of the smallest piece width (< 1/2, so ramps fit).
+RAMP_FRACTIONS = st.floats(min_value=1e-7, max_value=0.45)
+
+
+@st.composite
+def stepped_profiles(draw, power_laws):
+    """Step profile of 2-6 pieces (power laws only with ``power_laws``), at a random scale."""
+    n_pieces = draw(st.integers(min_value=2, max_value=6))
+    segments, lo = [], 0.0
+    for _ in range(n_pieces):
+        hi = lo + draw(st.floats(min_value=0.05, max_value=2.0))
+        value = draw(st.one_of(st.just(0.0), st.floats(min_value=0.05, max_value=2.0)))
+        if power_laws and lo > 0.0 and value > 0.0 and draw(st.booleans()):
+            exponent = draw(st.one_of(st.sampled_from([1.0, 2.0, 3.0]),
+                                      st.floats(min_value=0.3, max_value=5.0)))
+            segments.append(Piece.power(value, exponent, lo, hi))
+        else:
+            segments.append(Piece.constant(value, lo, hi))
+        lo = hi
+    if all(p.is_zero for p in segments):
+        segments[0] = Piece.constant(1.0, 0.0, segments[0].hi)
+    return PiecewiseProfile.from_segments(segments).dilate(draw(SCALES))
+
+
+def assert_nested_matches_tight_reference(eta):
+    assert eta.has_ramp
+    assert functionals._exact_nested(eta) == pytest.approx(tight_nested(eta), rel=1e-12)
+
+
+class TestNestedOnRamps:
+    """The exact nested integral of ramped profiles against a tight adaptive reference."""
+
+    @NESTED_PROPERTY
+    @given(stepped_profiles(power_laws=True), RAMP_FRACTIONS)
+    def test_ramps_next_to_power_laws(self, eta, fraction):
+        assert_nested_matches_tight_reference(
+            mollify_profile(eta, fraction * eta.smallest_width))
+
+    @NESTED_PROPERTY
+    @given(radius=st.floats(min_value=1.0, max_value=1e4),
+           gap=st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=1.0)),
+           halo=st.floats(min_value=0.01, max_value=1.0),
+           level=st.floats(min_value=1e-6, max_value=2.0),
+           fraction=st.floats(min_value=1e-9, max_value=1e-4))
+    def test_narrow_ramps_at_large_radius(self, radius, gap, halo, level, fraction):
+        r2 = radius * (1.0 + gap)
+        eta = core_halo_eta(radius, r2, r2 + radius * halo, level)
+        assert_nested_matches_tight_reference(mollify_profile(eta, fraction * radius))
+
+    @NESTED_PROPERTY
+    @given(stepped_profiles(power_laws=False), RAMP_FRACTIONS)
+    def test_multi_ramp_plateaus(self, eta, fraction):
+        assert_nested_matches_tight_reference(
+            mollify_profile(eta, fraction * eta.smallest_width))
+
+
 class TestVirial:
     def test_symmetric_momenta_vanish(self):
         assert virial(unit_box_ansatz(a=1.0)) == 0.0
@@ -402,7 +461,7 @@ class TestMomentSources:
         monkeypatch.setattr(profiles, "integrate", counting)
         ans = build()
         evaluate(ans)
-        assert len(calls) == 7
+        assert len(calls) == 6
         calls.clear()
         evaluate(ans)
         assert calls == []

@@ -5,8 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from conftest import tight_integral, tight_nested
 from virial_forge.errors import ProfileError, RampOverlapError
-from virial_forge.functionals import check_criteria, evaluate, total_energy
+from virial_forge.functionals import (
+    DEFAULT_ENERGY_TOL,
+    check_criteria,
+    evaluate,
+    potential_energy_profile,
+    total_energy,
+)
 from virial_forge.mollifier import (
     MollifySpec,
     default_delta,
@@ -31,6 +38,7 @@ from virial_forge.solvers import (
     MonotonicParams,
     UniformParams,
     core_halo_ansatz,
+    monotonic_ansatz,
     solve_corehalo_alpha,
     solve_monotonic_P,
     solve_uniform_R,
@@ -208,6 +216,40 @@ class TestRebalance:
         assert abs(new_params.p - p_step) <= 0.05 * p_step
         cert = check_criteria(moll)
         assert cert.passed
+
+    def test_small_radius_certificate_holds_on_exact_energy(self):
+        # The nested integral here is ~1e-11, below quad's default abs tol
+        # 1e-12, so a quadrature-valued potential certified an energy of
+        # -6.7e-8.  Recompute both energy terms at tight tolerances.
+        r1, r2, r3, n, a = 0.00588, 0.0779, 0.1016, 2.714, -0.809
+        p_step = solve_monotonic_P(r1, r2, r3, n)
+        params = MonotonicParams(r1=r1, r2=r2, r3=r3, n=n, p=p_step, a=a)
+        spec = MollifySpec(delta=default_delta(monotonic_ansatz(params)))
+        _, moll = rebalance(params, spec, energy_tol=DEFAULT_ENERGY_TOL)
+        assert check_criteria(moll).passed
+
+        eta, phi = moll.spatial, moll.momentum
+        m2 = eta.moment(2)
+        nested = tight_nested(eta)
+        assert nested < 1e-10
+        assert potential_energy_profile(eta) == pytest.approx(-nested / m2**2, rel=1e-12)
+        kinetic = tight_integral(lambda p: math.sqrt(1.0 + p * p) * phi(p) * p * p,
+                                 phi) / phi.moment(2)
+        assert abs(kinetic - nested / m2**2) <= DEFAULT_ENERGY_TOL
+
+    def test_touching_core_and_halo(self):
+        # r1 == r2: the core-to-halo jump gets a symmetric 1 -> alpha ramp,
+        # which turns one-sided at alpha = 0, so the mollified energy is not
+        # one quadratic in alpha on [0, alpha].
+        alpha_step = solve_corehalo_alpha(0.2, 0.2, 2.0, 1.0)
+        params = CoreHaloParams(r1=0.2, r2=0.2, r3=2.0, p=1.0, alpha=alpha_step, a=-0.85)
+        drifts = []
+        for delta in (1e-3, 1e-4, 1e-5):
+            new_params, moll = rebalance(params, MollifySpec(delta=delta))
+            assert abs(total_energy(moll)) <= 1e-10
+            drifts.append(abs(new_params.alpha - alpha_step))
+        assert drifts[0] > drifts[1] > drifts[2]
+        assert drifts[2] <= 2e-5 * alpha_step
 
 
 class TestSpec:

@@ -10,7 +10,6 @@ from virial_forge.profiles import core_halo_eta, uniform_eta, PiecewiseProfile, 
 from virial_forge.quadrature import (
     QuadResult,
     integrate,
-    nested_mass_integral,
     nested_mass_quad,
     profile_moment_quad,
 )
@@ -97,12 +96,12 @@ class TestNestedMass:
     def test_uniform_ball(self):
         # Inner mass q^3/3 against weight q gives R^5/15.
         r = 1.3
-        got = nested_mass_integral(uniform_eta(r))
+        got = nested_mass_quad(uniform_eta(r)).value
         assert got == pytest.approx(r**5 / 15.0, rel=1e-12)
 
     def test_zero_profile(self):
         zero = PiecewiseProfile((Piece.constant(0.0, 0.0, math.inf),))
-        assert nested_mass_integral(zero) == 0.0
+        assert nested_mass_quad(zero).value == 0.0
 
     def test_corehalo_consistent_with_zero_energy(self):
         # With the solved halo level, KE * m2^2 equals the nested integral.
@@ -112,7 +111,7 @@ class TestNestedMass:
         alpha = solve_corehalo_alpha(0.2, 1.0, 2.0, 1.0)
         eta = core_halo_eta(0.2, 1.0, 2.0, alpha)
         lhs = kinetic_energy_ball(1.0) * eta.moment(2) ** 2
-        assert nested_mass_integral(eta) == pytest.approx(lhs, rel=1e-10)
+        assert nested_mass_quad(eta).value == pytest.approx(lhs, rel=1e-10)
 
     def test_error_estimate_present(self):
         res = nested_mass_quad(uniform_eta(1.0))

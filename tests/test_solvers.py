@@ -26,7 +26,7 @@ from virial_forge.functionals import (
     virial,
 )
 from virial_forge.profiles import core_halo_eta, momentum_ball, monotonic_eta, uniform_eta
-from virial_forge.quadrature import nested_mass_integral
+from virial_forge.quadrature import nested_mass_quad
 from virial_forge.scans import ScanGrid
 from virial_forge.solvers import (
     BRACKET_START,
@@ -131,7 +131,7 @@ class TestCoreHalo:
         values = []
         for alpha in samples:
             eta = core_halo_eta(r1, r2, r3, float(alpha))
-            values.append(ke * eta.moment(2) ** 2 - nested_mass_integral(eta))
+            values.append(ke * eta.moment(2) ** 2 - nested_mass_quad(eta).value)
         fitted = np.polyfit(samples, values, 2)
         a_coef, b_coef, c_coef = corehalo_energy_quadratic(r1, r2, r3, p)
         assert fitted[0] == pytest.approx(a_coef, rel=1e-10)
@@ -257,6 +257,16 @@ class TestQuadraticAndBracket:
         assert f(br.lo) * f(br.hi) < 0.0
         with pytest.raises(BracketError):
             RootBracket.expand(lambda x: x + 1.0, 1.0, 2.0)
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 0.0), (-1.0, 0.0), (-2.0, -1.0), (1.0, 1.0),
+                                        (2.0, 1.0), (0.0, -0.0)])
+    def test_bracket_that_doubling_cannot_move_is_rejected(self, lo, hi):
+        # Doubling leaves a hi <= max(lo, 0) where it is; the loop never ends.
+        def f(x):
+            raise AssertionError("the residual must not be evaluated")
+
+        with pytest.raises(BracketError, match="need hi > max"):
+            RootBracket.expand(f, lo, hi)
 
 
 def _brent_trace(solver, f, lo, hi, **kwargs):
