@@ -13,13 +13,14 @@ functional reduces to products and ratios of one-dimensional moments:
 
 Each formula is written once and reads its moments from a moment source.
 The exact source (``method="auto"``) takes them from exact piecewise
-moments and an exact nested integral, with quadrature only for the kinetic
-weight of a momentum profile that is not a ball and for fractional powers
-of ramps; the adaptive source (``method="quadrature"``) integrates every
-moment adaptively, once per evaluation, and is kept as an independent
-oracle.  Certification checks the three blow-up hypotheses: zero total
-energy, virial <= -1/2, and L^{3/2} norm above the critical constant
-(3/8)(15/16)^{1/3}.
+moments and an exact nested integral; the kinetic weight of a momentum
+profile that is not a ball and the fractional powers of ramps use the fixed
+Gauss-Legendre rules of ``profiles``, so this route integrates nothing
+adaptively and loads neither numpy nor scipy.  The adaptive source
+(``method="quadrature"``) integrates every moment adaptively, once per
+evaluation, and is kept as an independent oracle.  Certification checks the
+three blow-up hypotheses: zero total energy, virial <= -1/2, and L^{3/2}
+norm above the critical constant (3/8)(15/16)^{1/3}.
 """
 
 from __future__ import annotations
@@ -30,7 +31,17 @@ from dataclasses import dataclass, field
 
 from . import quadrature
 from .errors import DegenerateFactorError
-from .profiles import CONSTANT, POWER, check_positive, power_integral
+from .profiles import (
+    CONSTANT,
+    GL6,
+    POWER,
+    RAMP,
+    check_positive,
+    fixed_rule,
+    gauss_legendre,
+    panel_edges,
+    power_integral,
+)
 
 __all__ = [
     "CRITICAL_L32_NORM",
@@ -59,14 +70,8 @@ CRITICAL_L32_NORM = (3.0 / 8.0) * (15.0 / 16.0) ** (1.0 / 3.0)
 DEFAULT_ENERGY_TOL = 1e-9
 
 _CLOSED = "closed-form"
+_RULE = "fixed-rule"
 _QUAD = "quadrature"
-
-# The 6-point Gauss-Legendre rule on [-1, 1], exact for polynomials up to
-# degree 11: nodes (the roots of P_6) and weights, correctly rounded.
-_GL6_NODES = (-0.932469514203152, -0.6612093864662645, -0.2386191860831969,
-              0.2386191860831969, 0.6612093864662645, 0.932469514203152)
-_GL6_WEIGHTS = (0.17132449237917036, 0.3607615730481386, 0.46791393457269104,
-                0.46791393457269104, 0.3607615730481386, 0.17132449237917036)
 
 
 def momentum_energy_moment(p_max):
@@ -104,13 +109,41 @@ def _relativistic(p):
     return math.sqrt(1.0 + p * p)
 
 
+def _is_ball(phi):
+    """True when the only nonzero piece of phi is a plateau from 0."""
+    live = [p for p in phi.pieces if not p.is_zero]
+    return len(live) == 1 and live[0].kind == CONSTANT and live[0].lo == 0.0
+
+
+def _kinetic_integrand(value, p):
+    return value * p * p * math.sqrt(1.0 + p * p)
+
+
+def _kinetic_weight(piece):
+    """int sqrt(1+p^2) h(p) p^2 dp over one momentum piece.
+
+    A plateau from 0 takes ``momentum_energy_moment``; every other piece the
+    GL14 rule (on a thin shell a difference of antiderivatives would cancel),
+    on ``panel_edges``: ratio 2 for a power law, else max(1, left end) wide.
+    """
+    if piece.is_zero:
+        return 0.0
+    if piece.kind == CONSTANT and piece.lo == 0.0:
+        return piece.value * momentum_energy_moment(piece.hi)
+    edges = panel_edges(piece.lo, piece.hi, 0.0 if piece.kind == POWER else 1.0)
+    if piece.kind != RAMP:
+        return fixed_rule(lambda p: _kinetic_integrand(piece.value_at(p), p), edges)
+    # The edges in the ramp rule's coordinate, which runs from the smaller end.
+    small_end = piece.lo if piece.left <= piece.right else piece.hi
+    w = piece.hi - piece.lo
+    return piece.ramp_rule(_kinetic_integrand, sorted(abs(p - small_end) / w for p in edges))
+
+
 def _exact_kinetic(phi):
     """(int sqrt(1+p^2) h p^2 dp, int h p^2 dp), up to a common positive factor."""
-    live = [p for p in phi.pieces if not p.is_zero]
-    if len(live) == 1 and live[0].kind == CONSTANT and live[0].lo == 0.0:
-        return kinetic_energy_ball(live[0].hi), 1.0  # a single plateau from 0: a ball
-    # Ramps keep exact second moments; only the weighted factor needs quad.
-    return quadrature.profile_moment_quad(phi, 2, 1.0, _relativistic).value, phi.moment(2)
+    if phi.memo("ball", _is_ball):
+        return kinetic_energy_ball(phi.support_radius), 1.0
+    return math.fsum(_kinetic_weight(p) for p in phi.pieces), phi.moment(2)
 
 
 def _exact_nested(profile):
@@ -148,10 +181,8 @@ def _exact_nested(profile):
             total += pref * (lead + pref * inner)
             enclosed += pref * power_integral(2.0 - n, lo, hi)
         else:
-            half = 0.5 * (hi - lo)
-            nodes = ((lo + half * (1.0 + x), w) for x, w in zip(_GL6_NODES, _GL6_WEIGHTS))
-            total += half * sum(w * p.value_at(q) * q * (enclosed + p.partial_moment(2, q))
-                                for q, w in nodes)
+            total += gauss_legendre(
+                lambda q: p.value_at(q) * q * (enclosed + p.partial_moment(2, q)), lo, hi, GL6)
             enclosed += p.moment(2)
     return total
 
@@ -215,7 +246,7 @@ class _MomentSource:
 
 
 class _Exact(_MomentSource):
-    """Exact moments and integrals, memoized per profile; quad only where ramps force it."""
+    """Closed forms, else the fixed GL14 rule, memoized per profile; never adaptive."""
 
     def moment(self, profile, k):
         return profile.moment(k)
@@ -233,7 +264,8 @@ class _Exact(_MomentSource):
         return eta.memo("nested", _exact_nested)
 
     def label(self, ansatz):
-        return _QUAD if ansatz.has_ramp else _CLOSED
+        ball = ansatz.momentum.memo("ball", _is_ball)
+        return _RULE if ansatz.has_ramp or not ball else _CLOSED
 
     def residuals(self, ansatz):
         return {}
@@ -379,9 +411,11 @@ class FunctionalReport:
 def evaluate(ansatz, method="auto"):
     """Full functional report for one ansatz.
 
-    ``method`` picks the moment source: "auto" (exact moments wherever they
-    exist, adaptive quadrature only where ramps force it) or "quadrature"
-    (every integral adaptive, each computed once -- the oracle route).
+    ``method`` picks the moment source: "auto" (closed forms wherever they
+    exist, the fixed GL14 rule where ramps or a momentum profile that is not
+    a ball need it; ``method`` in the report is "closed-form" or
+    "fixed-rule" accordingly) or "quadrature" (every integral adaptive, each
+    computed once -- the oracle route).
     """
     source = _source(method)
     kin = source.kinetic_energy(ansatz.momentum)

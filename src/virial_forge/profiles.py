@@ -6,9 +6,10 @@ and an angular factor in the cosine of the position-momentum angle.  Each is
 a non-negative piecewise function assembled from constant plateaus, power-law
 decays anchored at the left endpoint of their interval, and C^1 cubic
 smoothstep ramps.  Every integer moment has a closed form piece by piece,
-and the nested potential integral in ``functionals`` is exact too; numerics
-remain only for fractional powers of ramp pieces and for the relativistic
-kinetic weight of a momentum profile that is not a ball.
+and the nested potential integral in ``functionals`` is exact too.  Fractional
+powers of ramps and the kinetic weight of a momentum profile that is not a
+ball take the fixed Gauss-Legendre rules stored here; nothing integrates
+adaptively.
 
 All profile objects are immutable after construction and safe to share
 between threads.  Derived quantities (the moments here, the exact route's
@@ -23,13 +24,7 @@ import warnings
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .errors import (
-    DegenerateFactorError,
-    DivergentMomentError,
-    ProfileError,
-    QuadratureBudgetError,
-)
-from .quadrature import integrate
+from .errors import DegenerateFactorError, DivergentMomentError, ProfileError
 
 __all__ = [
     "Piece",
@@ -50,6 +45,54 @@ RAMP = "ramp"
 
 # Warn (but accept) when an angular profile integrates to less than this.
 NEAR_DEGENERATE_ANGULAR = 1e-8
+
+# Gauss-Legendre rules on [-1, 1] as (node, weight) pairs, correctly rounded.
+# GL6 is exact for polynomials up to degree 11.  For f analytic inside the
+# Bernstein ellipse E_rho with |f| <= M there, GL14 errs by at most
+# (64/15) M rho^-28 / (rho^2 - 1) (Trefethen, Approximation Theory and
+# Approximation Practice, Thm 19.3); the panels chosen here and in
+# ``functionals`` keep rho >= 3.7, where that is below a double's rounding.
+_GL6 = ((0.2386191860831969, 0.46791393457269104),
+        (0.6612093864662645, 0.3607615730481386),
+        (0.932469514203152, 0.17132449237917036))
+_GL14 = ((0.10805494870734367, 0.2152638534631578),
+         (0.31911236892788974, 0.2051984637212956),
+         (0.5152486363581541, 0.18553839747793782),
+         (0.6872929048116855, 0.15720316715819355),
+         (0.827201315069765, 0.12151857068790319),
+         (0.9284348836635735, 0.08015808715976021),
+         (0.9862838086968123, 0.03511946033175186))
+
+
+def _full_rule(half_rule):
+    return tuple((-x, w) for x, w in reversed(half_rule)) + half_rule
+
+
+GL6 = _full_rule(_GL6)
+GL14 = _full_rule(_GL14)
+
+
+def gauss_legendre(f, lo, hi, rule=GL14):
+    """The Gauss-Legendre sum of f over [lo, hi] with ``rule`` (default GL14)."""
+    half = 0.5 * (hi - lo)
+    return half * sum(w * f(lo + half * (1.0 + x)) for x, w in rule)
+
+
+def fixed_rule(f, edges):
+    """Composite GL14 sum of f over the panels between consecutive ``edges``."""
+    return math.fsum(gauss_legendre(f, a, b) for a, b in zip(edges, edges[1:]))
+
+
+def panel_edges(lo, hi, unit=1.0):
+    """Edges from lo to hi, each panel no wider than max(unit, its left end).
+
+    unit = 1 keeps each panel a panel width from the branch points +-i of
+    sqrt(1 + r^2); unit = 0 (ratio-2 panels) keeps it that far from r = 0.
+    """
+    edges = [lo]
+    while edges[-1] < hi:
+        edges.append(min(hi, edges[-1] + max(unit, edges[-1])))
+    return edges
 
 
 def smoothstep(t):
@@ -225,12 +268,33 @@ class Piece:
             return 0.0
         return self.partial_moment(k, self.hi)
 
+    def ramp_rule(self, f, edges):
+        """int f(value(r), r) dr over a ramp, by GL14 on ``edges`` of v in [0, 1].
+
+        v runs from the ramp's smaller end: value = small + D v^2 (3 - 2v),
+        r = lo + w v (or hi - w v), so no digit is lost to r - lo on a ramp
+        narrow against its radius, nor near the small end.
+        """
+        small, big = sorted((self.left, self.right))
+        w, d = self.hi - self.lo, big - small
+        if self.left <= self.right:
+            start, step = self.lo, w
+        else:
+            start, step = self.hi, -w
+        return w * fixed_rule(
+            lambda v: f(small + d * (v * v * (3.0 - 2.0 * v)), start + step * v), edges)
+
     def power_moment(self, beta, k):
         """int value(r)**beta * r^k dr over the piece.
 
-        Closed form for constant and power-law pieces; fractional powers of a
-        ramp are not polynomial, so ramps integrate adaptively (tight fixed
-        tolerance, deterministic; QuadratureBudgetError if it does not converge).
+        Closed form for constant and power-law pieces; a ramp takes
+        ``ramp_rule``.  A one-sided ramp's power D^beta v^(2 beta) (3 - 2v)^beta
+        is, at the L^{3/2} norm's beta = 3/2, a polynomial times a power that
+        branches half a ramp outside: one panel.  A two-sided ramp's power
+        branches near v = +-i sqrt(small/3D): dyadic panels toward the small
+        end, the first no wider than sqrt(small/D)/2, stay clear of it.
+        A one-sided ramp with 2 beta not a whole number would put a branch
+        point on the rule's interval, so it raises ValueError.
         """
         if self.is_zero:
             return 0.0
@@ -239,19 +303,15 @@ class Piece:
         if self.kind == POWER:
             pref = self.value**beta * self.lo ** (beta * self.exponent)
             return pref * power_integral(k - beta * self.exponent, self.lo, self.hi)
-        try:
-            return integrate(lambda r: self.value_at(r) ** beta * r**k,
-                             self.lo, self.hi, abs_tol=1e-15, rel_tol=1e-13).value
-        except QuadratureBudgetError:
-            # On a ramp narrow against its radius, r - lo loses the digits the
-            # tolerance needs and QUADPACK stops on roundoff; the ramp's own
-            # coordinate u = r - lo keeps them.  The r form stays first so every
-            # value that converges there keeps its bytes.
-            w, d = self.hi - self.lo, self.right - self.left
-            return integrate(
-                lambda u: (self.left + d * smoothstep(u / w)) ** beta * (self.lo + u) ** k,
-                0.0, w, abs_tol=1e-15, rel_tol=1e-13,
-            ).value
+        small, big = sorted((self.left, self.right))
+        if small == 0.0 and (2.0 * beta) % 1.0:
+            raise ValueError(f"power {beta} of a ramp down to 0: 2 * beta must be whole")
+        first = 1.0
+        if 0.0 < small < big:
+            tau = 0.5 * math.sqrt(small / (big - small))
+            first = min(first, 2.0 ** math.floor(math.log2(tau)))
+        return self.ramp_rule(lambda value, r: value**beta * r**k,
+                              [0.0, *panel_edges(first, 1.0, 0.0)])
 
 
 def _check_coverage(pieces, start, end):

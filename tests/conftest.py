@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -33,6 +34,87 @@ def tight_integral(f, profile):
 def tight_nested(eta):
     """Tight reference for the nested mass integral int g(q) q (int_0^q g s^2 ds) dq."""
     return tight_integral(lambda q: eta(q) * q * eta.cumulative_moment2(q), eta)
+
+
+def assert_rel(value, reference, rel):
+    """|value - reference| <= rel * |reference|, with no absolute floor."""
+    assert abs(value - reference) <= rel * abs(reference), (value, reference)
+
+
+def _mp_ramp_poly(piece):
+    """(lo, w, ascending coefficients of the ramp value in t = (r - lo)/w), in mpf."""
+    lo, w = mpmath.mpf(piece.lo), mpmath.mpf(piece.hi) - mpmath.mpf(piece.lo)
+    left, d = mpmath.mpf(piece.left), mpmath.mpf(piece.right) - mpmath.mpf(piece.left)
+    return lo, w, [left, 0, 3 * d, -2 * d]
+
+
+def mp_piece_integral(piece, f):
+    """int f(value(r), r) dr over one finite piece, in mpmath at the current precision.
+
+    ``f`` takes mpf arguments.  A ramp runs in t = (r - lo)/w, split at
+    t = 2^-j toward its smaller end, past the distance sqrt(small/|right -
+    left|) of the branch points of a power of the value near that end; a
+    power law runs in r, split at lo * 2^j.
+    """
+    lo, hi = mpmath.mpf(piece.lo), mpmath.mpf(piece.hi)
+    if piece.kind == "ramp":
+        lo, w, coeffs = _mp_ramp_poly(piece)
+        small, big = sorted((piece.left, piece.right))
+        depth = 1
+        if 0.0 < small < big:
+            depth = max(1, 4 - int(math.log2(small / (big - small)) / 2))
+        cuts = [mpmath.mpf(2) ** -j for j in range(depth, 0, -1)]
+        if piece.left > piece.right:
+            cuts = [1 - c for c in reversed(cuts)]
+        return w * mpmath.quad(lambda t: f(mpmath.polyval(coeffs[::-1], t), lo + w * t),
+                               [0, *cuts, 1])
+    value = mpmath.mpf(piece.value)
+    if piece.kind == "constant":
+        return mpmath.quad(lambda r: f(value, r), [lo, (lo + hi) / 2, hi])
+    n = mpmath.mpf(piece.exponent)
+    cuts = [lo]
+    while 2 * cuts[-1] < hi:
+        cuts.append(2 * cuts[-1])
+    return mpmath.quad(lambda r: f(value * (lo / r) ** n, r), [*cuts, hi])
+
+
+def mp_total_energy(spatial, momentum):
+    """Kinetic plus potential energy of constant/ramp profiles, in mpmath.
+
+    The kinetic energy is int sqrt(1+p^2) h p^2 / int h p^2; the potential is
+    -int g(q) q M(q) dq / M(inf)^2 with the enclosed mass M(q) = int_0^q g s^2 ds,
+    taken piece by piece (a polynomial on a ramp, integrated exactly).
+    """
+    def weight(value, p):
+        return value * p * p
+
+    num = mpmath.fsum(mp_piece_integral(p, lambda v, x: weight(v, x) * mpmath.sqrt(1 + x * x))
+                      for p in momentum.pieces if not p.is_zero and math.isfinite(p.hi))
+    den = mpmath.fsum(mp_piece_integral(p, weight)
+                      for p in momentum.pieces if not p.is_zero and math.isfinite(p.hi))
+    nested = enclosed = mpmath.mpf(0)
+    for p in spatial.pieces:
+        if p.is_zero or not math.isfinite(p.hi):
+            continue
+        if p.kind == "constant":
+            c, lo = mpmath.mpf(p.value), mpmath.mpf(p.lo)
+            nested += mpmath.quad(lambda q: c * q * (enclosed + c * (q**3 - lo**3) / 3),
+                                  [lo, mpmath.mpf(p.hi)])
+        elif p.kind == "ramp":
+            lo, w, coeffs = _mp_ramp_poly(p)
+            # value(t) * (lo + w t)^2 * w, then its antiderivative from 0.
+            mass = [mpmath.mpf(0)] * 6
+            for i, c in enumerate(coeffs):
+                for j, s in enumerate((lo * lo, 2 * lo * w, w * w)):
+                    mass[i + j] += c * s * w
+            cumulative = [0] + [c / (j + 1) for j, c in enumerate(mass)]
+            nested += w * mpmath.quad(
+                lambda t: mpmath.polyval(coeffs[::-1], t) * (lo + w * t)
+                * (enclosed + mpmath.polyval(cumulative[::-1], t)), [0, 1])
+        else:
+            raise ValueError("power-law pieces are not supported here")
+        enclosed += mp_piece_integral(p, weight)
+    return num / den - nested / enclosed**2
 
 
 def random_radial_profile(rng, domain_label="radial-position", max_pieces=4):

@@ -4,10 +4,14 @@ import contextlib
 import io
 import json
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import mp_total_energy
 from virial_forge.cli import main
+from virial_forge.mollifier import mollify_profile
+from virial_forge.profiles import momentum_ball, uniform_eta
 from virial_forge.solvers import solve_corehalo_alpha
 
 COREHALO = ["--family", "core-halo", "--r1", "0.2", "--r2", "1", "--r3", "2",
@@ -253,6 +257,22 @@ class TestMollify:
         assert code in (0, 1), err
         doc = kv_parse(out)
         assert float(doc["energy_residual"]) <= float(doc["energy_tol"])
+
+    def test_large_p_datum_is_zero_energy_exactly(self, capsys):
+        # At P ~ 333 a kinetic weight off by ~1e-11 relative left the printed
+        # datum's exact energy at 2e-9, above energy_tol.  Rebuild the printed
+        # datum and recompute its energy in mpmath at 40 digits.
+        code, out, err = run_cli(capsys, [
+            "mollify", "--family", "uniform", "--p", "332.55168376012125",
+            "--a", "-0.19806772332346256", "--format", "kv"])
+        assert code in (0, 1), err
+        doc = kv_parse(out)
+        delta = float(doc["delta"])
+        spatial = mollify_profile(uniform_eta(float(doc["R"])), delta)
+        momentum = mollify_profile(momentum_ball(float(doc["P"])), delta)
+        with mpmath.workdps(40):
+            energy = mp_total_energy(spatial, momentum)
+        assert abs(energy) <= float(doc["energy_tol"])
 
 
 class TestCustomFamily:

@@ -1,12 +1,14 @@
 """Where numpy and scipy load: in fresh interpreters and in the source.
 
-Importing the package, ``certify``/``report`` on step data and ``mollify
---delta 0`` run on exact closed forms and the in-repo Brent iteration, so
-they load neither library; each runs here in a fresh interpreter, which
-must print the same bytes as the golden document (or as the same command
-run in this process, where both libraries are loaded).  The source check
-pins the one scipy import to ``quadrature._quad`` and every numpy import
-to a function body, so importing a module never loads either.
+Importing the package, ``certify``/``report`` on step data and every
+``mollify`` run on exact closed forms, fixed Gauss-Legendre rules and the
+in-repo Brent iteration, so they load neither library; each runs here in a
+fresh interpreter, which must print the same bytes as the golden document
+(or as the same command run in this process, where both libraries are
+loaded).  The source checks pin the one scipy import to
+``quadrature._quad`` and every numpy import to a function body, so
+importing a module never loads either, and keep the adaptive integrator
+out of ``profiles`` and of the exact moment source.
 """
 
 import ast
@@ -44,6 +46,18 @@ MOLLIFY_DELTA0 = {
 }
 
 
+def _with_delta(argv, delta):
+    """argv with --delta set to ``delta`` where it stood (None: dropped, the default)."""
+    at = argv.index("--delta") if "--delta" in argv else argv.index("--format")
+    rest = argv[at + 2:] if argv[at] == "--delta" else argv[at:]
+    return [*argv[:at], *([] if delta is None else ["--delta", delta]), *rest]
+
+
+# Each ramped golden argv at the default delta and at --delta 0.001.
+RAMPED = [(name, delta) for name in sorted(n for n in CASES if n.startswith("mollify-"))
+          for delta in (None, "0.001")]
+
+
 def _fresh_run(argv):
     """(exit code, stdout, loaded numpy/scipy modules) of argv in a new interpreter."""
     env = dict(os.environ)
@@ -70,6 +84,18 @@ def test_unramped_mollify_loads_neither_library(family, capsys):
     code, out, loaded = _fresh_run(argv)
     assert loaded == []
     assert (code, out) == (main(argv), capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("name, delta", RAMPED)
+def test_ramped_mollify_loads_neither_library(name, delta, capsys):
+    golden_argv, golden_code = CASES[name]
+    argv = _with_delta(golden_argv, delta)
+    code, out, loaded = _fresh_run(argv)
+    assert loaded == []
+    if argv == golden_argv:
+        assert (code, out) == (golden_code, (GOLDEN / name).read_text(encoding="utf-8"))
+    else:
+        assert (code, out) == (main(argv), capsys.readouterr().out)
 
 
 def _imports(tree):
@@ -100,3 +126,16 @@ def test_heavy_imports_sit_in_function_bodies():
     assert sites["scipy"] == [("quadrature.py", ("_quad",))]
     assert sites["numpy"]
     assert all(scope for _, scope in sites["numpy"]), sites["numpy"]
+
+
+def test_exact_route_names_no_adaptive_integrator():
+    profiles = ast.parse((PACKAGE / "profiles.py").read_text(encoding="utf-8"))
+    imported = {node.module for node in ast.walk(profiles) if isinstance(node, ast.ImportFrom)}
+    assert "quadrature" not in imported
+    assert not any(isinstance(node, ast.Name) and node.id == "quadrature"
+                   for node in ast.walk(profiles))
+    functionals = ast.parse((PACKAGE / "functionals.py").read_text(encoding="utf-8"))
+    exact = next(node for node in functionals.body
+                 if isinstance(node, ast.ClassDef) and node.name == "_Exact")
+    assert not [node.attr for node in ast.walk(exact) if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id == "quadrature"]

@@ -2,11 +2,18 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import random_ansatz, random_momentum_profile, tight_nested
+from conftest import (
+    assert_rel,
+    mp_piece_integral,
+    random_ansatz,
+    random_momentum_profile,
+    tight_nested,
+)
 from virial_forge import functionals, profiles, quadrature
 from virial_forge.errors import DegenerateFactorError
 from virial_forge.functionals import (
@@ -274,6 +281,59 @@ class TestNestedOnRamps:
             mollify_profile(eta, fraction * eta.smallest_width))
 
 
+RULE_PROPERTY = settings(derandomize=True, deadline=None, max_examples=25, database=None)
+DECADES = st.floats(min_value=-3.0, max_value=4.0).map(lambda e: 10.0**e)
+
+
+def mp_kinetic_weight(pieces):
+    """int sqrt(1+p^2) h(p) p^2 dp over the given pieces, in mpmath at 40 digits."""
+    with mpmath.workdps(40):
+        return float(mpmath.fsum(
+            mp_piece_integral(p, lambda v, x: v * x * x * mpmath.sqrt(1 + x * x))
+            for p in pieces))
+
+
+class TestKineticWeight:
+    """The exact route's kinetic weight, piece by piece, against mpmath."""
+
+    @pytest.mark.parametrize("p_max", [0.01, 1.0, 19.7, 332.6, 1e4])
+    @settings(RULE_PROPERTY, max_examples=10)
+    @given(fraction=st.floats(min_value=-9.0, max_value=-0.31).map(lambda e: 10.0**e))
+    def test_mollified_ball(self, p_max, fraction):
+        phi = mollify_profile(momentum_ball(p_max), fraction * p_max)
+        plateau, ramp = phi.pieces[:2]
+        assert ramp.kind == "ramp"
+        assert_rel(functionals._kinetic_weight(ramp), mp_kinetic_weight([ramp]), 1e-14)
+        assert_rel(functionals._exact_kinetic(phi)[0], mp_kinetic_weight([plateau, ramp]),
+                   1e-14)
+
+    @RULE_PROPERTY
+    @given(lo=st.one_of(st.just(0.0), DECADES),
+           width=st.floats(min_value=-9.0, max_value=3.0).map(lambda e: 10.0**e),
+           left=st.sampled_from((0.0, 1e-9, 0.3, 1.0)),
+           right=st.sampled_from((0.0, 1e-6, 0.5, 2.0)))
+    def test_ramp(self, lo, width, left, right):
+        ramp = Piece.ramp(left, right, lo, lo + width)
+        if not ramp.is_zero:
+            assert_rel(functionals._kinetic_weight(ramp), mp_kinetic_weight([ramp]), 1e-14)
+
+    @RULE_PROPERTY
+    @given(lo=DECADES, width=st.floats(min_value=-9.0, max_value=1.0).map(lambda e: 10.0**e))
+    def test_plateau_away_from_zero(self, lo, width):
+        shell = Piece.constant(0.7, lo, lo * (1.0 + width))
+        assert_rel(functionals._kinetic_weight(shell), mp_kinetic_weight([shell]), 1e-14)
+
+    @RULE_PROPERTY
+    @given(lo=DECADES, ratio=st.floats(min_value=1e-3, max_value=3.0).map(lambda e: 10.0**e),
+           exponent=st.one_of(st.sampled_from((1.0, 3.0, 5.0)),
+                              st.floats(min_value=0.3, max_value=6.0)))
+    @example(lo=1e-3, ratio=1e3, exponent=3.0)  # r^-1 times the weight: a pole at 0
+    @example(lo=0.01, ratio=100.0, exponent=2.5)
+    def test_power_law(self, lo, ratio, exponent):
+        piece = Piece.power(1.3, exponent, lo, lo * ratio)
+        assert_rel(functionals._kinetic_weight(piece), mp_kinetic_weight([piece]), 1e-14)
+
+
 class TestVirial:
     def test_symmetric_momenta_vanish(self):
         assert virial(unit_box_ansatz(a=1.0)) == 0.0
@@ -444,27 +504,31 @@ class TestMomentSources:
         assert len(calls) == 11
 
     def test_exact_route_memoizes_per_profile(self, monkeypatch):
-        # A second exact evaluate of a ramped ansatz reads every integral back
+        # The exact route integrates nothing adaptively: its six ramp
+        # integrals (the momentum kinetic weight and five ramp power moments)
+        # take the fixed rule, and a second exact evaluate reads each back
         # from the profiles; the oracle reads none of those memos.
         def build():
             return mollify(reference_corehalo(), MollifySpec(0.01))
 
-        calls = []
-        real = quadrature.integrate
+        def counting(calls, real):
+            def counted(*args, **kwargs):
+                calls.append(args)
+                return real(*args, **kwargs)
 
-        def counting(*args, **kwargs):
-            calls.append(args[1:3])
-            return real(*args, **kwargs)
+            return counted
 
-        monkeypatch.setattr(quadrature, "integrate", counting)
-        # Ramp power moments integrate through the name profiles binds.
-        monkeypatch.setattr(profiles, "integrate", counting)
+        adaptive, rules = [], []
+        monkeypatch.setattr(quadrature, "integrate", counting(adaptive, quadrature.integrate))
+        for module in (profiles, functionals):
+            monkeypatch.setattr(module, "fixed_rule", counting(rules, profiles.fixed_rule))
         ans = build()
         evaluate(ans)
-        assert len(calls) == 6
-        calls.clear()
+        assert adaptive == []
+        assert len(rules) == 6
+        rules.clear()
         evaluate(ans)
-        assert calls == []
+        assert rules == []
 
         oracle_calls = []
         for name in ("profile_moment_quad", "angular_moment_quad", "nested_mass_quad"):

@@ -194,7 +194,7 @@ class TestRebalance:
         cert = check_criteria(moll)
         assert cert.passed
         assert cert.energy_residual <= 1e-9
-        assert cert.report.method == "quadrature"
+        assert cert.report.method == "fixed-rule"
 
     def test_delta_zero_reproduces_step_solve(self):
         params = reference_params()
