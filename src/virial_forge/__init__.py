@@ -37,7 +37,6 @@ from .mollifier import (
     default_delta,
     functional_drift,
     mollify,
-    mollify_angular,
     mollify_profile,
     rebalance,
     seam_smoothness,

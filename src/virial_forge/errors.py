@@ -54,8 +54,9 @@ class ThresholdUnreachableError(VirialForgeError):
 class RampOverlapError(VirialForgeError):
     """Mollification ramps would collide.
 
-    ``pair`` names the two offending breakpoints (or a breakpoint and the
-    piece edge it would cross).
+    ``pair`` is the stretch the offending ramp had to fit in: from the end
+    of the ramp before it (or its piece's left edge) to the far edge of the
+    piece after its breakpoint.
     """
 
     def __init__(self, message, pair=None):

@@ -150,11 +150,11 @@ def _exact_nested(profile):
     """Nested mass integral, exact piece by piece.
 
     Walks pieces left to right keeping the exact enclosed mass M and adds
-    int piece(q) * q * (M + local cumulative) dq.  Constant and power-law
-    pieces (any real exponent, with the exact logarithmic cases) use closed
-    forms.  On a smoothstep ramp the integrand is a polynomial of degree 10
-    (cubic value, linear q, degree-6 cumulative), which the 6-point
-    Gauss-Legendre rule integrates exactly.
+    int piece(q) * q * (M + local cumulative) dq.  A power law (any real
+    exponent, with the exact logarithmic cases) has a closed form, and a
+    plateau is the power law of exponent 0.  On a smoothstep ramp the
+    integrand is a polynomial of degree 10 (cubic value, linear q, degree-6
+    cumulative), which the 6-point Gauss-Legendre rule integrates exactly.
     """
     total = 0.0
     enclosed = 0.0
@@ -162,12 +162,11 @@ def _exact_nested(profile):
         lo, hi = p.lo, p.hi
         if p.is_zero:
             continue
-        if p.kind == CONSTANT:
-            c = p.value
-            inner = (power_integral(4.0, lo, hi) - lo**3 * power_integral(1.0, lo, hi)) / 3.0
-            total += c * (enclosed * power_integral(1.0, lo, hi) + c * inner)
-            enclosed += c * power_integral(2.0, lo, hi)
-        elif p.kind == POWER:
+        if p.kind == RAMP:
+            total += gauss_legendre(
+                lambda q: p.value_at(q) * q * (enclosed + p.partial_moment(2, q)), lo, hi, GL6)
+            enclosed += p.moment(2)
+        else:
             c, n = p.value, p.exponent
             pref = c * lo**n
             lead = enclosed * power_integral(1.0 - n, lo, hi)
@@ -180,10 +179,6 @@ def _exact_nested(profile):
                 ) / (3.0 - n)
             total += pref * (lead + pref * inner)
             enclosed += pref * power_integral(2.0 - n, lo, hi)
-        else:
-            total += gauss_legendre(
-                lambda q: p.value_at(q) * q * (enclosed + p.partial_moment(2, q)), lo, hi, GL6)
-            enclosed += p.moment(2)
     return total
 
 

@@ -1,11 +1,16 @@
 """Replace step discontinuities with C^1 ramps and restore zero energy.
 
-Every jump of a piecewise profile is replaced by a cubic smoothstep ramp of
-half-width delta.  Jumps with both sides positive get a symmetric ramp over
-[b - delta, b + delta] (midpoint value at the old breakpoint); jumps touching
-zero get a one-sided ramp on the positive side, so non-negativity and the
-support are preserved exactly.  Plateau values away from the ramps are
-unchanged, and the smoothstep's zero end slopes make every seam C^1.
+Every jump of a piecewise profile, radial or angular, is replaced by a cubic
+smoothstep ramp of half-width delta.  A jump is any difference above 1e-12
+relative to the larger side, however small both sides are.  Jumps with both
+sides positive get a symmetric ramp over [b - delta, b + delta]; jumps
+touching zero get a one-sided ramp on the positive side, so non-negativity
+and the support are preserved exactly.  One pass over the pieces trims each
+to the stretch between the ramp before it and the ramp after it, with its
+formula unchanged, so values away from the ramps are those of the step
+profile.  Each ramp takes its end values from its neighbours there, so the
+profile is continuous; next to plateaus (every family datum) the
+smoothstep's zero end slopes make the seams C^1 as well.
 
 Smoothing perturbs the energy balance, so ``rebalance`` re-solves each
 family's free parameter on the mollified profiles with one bracketed Brent
@@ -21,21 +26,20 @@ from functools import lru_cache, partial
 
 from . import functionals, solvers
 from .errors import NoRootError, ProfileError, RampOverlapError
-from .profiles import CONSTANT, RAMP, AngularProfile, Piece, PiecewiseProfile, SeparableAnsatz
+from .profiles import RAMP, Piece, SeparableAnsatz
 from .solvers import RootBracket, brentq
 
 __all__ = [
     "MollifySpec",
     "default_delta",
     "mollify_profile",
-    "mollify_angular",
     "mollify",
     "rebalance",
     "seam_smoothness",
     "functional_drift",
 ]
 
-# Values closer than this (relative) across a breakpoint count as continuous.
+# Values closer than this, relative to the larger, count as continuous.
 _JUMP_REL_TOL = 1e-12
 
 
@@ -61,93 +65,52 @@ def default_delta(ansatz, fraction=1e-3):
 
 
 def _is_jump(left, right):
-    gap = abs(left - right)
-    return gap > _JUMP_REL_TOL * max(1.0, abs(left), abs(right))
+    return abs(left - right) > _JUMP_REL_TOL * max(abs(left), abs(right))
 
 
 def _mollify_pieces(pieces, delta):
-    """Insert smoothstep ramps at every jump of an ordered piece tuple."""
+    """Insert a smoothstep ramp at every jump of an ordered piece tuple, in one pass.
+
+    Each piece keeps [start, lo): ``start`` is the end of the ramp before it
+    (else its own lo) and ``lo`` the start of the ramp after it (else its own
+    hi).  A ramp must fit between ``start`` and the far edge of the next piece.
+    """
     if delta == 0.0:
         return tuple(pieces)
     if any(p.kind == RAMP for p in pieces):
         raise ProfileError("profile already carries ramps; mollify step profiles only")
-
-    # One event per discontinuous interior boundary.
-    events = []  # (boundary_index, ramp_lo, ramp_hi, left_value, right_value)
-    for i in range(len(pieces) - 1):
-        b = pieces[i].hi
-        vl = pieces[i].right_value()
-        vr = pieces[i + 1].left_value()
-        if not _is_jump(vl, vr):
-            continue
-        if vl > 0.0 and vr > 0.0:
-            lo, hi = b - delta, b + delta
-        elif vl > 0.0:
-            lo, hi = b - delta, b  # downward to zero: ramp inside the support
-        else:
-            lo, hi = b, b + delta  # upward from zero: ramp inside the support
-        events.append((i, lo, hi, vl, vr))
-
-    # A ramp must stay inside the two pieces adjacent to its breakpoint.
-    for i, lo, hi, _, _ in events:
-        if lo < pieces[i].lo:
-            raise RampOverlapError(
-                f"ramp at breakpoint {pieces[i].hi} would cross the piece edge "
-                f"{pieces[i].lo}",
-                pair=(pieces[i].lo, pieces[i].hi),
-            )
-        if hi > pieces[i + 1].hi:
-            raise RampOverlapError(
-                f"ramp at breakpoint {pieces[i].hi} would cross the piece edge "
-                f"{pieces[i + 1].hi}",
-                pair=(pieces[i].hi, pieces[i + 1].hi),
-            )
-    for (i, _, hi_a, _, _), (j, lo_b, _, _, _) in zip(events, events[1:]):
-        if hi_a > lo_b:
-            raise RampOverlapError(
-                f"ramps at breakpoints {pieces[i].hi} and {pieces[j].hi} overlap",
-                pair=(pieces[i].hi, pieces[j].hi),
-            )
-
-    cut_left = [0.0] * len(pieces)   # intrusion into each piece from its left edge
-    cut_right = [0.0] * len(pieces)  # intrusion from its right edge
-    ramp_after = {}
-    for i, lo, hi, vl, vr in events:
-        cut_right[i] = pieces[i].hi - lo
-        cut_left[i + 1] = hi - pieces[i + 1].lo
-        ramp_after[i] = Piece.ramp(vl, vr, lo, hi)
-
-    out = []
-    for i, p in enumerate(pieces):
-        lo = p.lo + cut_left[i]
-        hi = p.hi if math.isinf(p.hi) else p.hi - cut_right[i]
-        if hi > lo:
-            if p.kind == CONSTANT:
-                out.append(Piece.constant(p.value, lo, hi))
-            else:
-                # Re-anchor so the power law stays the same function.
-                value = p.value * (p.lo / lo) ** p.exponent if lo != p.lo else p.value
-                out.append(Piece.power(value, p.exponent, lo, hi))
-        if i in ramp_after:
-            out.append(ramp_after[i])
+    out, start = [], pieces[0].lo
+    for p, nxt in zip(pieces, (*pieces[1:], None)):
+        b = lo = hi = p.hi
+        jump = nxt is not None and _is_jump(p.right_value(), nxt.left_value())
+        if jump:
+            lo = b - delta if p.right_value() > 0.0 else b
+            hi = b + delta if nxt.left_value() > 0.0 else b
+            if lo < start or hi > nxt.hi:
+                raise RampOverlapError(
+                    f"ramp [{lo}, {hi}] at breakpoint {b} would leave [{start}, {nxt.hi}], "
+                    "crossing a piece edge or the ramp before it",
+                    pair=(start, nxt.hi),
+                )
+        if lo > start:
+            p = replace(p, lo=start, hi=lo, value=p.value_at(start))
+            out.append(p)
+        if jump:
+            out.append(Piece.ramp(p.value_at(lo), nxt.value_at(hi), lo, hi))
+        start = hi
     return tuple(out)
 
 
 def mollify_profile(profile, delta):
-    """C^1 version of a radial step profile (plateaus unchanged)."""
-    return PiecewiseProfile(_mollify_pieces(profile.pieces, delta), profile.domain_label)
-
-
-def mollify_angular(angular, delta):
-    """C^1 version of an angular profile; the domain endpoints need no ramp."""
-    return AngularProfile(_mollify_pieces(angular.pieces, delta))
+    """C^1 version of a step profile, radial or angular (plateaus unchanged)."""
+    return replace(profile, pieces=_mollify_pieces(profile.pieces, delta))
 
 
 def mollify(ansatz, spec):
     """Mollify all three factors of an ansatz."""
     return SeparableAnsatz(mollify_profile(ansatz.spatial, spec.delta),
                            mollify_profile(ansatz.momentum, spec.delta),
-                           mollify_angular(ansatz.angular, spec.delta))
+                           mollify_profile(ansatz.angular, spec.delta))
 
 
 def rebalance(params, spec, energy_tol=1e-10):
@@ -168,14 +131,13 @@ def rebalance(params, spec, energy_tol=1e-10):
         new_params = replace(params, **{family.free: x0})
         return new_params, family.ansatz(new_params)
 
-    # The factor x does not move is the same step profile at every x, so
-    # its smoothed copy, and the integrals memoized on it, are made once.
+    # The factors x does not move are the same step profiles at every x, so
+    # their smoothed copies, and the integrals memoized on them, are made once.
     smooth = lru_cache(maxsize=None)(partial(mollify_profile, delta=spec.delta))
 
     def mollified(x):
         step = family.ansatz(replace(params, **{family.free: x}))
-        return SeparableAnsatz(smooth(step.spatial), smooth(step.momentum),
-                               mollify_angular(step.angular, spec.delta))
+        return SeparableAnsatz(smooth(step.spatial), smooth(step.momentum), smooth(step.angular))
 
     def residual(x):
         return functionals.total_energy(mollified(x))

@@ -5,11 +5,11 @@ one-dimensional profiles: a radial spatial factor, a radial momentum factor,
 and an angular factor in the cosine of the position-momentum angle.  Each is
 a non-negative piecewise function assembled from constant plateaus, power-law
 decays anchored at the left endpoint of their interval, and C^1 cubic
-smoothstep ramps.  Every integer moment has a closed form piece by piece,
-and the nested potential integral in ``functionals`` is exact too.  Fractional
-powers of ramps and the kinetic weight of a momentum profile that is not a
-ball take the fixed Gauss-Legendre rules stored here; nothing integrates
-adaptively.
+smoothstep ramps.  A plateau is the power law of exponent 0, so one closed
+form gives every integer moment of both, piece by piece, and the nested
+potential integral in ``functionals`` is exact too.  Fractional powers of
+ramps and the kinetic weight of a momentum profile that is not a ball take
+the fixed Gauss-Legendre rules stored here; nothing integrates adaptively.
 
 All profile objects are immutable after construction and safe to share
 between threads.  Derived quantities (the moments here, the exact route's
@@ -21,7 +21,7 @@ from __future__ import annotations
 import bisect
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate
 
 from .errors import DegenerateFactorError, DivergentMomentError, ProfileError
@@ -147,8 +147,11 @@ class Piece:
     * ``ramp``     -- C^1 cubic smoothstep from ``left`` at ``lo`` to
       ``right`` at ``hi``.
 
-    Values are non-negative on the whole interval by construction.  Only a
-    constant zero piece may extend to +inf (the compact-support tail).
+    A constant piece is the power law ``value * (lo / r)**0``: its exponent
+    must stay 0, and the closed forms below serve both kinds (``0.0**0.0`` is
+    1.0, so a plateau from lo = 0 needs no case of its own).  Values are
+    non-negative on the whole interval by construction.  Only a constant zero
+    piece may extend to +inf (the compact-support tail).
     """
 
     kind: str
@@ -171,6 +174,8 @@ class Piece:
         if self.kind == CONSTANT:
             if self.value < 0.0 or not math.isfinite(self.value):
                 raise ProfileError("constant piece value must be finite and >= 0")
+            if self.exponent != 0.0:
+                raise ProfileError(f"constant piece exponent must be 0, got {self.exponent}")
         elif self.kind == POWER:
             if self.lo <= 0.0:
                 raise ProfileError("power-law piece requires lo > 0")
@@ -202,9 +207,9 @@ class Piece:
 
     @property
     def is_zero(self):
-        if self.kind == CONSTANT or self.kind == POWER:
-            return self.value == 0.0
-        return self.left == 0.0 and self.right == 0.0
+        if self.kind == RAMP:
+            return self.left == 0.0 and self.right == 0.0
+        return self.value == 0.0
 
     def value_at(self, r):
         """Value of the piece at a point of [lo, hi] (closure included)."""
@@ -221,11 +226,7 @@ class Piece:
 
     def right_value(self):
         """Limit of the piece value at hi (from inside)."""
-        if self.kind == CONSTANT:
-            return self.value
-        if self.kind == POWER:
-            return self.value * (self.lo / self.hi) ** self.exponent
-        return self.right
+        return self.right if self.kind == RAMP else self.value_at(self.hi)
 
     def _ramp_value_coeffs(self):
         # Ramp value as a polynomial in u = r - lo:
@@ -249,24 +250,16 @@ class Piece:
 
     def partial_moment(self, k, r):
         """Exact int_lo^r value(s) * s^k ds, for lo <= r <= hi."""
-        if self.kind == CONSTANT:
-            if self.value == 0.0:
-                return 0.0
-            return self.value * power_integral(float(k), self.lo, r)
-        if self.kind == POWER:
-            if self.value == 0.0 or r == self.lo:
-                return 0.0
-            pref = self.value * self.lo**self.exponent
-            return pref * power_integral(k - self.exponent, self.lo, r)
-        return self._ramp_partial_moment(k, r)
+        if self.kind == RAMP:
+            return self._ramp_partial_moment(k, r)
+        if self.value == 0.0 or r == self.lo:
+            return 0.0
+        pref = self.value * self.lo**self.exponent
+        return pref * power_integral(k - self.exponent, self.lo, r)
 
     def moment(self, k):
         """Exact int value(r) * r^k dr over the whole piece."""
-        if self.is_zero:
-            return 0.0
-        if math.isinf(self.hi):
-            return 0.0
-        return self.partial_moment(k, self.hi)
+        return 0.0 if self.is_zero else self.partial_moment(k, self.hi)
 
     def ramp_rule(self, f, edges):
         """int f(value(r), r) dr over a ramp, by GL14 on ``edges`` of v in [0, 1].
@@ -298,9 +291,7 @@ class Piece:
         """
         if self.is_zero:
             return 0.0
-        if self.kind == CONSTANT:
-            return self.value**beta * power_integral(float(k), self.lo, self.hi)
-        if self.kind == POWER:
+        if self.kind != RAMP:
             pref = self.value**beta * self.lo ** (beta * self.exponent)
             return pref * power_integral(k - beta * self.exponent, self.lo, self.hi)
         small, big = sorted((self.left, self.right))
@@ -457,16 +448,8 @@ class PiecewiseProfile(_PieceSet):
     def dilate(self, lam):
         """Profile r -> g(r / lam): support scales by lam, values unchanged."""
         check_positive(lam, "dilation factor", ValueError)
-        out = []
-        for p in self.pieces:
-            lo, hi = lam * p.lo, p.hi if math.isinf(p.hi) else lam * p.hi
-            if p.kind == CONSTANT:
-                out.append(Piece.constant(p.value, lo, hi))
-            elif p.kind == POWER:
-                out.append(Piece.power(p.value, p.exponent, lo, hi))
-            else:
-                out.append(Piece.ramp(p.left, p.right, lo, hi))
-        return PiecewiseProfile(tuple(out), self.domain_label)
+        return replace(self, pieces=[replace(p, lo=lam * p.lo, hi=lam * p.hi)
+                                     for p in self.pieces])
 
 
 @dataclass(frozen=True)

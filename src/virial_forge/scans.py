@@ -78,7 +78,6 @@ class FitResult:
     slope: float
     intercept: float
     max_residual: float
-    range_used: tuple
     n_points: int
 
 
@@ -201,7 +200,6 @@ def loglog_fit(xs, ys):
         slope=float(slope),
         intercept=float(intercept),
         max_residual=float(resid),
-        range_used=(float(min(xs)), float(max(xs))),
         n_points=len(xs),
     )
 

@@ -1,9 +1,11 @@
 """Smoothing of step profiles and zero-energy rebalancing."""
 
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import tight_integral, tight_nested
 from virial_forge.errors import ProfileError, RampOverlapError
@@ -19,7 +21,6 @@ from virial_forge.mollifier import (
     default_delta,
     functional_drift,
     mollify,
-    mollify_angular,
     mollify_profile,
     rebalance,
     seam_smoothness,
@@ -123,9 +124,111 @@ class TestMollifyProfile:
             assert smooth(r) == pytest.approx(rough(r), rel=1e-14)
 
 
+# Levels from 1e-20 up, and zero: jumps far below 1e-12 in absolute size.
+LEVELS = st.one_of(st.just(0.0), st.floats(-20.0, 1.0).map(lambda e: 10.0**e))
+ONE_PASS = settings(derandomize=True, deadline=None, max_examples=400, database=None)
+
+
+@st.composite
+def step_profiles(draw):
+    """A step profile of 1-5 constant, zero or power pieces, and a half-width."""
+    widths = draw(st.lists(st.floats(-3.0, 0.5).map(lambda e: 10.0**e), min_size=1, max_size=5))
+    edges = list(accumulate(widths, initial=0.0))
+    segments, level = [], None
+    for lo, hi in zip(edges, edges[1:]):
+        value = draw(LEVELS)
+        if level is not None and draw(st.integers(0, 4)) == 0:
+            value = level  # no jump at this breakpoint
+        if lo > 0.0 and draw(st.booleans()):
+            exponent = draw(st.floats(0.5, 4.0))
+            segments.append(Piece.power(value, exponent, lo, hi))
+            level = value * (lo / hi) ** exponent
+        else:
+            segments.append(Piece.constant(value, lo, hi))
+            level = value
+    delta = min(widths) * 10.0 ** draw(st.floats(-3.0, 0.5))
+    return PiecewiseProfile.from_segments(segments), delta
+
+
+def expected_ramps(step, delta):
+    """(lo, hi) of the ramp at every jump, or the (start, end) a misfit had to fit in."""
+    ramps, start = [], 0.0
+    for a, b in zip(step.pieces, step.pieces[1:]):
+        left = a.value * (a.lo / a.hi) ** a.exponent if a.kind == "power" else a.value
+        right = b.value
+        start = max(start, a.lo)
+        if abs(left - right) <= 1e-12 * max(left, right):
+            continue
+        lo = a.hi - delta if left > 0.0 else a.hi
+        hi = a.hi + delta if right > 0.0 else a.hi
+        if lo < start or hi > b.hi:
+            return ramps, (start, b.hi)
+        ramps.append((lo, hi))
+        start = hi
+    return ramps, None
+
+
+class TestOnePass:
+    @ONE_PASS
+    @given(step_profiles())
+    def test_matches_independent_ramps(self, case):
+        step, delta = case
+        ramps, misfit = expected_ramps(step, delta)
+        if misfit is not None:
+            with pytest.raises(RampOverlapError) as err:
+                mollify_profile(step, delta)
+            assert err.value.pair == misfit
+            return
+        smooth = mollify_profile(step, delta)
+        pieces = smooth.pieces
+        assert pieces[0].lo == 0.0 and pieces[-1].hi == math.inf
+        assert all(a.hi == b.lo for a, b in zip(pieces, pieces[1:]))
+        assert [(p.lo, p.hi) for p in pieces if p.kind == "ramp"] == ramps
+        for i, p in enumerate(pieces):
+            if p.kind == "ramp":
+                # Continuous at both ends: each neighbour's value there is the ramp's.
+                if i > 0:
+                    assert pieces[i - 1].right_value() == p.left
+                assert pieces[i + 1].left_value() == p.right
+                continue
+            hi = min(p.hi, p.lo + 10.0)
+            for r in (p.lo, 0.5 * (p.lo + hi), p.lo + 0.999 * (hi - p.lo)):
+                source = next(q for q in step.pieces if q.lo <= r < q.hi)
+                if p.kind == "constant" or p.lo == source.lo:
+                    assert smooth(r) == step(r)
+                else:
+                    # Re-anchored at its new left end: v (lo/start)^n rounds once more.
+                    assert smooth(r) == pytest.approx(step(r), rel=1e-14)
+
+    def test_power_neighbours_meet_the_ramp(self):
+        # A ramp beside a power law takes the power law's value at the ramp's
+        # end, not at the old breakpoint, so the profile stays continuous.
+        rough = PiecewiseProfile.from_segments(
+            [Piece.constant(1.0, 0.0, 1.0), Piece.power(0.5, 3.0, 1.0, 2.0)])
+        pieces = mollify_profile(rough, 0.05).pieces
+        assert [p.kind for p in pieces] == ["constant", "ramp", "power", "ramp", "constant"]
+        assert pieces[1].right == pieces[2].value == rough(1.05)
+        assert pieces[3].left == pieces[2].right_value() == pytest.approx(rough(1.95), rel=1e-15)
+
+    def test_tiny_halo_gets_ramps(self):
+        # The scaling family at P = 20, radii (P^-2, P, P^2): the halo level
+        # is ~7e-16, far below an absolute jump threshold of 1e-12.
+        alpha = solve_corehalo_alpha(0.0025, 20.0, 400.0, 20.0)
+        params = CoreHaloParams(r1=0.0025, r2=20.0, r3=400.0, p=20.0, alpha=alpha, a=-0.9)
+        spec = MollifySpec(delta=default_delta(core_halo_ansatz(params)))
+        new_params, moll = rebalance(params, spec)
+        eta = moll.spatial
+        assert 0.0 < new_params.alpha < 1e-15
+        for a, b in zip(eta.pieces, eta.pieces[1:]):
+            assert a.right_value() == b.left_value(), f"jump at r = {a.hi}"
+        ramps = [(p.lo, p.hi) for p in eta.pieces if p.kind == "ramp"]
+        assert any(lo == 20.0 for lo, _ in ramps)
+        assert any(hi == 400.0 for _, hi in ramps)
+
+
 class TestAngularMollify:
     def test_cutoff_one_sided(self):
-        ang = mollify_angular(AngularProfile.cutoff(-0.8), 0.05)
+        ang = mollify_profile(AngularProfile.cutoff(-0.8), 0.05)
         assert ang(-0.8) == 0.0
         assert ang(-0.9) == 1.0
         assert 0.0 < ang(-0.82) < 1.0
@@ -136,7 +239,7 @@ class TestAngularMollify:
     def test_moments_match_quadrature(self):
         from virial_forge.quadrature import angular_moment_quad
 
-        ang = mollify_angular(AngularProfile.cutoff(-0.8), 0.05)
+        ang = mollify_profile(AngularProfile.cutoff(-0.8), 0.05)
         for k in (0, 1):
             oracle = angular_moment_quad(ang, k)
             assert ang.moment(k) == pytest.approx(oracle.value, rel=1e-12, abs=1e-15)

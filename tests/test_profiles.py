@@ -87,6 +87,11 @@ class TestConstruction:
         with pytest.raises(ProfileError):
             Piece.power(1.0, 2.0, 0.0, 1.0)
 
+    def test_constant_piece_with_exponent_rejected(self):
+        # A plateau is the power law of exponent 0; any other exponent is not one.
+        with pytest.raises(ProfileError):
+            Piece("constant", 0.0, 1.0, value=1.0, exponent=5.0)
+
     def test_negative_values_rejected(self):
         with pytest.raises(ProfileError):
             Piece.constant(-0.5, 0.0, 1.0)
