@@ -21,13 +21,8 @@ from .functionals import (
     FunctionalReport,
     check_criteria,
     evaluate,
-    kinetic_energy,
     kinetic_energy_ball,
-    l32_norm,
-    mass,
-    potential_energy,
     potential_energy_profile,
-    spatial_density,
     spatial_momentum_factor,
     total_energy,
     virial,
@@ -76,7 +71,6 @@ from .solvers import (
     solve_threshold_a,
     solve_uniform_R,
     uniform_ansatz,
-    virial_threshold_angle,
 )
 
 __version__ = "0.1.0"

@@ -47,7 +47,7 @@ class RunConfig:
     a: float = None
     alpha: float = None
     delta: float = None
-    tol_energy: float = 1e-9
+    tol_energy: float = functionals.DEFAULT_ENERGY_TOL
     format: str = "human"
     out: str = ""
     profiles: str = ""
@@ -93,7 +93,8 @@ def _add_family_options(sub):
 def _add_output_options(sub, formats=FORMATS):
     sub.add_argument("--format", choices=formats, default="human")
     sub.add_argument("--out", default="", help="output path (default stdout)")
-    sub.add_argument("--tol-energy", type=_finite_float, default=1e-9, dest="tol_energy")
+    sub.add_argument("--tol-energy", type=_finite_float, default=functionals.DEFAULT_ENERGY_TOL,
+                     dest="tol_energy")
 
 
 def build_parser():
@@ -138,14 +139,7 @@ def build_parser():
 
 
 def _config_from_args(args):
-    data = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
-    data["command"] = args.command
-    data["family"] = getattr(args, "family", "") or ""
-    data["format"] = getattr(args, "format", "human")
-    data["out"] = getattr(args, "out", "") or ""
-    data["profiles"] = getattr(args, "profiles", "") or ""
-    data["tol_energy"] = getattr(args, "tol_energy", 1e-9)
-    return RunConfig(**data)
+    return RunConfig(**{f.name: getattr(args, f.name, f.default) for f in fields(RunConfig)})
 
 
 def _require(cfg, *names):
@@ -156,9 +150,7 @@ def _require(cfg, *names):
 
 
 def _validate_family(cfg):
-    if cfg.family not in FAMILY_CHOICES:
-        raise ConfigError(f"unknown family {cfg.family!r}")
-    if cfg.tol_energy is None or cfg.tol_energy <= 0.0:
+    if cfg.tol_energy <= 0.0:
         raise ConfigError("--tol-energy must be positive")
     family = solvers.FAMILIES.get(cfg.family)
     if family is None:

@@ -18,9 +18,12 @@ profile that is not a ball and the fractional powers of ramps use the fixed
 Gauss-Legendre rules of ``profiles``, so this route integrates nothing
 adaptively and loads neither numpy nor scipy.  The adaptive source
 (``method="quadrature"``) integrates every moment adaptively, once per
-evaluation, and is kept as an independent oracle.  Certification checks the
-three blow-up hypotheses: zero total energy, virial <= -1/2, and L^{3/2}
-norm above the critical constant (3/8)(15/16)^{1/3}.
+evaluation, and is kept as an independent oracle.  Only ``evaluate`` takes
+``method``; the helpers ``virial``, ``total_energy``,
+``potential_energy_profile`` and ``spatial_momentum_factor`` read the exact
+source.  Certification checks the three blow-up hypotheses: zero total
+energy, virial <= -1/2, and L^{3/2} norm above the critical constant
+(3/8)(15/16)^{1/3}.
 """
 
 from __future__ import annotations
@@ -49,12 +52,6 @@ __all__ = [
     "Certificate",
     "kinetic_energy_ball",
     "momentum_energy_moment",
-    "mass",
-    "l32_norm",
-    "kinetic_energy",
-    "kinetic_energy_profile",
-    "spatial_density",
-    "potential_energy",
     "potential_energy_profile",
     "virial",
     "spatial_momentum_factor",
@@ -79,7 +76,8 @@ def momentum_energy_moment(p_max):
 
     Uses the antiderivative (P(1+2P^2)sqrt(1+P^2) - asinh P)/8; below
     P = 0.05 that expression cancels catastrophically, so a Maclaurin
-    series accurate to ~1e-13 takes over.
+    series accurate to ~1e-13 takes over.  Raises OverflowError where the
+    moment exceeds the float range (P above ~4e76).
     """
     check_positive(p_max, "momentum cutoff", ValueError, zero_ok=True)
     if p_max < 0.05:
@@ -89,7 +87,10 @@ def momentum_energy_moment(p_max):
         )
         return p_max**3 * series
     s = math.sqrt(1.0 + p_max * p_max)
-    return (p_max * (1.0 + 2.0 * p_max * p_max) * s - math.asinh(p_max)) / 8.0
+    moment = (p_max * (1.0 + 2.0 * p_max * p_max) * s - math.asinh(p_max)) / 8.0
+    if not math.isfinite(moment):
+        raise OverflowError(f"momentum energy moment overflows at P={p_max!r}")
+    return moment
 
 
 def kinetic_energy_ball(p_max):
@@ -307,80 +308,45 @@ class _Adaptive(_MomentSource):
             result = self._result(integral, *args)
             return abs(result.abs_error_estimate / result.value) if result.value else 0.0
 
-        moment = quadrature.profile_moment_quad
+        moment, angular = quadrature.profile_moment_quad, quadrature.angular_moment_quad
         base = (
             rel(moment, ansatz.spatial, 2)
             + rel(moment, ansatz.momentum, 2)
-            + rel(quadrature.angular_moment_quad, ansatz.angular, 0, 1.0)
+            + rel(angular, ansatz.angular, 0, 1.0)
         )
         return {
             "mass": base,
             "kinetic": base + rel(moment, ansatz.momentum, 2, 1.0, _relativistic),
             "potential": base + rel(quadrature.nested_mass_quad, ansatz.spatial),
-            "virial": base + rel(moment, ansatz.spatial, 3) + rel(moment, ansatz.momentum, 3),
-            "l32_norm": base,
+            "virial": base + rel(moment, ansatz.spatial, 3) + rel(moment, ansatz.momentum, 3)
+            + rel(angular, ansatz.angular, 1, 1.0),
+            "l32_norm": base + rel(moment, ansatz.spatial, 2, 1.5)
+            + rel(moment, ansatz.momentum, 2, 1.5) + rel(angular, ansatz.angular, 0, 1.5),
         }
 
 
 _SOURCES = {"auto": _Exact, _QUAD: _Adaptive}
+_EXACT = _Exact()
 
 
-def _source(method):
-    """A fresh moment source for ``method`` ("auto" or "quadrature")."""
-    if method not in _SOURCES:
-        raise ValueError(f"unknown evaluation method {method!r}")
-    return _SOURCES[method]()
-
-
-def mass(ansatz, method="auto"):
-    """Total mass (1 by construction; the adaptive source re-derives it)."""
-    return _source(method).mass(ansatz)
-
-
-def kinetic_energy_profile(phi, method="auto"):
-    """Kinetic energy determined by the momentum profile alone (>= 1)."""
-    return _source(method).kinetic_energy(phi)
-
-
-def kinetic_energy(ansatz, method="auto"):
-    """Mean sqrt(1+|p|^2), the kinetic-plus-rest-mass energy (>= 1)."""
-    return _source(method).kinetic_energy(ansatz.momentum)
-
-
-def spatial_density(ansatz, q_radius):
-    """Spatial mass density rho(|q|) = g(|q|) / (4 pi ||g r^2||)."""
-    m2q = _factor(ansatz.spatial.moment(2), "spatial")
-    return ansatz.spatial(q_radius) / (4.0 * math.pi * m2q)
-
-
-def potential_energy_profile(eta, method="auto"):
+def potential_energy_profile(eta):
     """Potential energy determined by the spatial profile alone (<= 0)."""
-    return _source(method).potential_energy(eta)
+    return _EXACT.potential_energy(eta)
 
 
-def potential_energy(ansatz, method="auto"):
-    """Potential (binding) energy of the ansatz."""
-    return _source(method).potential_energy(ansatz.spatial)
+def total_energy(ansatz):
+    """Kinetic plus potential energy; ``rebalance``'s residual, so no L^{3/2} ramp rules."""
+    return _EXACT.kinetic_energy(ansatz.momentum) + _EXACT.potential_energy(ansatz.spatial)
 
 
-def total_energy(ansatz, method="auto"):
-    """Kinetic plus potential energy."""
-    return kinetic_energy(ansatz, method=method) + potential_energy(ansatz, method=method)
-
-
-def spatial_momentum_factor(eta, phi, method="auto"):
+def spatial_momentum_factor(eta, phi):
     """(||g r^3||/||g r^2||) * (||h p^3||/||h p^2||), the a-free virial factor."""
-    return _source(method).spatial_momentum_factor(eta, phi)
+    return _EXACT.spatial_momentum_factor(eta, phi)
 
 
-def virial(ansatz, method="auto"):
+def virial(ansatz):
     """Mean q.p; negative when momenta point inward on average."""
-    return _source(method).virial(ansatz)
-
-
-def l32_norm(ansatz, method="auto"):
-    """L^{3/2} norm of the normalized phase-space density."""
-    return _source(method).l32_norm(ansatz)
+    return _EXACT.virial(ansatz)
 
 
 @dataclass(frozen=True)
@@ -412,7 +378,9 @@ def evaluate(ansatz, method="auto"):
     "fixed-rule" accordingly) or "quadrature" (every integral adaptive, each
     computed once -- the oracle route).
     """
-    source = _source(method)
+    if method not in _SOURCES:
+        raise ValueError(f"unknown evaluation method {method!r}")
+    source = _SOURCES[method]()
     kin = source.kinetic_energy(ansatz.momentum)
     pot = source.potential_energy(ansatz.spatial)
     return FunctionalReport(
@@ -449,7 +417,7 @@ class Certificate:
     passed: bool
 
 
-def check_criteria(ansatz, energy_tol=DEFAULT_ENERGY_TOL, method="auto"):
+def check_criteria(ansatz, energy_tol=DEFAULT_ENERGY_TOL):
     """Certify the blow-up hypotheses for one ansatz.
 
     Zero energy is certified to the tolerance ``energy_tol`` because solved
@@ -457,7 +425,7 @@ def check_criteria(ansatz, energy_tol=DEFAULT_ENERGY_TOL, method="auto"):
     can tighten the solve.
     """
     check_positive(energy_tol, "energy tolerance", ValueError)
-    report = evaluate(ansatz, method=method)
+    report = evaluate(ansatz)
     energy_residual = abs(report.total_energy)
     virial_margin = -0.5 - report.virial
     norm_margin = report.l32_norm - CRITICAL_L32_NORM

@@ -113,7 +113,7 @@ def mollify(ansatz, spec):
                            mollify_profile(ansatz.angular, spec.delta))
 
 
-def rebalance(params, spec, energy_tol=1e-10):
+def rebalance(params, spec, energy_tol=solvers.ENERGY_RESIDUAL_TOL):
     """Re-solve the family's free parameter on the mollified profiles.
 
     Returns ``(new_params, mollified_ansatz)`` where the free parameter

@@ -65,7 +65,6 @@ __all__ = [
     "corehalo_energy_quadratic",
     "solve_corehalo_alpha",
     "solve_monotonic_P",
-    "virial_threshold_angle",
     "solve_threshold_a",
 ]
 
@@ -354,14 +353,15 @@ def solve_monotonic_P(r1, r2, r3, n):
     return p_star
 
 
-def virial_threshold_angle(eta, phi):
-    """Largest angular cutoff a* with virial(a*) = -1/2 for these profiles.
+def solve_threshold_a(ansatz):
+    """Largest angular cutoff a* with virial(a*) = -1/2 for this ansatz's profiles.
 
-    The virial factorizes as S * (a - 1) / 2 for sharp cutoffs, so
-    a* = 1 - 1/S; every a <= a* keeps the virial at or below -1/2.  When
-    S <= 1/2 no cutoff in (-1, 1) reaches the threshold.
+    The angular part is ignored: the virial factorizes as S * (a - 1) / 2
+    for sharp cutoffs, S the spatial*momentum factor, so a* = 1 - 1/S and
+    every a <= a* keeps the virial at or below -1/2.  When S <= 1/2 no
+    cutoff in (-1, 1) reaches the threshold.
     """
-    factor = functionals.spatial_momentum_factor(eta, phi)
+    factor = functionals.spatial_momentum_factor(ansatz.spatial, ansatz.momentum)
     if factor <= 0.5:
         raise ThresholdUnreachableError(
             f"spatial*momentum virial factor {factor:.6g} <= 1/2: "
@@ -369,11 +369,6 @@ def virial_threshold_angle(eta, phi):
             factor=factor,
         )
     return 1.0 - 1.0 / factor
-
-
-def solve_threshold_a(ansatz):
-    """Threshold angle for an already-built ansatz (angular part ignored)."""
-    return virial_threshold_angle(ansatz.spatial, ansatz.momentum)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import random_ansatz
-from virial_forge import functionals, mollifier, scans, solvers
+from virial_forge import mollifier, scans, solvers
 from virial_forge.cli import main as cli_main
 from virial_forge.functionals import (
     CRITICAL_L32_NORM,
@@ -197,9 +197,10 @@ def test_criterion_9_invariant_suite():
             ),
         ]
         for ansatz in references + [random_ansatz(rng) for _ in range(10)]:
-            assert functionals.mass(ansatz) == pytest.approx(1.0, abs=1e-12)
-            assert functionals.kinetic_energy(ansatz) >= 1.0
-            assert functionals.potential_energy(ansatz) <= 0.0
+            report = evaluate(ansatz)
+            assert report.mass == pytest.approx(1.0, abs=1e-12)
+            assert report.kinetic >= 1.0
+            assert report.potential <= 0.0
         # Symmetric momenta: the virial vanishes identically.
         from virial_forge.profiles import SeparableAnsatz, momentum_ball
 
@@ -214,8 +215,8 @@ def test_criterion_9_invariant_suite():
             scaled = SeparableAnsatz(
                 ansatz.spatial.dilate(lam), ansatz.momentum, ansatz.angular
             )
-            assert functionals.potential_energy(scaled) == pytest.approx(
-                functionals.potential_energy(ansatz) / lam, rel=1e-12
+            assert evaluate(scaled).potential == pytest.approx(
+                evaluate(ansatz).potential / lam, rel=1e-12
             )
             base = spatial_momentum_factor(ansatz.spatial, ansatz.momentum)
             assert spatial_momentum_factor(

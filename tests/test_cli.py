@@ -481,6 +481,20 @@ class TestExtremeFlags:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--family", "uniform", "--p", "1e77", "--a", "-0.5"],
+        ["certify", "--family", "uniform", "--p", "1e102", "--a", "-0.5"],
+        ["certify", *COREHALO_NO_P, "--p", "1e77"],
+        ["scan", "--p-min", "1e100", "--p-max", "1e101", "--p-points", "2", "--a-points", "2"],
+    ])
+    def test_kinetic_overflow_is_a_numerical_failure(self, capsys, argv):
+        # Valid flags whose kinetic energy overflows: a numerical failure, not
+        # an invalid parameter.
+        code, _, err = run_cli(capsys, argv)
+        assert code == 2
+        assert err.startswith("error: numerical failure (OverflowError)")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("p", ["1e-104", "1e-106", "1e-110", "1e-300"])
     def test_tiny_p_is_a_degenerate_factor(self, capsys, p):
         code, _, err = run_cli(capsys, ["certify", "--family", "uniform", "--p", p,

@@ -20,14 +20,9 @@ from virial_forge.functionals import (
     CRITICAL_L32_NORM,
     check_criteria,
     evaluate,
-    kinetic_energy,
     kinetic_energy_ball,
-    l32_norm,
-    mass,
     momentum_energy_moment,
-    potential_energy,
     potential_energy_profile,
-    spatial_density,
     total_energy,
     virial,
 )
@@ -101,11 +96,11 @@ class TestNormalization:
         ids=["uniform", "core-halo", "monotonic"],
     )
     def test_mass_is_one(self, build):
-        assert mass(build()) == pytest.approx(1.0, abs=1e-12)
+        assert evaluate(build()).mass == pytest.approx(1.0, abs=1e-12)
 
     def test_mass_is_one_randomized(self, rng):
         for _ in range(10):
-            assert mass(random_ansatz(rng)) == pytest.approx(1.0, abs=1e-12)
+            assert evaluate(random_ansatz(rng)).mass == pytest.approx(1.0, abs=1e-12)
 
     def test_degenerate_rejected(self):
         zero = PiecewiseProfile((Piece.constant(0.0, 0.0, math.inf),))
@@ -147,6 +142,12 @@ class TestKineticEnergy:
         )
         assert momentum_energy_moment(p_max) == pytest.approx(oracle.value, rel=1e-12)
 
+    @pytest.mark.parametrize("p_max", [1e77, 1e102])
+    def test_overflow_raises(self, p_max):
+        # The moment exceeds the float range; inf would give a radius of 0.
+        with pytest.raises(OverflowError, match="momentum energy moment overflows"):
+            kinetic_energy_ball(p_max)
+
     def test_non_indicator_momentum_uses_quadrature(self):
         phi = PiecewiseProfile.from_segments(
             [Piece.constant(1.0, 0.0, 0.5), Piece.constant(0.3, 0.5, 1.5)],
@@ -155,42 +156,13 @@ class TestKineticEnergy:
         ans = SeparableAnsatz(uniform_eta(1.0), phi, AngularProfile.cutoff(1.0))
         num = profile_moment_quad(phi, 2, weight=lambda p: math.sqrt(1.0 + p * p))
         den = profile_moment_quad(phi, 2)
-        assert kinetic_energy(ans) == pytest.approx(num.value / den.value, rel=1e-12)
+        assert evaluate(ans).kinetic == pytest.approx(num.value / den.value, rel=1e-12)
 
     def test_rest_mass_floor_randomized(self, rng):
         for _ in range(10):
             phi = random_momentum_profile(rng)
             ans = SeparableAnsatz(uniform_eta(1.0), phi, AngularProfile.cutoff(1.0))
-            assert kinetic_energy(ans) >= 1.0
-
-
-class TestSpatialDensity:
-    def test_uniform_interior(self):
-        r = 1.4
-        ans = SeparableAnsatz(uniform_eta(r), momentum_ball(1.0), AngularProfile.cutoff(1.0))
-        assert spatial_density(ans, 0.3) == pytest.approx(
-            3.0 / (4.0 * math.pi * r**3), rel=1e-14
-        )
-        assert spatial_density(ans, 2.0 * r) == 0.0
-
-    def test_integrates_to_one(self):
-        ans = reference_corehalo()
-        res = integrate(
-            lambda q: spatial_density(ans, q) * 4.0 * math.pi * q * q,
-            0.0,
-            ans.spatial.support_radius,
-            breakpoints=ans.spatial.breakpoints,
-        )
-        assert res.value == pytest.approx(1.0, rel=1e-12)
-
-    def test_matches_direct_momentum_integration(self):
-        # rho(q) must equal C eta(q) * 2 pi * int(phi p^2) * int(L dx).
-        ans = reference_corehalo()
-        m2p = profile_moment_quad(ans.momentum, 2).value
-        m0 = angular_moment_quad(ans.angular, 0).value
-        for q in (0.1, 0.19, 1.2, 1.9):
-            direct = ans.norm_constant * ans.spatial(q) * 2.0 * math.pi * m2p * m0
-            assert spatial_density(ans, q) == pytest.approx(direct, rel=1e-10, abs=1e-18)
+            assert evaluate(ans).kinetic >= 1.0
 
 
 class TestPotentialEnergy:
@@ -210,17 +182,18 @@ class TestPotentialEnergy:
 
     def test_corehalo_balances_kinetic(self):
         ans = reference_corehalo()
-        assert potential_energy(ans) == pytest.approx(-kinetic_energy_ball(1.0), rel=1e-10)
+        assert evaluate(ans).potential == pytest.approx(-kinetic_energy_ball(1.0), rel=1e-10)
 
     def test_closed_form_matches_quadrature(self):
         eta = monotonic_eta(0.01, 1.0 / 11.0, 0.1, 3.0)
         closed = potential_energy_profile(eta)
-        adaptive = potential_energy_profile(eta, method="quadrature")
+        ans = SeparableAnsatz(eta, momentum_ball(1.0), AngularProfile.cutoff(1.0))
+        adaptive = evaluate(ans, method="quadrature").potential
         assert closed == pytest.approx(adaptive, rel=1e-8)
 
     def test_never_positive(self, rng):
         for _ in range(10):
-            assert potential_energy(random_ansatz(rng)) <= 0.0
+            assert evaluate(random_ansatz(rng)).potential <= 0.0
 
 
 NESTED_PROPERTY = settings(derandomize=True, deadline=None, max_examples=60, database=None)
@@ -357,7 +330,7 @@ class TestVirial:
 
     def test_reference_corehalo_value(self):
         ans = reference_corehalo(a=-0.8)
-        oracle = virial(ans, method="quadrature")
+        oracle = evaluate(ans, method="quadrature").virial
         got = virial(ans)
         assert got == pytest.approx(oracle, rel=1e-10)
         assert got <= -0.5
@@ -387,9 +360,9 @@ class TestL32Norm:
         # phase-space volume bookkeeping, i.e. (9/(16 pi^2))^{1/3}.
         ans = unit_box_ansatz(a=1.0)
         expected = (9.0 / (16.0 * math.pi**2)) ** (1.0 / 3.0)
-        assert l32_norm(ans) == pytest.approx(expected, rel=1e-13)
+        assert evaluate(ans).l32_norm == pytest.approx(expected, rel=1e-13)
         alt = (2.0 / 9.0) ** (-1.0 / 3.0) / (2.0 * math.pi ** (2.0 / 3.0))
-        assert l32_norm(ans) == pytest.approx(alt, rel=1e-13)
+        assert evaluate(ans).l32_norm == pytest.approx(alt, rel=1e-13)
 
     def test_spatial_shrink_raises_norm(self):
         base = unit_box_ansatz(a=1.0)
@@ -397,7 +370,7 @@ class TestL32Norm:
         shrunk = SeparableAnsatz(
             base.spatial.dilate(lam), base.momentum, base.angular
         )
-        assert l32_norm(shrunk) == pytest.approx(l32_norm(base) / lam, rel=1e-12)
+        assert evaluate(shrunk).l32_norm == pytest.approx(evaluate(base).l32_norm / lam, rel=1e-12)
 
     @pytest.mark.parametrize("build,n_samples", [(unit_box_ansatz, 100_000),
                                                  (reference_corehalo, 250_000)])
@@ -424,7 +397,7 @@ class TestL32Norm:
         volume = 8.0 * math.pi**2 * (q_max**3 / 3.0) * (p_max**3 / 3.0) * 2.0
         integral = volume * samples.mean()
         stderr = volume * samples.std(ddof=1) / math.sqrt(n_samples)
-        closed = l32_norm(ans) ** 1.5
+        closed = evaluate(ans).l32_norm ** 1.5
         assert abs(integral - closed) <= 5.0 * stderr + 1e-12 * closed
 
     def test_critical_constant(self):
@@ -544,26 +517,31 @@ class TestMomentSources:
         assert n_memoized == len(oracle_calls) == 11
         assert repr(memoized) == repr(fresh)
 
+    @staticmethod
+    def _rel_estimate(result):
+        return abs(result.abs_error_estimate / result.value)
+
+    def test_residuals_read_norm_and_angular_moments(self):
+        # l32_norm reads the three beta = 3/2 norm moments and virial the
+        # angular first moment; their estimates must enter the residuals.
+        ans = reference_monotonic()
+        rep = evaluate(ans, method="quadrature")
+        spatial_norm = self._rel_estimate(profile_moment_quad(ans.spatial, 2, 1.5))
+        assert spatial_norm > 1e-8
+        assert rep.residuals["l32_norm"] >= spatial_norm
+        assert rep.residuals["virial"] >= self._rel_estimate(angular_moment_quad(ans.angular, 1))
+
+    def test_virial_residual_reads_angular_first_moment(self):
+        # int x L nearly cancels here, so its relative estimate dominates.
+        angular = AngularProfile((Piece.constant(1.0, -1.0, 0.0),
+                                  Piece.constant(1.0 + 1e-6, 0.0, 1.0)))
+        ans = SeparableAnsatz(uniform_eta(1.0), momentum_ball(1.0), angular)
+        first = self._rel_estimate(angular_moment_quad(angular, 1))
+        assert first > 1e-10
+        assert evaluate(ans, method="quadrature").residuals["virial"] >= first
+
     @pytest.mark.parametrize("method", ["closed-form", "quad", "exact", ""])
-    @pytest.mark.parametrize(
-        "call",
-        [
-            lambda a, m: mass(a, method=m),
-            lambda a, m: kinetic_energy(a, method=m),
-            lambda a, m: functionals.kinetic_energy_profile(a.momentum, method=m),
-            lambda a, m: potential_energy(a, method=m),
-            lambda a, m: potential_energy_profile(a.spatial, method=m),
-            lambda a, m: total_energy(a, method=m),
-            lambda a, m: functionals.spatial_momentum_factor(a.spatial, a.momentum, method=m),
-            lambda a, m: virial(a, method=m),
-            lambda a, m: l32_norm(a, method=m),
-            lambda a, m: evaluate(a, method=m),
-            lambda a, m: check_criteria(a, method=m),
-        ],
-        ids=["mass", "kinetic_energy", "kinetic_energy_profile", "potential_energy",
-             "potential_energy_profile", "total_energy", "spatial_momentum_factor",
-             "virial", "l32_norm", "evaluate", "check_criteria"],
-    )
+    @pytest.mark.parametrize("call", [evaluate], ids=["evaluate"])
     def test_unknown_method_rejected(self, call, method):
         with pytest.raises(ValueError, match="unknown evaluation method"):
             call(reference_corehalo(), method)

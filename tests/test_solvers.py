@@ -25,7 +25,14 @@ from virial_forge.functionals import (
     total_energy,
     virial,
 )
-from virial_forge.profiles import core_halo_eta, momentum_ball, monotonic_eta, uniform_eta
+from virial_forge.profiles import (
+    AngularProfile,
+    SeparableAnsatz,
+    core_halo_eta,
+    momentum_ball,
+    monotonic_eta,
+    uniform_eta,
+)
 from virial_forge.quadrature import nested_mass_quad
 from virial_forge.scans import ScanGrid
 from virial_forge.solvers import (
@@ -47,7 +54,6 @@ from virial_forge.solvers import (
     solve_threshold_a,
     solve_uniform_R,
     uniform_ansatz,
-    virial_threshold_angle,
 )
 
 
@@ -238,7 +244,8 @@ class TestThreshold:
 
     def test_unit_factor_gives_zero(self):
         # S = (3R/4)(3P/4) = 1 at R = 16/9, P = 1 (no energy constraint here).
-        a_star = virial_threshold_angle(uniform_eta(16.0 / 9.0), momentum_ball(1.0))
+        a_star = solve_threshold_a(SeparableAnsatz(
+            uniform_eta(16.0 / 9.0), momentum_ball(1.0), AngularProfile.cutoff(1.0)))
         assert a_star == pytest.approx(0.0, abs=1e-14)
 
 
