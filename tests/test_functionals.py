@@ -165,6 +165,42 @@ class TestKineticEnergy:
             assert evaluate(ans).kinetic >= 1.0
 
 
+def spatial_density(ansatz, q_radius):
+    """Spatial mass density rho(|q|) = g(|q|) / (4 pi ||g r^2||), from the profile moment."""
+    return ansatz.spatial(q_radius) / (4.0 * math.pi * ansatz.spatial.moment(2))
+
+
+class TestSpatialDensity:
+    # The density is the momentum marginal of the normalized phase-space
+    # density; these pin the spatial moment and norm_constant that form it.
+    def test_uniform_interior(self):
+        r = 1.4
+        ans = SeparableAnsatz(uniform_eta(r), momentum_ball(1.0), AngularProfile.cutoff(1.0))
+        assert spatial_density(ans, 0.3) == pytest.approx(
+            3.0 / (4.0 * math.pi * r**3), rel=1e-14
+        )
+        assert spatial_density(ans, 2.0 * r) == 0.0
+
+    def test_integrates_to_one(self):
+        ans = reference_corehalo()
+        res = integrate(
+            lambda q: spatial_density(ans, q) * 4.0 * math.pi * q * q,
+            0.0,
+            ans.spatial.support_radius,
+            breakpoints=ans.spatial.breakpoints,
+        )
+        assert res.value == pytest.approx(1.0, rel=1e-12)
+
+    def test_matches_direct_momentum_integration(self):
+        # rho(q) must equal C eta(q) * 2 pi * int(phi p^2) * int(L dx).
+        ans = reference_corehalo()
+        m2p = profile_moment_quad(ans.momentum, 2).value
+        m0 = angular_moment_quad(ans.angular, 0).value
+        for q in (0.1, 0.19, 1.2, 1.9):
+            direct = ans.norm_constant * ans.spatial(q) * 2.0 * math.pi * m2p * m0
+            assert spatial_density(ans, q) == pytest.approx(direct, rel=1e-10, abs=1e-18)
+
+
 class TestPotentialEnergy:
     def test_uniform_ball_reference(self):
         assert potential_energy_profile(uniform_eta(1.0)) == pytest.approx(-0.6, rel=1e-14)
