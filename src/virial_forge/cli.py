@@ -13,11 +13,12 @@ non-finite configuration.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 from . import functionals, mollifier, scans, solvers
 from .errors import ConfigError, ProfileError, VirialForgeError
@@ -56,9 +57,6 @@ class RunConfig:
     p_points: int = None
     a_points: int = None
 
-    def to_dict(self):
-        return asdict(self)
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse that raises ConfigError instead of exiting with code 2."""
@@ -93,6 +91,10 @@ def _add_family_options(sub):
 def _add_output_options(sub, formats=FORMATS):
     sub.add_argument("--format", choices=formats, default="human")
     sub.add_argument("--out", default="", help="output path (default stdout)")
+
+
+def _add_certificate_options(sub):
+    _add_output_options(sub, formats=("human", "kv"))
     sub.add_argument("--tol-energy", type=_finite_float, default=functionals.DEFAULT_ENERGY_TOL,
                      dest="tol_energy")
 
@@ -105,13 +107,13 @@ def build_parser():
         "certify", help="solve the family's free parameter and certify the datum"
     )
     _add_family_options(certify)
-    _add_output_options(certify, formats=("human", "kv"))
+    _add_certificate_options(certify)
 
     report = commands.add_parser(
         "report", help="print every functional without pass/fail gating"
     )
     _add_family_options(report)
-    _add_output_options(report, formats=("human", "kv"))
+    _add_certificate_options(report)
 
     scan = commands.add_parser("scan", help="uniform-ball virial floor sweep")
     scan.add_argument("--p-min", type=_finite_float, default=1e-2, dest="p_min")
@@ -134,8 +136,14 @@ def build_parser():
     )
     _add_family_options(moll)
     moll.add_argument("--delta", type=_finite_float, help="ramp half-width (default 1e-3 * feature)")
-    _add_output_options(moll, formats=("human", "kv"))
+    _add_certificate_options(moll)
     return parser
+
+
+@functools.cache
+def _parser():
+    """The process's one parser: parse_args keeps no state between calls."""
+    return build_parser()
 
 
 def _config_from_args(args):
@@ -248,7 +256,7 @@ def _fmt_value(value):
 
 
 def _config_pairs(cfg):
-    return [("config." + key, _fmt_value(val)) for key, val in cfg.to_dict().items()]
+    return [("config." + f.name, _fmt_value(getattr(cfg, f.name))) for f in fields(cfg)]
 
 
 def _render(pairs, fmt):
@@ -365,7 +373,7 @@ def _cmd_asymptotics(cfg):
         raise ConfigError("asymptotics needs at least 5 grid points")
     if not (0.0 < cfg.p_min <= cfg.p_max):
         raise ConfigError("need 0 < p-min <= p-max")
-    if cfg.a is None or not (-1.0 < cfg.a < 1.0):
+    if not (-1.0 < cfg.a < 1.0):
         raise ConfigError("--a must lie in (-1, 1)")
     import numpy as np
 
@@ -427,9 +435,8 @@ _COMMANDS = {
 
 def main(argv=None):
     """Run the CLI; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         cfg = _config_from_args(args)
         code, text = _COMMANDS[cfg.command](cfg)
     except ConfigError as exc:

@@ -1,15 +1,19 @@
 """CLI contract: exit codes, determinism, config echo, custom profiles."""
 
+import argparse
 import contextlib
 import io
 import json
+import types
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import mp_total_energy
+from virial_forge import cli
 from virial_forge.cli import main
+from virial_forge.errors import ConfigError
 from virial_forge.mollifier import mollify_profile
 from virial_forge.profiles import momentum_ball, uniform_eta
 from virial_forge.solvers import solve_corehalo_alpha
@@ -109,6 +113,13 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, ["certify", "--nonsense", "1"])
         assert code == 3
 
+    @pytest.mark.parametrize("command", ["scan", "asymptotics"])
+    def test_tol_energy_is_unknown_to_the_grid_commands(self, capsys, command):
+        # scan and asymptotics certify nothing, so they take no energy tolerance.
+        code, _, err = run_cli(capsys, [command, "--tol-energy", "1e-9"])
+        assert code == 3
+        assert "unrecognized arguments: --tol-energy 1e-9" in err
+
     def test_csv_not_valid_for_certify(self, capsys):
         code, _, _ = run_cli(capsys, ["certify", *COREHALO, "--format", "csv"])
         assert code == 3
@@ -182,6 +193,12 @@ class TestAsymptotics:
         assert code == 3
         assert err == ("error: invalid parameters: scaling family needs P >= 1 "
                        "(radii P^-2, P, P^2), got P=0.001\n")
+
+    @pytest.mark.parametrize("a", ["-1", "1"])
+    def test_a_outside_the_open_interval_is_config_error(self, capsys, a):
+        code, _, err = run_cli(capsys, ["asymptotics", "--a", a])
+        assert code == 3
+        assert err == "error: invalid configuration: --a must lie in (-1, 1)\n"
 
 
 class TestMollify:
@@ -537,3 +554,73 @@ def test_every_flag_combination_exits_with_a_documented_code(case):
         assert "verdict=fail" in out.getvalue()
     if non_finite:
         assert code == 3
+
+
+# One argv of each outcome; main runs a random sequence of them on one parser.
+PARSER_ARGVS = (
+    ("certify", *COREHALO, "--format", "kv"),
+    ("certify", *COREHALO, "--tol-energy", "1e-6", "--format", "kv"),
+    ("certify", "--family", "uniform", "--p", "1", "--a", "-0.99"),
+    ("report", *MONOTONIC, "--format", "kv"),
+    ("mollify", "--family", "uniform", "--p", "1", "--a", "-0.5", "--format", "kv"),
+    ("scan", "--p-points", "3", "--a-points", "2", "--format", "kv"),
+    ("certify", *COREHALO, "--nonsense", "1"),
+    ("scan", "--tol-energy", "1e-9"),
+    ("certify", *COREHALO_NO_P, "--p", "nan"),
+    ("mollify", *COREHALO, "--delta", "inf"),
+    ("certify", "--family", "spherical", "--p", "1", "--a", "-0.5"),
+    (),
+    ("--format", "kv"),
+    ("certify", "--help"),
+)
+
+
+def outcome(argv):
+    """(exit code, stdout, stderr) of main(argv); --help exits through SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestParserReuse:
+    @settings(derandomize=True, deadline=None, max_examples=40, database=None)
+    @given(st.lists(st.sampled_from(PARSER_ARGVS), min_size=1, max_size=8))
+    def test_reused_parser_matches_a_fresh_one(self, argvs):
+        reused = [outcome(argv) for argv in argvs]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_parser", cli.build_parser)
+            fresh = [outcome(argv) for argv in argvs]
+        assert reused == fresh
+
+    def test_main_builds_one_parser_per_process(self, monkeypatch):
+        inits = []
+        original = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            inits.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli._parser.cache_clear()
+        argv = ["certify", *COREHALO, "--format", "kv"]
+        assert main(argv) == 0
+        assert len(inits) == 6  # the root parser and its five subcommands
+        inits.clear()
+        for _ in range(20):
+            assert main(argv) == 0
+        assert inits == []
+
+    def test_build_parser_returns_an_unshared_parser(self):
+        # A plain function, so tracers that wrap module functions still see it.
+        assert isinstance(cli.build_parser, types.FunctionType)
+        first, second = cli.build_parser(), cli.build_parser()
+        assert first is not second and cli._parser() not in (first, second)
+        first.add_argument("--only-first")
+        assert first.parse_args(["--only-first=x", "scan"]).only_first == "x"
+        for parser in (second, cli._parser()):
+            with pytest.raises(ConfigError, match="--only-first"):
+                parser.parse_args(["--only-first=x", "scan"])
