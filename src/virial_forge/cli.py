@@ -29,6 +29,9 @@ __all__ = ["RunConfig", "main", "entrypoint", "build_parser"]
 
 FAMILY_CHOICES = (*solvers.FAMILIES, "custom")
 FORMATS = ("human", "kv", "csv")
+# Float flags that give a datum; ``_validate_family`` rejects those a command
+# does not read for the chosen family.
+_DATUM_FLOATS = ("r1", "r2", "r3", "p", "n", "a", "alpha")
 
 # Document key of each params field the documents report.
 _SOLVED_KEYS = (("R", "r"), ("P", "p"), ("n", "n"), ("alpha", "alpha"))
@@ -76,16 +79,14 @@ def _finite_float(text):
     return value
 
 
-def _add_family_options(sub):
-    sub.add_argument("--family", choices=FAMILY_CHOICES, required=True)
-    sub.add_argument("--r1", type=_finite_float)
-    sub.add_argument("--r2", type=_finite_float)
-    sub.add_argument("--r3", type=_finite_float)
-    sub.add_argument("--p", type=_finite_float)
-    sub.add_argument("--n", type=_finite_float)
-    sub.add_argument("--a", type=_finite_float)
-    sub.add_argument("--alpha", type=_finite_float, help="override the solved halo level")
-    sub.add_argument("--profiles", help="profile-literal JSON file (custom family)")
+def _add_family_options(sub, custom=True):
+    """--family and the datum flags; --profiles where the custom family is a choice."""
+    sub.add_argument("--family", required=True,
+                     choices=FAMILY_CHOICES if custom else tuple(solvers.FAMILIES))
+    for name in _DATUM_FLOATS:
+        sub.add_argument(f"--{name}", type=_finite_float)
+    if custom:
+        sub.add_argument("--profiles", help="profile-literal JSON file (custom family)")
 
 
 def _add_output_options(sub, formats=FORMATS):
@@ -113,7 +114,7 @@ def build_parser():
         "report", help="print every functional without pass/fail gating"
     )
     _add_family_options(report)
-    _add_certificate_options(report)
+    _add_output_options(report, formats=("human", "kv"))
 
     scan = commands.add_parser("scan", help="uniform-ball virial floor sweep")
     scan.add_argument("--p-min", type=_finite_float, default=1e-2, dest="p_min")
@@ -134,7 +135,7 @@ def build_parser():
     moll = commands.add_parser(
         "mollify", help="smooth the steps, re-solve zero energy, certify"
     )
-    _add_family_options(moll)
+    _add_family_options(moll, custom=False)
     moll.add_argument("--delta", type=_finite_float, help="ramp half-width (default 1e-3 * feature)")
     _add_certificate_options(moll)
     return parser
@@ -150,29 +151,38 @@ def _config_from_args(args):
     return RunConfig(**{f.name: getattr(args, f.name, f.default) for f in fields(RunConfig)})
 
 
-def _require(cfg, *names):
-    missing = [n for n in names if getattr(cfg, n) is None]
-    if missing:
-        flags = ", ".join("--" + n.replace("_", "-") for n in missing)
-        raise ConfigError(f"family {cfg.family!r} requires {flags}")
+def _flags(names):
+    return ", ".join("--" + name for name in names)
 
 
 def _validate_family(cfg):
+    """Check the datum flags in one pass: each is required, optional or rejected.
+
+    A family requires its inputs.  certify and report also read its free
+    parameter, which replaces the solve; mollify re-solves it on the smoothed
+    datum, so it takes no override.  The custom family reads --profiles only.
+    """
     if cfg.tol_energy <= 0.0:
         raise ConfigError("--tol-energy must be positive")
     family = solvers.FAMILIES.get(cfg.family)
     if family is None:
-        if not cfg.profiles:
-            raise ConfigError("custom family requires --profiles FILE")
+        required = reads = ("profiles",)
     else:
-        _require(cfg, *family.inputs)
-        if "r1" in family.inputs:
-            check_radii(cfg.r1, cfg.r2, cfg.r3)
-        # The free parameter is optional: given, it replaces the solve.
-        for name in (*family.inputs, family.free):
-            value = getattr(cfg, name, None)
-            if name != "a" and value is not None and value <= 0.0:
-                raise ConfigError(f"--{name} must be positive")
+        required = family.inputs
+        reads = required if cfg.command == "mollify" else (*required, family.free)
+    given = [name for name in (*_DATUM_FLOATS, "profiles")
+             if getattr(cfg, name) not in (None, "")]
+    unread = [name for name in given if name not in reads]
+    if unread:
+        raise ConfigError(f"{cfg.command} --family {cfg.family} does not read {_flags(unread)}")
+    missing = [name for name in required if name not in given]
+    if missing:
+        raise ConfigError(f"family {cfg.family!r} requires {_flags(missing)}")
+    if "r1" in reads:
+        check_radii(cfg.r1, cfg.r2, cfg.r3)
+    for name in given:
+        if name not in ("a", "profiles") and getattr(cfg, name) <= 0.0:
+            raise ConfigError(f"--{name} must be positive")
     if cfg.a is not None and not (-1.0 < cfg.a <= 1.0):
         raise ConfigError("--a must lie in (-1, 1]")
     if cfg.delta is not None and cfg.delta < 0.0:
@@ -401,8 +411,6 @@ def _cmd_asymptotics(cfg):
 
 def _cmd_mollify(cfg):
     _validate_family(cfg)
-    if cfg.family == "custom":
-        raise ConfigError("mollify supports the uniform, core-halo and monotonic families")
     params, step_ansatz = _solve_family(cfg)
     delta = cfg.delta
     if delta is None:

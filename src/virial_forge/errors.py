@@ -30,38 +30,15 @@ class NoRootError(VirialForgeError):
 
 
 class NoPositiveRootError(NoRootError):
-    """The zero-energy quadratic has no positive root.
-
-    Carries both roots of the quadratic (possibly empty) for diagnosis.
-    """
-
-    def __init__(self, message, roots=()):
-        super().__init__(message)
-        self.roots = tuple(roots)
+    """The zero-energy quadratic has no positive root."""
 
 
 class ThresholdUnreachableError(VirialForgeError):
-    """No angular cutoff reaches virial -1/2 (spatial*momentum factor <= 1/2).
-
-    Carries the offending factor value as ``factor``.
-    """
-
-    def __init__(self, message, factor=None):
-        super().__init__(message)
-        self.factor = factor
+    """No angular cutoff reaches virial -1/2 (spatial*momentum factor <= 1/2)."""
 
 
 class RampOverlapError(VirialForgeError):
-    """Mollification ramps would collide.
-
-    ``pair`` is the stretch the offending ramp had to fit in: from the end
-    of the ramp before it (or its piece's left edge) to the far edge of the
-    piece after its breakpoint.
-    """
-
-    def __init__(self, message, pair=None):
-        super().__init__(message)
-        self.pair = pair
+    """Mollification ramps would collide."""
 
 
 class GridExhaustedError(VirialForgeError):

@@ -1,4 +1,4 @@
-"""Replace step discontinuities with C^1 ramps and restore zero energy.
+"""Replace value jumps with smoothstep ramps and restore zero energy.
 
 Every jump of a piecewise profile, radial or angular, is replaced by a cubic
 smoothstep ramp of half-width delta.  A jump is any difference above 1e-12
@@ -9,8 +9,11 @@ and the support are preserved exactly.  One pass over the pieces trims each
 to the stretch between the ramp before it and the ramp after it, with its
 formula unchanged, so values away from the ramps are those of the step
 profile.  Each ramp takes its end values from its neighbours there, so the
-profile is continuous; next to plateaus (every family datum) the
-smoothstep's zero end slopes make the seams C^1 as well.
+profile is continuous; next to plateaus (every ramp of a family datum) the
+smoothstep's zero end slopes make the seams C^1 as well.  So a family datum
+is C^1 at every former value jump only: slope jumps without a value jump
+(the monotonic family at r1 and r2) are left as they are, and
+``seam_smoothness`` examines the ends of ramps only.
 
 Smoothing perturbs the energy balance, so ``rebalance`` re-solves each
 family's free parameter on the mollified profiles with one bracketed Brent
@@ -89,9 +92,7 @@ def _mollify_pieces(pieces, delta):
             if lo < start or hi > nxt.hi:
                 raise RampOverlapError(
                     f"ramp [{lo}, {hi}] at breakpoint {b} would leave [{start}, {nxt.hi}], "
-                    "crossing a piece edge or the ramp before it",
-                    pair=(start, nxt.hi),
-                )
+                    "crossing a piece edge or the ramp before it")
         if lo > start:
             p = replace(p, lo=start, hi=lo, value=p.value_at(start))
             out.append(p)
@@ -102,7 +103,7 @@ def _mollify_pieces(pieces, delta):
 
 
 def mollify_profile(profile, delta):
-    """C^1 version of a step profile, radial or angular (plateaus unchanged)."""
+    """Continuous version of a step profile, radial or angular: a ramp at every value jump."""
     return replace(profile, pieces=_mollify_pieces(profile.pieces, delta))
 
 
@@ -116,20 +117,20 @@ def mollify(ansatz, spec):
 def rebalance(params, spec, energy_tol=solvers.ENERGY_RESIDUAL_TOL):
     """Re-solve the family's free parameter on the mollified profiles.
 
-    Returns ``(new_params, mollified_ansatz)`` where the free parameter
-    (radius for the uniform ball, halo level for the disjoint core-halo,
-    momentum cutoff for the monotonic family) has been re-solved so the
+    ``params`` is a step datum whose free parameter x0 (radius for the
+    uniform ball, halo level for the disjoint core-halo, momentum cutoff for
+    the monotonic family) is the step solve.  Returns ``(new_params,
+    mollified_ansatz)`` where that parameter has been re-solved so the
     mollified datum's total energy vanishes to ``energy_tol``.
 
-    Starting from the step solve x0, the root is bracketed on [x0/2, x0]
-    (hi doubled until the energy changes sign) and refined by Brent
-    iteration.  With ``spec.delta == 0`` this is the step solve exactly.
+    The root is bracketed on [x0/2, x0] (hi doubled until the energy changes
+    sign) and refined by Brent iteration.  With ``spec.delta == 0`` the
+    given params and their step ansatz are returned.
     """
     family = solvers.family_of(params)
-    x0 = family.solve(**{name: getattr(params, name) for name in family.inputs})
     if spec.delta == 0.0:
-        new_params = replace(params, **{family.free: x0})
-        return new_params, family.ansatz(new_params)
+        return params, family.ansatz(params)
+    x0 = getattr(params, family.free)
 
     # The factors x does not move are the same step profiles at every x, so
     # their smoothed copies, and the integrals memoized on them, are made once.
@@ -143,9 +144,7 @@ def rebalance(params, spec, energy_tol=solvers.ENERGY_RESIDUAL_TOL):
         return functionals.total_energy(mollified(x))
 
     bracket = RootBracket.expand(residual, 0.5 * x0, x0)
-    x = bracket.lo if bracket.lo == bracket.hi else brentq(
-        residual, bracket.lo, bracket.hi, xtol=1e-15 * x0
-    )
+    x = brentq(residual, bracket.lo, bracket.hi, xtol=1e-15 * x0)
     if abs(residual(x)) > energy_tol:
         raise NoRootError(f"rebalanced energy residual {residual(x):.3e}")
     return replace(params, **{family.free: x}), mollified(x)

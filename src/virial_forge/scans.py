@@ -33,7 +33,6 @@ __all__ = [
     "FitResult",
     "FloorScanResult",
     "ScalingScanResult",
-    "default_floor_grid",
     "default_scaling_pvalues",
     "uniform_ball_floor",
     "asymptotic_scaling",
@@ -97,16 +96,6 @@ class ScalingScanResult:
     failures: tuple  # P values whose zero-energy solve had no positive root
 
 
-def default_floor_grid(n_p=200, n_a=40):
-    """P log-spaced over [1e-2, 1e4], a linear over [-1 + 1e-6, 0.9]."""
-    import numpy as np
-
-    return ScanGrid(
-        P_values=tuple(np.geomspace(1e-2, 1e4, n_p)),
-        a_values=tuple(np.linspace(-1.0 + 1e-6, 0.9, n_a)),
-    )
-
-
 def default_scaling_pvalues(n=9):
     """Log-spaced momentum cutoffs over [1e2, 1e4] for the scaling fits."""
     import numpy as np
@@ -152,7 +141,7 @@ def _crosscheck_row(row, ansatz):
             )
 
 
-def uniform_ball_floor(grid=None):
+def uniform_ball_floor(grid):
     """Minimum uniform-ball virial over a grid (stays above -9/20).
 
     Every grid point is a zero-energy ball, so the scan shows the family
@@ -160,9 +149,6 @@ def uniform_ball_floor(grid=None):
     P -> inf with a -> -1.
     """
     import numpy as np
-
-    if grid is None:
-        grid = default_floor_grid()
 
     uniform = solvers.FAMILIES["uniform"]
     cutoffs = [AngularProfile.cutoff(a) for a in grid.a_values]

@@ -296,7 +296,7 @@ def solve_corehalo_alpha(r1, r2, r3, p, full_output=False):
 
     Returns the positive root of the energy quadratic; when both roots are
     positive the smaller one (the tiny-halo branch) is returned.  Raises
-    NoPositiveRootError, carrying both roots for diagnosis, when the
+    NoPositiveRootError, whose message gives both roots, when the
     configuration cannot reach zero energy with a positive halo.
 
     With ``full_output`` the returned value is ``(alpha, roots)``.
@@ -310,17 +310,13 @@ def solve_corehalo_alpha(r1, r2, r3, p, full_output=False):
         if abs(c_coef) <= 1e-12 * scale:
             return (0.0, (0.0,)) if full_output else 0.0
         raise NoPositiveRootError(
-            "degenerate halo (r2 == r3) and the core alone does not balance",
-            roots=(),
-        )
+            "degenerate halo (r2 == r3) and the core alone does not balance")
     roots = solve_quadratic(a_coef, b_coef, c_coef)
     positive = [x for x in roots if x > 0.0]
     if not positive:
         raise NoPositiveRootError(
             "zero-energy condition has no positive halo level "
-            f"(roots {roots}) for r1={r1}, r2={r2}, r3={r3}, p={p}",
-            roots=roots,
-        )
+            f"(roots {roots}) for r1={r1}, r2={r2}, r3={r3}, p={p}")
     alpha = min(positive)
     return (alpha, roots) if full_output else alpha
 
@@ -345,8 +341,6 @@ def solve_monotonic_P(r1, r2, r3, n):
         return functionals.kinetic_energy_ball(p) + pot
 
     bracket = RootBracket.expand(residual, *BRACKET_START)
-    if bracket.lo == bracket.hi:
-        return bracket.lo
     p_star = brentq(residual, bracket.lo, bracket.hi, xtol=PARAM_TOL)
     if abs(residual(p_star)) > ENERGY_RESIDUAL_TOL:
         raise NoRootError(f"energy residual {residual(p_star):.3e} above tolerance")
@@ -365,9 +359,7 @@ def solve_threshold_a(ansatz):
     if factor <= 0.5:
         raise ThresholdUnreachableError(
             f"spatial*momentum virial factor {factor:.6g} <= 1/2: "
-            "no angular cutoff reaches virial -1/2",
-            factor=factor,
-        )
+            "no angular cutoff reaches virial -1/2")
     return 1.0 - 1.0 / factor
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import mp_total_energy
-from virial_forge import cli
+from virial_forge import cli, solvers
 from virial_forge.cli import main
 from virial_forge.errors import ConfigError
 from virial_forge.mollifier import mollify_profile
@@ -95,6 +95,27 @@ class TestCertify:
         assert float(doc["energy_residual"]) > 1e-9
 
 
+# A valid datum of each family, and a value for every datum flag.
+DATUM_ARGV = {
+    "uniform": ["--p", "1", "--a", "-0.8"],
+    "core-halo": COREHALO[2:],
+    "monotonic": MONOTONIC[2:],
+    "custom": ["--profiles", "profiles.json"],
+}
+FLAG_VALUE = {"r1": "0.05", "r2": "1.5", "r3": "2.5", "p": "2", "n": "4", "a": "-0.6",
+              "alpha": "0.1", "profiles": "profiles.json"}
+# certify and report read a family's free parameter as an override; mollify
+# re-solves it, and has no custom family.
+OVERRIDE = {"core-halo": "alpha", "monotonic": "p"}
+UNREAD = [
+    (command, family, flag)
+    for command in ("certify", "report", "mollify")
+    for family, argv in DATUM_ARGV.items() if not (command == "mollify" and family == "custom")
+    for flag in FLAG_VALUE
+    if f"--{flag}" not in argv and not (command != "mollify" and OVERRIDE.get(family) == flag)
+]
+
+
 class TestExitCodes:
     def test_missing_parameter_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, ["certify", "--family", "uniform", "--a", "-0.5"])
@@ -119,6 +140,23 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, [command, "--tol-energy", "1e-9"])
         assert code == 3
         assert "unrecognized arguments: --tol-energy 1e-9" in err
+
+    @pytest.mark.parametrize("command, family, flag", UNREAD)
+    def test_unread_datum_flag_is_config_error(self, capsys, command, family, flag):
+        argv = [command, "--family", family, *DATUM_ARGV[family], f"--{flag}", FLAG_VALUE[flag]]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: invalid configuration: ") and err.count("\n") == 1
+        assert f"--{flag}" in err
+
+    def test_report_takes_no_energy_tolerance(self, capsys):
+        # report gates nothing, so it reads no --tol-energy.
+        code, out, err = run_cli(capsys, ["report", *COREHALO, "--tol-energy", "1e-3"])
+        assert code == 3
+        assert out == ""
+        assert err == ("error: invalid configuration: "
+                       "unrecognized arguments: --tol-energy 1e-3\n")
 
     def test_csv_not_valid_for_certify(self, capsys):
         code, _, _ = run_cli(capsys, ["certify", *COREHALO, "--format", "csv"])
@@ -215,6 +253,18 @@ class TestMollify:
         assert float(doc["alpha"]) > 0.0
         assert float(doc["seam_smoothness"]) < 1e-4
         assert float(doc["drift.kinetic"]) < 1e-3
+
+    def test_one_step_solve_per_op(self, capsys, monkeypatch):
+        # The drift table's step datum is the one rebalance starts from: the
+        # zero-energy step solve, made once.
+        calls = []
+        real = solvers.solve_corehalo_alpha
+        monkeypatch.setattr(solvers, "solve_corehalo_alpha",
+                            lambda *args: calls.append(args) or real(*args))
+        code, out, _ = run_cli(capsys, ["mollify", *COREHALO, "--format", "kv"])
+        assert code == 0
+        assert calls == [(0.2, 1.0, 2.0, 1.0)]
+        assert abs(float(kv_parse(out)["step.total_energy"])) <= 1e-9
 
     def test_ramp_overlap_exits_2(self, capsys):
         code, _, err = run_cli(
@@ -531,12 +581,18 @@ FLAG_VALUES = ("0", "-1", "1e-320", "1e308", *NON_FINITE)
 
 @st.composite
 def certify_or_report_argv(draw):
-    """certify/report argv: up to three float flags drawn from FLAG_VALUES, the rest valid."""
+    """certify/report argv: up to three float flags drawn from FLAG_VALUES, the rest valid.
+
+    Only certify takes --tol-energy; report gates nothing.
+    """
+    command = draw(st.sampled_from(("certify", "report")))
     family = draw(st.sampled_from(sorted(VALID_FLAGS)))
-    flags = {**VALID_FLAGS[family], "tol-energy": "1e-9"}
+    flags = dict(VALID_FLAGS[family])
+    if command == "certify":
+        flags["tol-energy"] = "1e-9"
     for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=3, unique=True)):
         flags[flag] = draw(st.sampled_from(FLAG_VALUES))
-    argv = [draw(st.sampled_from(("certify", "report"))), "--family", family,
+    argv = [command, "--family", family,
             "--format", "kv", *(f"--{flag}={value}" for flag, value in flags.items())]
     return argv, any(value in NON_FINITE for value in flags.values())
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import tight_integral, tight_nested
+from virial_forge import solvers
 from virial_forge.errors import ProfileError, RampOverlapError
 from virial_forge.functionals import (
     DEFAULT_ENERGY_TOL,
@@ -102,7 +103,7 @@ class TestMollifyProfile:
         eta = core_halo_eta(0.2, 1.0, 1.05, 7.8e-4)
         with pytest.raises(RampOverlapError) as err:
             mollify_profile(eta, 0.04)
-        assert err.value.pair is not None
+        assert "would leave [" in str(err.value)
 
     def test_ramp_crossing_piece_edge_rejected(self):
         with pytest.raises(RampOverlapError):
@@ -177,7 +178,7 @@ class TestOnePass:
         if misfit is not None:
             with pytest.raises(RampOverlapError) as err:
                 mollify_profile(step, delta)
-            assert err.value.pair == misfit
+            assert f"would leave [{misfit[0]}, {misfit[1]}]" in str(err.value)
             return
         smooth = mollify_profile(step, delta)
         pieces = smooth.pieces
@@ -304,6 +305,18 @@ class TestRebalance:
         new_params, ansatz = rebalance(params, MollifySpec(delta=0.0))
         assert new_params.alpha == solve_corehalo_alpha(0.2, 1.0, 2.0, 1.0)
         assert not ansatz.has_ramp
+
+    def test_brackets_from_the_given_step_solve(self, monkeypatch):
+        # The caller's params already hold the step solve; rebalance starts
+        # its bracket there and solves nothing itself.
+        params = reference_params()
+        calls = []
+        real = solvers.solve_corehalo_alpha
+        monkeypatch.setattr(solvers, "solve_corehalo_alpha",
+                            lambda *args: calls.append(args) or real(*args))
+        for delta in (0.0, 1e-3):
+            rebalance(params, MollifySpec(delta=delta))
+        assert calls == []
 
     def test_uniform_rebalance(self):
         params = UniformParams(r=solve_uniform_R(1.0), p=1.0, a=-0.5)

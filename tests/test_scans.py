@@ -13,7 +13,6 @@ from virial_forge.scans import (
     CSV_COLUMNS,
     ScanGrid,
     asymptotic_scaling,
-    default_floor_grid,
     default_scaling_pvalues,
     format_float,
     loglog_fit,
