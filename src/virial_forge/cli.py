@@ -1,9 +1,10 @@
 """Command-line interface: certify, report, scan, asymptotics, mollify.
 
-Output is reproducible by construction: a fully resolved copy of the run
-configuration (defaults included) is embedded in every document, floats are
-printed with 17 significant digits, and identical configurations produce
-byte-identical kv/CSV output.
+Output is reproducible by construction: every document echoes, as
+``config.*`` lines, the flags its command was given or defaulted (and no
+other), which together are the argv that reruns it; floats are printed with
+17 significant digits, and identical configurations produce byte-identical
+kv/CSV output.
 
 Exit codes: 0 = success (certify/mollify: verdict pass), 1 = verdict fail,
 2 = solver or numerical failure (overflow included), 3 = invalid or
@@ -18,47 +19,23 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
 
 from . import functionals, mollifier, scans, solvers
 from .errors import ConfigError, ProfileError, VirialForgeError
 from .profiles import AngularProfile, Piece, PiecewiseProfile, SeparableAnsatz, check_radii
 from .scans import format_float
 
-__all__ = ["RunConfig", "main", "entrypoint", "build_parser"]
+__all__ = ["main", "entrypoint", "build_parser"]
 
 FAMILY_CHOICES = (*solvers.FAMILIES, "custom")
 FORMATS = ("human", "kv", "csv")
-# Float flags that give a datum; ``_validate_family`` rejects those a command
-# does not read for the chosen family.
+# Flags that give a datum; ``_step_datum`` rejects those a command does not
+# read for the chosen family.
 _DATUM_FLOATS = ("r1", "r2", "r3", "p", "n", "a", "alpha")
+_DATUM_FLAGS = (*_DATUM_FLOATS, "profiles")
 
 # Document key of each params field the documents report.
 _SOLVED_KEYS = (("R", "r"), ("P", "p"), ("n", "n"), ("alpha", "alpha"))
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved run configuration, defaults included."""
-
-    command: str
-    family: str = ""
-    r1: float = None
-    r2: float = None
-    r3: float = None
-    p: float = None
-    n: float = None
-    a: float = None
-    alpha: float = None
-    delta: float = None
-    tol_energy: float = functionals.DEFAULT_ENERGY_TOL
-    format: str = "human"
-    out: str = ""
-    profiles: str = ""
-    p_min: float = None
-    p_max: float = None
-    p_points: int = None
-    a_points: int = None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -147,46 +124,8 @@ def _parser():
     return build_parser()
 
 
-def _config_from_args(args):
-    return RunConfig(**{f.name: getattr(args, f.name, f.default) for f in fields(RunConfig)})
-
-
 def _flags(names):
     return ", ".join("--" + name for name in names)
-
-
-def _validate_family(cfg):
-    """Check the datum flags in one pass: each is required, optional or rejected.
-
-    A family requires its inputs.  certify and report also read its free
-    parameter, which replaces the solve; mollify re-solves it on the smoothed
-    datum, so it takes no override.  The custom family reads --profiles only.
-    """
-    if cfg.tol_energy <= 0.0:
-        raise ConfigError("--tol-energy must be positive")
-    family = solvers.FAMILIES.get(cfg.family)
-    if family is None:
-        required = reads = ("profiles",)
-    else:
-        required = family.inputs
-        reads = required if cfg.command == "mollify" else (*required, family.free)
-    given = [name for name in (*_DATUM_FLOATS, "profiles")
-             if getattr(cfg, name) not in (None, "")]
-    unread = [name for name in given if name not in reads]
-    if unread:
-        raise ConfigError(f"{cfg.command} --family {cfg.family} does not read {_flags(unread)}")
-    missing = [name for name in required if name not in given]
-    if missing:
-        raise ConfigError(f"family {cfg.family!r} requires {_flags(missing)}")
-    if "r1" in reads:
-        check_radii(cfg.r1, cfg.r2, cfg.r3)
-    for name in given:
-        if name not in ("a", "profiles") and getattr(cfg, name) <= 0.0:
-            raise ConfigError(f"--{name} must be positive")
-    if cfg.a is not None and not (-1.0 < cfg.a <= 1.0):
-        raise ConfigError("--a must lie in (-1, 1]")
-    if cfg.delta is not None and cfg.delta < 0.0:
-        raise ConfigError("--delta must be >= 0")
 
 
 def _piece_from_dict(entry):
@@ -242,17 +181,49 @@ def _load_custom_ansatz(path):
     return SeparableAnsatz(spatial, momentum, angular)
 
 
-def _solve_family(cfg):
-    """(params, step ansatz); params is None for the custom family."""
-    family = solvers.FAMILIES.get(cfg.family)
+def _step_datum(args):
+    """(params, step ansatz) of the datum flags; params is None for the custom family.
+
+    One pass over the datum flags given: each is required, optional or
+    rejected.  A family requires its inputs.  certify and report also read its
+    free parameter, which replaces the solve; mollify re-solves it on the
+    smoothed datum, so it takes no override.  The custom family reads
+    --profiles only.
+    """
+    family = solvers.FAMILIES.get(args.family)
     if family is None:
-        return None, _load_custom_ansatz(cfg.profiles)
-    known = {name: getattr(cfg, name) for name in family.inputs}
-    value = getattr(cfg, family.free, None)
-    if value is None:
-        value = family.solve(**known)
+        required = reads = ("profiles",)
+    else:
+        required = family.inputs
+        reads = required if args.command == "mollify" else (*required, family.free)
+    given = {name: value for name, value in vars(args).items()
+             if name in _DATUM_FLAGS and value is not None}
+    unread = [name for name in given if name not in reads]
+    if unread:
+        raise ConfigError(f"{args.command} --family {args.family} does not read {_flags(unread)}")
+    missing = [name for name in required if name not in given]
+    if missing:
+        raise ConfigError(f"family {args.family!r} requires {_flags(missing)}")
+    if "r1" in reads:
+        check_radii(given["r1"], given["r2"], given["r3"])
+    for name, value in given.items():
+        if name not in ("a", "profiles") and value <= 0.0:
+            raise ConfigError(f"--{name} must be positive")
+    if "a" in given and not (-1.0 < given["a"] <= 1.0):
+        raise ConfigError("--a must lie in (-1, 1]")
+    if family is None:
+        return None, _load_custom_ansatz(given["profiles"])
+    known = {name: given[name] for name in family.inputs}
+    value = given[family.free] if family.free in given else family.solve(**known)
     params = family.params(**known, **{family.free: value})
     return params, family.ansatz(params)
+
+
+def _energy_tol(args):
+    """The --tol-energy of certify or mollify, which must be positive."""
+    if args.tol_energy <= 0.0:
+        raise ConfigError("--tol-energy must be positive")
+    return args.tol_energy
 
 
 def _fmt_value(value):
@@ -265,8 +236,10 @@ def _fmt_value(value):
     return str(value)
 
 
-def _config_pairs(cfg):
-    return [("config." + f.name, _fmt_value(getattr(cfg, f.name))) for f in fields(cfg)]
+def _config_pairs(args):
+    """The flags the command was given or defaulted, in parser order; unset ones are left out."""
+    return [("config." + name, _fmt_value(value))
+            for name, value in vars(args).items() if value is not None]
 
 
 def _render(pairs, fmt):
@@ -276,16 +249,16 @@ def _render(pairs, fmt):
     return "".join(f"{k:<{width}}  {v}\n" for k, v in pairs)
 
 
-def _family_pairs(cfg, params, a_star):
+def _family_pairs(args, params, a_star):
     """family, the solved parameters (R, P, n, alpha), a and a_star."""
-    pairs = [("family", cfg.family)]
+    pairs = [("family", args.family)]
     pairs += [(key, _fmt_value(getattr(params, name, None))) for key, name in _SOLVED_KEYS]
-    return pairs + [("a", _fmt_value(cfg.a)), ("a_star", _fmt_value(a_star))]
+    return pairs + [("a", _fmt_value(args.a)), ("a_star", _fmt_value(a_star))]
 
 
-def _certificate_pairs(cfg, cert, params, a_star):
+def _certificate_pairs(args, cert, params, a_star):
     rep = cert.report
-    return _family_pairs(cfg, params, a_star) + [
+    return _family_pairs(args, params, a_star) + [
         (key, _fmt_value(value)) for key, value in (
             ("norm_constant", rep.norm_constant),
             ("mass", rep.mass),
@@ -311,20 +284,19 @@ def _threshold_or_none(ansatz):
         return None
 
 
-def _cmd_certify(cfg):
-    _validate_family(cfg)
-    params, ansatz = _solve_family(cfg)
-    cert = functionals.check_criteria(ansatz, energy_tol=cfg.tol_energy)
+def _cmd_certify(args):
+    energy_tol = _energy_tol(args)
+    params, ansatz = _step_datum(args)
+    cert = functionals.check_criteria(ansatz, energy_tol=energy_tol)
     a_star = _threshold_or_none(ansatz)
-    pairs = _config_pairs(cfg) + _certificate_pairs(cfg, cert, params, a_star)
-    return (0 if cert.passed else 1), _render(pairs, cfg.format)
+    pairs = _config_pairs(args) + _certificate_pairs(args, cert, params, a_star)
+    return (0 if cert.passed else 1), _render(pairs, args.format)
 
 
-def _cmd_report(cfg):
-    _validate_family(cfg)
-    params, ansatz = _solve_family(cfg)
+def _cmd_report(args):
+    params, ansatz = _step_datum(args)
     rep = functionals.evaluate(ansatz)
-    pairs = _config_pairs(cfg) + _family_pairs(cfg, params, _threshold_or_none(ansatz))
+    pairs = _config_pairs(args) + _family_pairs(args, params, _threshold_or_none(ansatz))
     pairs += [
         ("method", rep.method),
         ("norm_constant", _fmt_value(rep.norm_constant)),
@@ -336,12 +308,12 @@ def _cmd_report(cfg):
         ("l32_norm", _fmt_value(rep.l32_norm)),
         ("critical_norm", _fmt_value(functionals.CRITICAL_L32_NORM)),
     ]
-    return 0, _render(pairs, cfg.format)
+    return 0, _render(pairs, args.format)
 
 
-def _csv_with_config(cfg, rows, summary_lines):
+def _csv_with_config(args, rows, summary_lines):
     buf = io.StringIO()
-    for key, val in _config_pairs(cfg):
+    for key, val in _config_pairs(args):
         buf.write(f"# {key}={val}\n")
     scans.rows_to_csv(rows, buf)
     for line in summary_lines:
@@ -349,16 +321,16 @@ def _csv_with_config(cfg, rows, summary_lines):
     return buf.getvalue()
 
 
-def _cmd_scan(cfg):
-    if cfg.p_points < 1 or cfg.a_points < 1:
+def _cmd_scan(args):
+    if args.p_points < 1 or args.a_points < 1:
         raise ConfigError("grid sizes must be >= 1")
-    if not (0.0 < cfg.p_min <= cfg.p_max):
+    if not (0.0 < args.p_min <= args.p_max):
         raise ConfigError("need 0 < p-min <= p-max")
     import numpy as np
 
     grid = scans.ScanGrid(
-        P_values=tuple(np.geomspace(cfg.p_min, cfg.p_max, cfg.p_points)),
-        a_values=tuple(np.linspace(-1.0 + 1e-6, 0.9, cfg.a_points)),
+        P_values=tuple(np.geomspace(args.p_min, args.p_max, args.p_points)),
+        a_values=tuple(np.linspace(-1.0 + 1e-6, 0.9, args.a_points)),
     )
     result = scans.uniform_ball_floor(grid)
     floor_ok = result.min_virial > -0.45
@@ -367,36 +339,36 @@ def _cmd_scan(cfg):
         f"# min_virial={format_float(result.min_virial)} "
         f"at P={format_float(result.argmin_P)} a={format_float(result.argmin_a)}",
     ]
-    if cfg.format == "csv":
-        return 0, _csv_with_config(cfg, result.rows, summary)
-    pairs = _config_pairs(cfg) + [
+    if args.format == "csv":
+        return 0, _csv_with_config(args, result.rows, summary)
+    pairs = _config_pairs(args) + [
         ("min_virial", _fmt_value(result.min_virial)),
         ("argmin_P", _fmt_value(result.argmin_P)),
         ("argmin_a", _fmt_value(result.argmin_a)),
         ("floor_ok", _fmt_value(floor_ok)),
     ]
-    return 0, _render(pairs, cfg.format)
+    return 0, _render(pairs, args.format)
 
 
-def _cmd_asymptotics(cfg):
-    if cfg.p_points < 5:
+def _cmd_asymptotics(args):
+    if args.p_points < 5:
         raise ConfigError("asymptotics needs at least 5 grid points")
-    if not (0.0 < cfg.p_min <= cfg.p_max):
+    if not (0.0 < args.p_min <= args.p_max):
         raise ConfigError("need 0 < p-min <= p-max")
-    if not (-1.0 < cfg.a < 1.0):
+    if not (-1.0 < args.a < 1.0):
         raise ConfigError("--a must lie in (-1, 1)")
     import numpy as np
 
     result = scans.asymptotic_scaling(
-        tuple(np.geomspace(cfg.p_min, cfg.p_max, cfg.p_points)), a=cfg.a
+        tuple(np.geomspace(args.p_min, args.p_max, args.p_points)), a=args.a
     )
     summary = [
         f"# alpha_slope={format_float(result.alpha_fit.slope)}",
         f"# virial_slope={format_float(result.virial_fit.slope)}",
     ]
-    if cfg.format == "csv":
-        return 0, _csv_with_config(cfg, result.rows, summary)
-    pairs = _config_pairs(cfg) + [
+    if args.format == "csv":
+        return 0, _csv_with_config(args, result.rows, summary)
+    pairs = _config_pairs(args) + [
         ("alpha_slope", _fmt_value(result.alpha_fit.slope)),
         ("alpha_intercept", _fmt_value(result.alpha_fit.intercept)),
         ("alpha_max_residual", _fmt_value(result.alpha_fit.max_residual)),
@@ -406,30 +378,32 @@ def _cmd_asymptotics(cfg):
         ("n_points", str(result.alpha_fit.n_points)),
         ("n_failures", str(len(result.failures))),
     ]
-    return 0, _render(pairs, cfg.format)
+    return 0, _render(pairs, args.format)
 
 
-def _cmd_mollify(cfg):
-    _validate_family(cfg)
-    params, step_ansatz = _solve_family(cfg)
-    delta = cfg.delta
+def _cmd_mollify(args):
+    energy_tol = _energy_tol(args)
+    if args.delta is not None and args.delta < 0.0:
+        raise ConfigError("--delta must be >= 0")
+    params, step_ansatz = _step_datum(args)
+    delta = args.delta
     if delta is None:
         delta = mollifier.default_delta(step_ansatz)
     spec = mollifier.MollifySpec(delta=delta)
-    new_params, moll_ansatz = mollifier.rebalance(params, spec, energy_tol=cfg.tol_energy)
-    cert = functionals.check_criteria(moll_ansatz, energy_tol=cfg.tol_energy)
+    new_params, moll_ansatz = mollifier.rebalance(params, spec, energy_tol=energy_tol)
+    cert = functionals.check_criteria(moll_ansatz, energy_tol=energy_tol)
     drift = mollifier.functional_drift(step_ansatz, moll_ansatz)
-    pairs = _config_pairs(cfg)
+    pairs = _config_pairs(args)
     pairs.append(("delta", _fmt_value(delta)))
     pairs.append(("seam_smoothness", _fmt_value(
         mollifier.seam_smoothness(moll_ansatz.spatial)
     )))
-    pairs += _certificate_pairs(cfg, cert, new_params, _threshold_or_none(moll_ansatz))
+    pairs += _certificate_pairs(args, cert, new_params, _threshold_or_none(moll_ansatz))
     for key, entry in drift.items():
         pairs.append((f"step.{key}", _fmt_value(entry["step"])))
         pairs.append((f"mollified.{key}", _fmt_value(entry["mollified"])))
         pairs.append((f"drift.{key}", _fmt_value(entry["drift"])))
-    return (0 if cert.passed else 1), _render(pairs, cfg.format)
+    return (0 if cert.passed else 1), _render(pairs, args.format)
 
 
 _COMMANDS = {
@@ -445,8 +419,7 @@ def main(argv=None):
     """Run the CLI; returns the process exit code."""
     try:
         args = _parser().parse_args(argv)
-        cfg = _config_from_args(args)
-        code, text = _COMMANDS[cfg.command](cfg)
+        code, text = _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return 3
@@ -459,8 +432,8 @@ def main(argv=None):
     except ArithmeticError as exc:
         print(f"error: numerical failure ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 2
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

@@ -37,8 +37,8 @@ class ThresholdUnreachableError(VirialForgeError):
     """No angular cutoff reaches virial -1/2 (spatial*momentum factor <= 1/2)."""
 
 
-class RampOverlapError(VirialForgeError):
-    """Mollification ramps would collide."""
+class RampOverlapError(ProfileError):
+    """Mollification ramps would collide (the ramp half-width is too large)."""
 
 
 class GridExhaustedError(VirialForgeError):

@@ -80,11 +80,16 @@ class TestCertify:
             assert key in doc
 
     def test_config_echo(self, capsys):
+        # The flags certify was given or defaulted, in parser order; the
+        # unset --n, --alpha and --profiles are left out.
         _, out, _ = run_cli(capsys, ["certify", *COREHALO, "--format", "kv"])
         doc = kv_parse(out)
         assert doc["config.family"] == "core-halo"
         assert doc["config.command"] == "certify"
         assert float(doc["config.tol_energy"]) == 1e-9
+        assert [key for key in doc if key.startswith("config.")] == [
+            f"config.{name}" for name in ("command", "family", "r1", "r2", "r3", "p", "a",
+                                          "format", "out", "tol_energy")]
 
     def test_alpha_override(self, capsys):
         code, out, _ = run_cli(
@@ -157,6 +162,17 @@ class TestExitCodes:
         assert out == ""
         assert err == ("error: invalid configuration: "
                        "unrecognized arguments: --tol-energy 1e-3\n")
+
+    @pytest.mark.parametrize("argv", [
+        [*COREHALO[:-2], "--a", "-0.9", "--delta", "0.5"],
+        [*COREHALO[:6], "--r3", "1.05", "--p", "1", "--a", "-0.85", "--delta", "0.04"],
+    ], ids=["delta-0.5", "r3-1.05"])
+    def test_colliding_ramps_exit_3(self, capsys, argv):
+        # The user's --delta makes the ramps collide: invalid parameters.
+        code, out, err = run_cli(capsys, ["mollify", *argv])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: invalid parameters: ramp ") and err.count("\n") == 1
 
     def test_csv_not_valid_for_certify(self, capsys):
         code, _, _ = run_cli(capsys, ["certify", *COREHALO, "--format", "csv"])
@@ -265,15 +281,6 @@ class TestMollify:
         assert code == 0
         assert calls == [(0.2, 1.0, 2.0, 1.0)]
         assert abs(float(kv_parse(out)["step.total_energy"])) <= 1e-9
-
-    def test_ramp_overlap_exits_2(self, capsys):
-        code, _, err = run_cli(
-            capsys,
-            ["mollify", "--family", "core-halo", "--r1", "0.2", "--r2", "1",
-             "--r3", "1.05", "--p", "1", "--a", "-0.85", "--delta", "0.04"],
-        )
-        assert code == 2
-        assert "overlap" in err or "cross" in err
 
     def test_drift_table_shrinks_with_delta(self, capsys):
         values = {}

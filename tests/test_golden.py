@@ -8,12 +8,13 @@ regenerate with ``PYTHONPATH=src python tests/test_golden.py`` and record
 the reason in CHANGES.md.
 """
 
+import argparse
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from virial_forge.cli import main
+from virial_forge.cli import build_parser, main
 from virial_forge.functionals import evaluate
 from virial_forge.profiles import AngularProfile, Piece, PiecewiseProfile, SeparableAnsatz
 from virial_forge.solvers import FAMILIES
@@ -110,6 +111,47 @@ def test_stdout_matches_golden(name, capsys):
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
 
 
+def config_argv(document):
+    """The argv a document's config.* lines echo (config.p_min is --p-min).
+
+    An empty config.out is left out: it is the default, stdout.
+    """
+    argv = []
+    for line in document.splitlines():
+        key, _, value = line.removeprefix("# ").partition("=")
+        if key == "config.command":
+            argv.insert(0, value)
+        elif key.startswith("config.") and not (key == "config.out" and value == ""):
+            argv.append(f"--{key.removeprefix('config.').replace('_', '-')}={value}")
+    return argv
+
+
+def subcommand_dests(command):
+    """The namespace names of the flags the command's subparser has."""
+    (commands,) = (a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+    return {action.dest for action in commands.choices[command]._actions}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_config_lines_rerun_the_document(name, capsys):
+    document = (GOLDEN / name).read_text(encoding="utf-8")
+    argv = config_argv(document)
+    assert argv[0] == CASES[name][0][0]
+    assert main(argv) == CASES[name][1]
+    assert capsys.readouterr().out == document
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_config_lines_name_only_the_commands_flags(name):
+    document = (GOLDEN / name).read_text(encoding="utf-8")
+    keys = [line.removeprefix("# ").partition("=")[0] for line in document.splitlines()]
+    names = {key.removeprefix("config.") for key in keys if key.startswith("config.")}
+    command = CASES[name][0][0]
+    assert names - {"command"} <= subcommand_dests(command)
+    assert ("tol_energy" in names) == (command in ("certify", "mollify"))
+
+
 def test_oracle_reports_match_golden():
     assert oracle_document() == (GOLDEN / "oracle.txt").read_text(encoding="utf-8")
 
@@ -118,9 +160,11 @@ if __name__ == "__main__":
     import contextlib
     import io
 
-    for name, (argv, _) in CASES.items():
+    for name, (argv, expected_code) in CASES.items():
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
-            main(argv)
+            code = main(argv)
+        if code != expected_code:
+            raise SystemExit(f"{name}: exit code {code}, expected {expected_code}; not written")
         (GOLDEN / name).write_text(buf.getvalue(), encoding="utf-8", newline="")
     (GOLDEN / "oracle.txt").write_text(oracle_document(), encoding="utf-8", newline="")
