@@ -21,6 +21,7 @@ from .functionals import (
     FunctionalReport,
     check_criteria,
     evaluate,
+    evaluate_cutoffs,
     kinetic_energy_ball,
     potential_energy_profile,
     spatial_momentum_factor,

@@ -18,32 +18,34 @@ profile that is not a ball and the fractional powers of ramps use the fixed
 Gauss-Legendre rules of ``profiles``, so this route integrates nothing
 adaptively and loads neither numpy nor scipy.  The adaptive source
 (``method="quadrature"``) integrates every moment adaptively, once per
-evaluation, and is kept as an independent oracle.  Only ``evaluate`` takes
-``method``; the helpers ``virial``, ``total_energy``,
-``potential_energy_profile`` and ``spatial_momentum_factor`` read the exact
-source.  Certification checks the three blow-up hypotheses: zero total
-energy, virial <= -1/2, and L^{3/2} norm above the critical constant
-(3/8)(15/16)^{1/3}.
+evaluation, and is kept as an independent oracle.  ``evaluate_cutoffs``
+computes the a-free part once and completes it for each of many angular
+profiles; ``evaluate`` is its one-profile case.  Only these two take
+``method``; ``total_energy``, ``potential_energy_profile`` and
+``spatial_momentum_factor`` read the exact source.  Certification checks the
+three blow-up hypotheses: zero total energy, virial <= -1/2, and L^{3/2} norm
+above the critical constant (3/8)(15/16)^{1/3}.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 from . import quadrature
-from .errors import DegenerateFactorError
 from .profiles import (
     CONSTANT,
     GL6,
     POWER,
     RAMP,
+    check_factor,
     check_positive,
     fixed_rule,
     gauss_legendre,
+    norm_constant,
     panel_edges,
     power_integral,
+    radial_scale,
 )
 
 __all__ = [
@@ -57,6 +59,7 @@ __all__ = [
     "spatial_momentum_factor",
     "total_energy",
     "evaluate",
+    "evaluate_cutoffs",
     "check_criteria",
 ]
 
@@ -94,13 +97,15 @@ def momentum_energy_moment(p_max):
 def kinetic_energy_ball(p_max):
     """Kinetic (rest mass included) energy of a unit-mass momentum ball.
 
-    Equals (3/8)(sqrt(1+P^2)/P^2 + 2 sqrt(1+P^2) - asinh(P)/P^3); always
-    >= 1 and strictly increasing, with KE ~ 3P/4 as P grows.  Where P^3
-    underflows (P below ~2.8e-103) the exact limit 1 is returned.
+    Equals (3/8)(sqrt(1+P^2)/P^2 + 2 sqrt(1+P^2) - asinh(P)/P^3)
+    = 1 + 3P^2/10 - 3P^4/56 + ..., increasing from 1, with KE ~ 3P/4 as P
+    grows.  At P <= 1e-4, where 3 M / P^3 would round around the exact value
+    but 3P^4/56 is below half an ulp of 1, the series 1 + 3P^2/10 is
+    returned, so the floating-point value is >= 1 and non-decreasing.
     """
     check_positive(p_max, "momentum cutoff", ValueError)
-    if p_max**3 < sys.float_info.min:
-        return 1.0
+    if p_max <= 1e-4:
+        return 1.0 + 3.0 * p_max * p_max / 10.0
     return 3.0 * momentum_energy_moment(p_max) / p_max**3
 
 
@@ -181,12 +186,6 @@ def _exact_nested(profile):
     return total
 
 
-def _factor(value, name):
-    if value <= 0.0 or not math.isfinite(value):
-        raise DegenerateFactorError(f"{name} factor integral is {value}")
-    return value
-
-
 class _MomentSource:
     """Every functional, written once over a source of one-dimensional moments.
 
@@ -197,46 +196,52 @@ class _MomentSource:
     ``label`` and ``residuals`` fill the report's route and error estimates.
     """
 
-    def mass(self, ansatz):
-        c = ansatz.norm_constant
-        m2q = self.moment(ansatz.spatial, 2)
-        m2p = self.moment(ansatz.momentum, 2)
-        m0 = self.angular(ansatz.angular)[0]
-        return c * 8.0 * math.pi**2 * m2q * m2p * m0
-
     def kinetic_energy(self, phi):
         num, den = self.kinetic(phi)
-        return num / _factor(den, "momentum")
+        return num / check_factor(den, "momentum")
 
     def potential_energy(self, eta):
-        m2 = _factor(self.moment(eta, 2), "spatial")
+        m2 = check_factor(self.moment(eta, 2), "spatial")
         return -self.nested(eta) / m2**2
 
     def spatial_momentum_factor(self, eta, phi):
         m3q, m2q = self.moment(eta, 3), self.moment(eta, 2)
         m3p, m2p = self.moment(phi, 3), self.moment(phi, 2)
-        return (m3q / _factor(m2q, "spatial")) * (m3p / _factor(m2p, "momentum"))
+        return (m3q / check_factor(m2q, "spatial")) * (m3p / check_factor(m2p, "momentum"))
 
-    def virial(self, ansatz):
-        factor = self.spatial_momentum_factor(ansatz.spatial, ansatz.momentum)
-        m0, m1, _ = self.angular(ansatz.angular)
-        return factor * m1 / _factor(m0, "angular")
+    def reports(self, eta, phi, angulars):
+        """A FunctionalReport of C * eta * phi * L for each L in ``angulars``.
 
-    def l32_norm(self, ansatz):
-        nq = self.norm_moment(ansatz.spatial)
-        np_ = self.norm_moment(ansatz.momentum)
-        m0, _, nl = self.angular(ansatz.angular)
-        m2q = self.moment(ansatz.spatial, 2)
-        m2p = self.moment(ansatz.momentum, 2)
-        numerator = (nq * np_ * nl) ** (2.0 / 3.0)
-        denominator = (
-            2.0
-            * math.pi ** (2.0 / 3.0)
-            * _factor(m2q, "spatial")
-            * _factor(m2p, "momentum")
-            * _factor(m0, "angular")
-        )
-        return numerator / denominator
+        The a-free part (energies, virial factor, radial parts of the mass,
+        of C and of the L^{3/2} norm) is computed once; every product keeps
+        its left-to-right order, so no report depends on the other profiles.
+        """
+        kin = self.kinetic_energy(phi)
+        pot = self.potential_energy(eta)
+        scale = radial_scale(eta, phi)
+        factor = self.spatial_momentum_factor(eta, phi)
+        norms = self.norm_moment(eta) * self.norm_moment(phi)
+        m2q = check_factor(self.moment(eta, 2), "spatial")
+        m2p = check_factor(self.moment(phi, 2), "momentum")
+        den = 2.0 * math.pi ** (2.0 / 3.0) * m2q * m2p
+        label = self.label(eta, phi)
+        reports = []
+        for angular in angulars:
+            c = norm_constant(scale, angular)
+            m0, m1, nl = self.angular(angular)
+            m0 = check_factor(m0, "angular")
+            reports.append(FunctionalReport(
+                norm_constant=c,
+                mass=c * 8.0 * math.pi**2 * m2q * m2p * m0,
+                l32_norm=(norms * nl) ** (2.0 / 3.0) / (den * m0),
+                kinetic=kin,
+                potential=pot,
+                total_energy=kin + pot,
+                virial=factor * m1 / m0,
+                method=_RULE if label == _CLOSED and angular.has_ramp else label,
+                residuals=self.residuals(eta, phi, angular),
+            ))
+        return reports
 
 
 class _Exact(_MomentSource):
@@ -257,11 +262,12 @@ class _Exact(_MomentSource):
     def nested(self, eta):
         return eta.memo("nested", _exact_nested)
 
-    def label(self, ansatz):
-        ball = ansatz.momentum.memo("ball", _is_ball)
-        return _RULE if ansatz.has_ramp or not ball else _CLOSED
+    def label(self, eta, phi):
+        """The route of the radial factors; an angular ramp makes it a fixed rule too."""
+        ball = phi.memo("ball", _is_ball)
+        return _RULE if eta.has_ramp or phi.has_ramp or not ball else _CLOSED
 
-    def residuals(self, ansatz):
+    def residuals(self, eta, phi, angular):
         return {}
 
 
@@ -296,30 +302,26 @@ class _Adaptive(_MomentSource):
     def nested(self, eta):
         return self._result(quadrature.nested_mass_quad, eta).value
 
-    def label(self, ansatz):
+    def label(self, eta, phi):
         return _QUAD
 
-    def residuals(self, ansatz):
+    def residuals(self, eta, phi, angular):
         """Crude relative error estimates propagated from the integrator."""
 
         def rel(integral, *args):
             result = self._result(integral, *args)
             return abs(result.abs_error_estimate / result.value) if result.value else 0.0
 
-        moment, angular = quadrature.profile_moment_quad, quadrature.angular_moment_quad
-        base = (
-            rel(moment, ansatz.spatial, 2)
-            + rel(moment, ansatz.momentum, 2)
-            + rel(angular, ansatz.angular, 0, 1.0)
-        )
+        moment, angular_moment = quadrature.profile_moment_quad, quadrature.angular_moment_quad
+        base = rel(moment, eta, 2) + rel(moment, phi, 2) + rel(angular_moment, angular, 0, 1.0)
         return {
             "mass": base,
-            "kinetic": base + rel(moment, ansatz.momentum, 2, 1.0, _relativistic),
-            "potential": base + rel(quadrature.nested_mass_quad, ansatz.spatial),
-            "virial": base + rel(moment, ansatz.spatial, 3) + rel(moment, ansatz.momentum, 3)
-            + rel(angular, ansatz.angular, 1, 1.0),
-            "l32_norm": base + rel(moment, ansatz.spatial, 2, 1.5)
-            + rel(moment, ansatz.momentum, 2, 1.5) + rel(angular, ansatz.angular, 0, 1.5),
+            "kinetic": base + rel(moment, phi, 2, 1.0, _relativistic),
+            "potential": base + rel(quadrature.nested_mass_quad, eta),
+            "virial": base + rel(moment, eta, 3) + rel(moment, phi, 3)
+            + rel(angular_moment, angular, 1, 1.0),
+            "l32_norm": base + rel(moment, eta, 2, 1.5) + rel(moment, phi, 2, 1.5)
+            + rel(angular_moment, angular, 0, 1.5),
         }
 
 
@@ -344,7 +346,7 @@ def spatial_momentum_factor(eta, phi):
 
 def virial(ansatz):
     """Mean q.p; negative when momenta point inward on average."""
-    return _EXACT.virial(ansatz)
+    return evaluate(ansatz).virial
 
 
 @dataclass(frozen=True)
@@ -368,7 +370,14 @@ class FunctionalReport:
 
 
 def evaluate(ansatz, method="auto"):
-    """Full functional report for one ansatz.
+    """Full functional report for one ansatz: ``evaluate_cutoffs`` of its own angular factor."""
+    return evaluate_cutoffs(ansatz, (ansatz.angular,), method)[0]
+
+
+def evaluate_cutoffs(ansatz, angulars, method="auto"):
+    """Bit for bit, ``evaluate`` of SeparableAnsatz(spatial, momentum, L) for each L.
+
+    The radial factors are the ansatz's; its own angular factor is not read.
 
     ``method`` picks the moment source: "auto" (closed forms wherever they
     exist, the fixed GL14 rule where ramps or a momentum profile that is not
@@ -378,20 +387,7 @@ def evaluate(ansatz, method="auto"):
     """
     if method not in _SOURCES:
         raise ValueError(f"unknown evaluation method {method!r}")
-    source = _SOURCES[method]()
-    kin = source.kinetic_energy(ansatz.momentum)
-    pot = source.potential_energy(ansatz.spatial)
-    return FunctionalReport(
-        norm_constant=ansatz.norm_constant,
-        mass=source.mass(ansatz),
-        l32_norm=source.l32_norm(ansatz),
-        kinetic=kin,
-        potential=pot,
-        total_energy=kin + pot,
-        virial=source.virial(ansatz),
-        method=source.label(ansatz),
-        residuals=source.residuals(ansatz),
-    )
+    return _SOURCES[method]().reports(ansatz.spatial, ansatz.momentum, angulars)
 
 
 @dataclass(frozen=True)

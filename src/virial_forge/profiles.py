@@ -516,38 +516,44 @@ class AngularProfile(_PieceSet):
 class SeparableAnsatz:
     """Phase-space density C * spatial(|q|) * momentum(|p|) * angular(cos).
 
-    The normalization constant is derived so the total mass is 1 and cached
-    on first use.  Instances are immutable value objects.
+    The normalization constant is derived so the total mass is 1.  Instances
+    are immutable value objects.
     """
 
     spatial: PiecewiseProfile
     momentum: PiecewiseProfile
     angular: AngularProfile
 
-    def __post_init__(self):
-        object.__setattr__(self, "_cache", {})
-
     @property
     def norm_constant(self):
         """C with 1/C = 8 pi^2 * ||spatial r^2|| * ||momentum p^2|| * int L."""
-        cache = self._cache
-        if "C" not in cache:
-            m2q = self.spatial.moment(2)
-            m2p = self.momentum.moment(2)
-            m0 = self.angular.moments()[0]
-            for name, val in (("spatial", m2q), ("momentum", m2p), ("angular", m0)):
-                if val <= 0.0 or not math.isfinite(val):
-                    raise DegenerateFactorError(f"{name} factor integral is {val}")
-            scale = 8.0 * math.pi**2 * m2q * m2p * m0  # may underflow to 0
-            c = 1.0 / scale if scale > 0.0 else math.inf
-            if not math.isfinite(c):
-                raise DegenerateFactorError(f"normalization constant is {c}")
-            cache["C"] = c
-        return cache["C"]
+        return norm_constant(radial_scale(self.spatial, self.momentum), self.angular)
 
     @property
     def has_ramp(self):
         return self.spatial.has_ramp or self.momentum.has_ramp or self.angular.has_ramp
+
+
+def check_factor(value, name):
+    """``value``, unless it is not finite and positive (DegenerateFactorError)."""
+    if value <= 0.0 or not math.isfinite(value):
+        raise DegenerateFactorError(f"{name} factor integral is {value}")
+    return value
+
+
+def radial_scale(spatial, momentum):
+    """8 pi^2 * ||spatial r^2|| * ||momentum p^2||: 1/C without its angular factor."""
+    m2q = check_factor(spatial.moment(2), "spatial")
+    return 8.0 * math.pi**2 * m2q * check_factor(momentum.moment(2), "momentum")
+
+
+def norm_constant(scale, angular):
+    """C = 1 / (scale * int L) for ``scale`` from ``radial_scale``: unit total mass."""
+    scale *= angular.moments()[0]  # may underflow to 0
+    c = 1.0 / scale if scale > 0.0 else math.inf
+    if not math.isfinite(c):
+        raise DegenerateFactorError(f"normalization constant is {c}")
+    return c
 
 
 def uniform_eta(radius):

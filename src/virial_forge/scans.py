@@ -9,10 +9,12 @@ virial grows like -(1 - a) P^3, so zero-energy data reach arbitrarily
 negative virial.
 
 Scans run the closed-form pipeline for speed.  The floor grid builds each
-P's radial profiles and each a's cutoff once and shares them, so their
-memoized moments are computed once per profile, not per grid point.  One
-grid point per scan (chosen by a fixed-seed RNG so output stays
-deterministic) is cross-checked against the adaptive-quadrature oracle.
+a's cutoff once per scan and evaluates each P once: one
+``functionals.evaluate_cutoffs`` call computes the a-free functionals of
+that P's ball and completes them for every cutoff, so a grid point costs
+only its angular completion.  One grid point per scan (chosen by a
+fixed-seed RNG so output stays deterministic) is cross-checked against the
+adaptive-quadrature oracle.
 
 numpy is imported inside the functions that use it (grids, the crosscheck
 RNG, the fits), so importing this module does not load it.
@@ -20,12 +22,11 @@ RNG, the fits), so importing this module does not load it.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 from . import functionals, solvers
 from .errors import GridExhaustedError, NoPositiveRootError, ProfileError, VirialForgeError
-from .profiles import AngularProfile, SeparableAnsatz, check_positive
+from .profiles import AngularProfile, check_positive
 from .solvers import CoreHaloParams, UniformParams, solve_corehalo_alpha
 
 __all__ = [
@@ -103,21 +104,19 @@ def default_scaling_pvalues(n=9):
     return tuple(np.geomspace(1e2, 1e4, n))
 
 
+def _cells(report):
+    """The scan columns that print ``report``'s functionals."""
+    return {col: getattr(report, name) for col, name in _REPORT_FIELDS.items()}
+
+
 def _row(params):
-    """(scan row, ansatz) of solved family params."""
+    """(scan row, ansatz) of solved family params; R is the outer support radius."""
     family = solvers.family_of(params)
     ansatz = family.ansatz(params)
-    return _report_row(family, params, ansatz), ansatz
-
-
-def _report_row(family, params, ansatz):
-    """Scan row of ``ansatz`` built from ``params``; R is the outer support radius."""
     report = functionals.evaluate(ansatz)
-    row = {"family": family.name, "P": params.p, "a": params.a,
-           "alpha": getattr(params, "alpha", None), "R": ansatz.spatial.support_radius}
-    for col, name in _REPORT_FIELDS.items():
-        row[col] = getattr(report, name)
-    return row
+    return {"family": family.name, "P": params.p, "a": params.a,
+            "alpha": getattr(params, "alpha", None), "R": ansatz.spatial.support_radius,
+            **_cells(report)}, ansatz
 
 
 def _scaling_params(P, a):
@@ -157,9 +156,8 @@ def uniform_ball_floor(grid):
         # The radial profiles depend on P alone; the ball's own cutoff goes unused.
         R = uniform.solve(p=P, a=1.0)
         ball = uniform.ansatz(UniformParams(r=R, p=P, a=1.0))
-        rows += [_report_row(uniform, UniformParams(r=R, p=P, a=a),
-                             SeparableAnsatz(ball.spatial, ball.momentum, angular))
-                 for a, angular in zip(grid.a_values, cutoffs)]
+        rows += [{"family": uniform.name, "P": P, "a": a, "alpha": None, "R": R, **_cells(rep)}
+                 for a, rep in zip(grid.a_values, functionals.evaluate_cutoffs(ball, cutoffs))]
 
     best = min(rows, key=lambda r: r["V"])
     rng = np.random.default_rng(_CROSSCHECK_SEED)
@@ -263,18 +261,17 @@ def format_float(x):
     return f"{x:.17g}"
 
 
+def _csv_cell(val):
+    if val is None:
+        return ""
+    return val if isinstance(val, str) else format_float(val)
+
+
 def rows_to_csv(rows, stream):
-    """Write scan rows with the fixed column set; None renders empty."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for row in rows:
-        out = []
-        for col in CSV_COLUMNS:
-            val = row.get(col)
-            if val is None:
-                out.append("")
-            elif isinstance(val, str):
-                out.append(val)
-            else:
-                out.append(format_float(val))
-        writer.writerow(out)
+    """Write scan rows with the fixed column set; None renders empty.
+
+    No cell holds a comma, quote or newline, so no cell is quoted.
+    """
+    lines = [",".join(CSV_COLUMNS)]
+    lines += [",".join([_csv_cell(row.get(col)) for col in CSV_COLUMNS]) for row in rows]
+    stream.write("\n".join(lines) + "\n")

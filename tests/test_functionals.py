@@ -1,5 +1,6 @@
 """Energies, norm, virial, and certification against independent oracles."""
 
+import dataclasses
 import math
 
 import mpmath
@@ -10,8 +11,10 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import (
     assert_rel,
     mp_piece_integral,
+    random_angular_profile,
     random_ansatz,
     random_momentum_profile,
+    random_radial_profile,
     tight_nested,
 )
 from virial_forge import functionals, profiles, quadrature
@@ -20,6 +23,7 @@ from virial_forge.functionals import (
     CRITICAL_L32_NORM,
     check_criteria,
     evaluate,
+    evaluate_cutoffs,
     kinetic_energy_ball,
     momentum_energy_moment,
     potential_energy_profile,
@@ -133,6 +137,22 @@ class TestKineticEnergy:
         kes = [kinetic_energy_ball(p) for p in ps]
         assert all(b > a for a, b in zip(kes, kes[1:]))
         assert all(k >= 1.0 for k in kes)
+
+    def test_rest_mass_floor_at_tiny_cutoffs(self):
+        # 3 M / P^3 rounds around 1 + 3P^2/10 at tiny P; the series keeps the
+        # value >= 1 and non-decreasing there, and on into the closed form.
+        kes = [kinetic_energy_ball(p) for p in np.geomspace(1e-102, 1e-2, 20_000).tolist()]
+        assert min(kes) >= 1.0
+        assert all(b >= a for a, b in zip(kes, kes[1:]))
+
+    @pytest.mark.parametrize("p_max", [1e-6, 9.99e-5, 1e-4, 1.0001e-4, 3e-4])
+    def test_series_matches_closed_form(self, p_max):
+        # Either side of the series threshold, within one ulp of the exact value.
+        with mpmath.workdps(50):
+            p = mpmath.mpf(p_max)
+            s = mpmath.sqrt(1 + p * p)
+            exact = 3 * (s / p**2 + 2 * s - mpmath.asinh(p) / p**3) / 8
+            assert abs(kinetic_energy_ball(p_max) - exact) <= 2.3e-16
 
     @pytest.mark.parametrize("p_max", [0.01, 0.03, 0.049, 0.051, 0.2, 1.0, 40.0])
     def test_energy_moment_matches_quadrature(self, p_max):
@@ -500,6 +520,73 @@ class TestOracleEquivalence:
             assert closed.potential == pytest.approx(oracle.potential, rel=1e-8)
 
 
+def report_fields(report):
+    return {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+
+
+class TestEvaluateCutoffs:
+    """evaluate_cutoffs is evaluate on each angular profile, bit for bit."""
+
+    @staticmethod
+    def radial_pairs(rng):
+        ramped = mollify_profile(core_halo_eta(0.2, 1.0, 2.0, 0.3), 0.01)
+        two_plateaus = PiecewiseProfile.from_segments(
+            [Piece.constant(1.0, 0.0, 0.5), Piece.constant(0.3, 0.5, 1.5)],
+            domain_label="radial-momentum")
+        ball = momentum_ball(float(rng.uniform(0.3, 3.0)))
+        return [(random_radial_profile(rng), ball),
+                (ramped, two_plateaus),
+                (random_radial_profile(rng), mollify_profile(ball, 0.01)),
+                (uniform_eta(float(rng.uniform(0.5, 2.0))), ball)]
+
+    @staticmethod
+    def angulars(rng):
+        cuts = [AngularProfile.cutoff(float(a)) for a in rng.uniform(-0.99, 0.9, size=3)]
+        ramp = AngularProfile((Piece.constant(1.0, -1.0, -0.2), Piece.ramp(1.0, 0.1, -0.2, 0.4),
+                               Piece.constant(0.1, 0.4, 1.0)))
+        return cuts + [AngularProfile.cutoff(1.0), random_angular_profile(rng),
+                       mollify_profile(cuts[0], 0.02), ramp]
+
+    @pytest.mark.parametrize("method", ["auto", "quadrature"])
+    def test_matches_one_profile_evaluate(self, rng, method):
+        angulars = self.angulars(rng)
+        for eta, phi in self.radial_pairs(rng):
+            # The ansatz's own angular factor is not read.
+            shared = evaluate_cutoffs(SeparableAnsatz(eta, phi, angulars[-1]), angulars, method)
+            assert len(shared) == len(angulars)
+            for got, angular in zip(shared, angulars):
+                want = evaluate(SeparableAnsatz(eta, phi, angular), method)
+                assert report_fields(got) == report_fields(want)
+
+    def test_labels_follow_each_angular_profile(self):
+        ball = SeparableAnsatz(uniform_eta(1.0), momentum_ball(1.0), AngularProfile.cutoff(1.0))
+        angulars = (AngularProfile.cutoff(-0.5), mollify_profile(AngularProfile.cutoff(-0.5), 0.1))
+        assert [r.method for r in evaluate_cutoffs(ball, angulars)] == [
+            "closed-form", "fixed-rule"]
+        assert evaluate_cutoffs(ball, ()) == []
+
+    @pytest.mark.parametrize("method", ["auto", "quadrature"])
+    @pytest.mark.parametrize("factor", ["spatial", "momentum", "angular", "normalization"])
+    def test_degenerate_factors_raise(self, method, factor):
+        ansatz = unit_box_ansatz()
+        if factor == "spatial":
+            ansatz = dataclasses.replace(
+                ansatz, spatial=PiecewiseProfile((Piece.constant(0.0, 0.0, math.inf),)))
+        elif factor == "momentum":
+            ansatz = dataclasses.replace(ansatz, momentum=PiecewiseProfile(
+                (Piece.constant(0.0, 0.0, math.inf),), domain_label="radial-momentum"))
+        elif factor == "angular":
+            ansatz = dataclasses.replace(ansatz, angular=AngularProfile(
+                (Piece.constant(0.0, -1.0, 1.0),)))
+        else:
+            ansatz = SeparableAnsatz(uniform_eta(1e-52), momentum_ball(1e-52),
+                                     AngularProfile.cutoff(1.0))
+        with pytest.raises(DegenerateFactorError, match=factor):
+            evaluate(ansatz, method)
+        with pytest.raises(DegenerateFactorError, match=factor):
+            evaluate_cutoffs(ansatz, (AngularProfile.cutoff(0.5), ansatz.angular), method)
+
+
 class TestMomentSources:
     def test_oracle_integrates_each_moment_once(self, monkeypatch):
         # Ramp-free, so the exact norm constant needs no quadrature; the
@@ -588,7 +675,9 @@ class TestMomentSources:
         assert evaluate(ans, method="quadrature").residuals["virial"] >= first
 
     @pytest.mark.parametrize("method", ["closed-form", "quad", "exact", ""])
-    @pytest.mark.parametrize("call", [evaluate], ids=["evaluate"])
+    @pytest.mark.parametrize("call", [
+        evaluate, lambda ansatz, method: evaluate_cutoffs(ansatz, (), method)],
+        ids=["evaluate", "evaluate_cutoffs"])
     def test_unknown_method_rejected(self, call, method):
         with pytest.raises(ValueError, match="unknown evaluation method"):
             call(reference_corehalo(), method)

@@ -1,11 +1,13 @@
 """Floor sweep, scaling fits, witness search, CSV determinism."""
 
+import csv
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from virial_forge import scans
+from virial_forge import functionals, scans
 from virial_forge.errors import GridExhaustedError, VirialForgeError
 from virial_forge.functionals import kinetic_energy_ball
 from virial_forge.profiles import AngularProfile, Piece
@@ -21,6 +23,8 @@ from virial_forge.scans import (
     virial_unbounded_below,
 )
 from virial_forge.solvers import UniformParams, solve_uniform_R
+
+GOLDEN = Path(__file__).parent / "golden"
 
 SMALL_GRID = ScanGrid(
     P_values=tuple(np.geomspace(1e-2, 1e4, 50)),
@@ -130,6 +134,29 @@ class TestCsv:
         assert first[3] == ""  # alpha column empty for the uniform family
         assert float(first[1]) == result.rows[0]["P"]
 
+    @staticmethod
+    def golden_rows(name):
+        lines = (GOLDEN / name).read_text(encoding="utf-8").splitlines()
+        header, *body = csv.reader(line for line in lines if not line.startswith("#"))
+        assert tuple(header) == CSV_COLUMNS
+        rows = [{col: cell if col == "family" else float(cell) if cell else None
+                 for col, cell in zip(header, cells)} for cells in body]
+        return rows, "".join(line + "\n" for line in lines if not line.startswith("#"))
+
+    @pytest.mark.parametrize("name", ["scan.csv", "asymptotics.csv"])
+    def test_matches_csv_writer_on_golden_rows(self, name):
+        # rows_to_csv joins cells with commas; csv.writer would quote any cell
+        # that needed it, so equal output pins that none does.
+        rows, golden_body = self.golden_rows(name)
+        ours, ref = io.StringIO(), io.StringIO()
+        rows_to_csv(rows, ours)
+        writer = csv.writer(ref, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        for row in rows:
+            writer.writerow(["" if row[col] is None else row[col] if col == "family"
+                             else format_float(row[col]) for col in CSV_COLUMNS])
+        assert ours.getvalue() == ref.getvalue() == golden_body
+
     def test_float_format_round_trips(self):
         for x in (1.0 / 3.0, 7.816488155904346e-4, -0.5007330147533631):
             assert float(format_float(x)) == x
@@ -176,3 +203,20 @@ class TestSharedProfiles:
         assert pieces_built(10, 40) - base == 30 * len(AngularProfile.cutoff(0.0).pieces)
         # What ten more P values cost does not depend on the number of cutoffs.
         assert pieces_built(20, 10) - base == pieces_built(20, 40) - pieces_built(10, 40)
+
+    def test_radial_functionals_run_once_per_P(self, monkeypatch):
+        # Counts calls and times nothing: a p x a grid evaluates the a-free
+        # functionals (here the exact kinetic weight) p times, not p * a.
+        calls = [0]
+        real = functionals._Exact.kinetic
+
+        def counting(source, phi):
+            calls[0] += 1
+            return real(source, phi)
+
+        monkeypatch.setattr(functionals._Exact, "kinetic", counting)
+        for n_p, n_a in ((3, 7), (5, 11)):
+            calls[0] = 0
+            uniform_ball_floor(ScanGrid(P_values=tuple(np.geomspace(1e-2, 1e4, n_p)),
+                                        a_values=tuple(np.linspace(-0.9, 0.9, n_a))))
+            assert calls[0] == n_p
