@@ -202,7 +202,11 @@ class _MomentSource:
 
     def potential_energy(self, eta):
         m2 = check_factor(self.moment(eta, 2), "spatial")
-        return -self.nested(eta) / m2**2
+        try:
+            squared = m2**2  # 0 once m2 < ~1e-162
+        except OverflowError:
+            squared = math.inf
+        return -self.nested(eta) / check_factor(squared, "squared spatial")
 
     def spatial_momentum_factor(self, eta, phi):
         m3q, m2q = self.moment(eta, 3), self.moment(eta, 2)
@@ -218,6 +222,7 @@ class _MomentSource:
         """
         kin = self.kinetic_energy(phi)
         pot = self.potential_energy(eta)
+        energy = kin + pot
         scale = radial_scale(eta, phi)
         factor = self.spatial_momentum_factor(eta, phi)
         norms = self.norm_moment(eta) * self.norm_moment(phi)
@@ -236,7 +241,7 @@ class _MomentSource:
                 l32_norm=(norms * nl) ** (2.0 / 3.0) / (den * m0),
                 kinetic=kin,
                 potential=pot,
-                total_energy=kin + pot,
+                total_energy=energy,
                 virial=factor * m1 / m0,
                 method=_RULE if label == _CLOSED and angular.has_ramp else label,
                 residuals=self.residuals(eta, phi, angular),

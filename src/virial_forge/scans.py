@@ -22,6 +22,7 @@ RNG, the fits), so importing this module does not load it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import functionals, solvers
@@ -104,11 +105,6 @@ def default_scaling_pvalues(n=9):
     return tuple(np.geomspace(1e2, 1e4, n))
 
 
-def _cells(report):
-    """The scan columns that print ``report``'s functionals."""
-    return {col: getattr(report, name) for col, name in _REPORT_FIELDS.items()}
-
-
 def _row(params):
     """(scan row, ansatz) of solved family params; R is the outer support radius."""
     family = solvers.family_of(params)
@@ -116,7 +112,8 @@ def _row(params):
     report = functionals.evaluate(ansatz)
     return {"family": family.name, "P": params.p, "a": params.a,
             "alpha": getattr(params, "alpha", None), "R": ansatz.spatial.support_radius,
-            **_cells(report)}, ansatz
+            "KE": report.kinetic, "PE": report.potential, "E": report.total_energy,
+            "V": report.virial, "l32_norm": report.l32_norm}, ansatz
 
 
 def _scaling_params(P, a):
@@ -156,8 +153,11 @@ def uniform_ball_floor(grid):
         # The radial profiles depend on P alone; the ball's own cutoff goes unused.
         R = uniform.solve(p=P, a=1.0)
         ball = uniform.ansatz(UniformParams(r=R, p=P, a=1.0))
-        rows += [{"family": uniform.name, "P": P, "a": a, "alpha": None, "R": R, **_cells(rep)}
-                 for a, rep in zip(grid.a_values, functionals.evaluate_cutoffs(ball, cutoffs))]
+        reports = functionals.evaluate_cutoffs(ball, cutoffs)
+        KE, PE, E = reports[0].kinetic, reports[0].potential, reports[0].total_energy
+        rows += [{"family": uniform.name, "P": P, "a": a, "alpha": None, "R": R,
+                  "KE": KE, "PE": PE, "E": E, "V": rep.virial, "l32_norm": rep.l32_norm}
+                 for a, rep in zip(grid.a_values, reports)]
 
     best = min(rows, key=lambda r: r["V"])
     rng = np.random.default_rng(_CROSSCHECK_SEED)
@@ -261,17 +261,31 @@ def format_float(x):
     return f"{x:.17g}"
 
 
-def _csv_cell(val):
-    if val is None:
-        return ""
-    return val if isinstance(val, str) else format_float(val)
+def _column(values):
+    """The CSV cells of one column: None renders empty, a string as itself.
+
+    Each distinct value is formatted once.  0.0 == -0.0 share a hash but
+    print as "0" and "-0", so a zero is keyed with its sign.
+    """
+    memo, cells = {}, []
+    for val in values:
+        key = (val, math.copysign(1.0, val)) if val == 0 else val
+        cell = memo.get(key)
+        if cell is None:
+            cell = "" if val is None else val if isinstance(val, str) else format_float(val)
+            memo[key] = cell
+        cells.append(cell)
+    return cells
 
 
 def rows_to_csv(rows, stream):
     """Write scan rows with the fixed column set; None renders empty.
 
-    No cell holds a comma, quote or newline, so no cell is quoted.
+    Cells are rendered column by column, formatting each distinct value of a
+    column once (keeping the sign of zero), so a floor scan formats its
+    per-P columns once per P.  No cell holds a comma, quote or newline, so
+    no cell is quoted.
     """
-    lines = [",".join(CSV_COLUMNS)]
-    lines += [",".join([_csv_cell(row.get(col)) for col in CSV_COLUMNS]) for row in rows]
+    columns = [_column([row.get(col) for row in rows]) for col in CSV_COLUMNS]
+    lines = [",".join(CSV_COLUMNS), *map(",".join, zip(*columns))]
     stream.write("\n".join(lines) + "\n")

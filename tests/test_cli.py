@@ -444,6 +444,20 @@ class TestCustomFamily:
         assert out == ""
         assert err == f"error: invalid configuration: {name} profile is zero everywhere\n"
 
+    @pytest.mark.parametrize("radius, squared", [("1e-103", "0.0"), ("1e60", "inf")],
+                             ids=["underflow", "overflow"])
+    def test_extreme_radius_names_spatial_factor(self, capsys, tmp_path, radius, squared):
+        ball = '{"pieces": [{"kind": "constant", "lo": 0, "hi": %s, "value": 1}]}' % radius
+        path = tmp_path / "extreme.json"
+        path.write_text('{"spatial": %s, "momentum": %s, "angular": {"cutoff": 0}}'
+                        % (ball, ball))
+        code, out, err = run_cli(
+            capsys, ["certify", "--family", "custom", "--profiles", str(path)]
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: squared spatial factor integral is {squared}\n"
+
 
 # Sections of a --profiles document: arbitrary JSON, a "pieces" or "cutoff" key
 # holding arbitrary JSON, or a well-formed section with good or arbitrary numbers.

@@ -586,6 +586,20 @@ class TestEvaluateCutoffs:
         with pytest.raises(DegenerateFactorError, match=factor):
             evaluate_cutoffs(ansatz, (AngularProfile.cutoff(0.5), ansatz.angular), method)
 
+    @pytest.mark.parametrize("method", ["auto", "quadrature"])
+    @pytest.mark.parametrize("radius, squared", [(1e-103, "0.0"), (1e60, "inf")],
+                             ids=["underflow", "overflow"])
+    def test_spatial_mass_squared_out_of_range(self, method, radius, squared):
+        # The spatial mass is finite and positive, but its square, the
+        # potential's denominator, leaves the float range.
+        ansatz = SeparableAnsatz(uniform_eta(radius), momentum_ball(radius),
+                                 AngularProfile.cutoff(0.0))
+        message = f"squared spatial factor integral is {squared}"
+        with pytest.raises(DegenerateFactorError, match=message):
+            evaluate(ansatz, method)
+        with pytest.raises(DegenerateFactorError, match=message):
+            evaluate_cutoffs(ansatz, (AngularProfile.cutoff(0.5),), method)
+
 
 class TestMomentSources:
     def test_oracle_integrates_each_moment_once(self, monkeypatch):

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import math
 from pathlib import Path
 
 import numpy as np
@@ -156,6 +157,65 @@ class TestCsv:
             writer.writerow(["" if row[col] is None else row[col] if col == "family"
                              else format_float(row[col]) for col in CSV_COLUMNS])
         assert ours.getvalue() == ref.getvalue() == golden_body
+
+    @staticmethod
+    def reference_csv(rows):
+        """The CSV text with one format call per cell, memoizing nothing."""
+
+        def cell(val):
+            if val is None:
+                return ""
+            return val if isinstance(val, str) else format_float(val)
+
+        lines = [",".join(CSV_COLUMNS)]
+        lines += [",".join(cell(row.get(col)) for col in CSV_COLUMNS) for row in rows]
+        return "\n".join(lines) + "\n"
+
+    def test_edge_cells_match_per_cell_formatting(self):
+        third, third_again = 1.0 / 3.0, float(repr(1.0 / 3.0))
+        assert third == third_again and third is not third_again
+        nan, other_nan = float("nan"), float("nan")
+        rows = [
+            {"family": "uniform", "P": 0.0, "a": -0.0, "alpha": None, "R": third,
+             "KE": 2, "PE": math.inf, "E": nan, "V": 0, "l32_norm": "x"},
+            {"family": "core-halo", "P": -0.0, "a": 0.0, "alpha": 0.0, "R": third_again,
+             "KE": 2.0, "PE": -math.inf, "E": other_nan, "V": -0.0, "l32_norm": 0.5},
+            {"family": "uniform", "P": 0.0, "a": -0.0, "alpha": -0.0, "R": -third,
+             "KE": 0, "PE": math.inf, "E": nan, "V": 0.0, "l32_norm": "x"},
+            {"family": "", "P": -0.0},
+        ]
+        buf = io.StringIO()
+        rows_to_csv(rows, buf)
+        assert buf.getvalue() == self.reference_csv(rows)
+        assert buf.getvalue().splitlines()[1:3] == [
+            "uniform,0,-0,,0.33333333333333331,2,inf,nan,0,x",
+            "core-halo,-0,0,0,0.33333333333333331,2,-inf,nan,-0,0.5",
+        ]
+
+    def test_empty_rows_write_the_header(self):
+        buf = io.StringIO()
+        rows_to_csv([], buf)
+        assert buf.getvalue() == ",".join(CSV_COLUMNS) + "\n"
+
+    @pytest.mark.parametrize("n_p, n_a", [(3, 7), (25, 40)])
+    def test_formats_each_distinct_value_once(self, monkeypatch, n_p, n_a):
+        # Counts calls and times nothing.  Per P the floor scan repeats P, R,
+        # KE, PE and E; per cutoff it repeats a; only V and l32_norm vary
+        # with both, so rendering needs at most 2 p a + 5 p + a format calls,
+        # not one per float cell (8 p a).
+        rows = uniform_ball_floor(ScanGrid(P_values=tuple(np.geomspace(1e-2, 1e4, n_p)),
+                                           a_values=tuple(np.linspace(-0.99, 1.0, n_a)))).rows
+        calls = [0]
+
+        def counting(x):
+            calls[0] += 1
+            return format_float(x)
+
+        monkeypatch.setattr(scans, "format_float", counting)
+        buf = io.StringIO()
+        rows_to_csv(rows, buf)
+        assert 0 < calls[0] <= 2 * n_p * n_a + 5 * n_p + n_a
+        assert buf.getvalue() == self.reference_csv(rows)
 
     def test_float_format_round_trips(self):
         for x in (1.0 / 3.0, 7.816488155904346e-4, -0.5007330147533631):
