@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
 
 from . import functionals, solvers
 from .errors import NoRootError, ProfileError, RampOverlapError
@@ -124,30 +123,42 @@ def rebalance(params, spec, energy_tol=solvers.ENERGY_RESIDUAL_TOL):
     mollified datum's total energy vanishes to ``energy_tol``.
 
     The root is bracketed on [x0/2, x0] (hi doubled until the energy changes
-    sign) and refined by Brent iteration.  With ``spec.delta == 0`` the
-    given params and their step ansatz are returned.
+    sign) and refined by Brent iteration.  The whole step ansatz is smoothed
+    once, at x0/2, the first point the bracket visits; every other point
+    rebuilds and smooths only the factor the free parameter moves
+    (``Family.moves``) and shares the other two, with the integrals
+    memoized on them.  Each point's energy and mollified ansatz are computed
+    once, however often the bracket, the Brent iteration and the final check
+    read them.  With ``spec.delta == 0`` the given params and their step
+    ansatz are returned.
     """
     family = solvers.family_of(params)
     if spec.delta == 0.0:
         return params, family.ansatz(params)
     x0 = getattr(params, family.free)
+    lo = 0.5 * x0
+    first = mollify(family.ansatz(replace(params, **{family.free: lo})), spec)
+    points = {}
 
-    # The factors x does not move are the same step profiles at every x, so
-    # their smoothed copies, and the integrals memoized on them, are made once.
-    smooth = lru_cache(maxsize=None)(partial(mollify_profile, delta=spec.delta))
-
-    def mollified(x):
-        step = family.ansatz(replace(params, **{family.free: x}))
-        return SeparableAnsatz(smooth(step.spatial), smooth(step.momentum), smooth(step.angular))
+    def point(x):
+        """(total energy, mollified ansatz) at free value x."""
+        if x not in points:
+            ansatz = first
+            if x != lo:
+                moved = family.factor(replace(params, **{family.free: x}), family.moves)
+                ansatz = replace(first, **{family.moves: mollify_profile(moved, spec.delta)})
+            points[x] = functionals.total_energy(ansatz), ansatz
+        return points[x]
 
     def residual(x):
-        return functionals.total_energy(mollified(x))
+        return point(x)[0]
 
-    bracket = RootBracket.expand(residual, 0.5 * x0, x0)
+    bracket = RootBracket.expand(residual, lo, x0)
     x = brentq(residual, bracket.lo, bracket.hi, xtol=1e-15 * x0)
-    if abs(residual(x)) > energy_tol:
-        raise NoRootError(f"rebalanced energy residual {residual(x):.3e}")
-    return replace(params, **{family.free: x}), mollified(x)
+    energy, ansatz = point(x)
+    if abs(energy) > energy_tol:
+        raise NoRootError(f"rebalanced energy residual {energy:.3e}")
+    return replace(params, **{family.free: x}), ansatz
 
 
 def seam_smoothness(profile):

@@ -188,6 +188,7 @@ class Piece:
                 raise ProfileError("ramp endpoint values must be >= 0")
             if not (math.isfinite(self.left) and math.isfinite(self.right)):
                 raise ProfileError("ramp endpoint values must be finite")
+            object.__setattr__(self, "_terms", {})
 
     @staticmethod
     def constant(value, lo, hi):
@@ -228,30 +229,33 @@ class Piece:
         """Limit of the piece value at hi (from inside)."""
         return self.right if self.kind == RAMP else self.value_at(self.hi)
 
-    def _ramp_value_coeffs(self):
-        # Ramp value as a polynomial in u = r - lo:
-        #   left + d*(3u^2/w^2 - 2u^3/w^3)
-        w = self.hi - self.lo
-        d = self.right - self.left
-        return (self.left, 0.0, 3.0 * d / w**2, -2.0 * d / w**3)
+    def _ramp_terms(self, k):
+        """(c, deg) pairs with int_lo^r value(s) s^k ds = sum c u**deg / deg, u = r - lo.
 
-    def _ramp_partial_moment(self, k, r):
-        # Exact int_lo^r value(s) * s^k ds for a ramp piece (polynomial).
-        coeffs = self._ramp_value_coeffs()
-        u = r - self.lo
-        total = 0.0
-        for j, aj in enumerate(coeffs):
-            if aj == 0.0:
-                continue
-            for m in range(k + 1):
-                deg = j + m + 1
-                total += aj * math.comb(k, m) * self.lo ** (k - m) * u**deg / deg
-        return total
+        For a ramp only.  Its value is the polynomial left + d (3u^2/w^2 -
+        2u^3/w^3) in u, with coefficients a_j; expanding s^k = (lo + u)^k
+        gives c = a_j C(k, m) lo^(k-m) and deg = j + m + 1 for every nonzero
+        a_j and m = 0..k.  Computed once per order k and kept on the piece.
+        c is formed left to right and each term as c * u**deg / deg, summed in
+        table order, so the value rounds exactly as the term-by-term sum.
+        """
+        if k not in self._terms:
+            w = self.hi - self.lo
+            d = self.right - self.left
+            coeffs = (self.left, 0.0, 3.0 * d / w**2, -2.0 * d / w**3)
+            binomial = [(math.comb(k, m), self.lo ** (k - m), m + 1) for m in range(k + 1)]
+            self._terms[k] = [(aj * b * lo_power, j + deg) for j, aj in enumerate(coeffs)
+                              if aj != 0.0 for b, lo_power, deg in binomial]
+        return self._terms[k]
 
     def partial_moment(self, k, r):
         """Exact int_lo^r value(s) * s^k ds, for lo <= r <= hi."""
         if self.kind == RAMP:
-            return self._ramp_partial_moment(k, r)
+            u = r - self.lo
+            total = 0.0
+            for c, deg in self._ramp_terms(k):
+                total += c * u**deg / deg
+            return total
         if self.value == 0.0 or r == self.lo:
             return 0.0
         pref = self.value * self.lo**self.exponent
@@ -549,9 +553,9 @@ def radial_scale(spatial, momentum):
 
 def norm_constant(scale, angular):
     """C = 1 / (scale * int L) for ``scale`` from ``radial_scale``: unit total mass."""
-    scale *= angular.moments()[0]  # may underflow to 0
+    scale *= angular.moments()[0]  # may underflow to 0 or overflow to inf
     c = 1.0 / scale if scale > 0.0 else math.inf
-    if not math.isfinite(c):
+    if not 0.0 < c < math.inf:
         raise DegenerateFactorError(f"normalization constant is {c}")
     return c
 

@@ -16,7 +16,10 @@ roots are bit-identical to scipy's while the package never imports scipy
 for a root.
 
 ``FAMILIES`` is the one place a family is defined: its params class, free
-parameter, step-ansatz builder and exact zero-energy solve.
+parameter, the factor that parameter moves, spatial-profile builder and
+exact zero-energy solve; the step ansatz (``Family.ansatz``, also bound as
+``uniform_ansatz``, ``core_halo_ansatz`` and ``monotonic_ansatz``) is built
+the same way for all three.
 
 The angular threshold a* = 1 - 1/S (S the spatial*momentum virial factor)
 marks where the virial reaches -1/2; any cutoff at or below a* certifies
@@ -227,28 +230,6 @@ def brentq(f, a, b, xtol, maxiter=100):
                       f"last x={xcur!r}")
 
 
-def uniform_ansatz(params):
-    return SeparableAnsatz(
-        uniform_eta(params.r), momentum_ball(params.p), AngularProfile.cutoff(params.a)
-    )
-
-
-def core_halo_ansatz(params):
-    return SeparableAnsatz(
-        core_halo_eta(params.r1, params.r2, params.r3, params.alpha),
-        momentum_ball(params.p),
-        AngularProfile.cutoff(params.a),
-    )
-
-
-def monotonic_ansatz(params):
-    return SeparableAnsatz(
-        monotonic_eta(params.r1, params.r2, params.r3, params.n),
-        momentum_ball(params.p),
-        AngularProfile.cutoff(params.a),
-    )
-
-
 def solve_uniform_R(p):
     """Zero-energy radius of the uniform ball: R = 3 / (5 KE(P))."""
     check_positive(p, "momentum cutoff")
@@ -363,20 +344,28 @@ def solve_threshold_a(ansatz):
     return 1.0 - 1.0 / factor
 
 
+_FACTORS = ("spatial", "momentum", "angular")
+
+
 @dataclass(frozen=True)
 class Family:
     """One ansatz family: a spatial profile plus one free parameter.
 
     ``params`` is the family's parameter dataclass and ``free`` the name of
-    its field fixed by zero energy.  ``ansatz`` builds the step ansatz from
-    the params; ``solve`` takes the other fields (``inputs``) as keywords
-    and returns the exact zero-energy value of the free one.
+    its field fixed by zero energy.  ``spatial`` builds the step spatial
+    profile from the params; every family takes the momentum ball of radius
+    ``p`` and the angular cutoff ``a``, so ``factor`` and ``ansatz`` are
+    written once.  ``moves`` names the one factor the free parameter changes
+    (``"spatial"`` or ``"momentum"``), so a re-solve rebuilds that factor
+    alone.  ``solve`` takes the other fields (``inputs``) as keywords and
+    returns the exact zero-energy value of the free one.
     """
 
     name: str
     params: type
     free: str
-    ansatz: Callable
+    moves: str
+    spatial: Callable
     solve: Callable
 
     @property
@@ -384,18 +373,36 @@ class Family:
         """Parameter fields other than the free one, in declaration order."""
         return tuple(f.name for f in fields(self.params) if f.name != self.free)
 
+    def factor(self, params, name):
+        """The step profile of one factor ("spatial", "momentum" or "angular") of ``params``."""
+        if name == "spatial":
+            return self.spatial(params)
+        if name == "momentum":
+            return momentum_ball(params.p)
+        return AngularProfile.cutoff(params.a)
+
+    def ansatz(self, params):
+        """The step ansatz of ``params``."""
+        return SeparableAnsatz(*(self.factor(params, name) for name in _FACTORS))
+
 
 FAMILIES = {
     family.name: family
     for family in (
-        Family("uniform", UniformParams, "r", uniform_ansatz,
+        Family("uniform", UniformParams, "r", "spatial",
+               lambda params: uniform_eta(params.r),
                lambda p, a: solve_uniform_R(p)),
-        Family("core-halo", CoreHaloParams, "alpha", core_halo_ansatz,
+        Family("core-halo", CoreHaloParams, "alpha", "spatial",
+               lambda params: core_halo_eta(params.r1, params.r2, params.r3, params.alpha),
                lambda r1, r2, r3, p, a: solve_corehalo_alpha(r1, r2, r3, p)),
-        Family("monotonic", MonotonicParams, "p", monotonic_ansatz,
+        Family("monotonic", MonotonicParams, "p", "momentum",
+               lambda params: monotonic_eta(params.r1, params.r2, params.r3, params.n),
                lambda r1, r2, r3, n, a: solve_monotonic_P(r1, r2, r3, n)),
     )
 }
+uniform_ansatz = FAMILIES["uniform"].ansatz
+core_halo_ansatz = FAMILIES["core-halo"].ansatz
+monotonic_ansatz = FAMILIES["monotonic"].ansatz
 
 
 def family_of(params):

@@ -458,6 +458,21 @@ class TestCustomFamily:
         assert out == ""
         assert err == f"error: squared spatial factor integral is {squared}\n"
 
+    def test_overflowing_norm_is_numerical_failure(self, capsys, tmp_path):
+        # Both factor integrals are finite, but their product 1/C is not.
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({
+            "spatial": {"pieces": [{"kind": "constant", "lo": 0, "hi": 1e50, "value": 1}]},
+            "momentum": {"pieces": [{"kind": "constant", "lo": 0, "hi": 1e60, "value": 1}]},
+            "angular": {"cutoff": 0},
+        }))
+        code, out, err = run_cli(
+            capsys, ["certify", "--family", "custom", "--profiles", str(path)]
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: normalization constant is 0.0\n"
+
 
 # Sections of a --profiles document: arbitrary JSON, a "pieces" or "cutoff" key
 # holding arbitrary JSON, or a well-formed section with good or arbitrary numbers.

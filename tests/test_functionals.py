@@ -120,6 +120,13 @@ class TestNormalization:
         with pytest.raises(DegenerateFactorError, match="normalization constant is inf"):
             tiny.norm_constant
 
+    def test_zero_constant_rejected(self):
+        # 1/C = 8 pi^2 m2q m2p int L overflows to inf, and 1/inf is C = 0.
+        huge = SeparableAnsatz(uniform_eta(1e60), momentum_ball(1e60),
+                               AngularProfile.cutoff(0.0))
+        with pytest.raises(DegenerateFactorError, match="normalization constant is 0.0"):
+            huge.norm_constant
+
 
 class TestKineticEnergy:
     def test_rest_mass_limit(self):

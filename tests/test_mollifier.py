@@ -1,6 +1,7 @@
 """Smoothing of step profiles and zero-energy rebalancing."""
 
 import math
+from dataclasses import replace
 from itertools import accumulate
 
 import numpy as np
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import tight_integral, tight_nested
-from virial_forge import solvers
-from virial_forge.errors import ProfileError, RampOverlapError
+from virial_forge import functionals, mollifier, solvers
+from virial_forge.errors import NoPositiveRootError, NoRootError, ProfileError, RampOverlapError
 from virial_forge.functionals import (
     DEFAULT_ENERGY_TOL,
     check_criteria,
@@ -38,7 +39,9 @@ from virial_forge.profiles import (
 from virial_forge.solvers import (
     CoreHaloParams,
     MonotonicParams,
+    RootBracket,
     UniformParams,
+    brentq,
     core_halo_ansatz,
     monotonic_ansatz,
     solve_corehalo_alpha,
@@ -377,3 +380,117 @@ class TestSpec:
         step = core_halo_ansatz(reference_params(a=-0.85))
         # Smallest feature: the angular slab [-1, -0.85] of width 0.15.
         assert default_delta(step) == pytest.approx(1.5e-4, rel=1e-12)
+
+
+def rebalance_reference(params, spec):
+    """Rebalance by full rebuild: the whole step ansatz smoothed anew at every point.
+
+    Returns the free parameter, its mollified ansatz and its energy.
+    """
+    family = solvers.family_of(params)
+    x0 = getattr(params, family.free)
+
+    def mollified(x):
+        return mollify(family.ansatz(replace(params, **{family.free: x})), spec)
+
+    def residual(x):
+        return total_energy(mollified(x))
+
+    bracket = RootBracket.expand(residual, 0.5 * x0, x0)
+    x = brentq(residual, bracket.lo, bracket.hi, xtol=1e-15 * x0)
+    return x, mollified(x), residual(x)
+
+
+def seeded_data(seed, per_family):
+    """Solved step data of every family, drawn as the benchmark draws them, with deltas."""
+    rng = np.random.default_rng(seed)
+
+    def log_uniform(lo, hi):
+        return 10.0 ** rng.uniform(math.log10(lo), math.log10(hi))
+
+    data = []
+    for _ in range(per_family):
+        p = log_uniform(1e-2, 1e4)
+        data.append(UniformParams(r=solve_uniform_R(p), p=p, a=rng.uniform(-0.999, 0.9)))
+        r1 = log_uniform(0.05, 0.5)
+        r2 = r1 * rng.uniform(2.0, 10.0)
+        r3, p = r2 * rng.uniform(1.2, 3.0), log_uniform(0.3, 10.0)
+        a = rng.uniform(-0.99, -0.3)
+        try:
+            alpha = solve_corehalo_alpha(r1, r2, r3, p)
+            data.append(CoreHaloParams(r1=r1, r2=r2, r3=r3, p=p, alpha=alpha, a=a))
+        except NoPositiveRootError:
+            pass
+        r1 = log_uniform(0.005, 0.05)
+        r2 = r1 * rng.uniform(3.0, 15.0)
+        r3, n = r2 * rng.uniform(1.05, 1.5), rng.uniform(2.0, 4.0)
+        a = rng.uniform(-0.99, -0.5)
+        try:
+            p = solve_monotonic_P(r1, r2, r3, n)
+            data.append(MonotonicParams(r1=r1, r2=r2, r3=r3, n=n, p=p, a=a))
+        except NoRootError:
+            pass
+    specs = [MollifySpec(delta=default_delta(solvers.family_of(params).ansatz(params))
+                         * 10.0 ** rng.uniform(-0.6, 0.6)) for params in data]
+    return list(zip(data, specs))
+
+
+def one_per_family():
+    p_step = solve_monotonic_P(0.01, 1.0 / 11.0, 0.1, 3.0)
+    return [
+        (UniformParams(r=solve_uniform_R(1.0), p=1.0, a=-0.5), MollifySpec(delta=1e-3)),
+        (reference_params(), MollifySpec(delta=1e-3)),
+        (MonotonicParams(r1=0.01, r2=1.0 / 11.0, r3=0.1, n=3.0, p=p_step, a=-0.95),
+         MollifySpec(delta=2e-4)),
+    ]
+
+
+class TestRebalanceWork:
+    @pytest.mark.parametrize("seed", [5, 17])
+    def test_bit_identical_to_full_rebuild(self, seed):
+        data = seeded_data(seed, per_family=4)
+        assert {solvers.family_of(params).name for params, _ in data} == set(solvers.FAMILIES)
+        for params, spec in data:
+            family = solvers.family_of(params)
+            new_params, moll = rebalance(params, spec)
+            x, ref_moll, ref_energy = rebalance_reference(params, spec)
+            assert getattr(new_params, family.free) == x
+            assert total_energy(moll) == ref_energy
+            assert moll == ref_moll
+            assert evaluate(moll) == evaluate(ref_moll)
+
+    def test_ramp_misfit_reports_the_first_point(self):
+        # delta above the ball radius: no ramp fits at x0/2, the first point
+        # visited, and the error names that point as a full rebuild does.
+        params, _ = one_per_family()[0]
+        spec = MollifySpec(delta=2.0 * params.r)
+        with pytest.raises(RampOverlapError) as ours:
+            rebalance(params, spec)
+        with pytest.raises(RampOverlapError) as reference:
+            rebalance_reference(params, spec)
+        assert str(ours.value) == str(reference.value)
+
+    @pytest.mark.parametrize("params, spec", one_per_family(),
+                             ids=["uniform", "core-halo", "monotonic"])
+    def test_each_point_evaluated_once(self, monkeypatch, params, spec):
+        visited, energies, cutoffs = set(), [], []
+
+        def visiting(f):
+            return lambda x: visited.add(x) or f(x)
+
+        real_energy = functionals.total_energy
+        monkeypatch.setattr(functionals, "total_energy",
+                            lambda ansatz: energies.append(ansatz) or real_energy(ansatz))
+        real_cutoff = AngularProfile.cutoff.__func__
+        monkeypatch.setattr(AngularProfile, "cutoff", classmethod(
+            lambda cls, a: cutoffs.append(a) or real_cutoff(cls, a)))
+        real_expand = RootBracket.expand.__func__
+        monkeypatch.setattr(RootBracket, "expand", classmethod(
+            lambda cls, f, lo, hi: real_expand(cls, visiting(f), lo, hi)))
+        monkeypatch.setattr(mollifier, "brentq",
+                            lambda f, *args, **kwargs: brentq(visiting(f), *args, **kwargs))
+
+        new_params, _ = rebalance(params, spec)
+        assert getattr(new_params, solvers.family_of(params).free) in visited
+        assert len(energies) == len(visited)
+        assert len(cutoffs) <= 1

@@ -166,6 +166,39 @@ class TestMoments:
             )
 
 
+def ramp_partial_moment_reference(piece, k, r):
+    """int_lo^r ramp(s) s^k ds with every term c * u**deg / deg built afresh at r."""
+    w, d = piece.hi - piece.lo, piece.right - piece.left
+    coeffs = (piece.left, 0.0, 3.0 * d / w**2, -2.0 * d / w**3)
+    u = r - piece.lo
+    total = 0.0
+    for j, aj in enumerate(coeffs):
+        if aj == 0.0:
+            continue
+        for m in range(k + 1):
+            deg = j + m + 1
+            total += aj * math.comb(k, m) * piece.lo ** (k - m) * u**deg / deg
+    return total
+
+
+RAMP_VALUES = st.just(0.0) | st.floats(1e-8, 10.0)
+
+
+@RULE_PROPERTY
+@given(lo=st.floats(-1.0, 10.0), width=st.floats(1e-6, 10.0), left=RAMP_VALUES,
+       right=RAMP_VALUES, fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+def test_ramp_partial_moment_is_the_per_term_formula(lo, width, left, right, fractions):
+    # The terms are kept on the piece after the first call; every later
+    # point and order must still round exactly as the per-term formula.
+    piece = Piece.ramp(left, right, lo, lo + width)
+    for k in range(4):
+        for f in fractions:
+            r = min(piece.hi, piece.lo + f * piece.width)
+            assert piece.partial_moment(k, r) == ramp_partial_moment_reference(piece, k, r)
+        if not piece.is_zero:
+            assert piece.moment(k) == ramp_partial_moment_reference(piece, k, piece.hi)
+
+
 class TestPowerMoments:
     def test_indicator_idempotent(self):
         r = 0.9
