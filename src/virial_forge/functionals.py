@@ -220,6 +220,7 @@ class _MomentSource:
         of C and of the L^{3/2} norm) is computed once; every product keeps
         its left-to-right order, so no report depends on the other profiles.
         """
+        angulars = tuple(angulars)  # alive to the end, as ``_Adaptive`` keys by id
         kin = self.kinetic_energy(phi)
         pot = self.potential_energy(eta)
         energy = kin + pot
@@ -277,15 +278,15 @@ class _Exact(_MomentSource):
 
 
 class _Adaptive(_MomentSource):
-    """Every integral by adaptive quadrature, each kept so it runs once."""
+    """Every integral by adaptive quadrature, kept by profile identity so it runs once."""
 
     def __init__(self):
         self.results = {}
 
-    def _result(self, integral, *args):
-        key = (integral, *args)
+    def _result(self, integral, profile, *args):
+        key = (integral, id(profile), *args)
         if key not in self.results:
-            self.results[key] = integral(*args)
+            self.results[key] = integral(profile, *args)
         return self.results[key]
 
     def moment(self, profile, k):

@@ -93,7 +93,7 @@ def _mollify_pieces(pieces, delta):
                     f"ramp [{lo}, {hi}] at breakpoint {b} would leave [{start}, {nxt.hi}], "
                     "crossing a piece edge or the ramp before it")
         if lo > start:
-            p = replace(p, lo=start, hi=lo, value=p.value_at(start))
+            p = Piece(p.kind, start, lo, p.value_at(start), p.exponent)
             out.append(p)
         if jump:
             out.append(Piece.ramp(p.value_at(lo), nxt.value_at(hi), lo, hi))

@@ -13,7 +13,9 @@ the fixed Gauss-Legendre rules stored here; nothing integrates adaptively.
 
 All profile objects are immutable after construction and safe to share
 between threads.  Derived quantities (the moments here, the exact route's
-kinetic and nested integrals in ``functionals``) are memoized per instance.
+kinetic and nested integrals in ``functionals``) are memoized per instance,
+and so is the pointwise evaluator that ``__call__`` and the oracle's
+integrands in ``quadrature`` call: one closure over the pieces, built once.
 """
 
 from __future__ import annotations
@@ -326,6 +328,20 @@ def _piece_starts(profile):
     return [p.lo for p in profile.pieces]
 
 
+def _evaluator(profile):
+    """The profile's value at a point of its domain: right-continuous, closed at the end."""
+    starts = profile.memo("starts", _piece_starts)
+    value_at = [p.value_at for p in profile.pieces]
+    end, end_value = profile.pieces[-1].hi, profile.pieces[-1].right_value()
+
+    def value(r):
+        if r == end:
+            return end_value
+        return value_at[bisect.bisect_right(starts, r) - 1](r)
+
+    return value
+
+
 def _finite_sum(terms, what):
     total = math.fsum(terms)
     if not math.isfinite(total):
@@ -338,6 +354,10 @@ class _PieceSet:
 
     pieces: tuple
 
+    def __getstate__(self):
+        """Pickle without the memos: the evaluator is a closure, and every memo rebuilds."""
+        return {**self.__dict__, "_cache": {}}
+
     def memo(self, key, compute):
         """``compute(self)``, computed on first use of ``key`` and kept on the profile."""
         cache = self._cache
@@ -345,14 +365,10 @@ class _PieceSet:
             cache[key] = compute(self)
         return cache[key]
 
-    def _piece_at(self, r):
-        idx = bisect.bisect_right(self.memo("starts", _piece_starts), r) - 1
-        return self.pieces[idx]
-
-    def _value(self, r):
-        if r == self.pieces[-1].hi:
-            return self.pieces[-1].right_value()
-        return self._piece_at(r).value_at(r)
+    @property
+    def _value(self):
+        """The pointwise evaluator, built once: no range check, so callers keep to the domain."""
+        return self.memo("value", _evaluator)
 
     @property
     def breakpoints(self):
@@ -418,7 +434,7 @@ class PiecewiseProfile(_PieceSet):
 
     def __call__(self, r):
         """Evaluate at r >= 0; right-continuous at breakpoints."""
-        if r < 0.0:
+        if not r >= 0.0:
             raise ValueError("radial argument must be >= 0")
         return self._value(r)
 
@@ -440,7 +456,7 @@ class PiecewiseProfile(_PieceSet):
 
     def cumulative_moment2(self, r):
         """Exact cumulative int_0^r g(s) s^2 ds (the enclosed-mass integral)."""
-        if r < 0.0:
+        if not r >= 0.0:
             raise ValueError("radial argument must be >= 0")
         idx = bisect.bisect_right(self.memo("starts", _piece_starts), r) - 1
         piece = self.pieces[idx]

@@ -4,6 +4,8 @@ Backed by QUADPACK's adaptive Gauss-Kronrod rules (``scipy.integrate.quad``),
 which accept interior breakpoints so subdivision never straddles a supplied
 discontinuity.  Improper upper limits are never integrated: compact support
 is enforced upstream, so all integrals here run over finite intervals.
+Each integrand calls the profile's memoized pointwise evaluator, fetched once
+per integral, not its range-checked ``__call__``: QUADPACK stays in [lo, hi].
 
 scipy is imported on the first integration, not with the package: the
 closed-form route for step data never integrates, so certifying it does
@@ -111,16 +113,18 @@ def profile_moment_quad(profile, k, beta=1.0, weight=None):
     upper = profile.support_radius
     if upper == 0.0:
         return QuadResult(0.0, 0.0, 0)
+    g = profile._value
     if weight is None:
-        f = lambda r: profile(r) ** beta * r**k  # noqa: E731
+        f = lambda r: g(r) ** beta * r**k  # noqa: E731
     else:
-        f = lambda r: weight(r) * profile(r) ** beta * r**k  # noqa: E731
+        f = lambda r: weight(r) * g(r) ** beta * r**k  # noqa: E731
     return integrate(f, 0.0, upper, breakpoints=profile.breakpoints)
 
 
 def angular_moment_quad(angular, k=0, beta=1.0):
     """Numeric int L(x)**beta * x^k dx over [-1, 1]."""
-    f = lambda x: angular(x) ** beta * x**k  # noqa: E731
+    g = angular._value
+    f = lambda x: g(x) ** beta * x**k  # noqa: E731
     return integrate(f, -1.0, 1.0, breakpoints=angular.breakpoints)
 
 
@@ -133,8 +137,5 @@ def nested_mass_quad(eta):
     upper = eta.support_radius
     if upper == 0.0:
         return QuadResult(0.0, 0.0, 0)
-
-    def outer(q):
-        return eta(q) * q * eta.cumulative_moment2(q)
-
-    return integrate(outer, 0.0, upper, breakpoints=eta.breakpoints)
+    g, cumulative = eta._value, eta.cumulative_moment2
+    return integrate(lambda q: g(q) * q * cumulative(q), 0.0, upper, breakpoints=eta.breakpoints)

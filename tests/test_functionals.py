@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import weakref
 
 import mpmath
 import numpy as np
@@ -671,6 +672,60 @@ class TestMomentSources:
         fresh = evaluate(build(), method="quadrature")
         assert n_memoized == len(oracle_calls) == 11
         assert repr(memoized) == repr(fresh)
+
+    def test_oracle_builds_each_evaluator_once(self, monkeypatch):
+        # Every adaptive integrand calls the profile's pointwise evaluator,
+        # built on the profile's first point and memoized on it.
+        built = []
+        real = profiles._evaluator
+
+        def counting(profile):
+            built.append(profile)
+            return real(profile)
+
+        monkeypatch.setattr(profiles, "_evaluator", counting)
+        ans = mollify(reference_corehalo(), MollifySpec(0.01))
+        evaluate(ans, method="quadrature")
+        assert sorted(map(id, built)) == sorted(map(id, (ans.spatial, ans.momentum, ans.angular)))
+        built.clear()
+        evaluate(ans, method="quadrature")
+        assert built == []
+
+    def test_equal_distinct_angulars_give_equal_reports(self):
+        # The oracle keys its integrals by profile identity: equal profiles
+        # integrate separately and give the same report.
+        step = reference_corehalo()
+        build = (lambda: AngularProfile.cutoff(-0.3),
+                 lambda: mollify_profile(AngularProfile.cutoff(-0.3), 0.05))
+        for make in build:
+            first, second = make(), make()
+            assert first == second and first is not second
+            reports = evaluate_cutoffs(step, (first, second), method="quadrature")
+            assert reports[0] == reports[1]
+            assert reports[0] == evaluate_cutoffs(step, (first,), method="quadrature")[0]
+
+    def test_oracle_keeps_generated_angulars_alive(self, monkeypatch):
+        # The oracle keys its integrals by id, so a profile made on the fly
+        # must outlive the call: no later profile may take its id.
+        step = reference_corehalo()
+        cuts = (-0.9, -0.5, -0.1, 0.3, 0.7)
+        made = []
+        real = quadrature.angular_moment_quad
+
+        def checked(angular, *args):
+            assert all(ref() is not None for ref in made)
+            return real(angular, *args)
+
+        def generated():
+            for a in cuts:
+                angular = AngularProfile.cutoff(a)
+                made.append(weakref.ref(angular))
+                yield angular
+
+        listed = evaluate_cutoffs(step, [AngularProfile.cutoff(a) for a in cuts], "quadrature")
+        monkeypatch.setattr(quadrature, "angular_moment_quad", checked)
+        assert evaluate_cutoffs(step, generated(), "quadrature") == listed
+        assert len(made) == len(cuts)
 
     @staticmethod
     def _rel_estimate(result):

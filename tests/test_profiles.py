@@ -1,6 +1,7 @@
 """Profile construction, evaluation, and exact moment integrals."""
 
 import math
+import pickle
 
 import mpmath
 import numpy as np
@@ -54,6 +55,22 @@ class TestEval:
     def test_negative_argument_rejected(self):
         with pytest.raises(ValueError):
             uniform_eta(1.0)(-0.1)
+
+    def test_evaluated_profile_pickles(self):
+        # The memoized evaluator is a closure; a pickled profile rebuilds it.
+        for profile in (monotonic_eta(0.01, 1.0 / 11.0, 0.1, 3.0), AngularProfile.cutoff(-0.5)):
+            assert profile(0.05) >= 0.0 and profile.moment(2) > 0.0
+            clone = pickle.loads(pickle.dumps(profile))
+            assert clone == profile
+            assert clone(0.05) == profile(0.05) and clone.moment(2) == profile.moment(2)
+
+    def test_nan_argument_rejected(self):
+        # NaN fails every comparison, so a bare r < 0 check would let it
+        # through to the zero tail (value 0, enclosed mass the total).
+        eta = core_halo_eta(0.2, 1.0, 2.0, ALPHA_REF)
+        for entry in (eta, eta.cumulative_moment2, AngularProfile.cutoff(-0.5)):
+            with pytest.raises(ValueError):
+                entry(math.nan)
 
 
 class TestConstruction:
@@ -197,6 +214,69 @@ def test_ramp_partial_moment_is_the_per_term_formula(lo, width, left, right, fra
             assert piece.partial_moment(k, r) == ramp_partial_moment_reference(piece, k, r)
         if not piece.is_zero:
             assert piece.moment(k) == ramp_partial_moment_reference(piece, k, piece.hi)
+
+
+def value_by_scan(profile, r):
+    """Reference pointwise value: the piece with lo <= r < hi, found by a linear scan."""
+    last = profile.pieces[-1]
+    if r == last.hi:
+        return last.right_value()
+    for piece in profile.pieces:
+        if piece.lo <= r < piece.hi:
+            return piece.value_at(r)
+    raise AssertionError(f"{r} outside the profile's domain")
+
+
+PIECE_VALUES = st.just(0.0) | st.floats(1e-3, 10.0)
+
+
+@st.composite
+def radial_profiles(draw):
+    """Constant, power-law and ramp pieces from 0, then the zero tail."""
+    segments, lo = [], 0.0
+    for _ in range(draw(st.integers(1, 5))):
+        hi = lo + draw(st.floats(1e-3, 3.0))
+        kind = draw(st.sampled_from(("constant", "power", "ramp") if lo > 0.0
+                                    else ("constant", "ramp")))
+        if kind == "constant":
+            segments.append(Piece.constant(draw(PIECE_VALUES), lo, hi))
+        elif kind == "power":
+            segments.append(Piece.power(draw(PIECE_VALUES), draw(st.floats(-3.0, 5.0)), lo, hi))
+        else:
+            segments.append(Piece.ramp(draw(PIECE_VALUES), draw(PIECE_VALUES), lo, hi))
+        lo = hi
+    return PiecewiseProfile.from_segments(segments)
+
+
+@st.composite
+def angular_profiles(draw):
+    """Constant and ramp pieces covering [-1, 1]."""
+    cuts = sorted(set(draw(st.lists(st.floats(-0.99, 0.99), max_size=4))))
+    edges = [-1.0, *cuts, 1.0]
+    return AngularProfile(tuple(
+        Piece.ramp(draw(PIECE_VALUES), draw(PIECE_VALUES), lo, hi) if draw(st.booleans())
+        else Piece.constant(draw(PIECE_VALUES), lo, hi)
+        for lo, hi in zip(edges, edges[1:])))
+
+
+@RULE_PROPERTY
+@given(profile=radial_profiles() | angular_profiles(),
+       fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+def test_evaluator_is_the_linear_scan(profile, fractions):
+    # Interior points of every finite piece, every breakpoint (right
+    # continuity), the left end of the domain, the last piece's hi, and for
+    # a radial profile a point inside its zero tail.
+    value = profile._value
+    last = profile.pieces[-1]
+    points = [p.lo + f * p.width for p in profile.pieces if math.isfinite(p.hi)
+              for f in fractions]
+    points += [p.lo for p in profile.pieces] + [last.hi]
+    if isinstance(profile, PiecewiseProfile):
+        points.append(2.0 * last.lo + 1.0)
+    for r in points:
+        assert value(r) == value_by_scan(profile, r), r
+        assert profile(r) == value(r)
+    assert value is profile._value
 
 
 class TestPowerMoments:

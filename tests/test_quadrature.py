@@ -2,11 +2,20 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from virial_forge import quadrature
 from virial_forge.errors import QuadratureBudgetError
-from virial_forge.functionals import momentum_energy_moment
-from virial_forge.profiles import core_halo_eta, uniform_eta, PiecewiseProfile, Piece
+from virial_forge.functionals import evaluate, momentum_energy_moment
+from virial_forge.profiles import (
+    AngularProfile,
+    Piece,
+    PiecewiseProfile,
+    SeparableAnsatz,
+    core_halo_eta,
+    uniform_eta,
+)
 from virial_forge.quadrature import (
     QuadResult,
     integrate,
@@ -123,3 +132,81 @@ def test_profile_moment_quad_weight():
     phi = uniform_eta(1.0)
     res = profile_moment_quad(phi, 2, weight=lambda p: math.sqrt(1.0 + p * p))
     assert res.value == pytest.approx(momentum_energy_moment(1.0), rel=1e-12)
+
+
+# The oracle's moment integrals with integrands that call the profile itself,
+# range check included, each expression in the same operation order.
+def profile_moment_by_call(profile, k, beta=1.0, weight=None):
+    upper = profile.support_radius
+    if upper == 0.0:
+        return QuadResult(0.0, 0.0, 0)
+    if weight is None:
+        f = lambda r: profile(r) ** beta * r**k  # noqa: E731
+    else:
+        f = lambda r: weight(r) * profile(r) ** beta * r**k  # noqa: E731
+    return integrate(f, 0.0, upper, breakpoints=profile.breakpoints)
+
+
+def angular_moment_by_call(angular, k=0, beta=1.0):
+    f = lambda x: angular(x) ** beta * x**k  # noqa: E731
+    return integrate(f, -1.0, 1.0, breakpoints=angular.breakpoints)
+
+
+def nested_mass_by_call(eta):
+    upper = eta.support_radius
+    if upper == 0.0:
+        return QuadResult(0.0, 0.0, 0)
+    return integrate(lambda q: eta(q) * q * eta.cumulative_moment2(q), 0.0, upper,
+                     breakpoints=eta.breakpoints)
+
+
+def template_ansatz(rng, template):
+    """A seeded ansatz of one of three shapes: a power-law atmosphere (0), ramps in
+    the spatial and momentum factors (1), or a gap, a power-law tail and an
+    angular ramp (2)."""
+    u = lambda lo, hi: float(rng.uniform(lo, hi))  # noqa: E731
+    x = [float(v) for v in np.sort(rng.uniform(0.05, 3.0, size=4)) + [0.0, 0.05, 0.1, 0.15]]
+    v0, v2 = u(0.2, 1.5), u(0.2, 1.5)
+    if template == 0:
+        spatial = [Piece.constant(v0, 0.0, x[0]), Piece.power(u(0.2, 1.5), u(0.5, 4.0), x[0], x[1]),
+                   Piece.constant(v2, x[1], x[2])]
+    elif template == 1:
+        spatial = [Piece.constant(v0, 0.0, x[0]), Piece.ramp(v0, v2, x[0], x[1]),
+                   Piece.constant(v2, x[1], x[2]), Piece.ramp(v2, 0.0, x[2], x[3])]
+    else:
+        spatial = [Piece.constant(v0, 0.0, x[0]), Piece.constant(0.0, x[0], x[1]),
+                   Piece.power(v2, u(0.5, 4.0), x[1], x[3])]
+    p = [float(v) for v in np.cumsum(rng.uniform(0.2, 1.5, size=3))]
+    h = [u(0.3, 1.5) for _ in range(3)]
+    momentum = [Piece.constant(val, lo, hi) for lo, hi, val in zip((0.0, p[0], p[1]), p, h)]
+    if template == 1:
+        momentum[1] = Piece.ramp(h[0], h[2], p[0], p[1])
+    cut = u(-0.8, 0.8)
+    inner, outer = u(0.2, 1.5), u(0.0, 1.0)
+    angular = [Piece.constant(inner, -1.0, cut), Piece.constant(outer, cut, 1.0)]
+    if template == 2:
+        mid = cut + 0.5 * (1.0 - cut)
+        angular = [angular[0], Piece.ramp(inner, outer, cut, mid), Piece.constant(outer, mid, 1.0)]
+    return SeparableAnsatz(
+        PiecewiseProfile.from_segments(spatial),
+        PiecewiseProfile.from_segments(momentum, domain_label="radial-momentum"),
+        AngularProfile(tuple(angular)))
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+@pytest.mark.parametrize("template", [0, 1, 2])
+def test_oracle_report_is_that_of_the_profile_calls(monkeypatch, seed, template):
+    # The integrands call each profile's memoized evaluator; the report,
+    # residuals included, must be bit-identical to one whose integrands call
+    # the profile (range check and all).
+    rng = np.random.default_rng(seed)
+    for _ in range(2):
+        ansatz = template_ansatz(rng, template)
+        fast = evaluate(ansatz, method="quadrature")
+        with monkeypatch.context() as patched:
+            patched.setattr(quadrature, "profile_moment_quad", profile_moment_by_call)
+            patched.setattr(quadrature, "angular_moment_quad", angular_moment_by_call)
+            patched.setattr(quadrature, "nested_mass_quad", nested_mass_by_call)
+            by_call = evaluate(ansatz, method="quadrature")
+        assert repr(fast) == repr(by_call)
+        assert fast.residuals and fast.method == "quadrature"
