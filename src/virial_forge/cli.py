@@ -311,11 +311,11 @@ def _cmd_report(args):
     return 0, _render(pairs, args.format)
 
 
-def _csv_with_config(args, rows, summary_lines):
+def _csv_with_config(args, write_body, summary_lines):
     buf = io.StringIO()
     for key, val in _config_pairs(args):
         buf.write(f"# {key}={val}\n")
-    scans.rows_to_csv(rows, buf)
+    write_body(buf)
     for line in summary_lines:
         buf.write(line + "\n")
     return buf.getvalue()
@@ -340,7 +340,7 @@ def _cmd_scan(args):
         f"at P={format_float(result.argmin_P)} a={format_float(result.argmin_a)}",
     ]
     if args.format == "csv":
-        return 0, _csv_with_config(args, result.rows, summary)
+        return 0, _csv_with_config(args, functools.partial(scans.floor_to_csv, result), summary)
     pairs = _config_pairs(args) + [
         ("min_virial", _fmt_value(result.min_virial)),
         ("argmin_P", _fmt_value(result.argmin_P)),
@@ -367,7 +367,7 @@ def _cmd_asymptotics(args):
         f"# virial_slope={format_float(result.virial_fit.slope)}",
     ]
     if args.format == "csv":
-        return 0, _csv_with_config(args, result.rows, summary)
+        return 0, _csv_with_config(args, functools.partial(scans.rows_to_csv, result.rows), summary)
     pairs = _config_pairs(args) + [
         ("alpha_slope", _fmt_value(result.alpha_fit.slope)),
         ("alpha_intercept", _fmt_value(result.alpha_fit.intercept)),

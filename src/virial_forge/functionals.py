@@ -18,18 +18,21 @@ profile that is not a ball and the fractional powers of ramps use the fixed
 Gauss-Legendre rules of ``profiles``, so this route integrates nothing
 adaptively and loads neither numpy nor scipy.  The adaptive source
 (``method="quadrature"``) integrates every moment adaptively, once per
-evaluation, and is kept as an independent oracle.  ``evaluate_cutoffs``
-computes the a-free part once and completes it for each of many angular
-profiles; ``evaluate`` is its one-profile case.  Only these two take
-``method``; ``total_energy``, ``potential_energy_profile`` and
-``spatial_momentum_factor`` read the exact source.  Certification checks the
-three blow-up hypotheses: zero total energy, virial <= -1/2, and L^{3/2} norm
-above the critical constant (3/8)(15/16)^{1/3}.
+evaluation, and is kept as an independent oracle.  A source computes the
+a-free part once, as one record, and completes it from each angular
+profile's moments: ``evaluate_cutoffs`` does so for many angular profiles
+and ``evaluate`` is its one-profile case.  Only these two take ``method``;
+``radial_functionals`` (the exact record itself), ``total_energy``,
+``potential_energy_profile`` and ``spatial_momentum_factor`` read the exact
+source.  Certification checks the three blow-up hypotheses: zero total
+energy, virial <= -1/2, and L^{3/2} norm above the critical constant
+(3/8)(15/16)^{1/3}.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from . import quadrature
@@ -57,6 +60,7 @@ __all__ = [
     "potential_energy_profile",
     "virial",
     "spatial_momentum_factor",
+    "radial_functionals",
     "total_energy",
     "evaluate",
     "evaluate_cutoffs",
@@ -213,41 +217,55 @@ class _MomentSource:
         m3p, m2p = self.moment(phi, 3), self.moment(phi, 2)
         return (m3q / check_factor(m2q, "spatial")) * (m3p / check_factor(m2p, "momentum"))
 
-    def reports(self, eta, phi, angulars):
-        """A FunctionalReport of C * eta * phi * L for each L in ``angulars``.
-
-        The a-free part (energies, virial factor, radial parts of the mass,
-        of C and of the L^{3/2} norm) is computed once; every product keeps
-        its left-to-right order, so no report depends on the other profiles.
-        """
-        angulars = tuple(angulars)  # alive to the end, as ``_Adaptive`` keys by id
-        kin = self.kinetic_energy(phi)
-        pot = self.potential_energy(eta)
-        energy = kin + pot
-        scale = radial_scale(eta, phi)
-        factor = self.spatial_momentum_factor(eta, phi)
+    def radial(self, eta, phi):
+        """The a-free record of C * eta * phi * L, for any angular profile L."""
+        kin, pot = self.kinetic_energy(phi), self.potential_energy(eta)
+        scale, factor = radial_scale(eta, phi), self.spatial_momentum_factor(eta, phi)
         norms = self.norm_moment(eta) * self.norm_moment(phi)
         m2q = check_factor(self.moment(eta, 2), "spatial")
         m2p = check_factor(self.moment(phi, 2), "momentum")
-        den = 2.0 * math.pi ** (2.0 / 3.0) * m2q * m2p
-        label = self.label(eta, phi)
+        return _Radial(kin, pot, kin + pot, scale, factor, norms, m2q, m2p,
+                       2.0 * math.pi ** (2.0 / 3.0) * m2q * m2p, self.label(eta, phi))
+
+    def reports(self, eta, phi, angulars):
+        """A FunctionalReport of C * eta * phi * L for each L in ``angulars``.
+
+        The a-free record is computed once and completed from each L's
+        moments; every product keeps its left-to-right order, so no report
+        depends on the other profiles.
+        """
+        angulars = tuple(angulars)  # alive to the end, as ``_Adaptive`` keys by id
+        rad = self.radial(eta, phi)
         reports = []
         for angular in angulars:
-            c = norm_constant(scale, angular)
+            c = norm_constant(rad.scale, angular.moments()[0])
             m0, m1, nl = self.angular(angular)
             m0 = check_factor(m0, "angular")
             reports.append(FunctionalReport(
                 norm_constant=c,
-                mass=c * 8.0 * math.pi**2 * m2q * m2p * m0,
-                l32_norm=(norms * nl) ** (2.0 / 3.0) / (den * m0),
-                kinetic=kin,
-                potential=pot,
-                total_energy=energy,
-                virial=factor * m1 / m0,
-                method=_RULE if label == _CLOSED and angular.has_ramp else label,
+                mass=c * 8.0 * math.pi**2 * rad.m2q * rad.m2p * m0,
+                l32_norm=rad.l32_norm(m0, nl),
+                kinetic=rad.kinetic,
+                potential=rad.potential,
+                total_energy=rad.total_energy,
+                virial=rad.virial(m0, m1),
+                method=_RULE if rad.label == _CLOSED and angular.has_ramp else rad.label,
                 residuals=self.residuals(eta, phi, angular),
             ))
         return reports
+
+
+class _Radial(namedtuple("_Radial", "kinetic potential total_energy scale factor norms "
+                                    "m2q m2p den label")):
+    """Everything a report needs but the angular moments (m0, m1, m32)."""
+
+    __slots__ = ()
+
+    def virial(self, m0, m1):
+        return self.factor * m1 / m0
+
+    def l32_norm(self, m0, m32):
+        return (self.norms * m32) ** (2.0 / 3.0) / (self.den * m0)
 
 
 class _Exact(_MomentSource):
@@ -348,6 +366,15 @@ def total_energy(ansatz):
 def spatial_momentum_factor(eta, phi):
     """(||g r^3||/||g r^2||) * (||h p^3||/||h p^2||), the a-free virial factor."""
     return _EXACT.spatial_momentum_factor(eta, phi)
+
+
+def radial_functionals(spatial, momentum):
+    """The exact a-free record of C * spatial * momentum * L, for any L.
+
+    Its ``virial(m0, m1)`` and ``l32_norm(m0, m32)`` complete it from the
+    angular moments, bit for bit as ``evaluate`` does.
+    """
+    return _EXACT.radial(spatial, momentum)
 
 
 def virial(ansatz):

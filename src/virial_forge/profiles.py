@@ -547,7 +547,7 @@ class SeparableAnsatz:
     @property
     def norm_constant(self):
         """C with 1/C = 8 pi^2 * ||spatial r^2|| * ||momentum p^2|| * int L."""
-        return norm_constant(radial_scale(self.spatial, self.momentum), self.angular)
+        return norm_constant(radial_scale(self.spatial, self.momentum), self.angular.moments()[0])
 
     @property
     def has_ramp(self):
@@ -567,9 +567,9 @@ def radial_scale(spatial, momentum):
     return 8.0 * math.pi**2 * m2q * check_factor(momentum.moment(2), "momentum")
 
 
-def norm_constant(scale, angular):
-    """C = 1 / (scale * int L) for ``scale`` from ``radial_scale``: unit total mass."""
-    scale *= angular.moments()[0]  # may underflow to 0 or overflow to inf
+def norm_constant(scale, m0):
+    """C = 1 / (scale * m0) for ``scale`` from ``radial_scale`` and m0 = int L: unit mass."""
+    scale *= m0  # may underflow to 0 or overflow to inf
     c = 1.0 / scale if scale > 0.0 else math.inf
     if not 0.0 < c < math.inf:
         raise DegenerateFactorError(f"normalization constant is {c}")

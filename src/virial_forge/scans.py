@@ -8,11 +8,12 @@ keeps a positive zero-energy halo level that decays like P^-23/2 while its
 virial grows like -(1 - a) P^3, so zero-energy data reach arbitrarily
 negative virial.
 
-Scans run the closed-form pipeline for speed.  The floor grid builds each
-a's cutoff once per scan and evaluates each P once: one
-``functionals.evaluate_cutoffs`` call computes the a-free functionals of
-that P's ball and completes them for every cutoff, so a grid point costs
-only its angular completion.  One grid point per scan (chosen by a
+Scans run the closed-form pipeline for speed.  The floor scan keeps its
+result as columns: each cutoff's angular moments are read once per scan,
+R, KE, PE and E come once per P from ``functionals.radial_functionals`` of
+that P's ball, and a grid point costs only its virial and L^{3/2} norm.
+``floor_to_csv`` writes those columns, formatting each per-P cell once per
+P and each a once per scan.  One grid point per scan (chosen by a
 fixed-seed RNG so output stays deterministic) is cross-checked against the
 adaptive-quadrature oracle.
 
@@ -24,10 +25,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import functionals, solvers
 from .errors import GridExhaustedError, NoPositiveRootError, ProfileError, VirialForgeError
-from .profiles import AngularProfile, check_positive
+from .profiles import AngularProfile, check_positive, norm_constant
 from .solvers import CoreHaloParams, UniformParams, solve_corehalo_alpha
 
 __all__ = [
@@ -43,6 +45,7 @@ __all__ = [
     "CSV_COLUMNS",
     "format_float",
     "rows_to_csv",
+    "floor_to_csv",
 ]
 
 CSV_COLUMNS = ("family", "P", "a", "alpha", "R", "KE", "PE", "E", "V", "l32_norm")
@@ -84,10 +87,31 @@ class FitResult:
 
 @dataclass(frozen=True)
 class FloorScanResult:
+    """A uniform-ball floor scan, kept as columns; the minimum is the first one.
+
+    ``radial`` holds (P, R, KE, PE, E) per P; ``virials`` and ``l32_norms``
+    one value per grid point in row order (P-major).  ``rows`` builds the
+    CSV_COLUMNS dicts on first use.
+    """
+
     min_virial: float
     argmin_P: float
     argmin_a: float
-    rows: tuple
+    a_values: tuple
+    radial: tuple
+    virials: tuple
+    l32_norms: tuple
+
+    def row(self, k):
+        """The CSV_COLUMNS dict of grid point ``k`` in row order."""
+        i, j = divmod(k, len(self.a_values))
+        P, R, KE, PE, E = self.radial[i]
+        return {"family": "uniform", "P": P, "a": self.a_values[j], "alpha": None, "R": R,
+                "KE": KE, "PE": PE, "E": E, "V": self.virials[k], "l32_norm": self.l32_norms[k]}
+
+    @cached_property
+    def rows(self):
+        return tuple(map(self.row, range(len(self.virials))))
 
 
 @dataclass(frozen=True)
@@ -147,27 +171,29 @@ def uniform_ball_floor(grid):
     import numpy as np
 
     uniform = solvers.FAMILIES["uniform"]
-    cutoffs = [AngularProfile.cutoff(a) for a in grid.a_values]
-    rows = []
+    moments = [AngularProfile.cutoff(a).moments() for a in grid.a_values]
+    radial, virials, l32_norms = [], [], []
     for P in grid.P_values:
-        # The radial profiles depend on P alone; the ball's own cutoff goes unused.
-        R = uniform.solve(p=P, a=1.0)
-        ball = uniform.ansatz(UniformParams(r=R, p=P, a=1.0))
-        reports = functionals.evaluate_cutoffs(ball, cutoffs)
-        KE, PE, E = reports[0].kinetic, reports[0].potential, reports[0].total_energy
-        rows += [{"family": uniform.name, "P": P, "a": a, "alpha": None, "R": R,
-                  "KE": KE, "PE": PE, "E": E, "V": rep.virial, "l32_norm": rep.l32_norm}
-                 for a, rep in zip(grid.a_values, reports)]
+        # The radial profiles depend on P alone; no cutoff of the ball is built.
+        params = UniformParams(r=uniform.solve(p=P, a=1.0), p=P, a=1.0)
+        rad = functionals.radial_functionals(uniform.factor(params, "spatial"),
+                                             uniform.factor(params, "momentum"))
+        radial.append((P, params.r, rad.kinetic, rad.potential, rad.total_energy))
+        for m0, m1, m32 in moments:
+            norm_constant(rad.scale, m0)  # raises, as ``evaluate`` would, where C is 0 or inf
+            virials.append(rad.virial(m0, m1))
+            l32_norms.append(rad.l32_norm(m0, m32))
 
-    best = min(rows, key=lambda r: r["V"])
+    best = min(range(len(virials)), key=virials.__getitem__)
+    n_a = len(grid.a_values)
+    result = FloorScanResult(virials[best], grid.P_values[best // n_a], grid.a_values[best % n_a],
+                             grid.a_values, tuple(radial), tuple(virials), tuple(l32_norms))
     rng = np.random.default_rng(_CROSSCHECK_SEED)
-    probe = rows[int(rng.integers(len(rows)))]
+    probe = result.row(int(rng.integers(len(virials))))
     _crosscheck_row(probe, solvers.uniform_ansatz(
         UniformParams(r=probe["R"], p=probe["P"], a=probe["a"])
     ))
-    return FloorScanResult(
-        min_virial=best["V"], argmin_P=best["P"], argmin_a=best["a"], rows=tuple(rows)
-    )
+    return result
 
 
 def loglog_fit(xs, ys):
@@ -278,14 +304,32 @@ def _column(values):
     return cells
 
 
+def _write_columns(columns, stream):
+    """Write the header and the rows of these cell columns, unquoted."""
+    lines = [",".join(CSV_COLUMNS), *map(",".join, zip(*columns))]
+    stream.write("\n".join(lines) + "\n")
+
+
 def rows_to_csv(rows, stream):
     """Write scan rows with the fixed column set; None renders empty.
 
     Cells are rendered column by column, formatting each distinct value of a
-    column once (keeping the sign of zero), so a floor scan formats its
-    per-P columns once per P.  No cell holds a comma, quote or newline, so
-    no cell is quoted.
+    column once (keeping the sign of zero).  No cell holds a comma, quote or
+    newline, so no cell is quoted.
     """
-    columns = [_column([row.get(col) for row in rows]) for col in CSV_COLUMNS]
-    lines = [",".join(CSV_COLUMNS), *map(",".join, zip(*columns))]
-    stream.write("\n".join(lines) + "\n")
+    _write_columns([_column([row.get(col) for row in rows]) for col in CSV_COLUMNS], stream)
+
+
+def floor_to_csv(result, stream):
+    """``rows_to_csv(result.rows, stream)`` from the floor scan's columns.
+
+    P, R, KE, PE and E are formatted once per P, ``a`` once per scan, and
+    only V and l32_norm once per cell.
+    """
+    n_a, n = len(result.a_values), len(result.virials)
+    per_p = zip(*([format_float(x) for x in radial] for radial in result.radial))
+    P, R, KE, PE, E = ([cell for cell in col for _ in range(n_a)] for col in per_p)
+    a = [format_float(a) for a in result.a_values] * len(result.radial)
+    _write_columns([["uniform"] * n, P, a, [""] * n, R, KE, PE, E,
+                    [format_float(v) for v in result.virials],
+                    [format_float(x) for x in result.l32_norms]], stream)

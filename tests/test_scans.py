@@ -7,16 +7,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from virial_forge import functionals, scans
 from virial_forge.errors import GridExhaustedError, VirialForgeError
 from virial_forge.functionals import kinetic_energy_ball
+from virial_forge.functionals import FunctionalReport
 from virial_forge.profiles import AngularProfile, Piece
 from virial_forge.scans import (
     CSV_COLUMNS,
     ScanGrid,
     asymptotic_scaling,
     default_scaling_pvalues,
+    floor_to_csv,
     format_float,
     loglog_fit,
     rows_to_csv,
@@ -280,3 +283,63 @@ class TestSharedProfiles:
             uniform_ball_floor(ScanGrid(P_values=tuple(np.geomspace(1e-2, 1e4, n_p)),
                                         a_values=tuple(np.linspace(-0.9, 0.9, n_a))))
             assert calls[0] == n_p
+
+
+P_VALUES = st.floats(-4.0, 9.0).map(lambda x: 10.0**x)
+A_VALUES = st.one_of(st.just(1.0), st.floats(-1.0, 1.0, exclude_min=True))
+
+
+def _axis(values):
+    """A grid axis of 1 to 6 values, drawn from a pool of up to 4, so values repeat."""
+    return st.lists(values, min_size=1, max_size=4).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+
+
+class TestColumnarFloor:
+    @settings(derandomize=True, deadline=None, max_examples=60, database=None)
+    @given(_axis(P_VALUES), _axis(A_VALUES))
+    def test_columns_match_the_per_point_pipeline(self, p_values, a_values):
+        grid = ScanGrid(P_values=tuple(p_values), a_values=tuple(a_values))
+        result = uniform_ball_floor(grid)
+        expected = [scans._row(UniformParams(r=solve_uniform_R(P), p=P, a=a))[0]
+                    for P in grid.P_values for a in grid.a_values]
+        assert [repr(row) for row in result.rows] == [repr(row) for row in expected]
+
+        ours, ref = io.StringIO(), io.StringIO()
+        floor_to_csv(result, ours)
+        rows_to_csv(result.rows, ref)
+        assert ours.getvalue() == ref.getvalue()
+
+        virials = [row["V"] for row in expected]
+        first = expected[virials.index(min(virials))]
+        assert (result.min_virial, result.argmin_P, result.argmin_a) == (
+            first["V"], first["P"], first["a"])
+
+    def test_no_report_per_cell_and_one_moments_call_per_cutoff(self, monkeypatch):
+        # Counts calls and times nothing.  The crosscheck's oracle builds the
+        # one FunctionalReport and the one moments() call of its own cutoff.
+        reports, moments = [0], [0]
+        real_init, real_moments = FunctionalReport.__init__, AngularProfile.moments
+
+        def counting_init(self, *args, **kwargs):
+            reports[0] += 1
+            real_init(self, *args, **kwargs)
+
+        def counting_moments(self):
+            moments[0] += 1
+            return real_moments(self)
+
+        monkeypatch.setattr(FunctionalReport, "__init__", counting_init)
+        monkeypatch.setattr(AngularProfile, "moments", counting_moments)
+        for n_p, n_a in ((3, 7), (5, 11)):
+            reports[0] = moments[0] = 0
+            uniform_ball_floor(ScanGrid(P_values=tuple(np.geomspace(1e-2, 1e4, n_p)),
+                                        a_values=tuple(np.linspace(-0.9, 0.9, n_a))))
+            assert reports[0] == 1
+            assert moments[0] == n_a + 1
+
+    def test_nearly_degenerate_cutoff_still_warns(self):
+        grid = ScanGrid(P_values=(0.5, 20.0), a_values=(-1.0 + 1e-9, 0.5))
+        with pytest.warns(RuntimeWarning, match="nearly degenerate"):
+            result = uniform_ball_floor(grid)
+        assert result.argmin_a == -1.0 + 1e-9
