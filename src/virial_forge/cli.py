@@ -8,7 +8,10 @@ kv/CSV output.
 
 Exit codes: 0 = success (certify/mollify: verdict pass), 1 = verdict fail,
 2 = solver or numerical failure (overflow included), 3 = invalid or
-non-finite configuration.
+non-finite configuration; an --out that cannot be written is one too.
+
+Each command imports only what it runs: ``scan`` and ``asymptotics`` load
+``scans``, ``mollify`` loads ``mollifier`` and the custom family ``json``.
 """
 
 from __future__ import annotations
@@ -16,14 +19,13 @@ from __future__ import annotations
 import argparse
 import functools
 import io
-import json
 import math
 import sys
 
-from . import functionals, mollifier, scans, solvers
+from . import functionals, solvers
 from .errors import ConfigError, ProfileError, VirialForgeError
+from .functionals import _format_float
 from .profiles import AngularProfile, Piece, PiecewiseProfile, SeparableAnsatz, check_radii
-from .scans import format_float
 
 __all__ = ["main", "entrypoint", "build_parser"]
 
@@ -152,6 +154,8 @@ def _pieces_of(section, name):
 
 
 def _load_custom_ansatz(path):
+    import json
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -232,7 +236,7 @@ def _fmt_value(value):
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return format_float(value)
+        return _format_float(value)
     return str(value)
 
 
@@ -328,6 +332,8 @@ def _cmd_scan(args):
         raise ConfigError("need 0 < p-min <= p-max")
     import numpy as np
 
+    from . import scans
+
     grid = scans.ScanGrid(
         P_values=tuple(np.geomspace(args.p_min, args.p_max, args.p_points)),
         a_values=tuple(np.linspace(-1.0 + 1e-6, 0.9, args.a_points)),
@@ -336,8 +342,8 @@ def _cmd_scan(args):
     floor_ok = result.min_virial > -0.45
     summary = [
         f"# min_virial > -0.45: {'OK' if floor_ok else 'VIOLATED'}",
-        f"# min_virial={format_float(result.min_virial)} "
-        f"at P={format_float(result.argmin_P)} a={format_float(result.argmin_a)}",
+        f"# min_virial={_format_float(result.min_virial)} "
+        f"at P={_format_float(result.argmin_P)} a={_format_float(result.argmin_a)}",
     ]
     if args.format == "csv":
         return 0, _csv_with_config(args, functools.partial(scans.floor_to_csv, result), summary)
@@ -359,12 +365,14 @@ def _cmd_asymptotics(args):
         raise ConfigError("--a must lie in (-1, 1)")
     import numpy as np
 
+    from . import scans
+
     result = scans.asymptotic_scaling(
         tuple(np.geomspace(args.p_min, args.p_max, args.p_points)), a=args.a
     )
     summary = [
-        f"# alpha_slope={format_float(result.alpha_fit.slope)}",
-        f"# virial_slope={format_float(result.virial_fit.slope)}",
+        f"# alpha_slope={_format_float(result.alpha_fit.slope)}",
+        f"# virial_slope={_format_float(result.virial_fit.slope)}",
     ]
     if args.format == "csv":
         return 0, _csv_with_config(args, functools.partial(scans.rows_to_csv, result.rows), summary)
@@ -382,6 +390,8 @@ def _cmd_asymptotics(args):
 
 
 def _cmd_mollify(args):
+    from . import mollifier
+
     energy_tol = _energy_tol(args)
     if args.delta is not None and args.delta < 0.0:
         raise ConfigError("--delta must be >= 0")
@@ -420,6 +430,14 @@ def main(argv=None):
     try:
         args = _parser().parse_args(argv)
         code, text = _COMMANDS[args.command](args)
+        if not args.out:
+            sys.stdout.write(text)
+        else:
+            try:
+                with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ConfigError(f"cannot write --out: {exc}")
     except ConfigError as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return 3
@@ -432,11 +450,6 @@ def main(argv=None):
     except ArithmeticError as exc:
         print(f"error: numerical failure ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 2
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return code
 
 

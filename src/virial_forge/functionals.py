@@ -35,7 +35,6 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 
-from . import quadrature
 from .profiles import (
     CONSTANT,
     GL6,
@@ -76,6 +75,11 @@ DEFAULT_ENERGY_TOL = 1e-9
 _CLOSED = "closed-form"
 _RULE = "fixed-rule"
 _QUAD = "quadrature"
+
+
+def _format_float(x):
+    """How every document and CSV prints a float: 17 significant digits, round-trip exact."""
+    return f"{x:.17g}"
 
 
 def momentum_energy_moment(p_max):
@@ -299,6 +303,9 @@ class _Adaptive(_MomentSource):
     """Every integral by adaptive quadrature, kept by profile identity so it runs once."""
 
     def __init__(self):
+        from . import quadrature  # here, so the exact route never loads it
+
+        self.quad = quadrature
         self.results = {}
 
     def _result(self, integral, profile, *args):
@@ -308,23 +315,23 @@ class _Adaptive(_MomentSource):
         return self.results[key]
 
     def moment(self, profile, k):
-        return self._result(quadrature.profile_moment_quad, profile, k).value
+        return self._result(self.quad.profile_moment_quad, profile, k).value
 
     def norm_moment(self, profile):
-        return self._result(quadrature.profile_moment_quad, profile, 2, 1.5).value
+        return self._result(self.quad.profile_moment_quad, profile, 2, 1.5).value
 
     def angular(self, angular):
         return tuple(
-            self._result(quadrature.angular_moment_quad, angular, k, beta).value
+            self._result(self.quad.angular_moment_quad, angular, k, beta).value
             for k, beta in ((0, 1.0), (1, 1.0), (0, 1.5))
         )
 
     def kinetic(self, phi):
-        weighted = self._result(quadrature.profile_moment_quad, phi, 2, 1.0, _relativistic)
+        weighted = self._result(self.quad.profile_moment_quad, phi, 2, 1.0, _relativistic)
         return weighted.value, self.moment(phi, 2)
 
     def nested(self, eta):
-        return self._result(quadrature.nested_mass_quad, eta).value
+        return self._result(self.quad.nested_mass_quad, eta).value
 
     def label(self, eta, phi):
         return _QUAD
@@ -336,12 +343,12 @@ class _Adaptive(_MomentSource):
             result = self._result(integral, *args)
             return abs(result.abs_error_estimate / result.value) if result.value else 0.0
 
-        moment, angular_moment = quadrature.profile_moment_quad, quadrature.angular_moment_quad
+        moment, angular_moment = self.quad.profile_moment_quad, self.quad.angular_moment_quad
         base = rel(moment, eta, 2) + rel(moment, phi, 2) + rel(angular_moment, angular, 0, 1.0)
         return {
             "mass": base,
             "kinetic": base + rel(moment, phi, 2, 1.0, _relativistic),
-            "potential": base + rel(quadrature.nested_mass_quad, eta),
+            "potential": base + rel(self.quad.nested_mass_quad, eta),
             "virial": base + rel(moment, eta, 3) + rel(moment, phi, 3)
             + rel(angular_moment, angular, 1, 1.0),
             "l32_norm": base + rel(moment, eta, 2, 1.5) + rel(moment, phi, 2, 1.5)

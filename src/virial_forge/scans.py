@@ -282,9 +282,7 @@ def virial_unbounded_below(threshold, a=-0.9, P_values=None):
     )
 
 
-def format_float(x):
-    """17-significant-digit decimal (round-trip exact for doubles)."""
-    return f"{x:.17g}"
+format_float = functionals._format_float
 
 
 def _column(values):

@@ -541,6 +541,17 @@ class TestOutputFile:
         ]
         assert all(a.startswith("config.out") for a, _ in diff)
 
+    @pytest.mark.parametrize("argv", [["certify", *COREHALO, "--format", "kv"],
+                                      ["scan", "--p-points", "2", "--a-points", "2"]],
+                             ids=["certify", "scan"])
+    @pytest.mark.parametrize("target", ["missing-dir/out.txt", "."], ids=["no-parent", "dir"])
+    def test_unwritable_out_is_config_error(self, capsys, tmp_path, argv, target):
+        code, out, err = run_cli(capsys, [*argv, "--out", str(tmp_path / target)])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: invalid configuration: cannot write --out: ")
+        assert err.count("\n") == 1
+
 
 NON_FINITE = ("nan", "inf", "-inf")
 COREHALO_NO_P = ["--family", "core-halo", "--r1", "0.2", "--r2", "1", "--r3", "2",
