@@ -20,6 +20,7 @@ import argparse
 import functools
 import io
 import math
+import re
 import sys
 
 from . import functionals, solvers
@@ -41,7 +42,15 @@ _SOLVED_KEYS = (("R", "r"), ("P", "p"), ("n", "n"), ("alpha", "alpha"))
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that raises ConfigError instead of exiting with code 2."""
+    """argparse that raises ConfigError instead of exiting with code 2.
+
+    A value in exponent notation such as ``-8.2e-05`` reads as a negative
+    number, not as an option: argparse's own matcher takes ``-1`` and ``-.5``.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         raise ConfigError(message)

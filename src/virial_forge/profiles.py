@@ -14,8 +14,9 @@ the fixed Gauss-Legendre rules stored here; nothing integrates adaptively.
 All profile objects are immutable after construction and safe to share
 between threads.  Derived quantities (the moments here, the exact route's
 kinetic and nested integrals in ``functionals``) are memoized per instance,
-and so is the pointwise evaluator that ``__call__`` and the oracle's
-integrands in ``quadrature`` call: one closure over the pieces, built once.
+and so are the closures over the pieces that ``__call__`` and the oracle's
+integrands in ``quadrature`` call: the pointwise evaluator and the integrand
+of the nested potential, each built once.
 """
 
 from __future__ import annotations
@@ -342,6 +343,24 @@ def _evaluator(profile):
     return value
 
 
+def _nested_integrand(profile):
+    """q -> g(q) q int_0^q g(s) s^2 ds on [0, inf), the integrand of the nested potential.
+
+    The product ``g(q) * q * cumulative_moment2(q)``, through the same piece
+    methods, found by one bisect of the piece starts per point.
+    """
+    starts = profile.memo("starts", _piece_starts)
+    prefix = profile.memo("prefix2", _mass_prefix)
+    pieces = profile.pieces
+
+    def integrand(q):
+        i = bisect.bisect_right(starts, q) - 1
+        piece = pieces[i]
+        return piece.value_at(q) * q * (prefix[i] + piece.partial_moment(2, q))
+
+    return integrand
+
+
 def _finite_sum(terms, what):
     total = math.fsum(terms)
     if not math.isfinite(total):
@@ -453,6 +472,11 @@ class PiecewiseProfile(_PieceSet):
         if not widths:
             raise ProfileError("profile has no finite piece")
         return min(widths)
+
+    @property
+    def _mass_integrand(self):
+        """``_nested_integrand``, built once: no range check, so callers keep to [0, inf)."""
+        return self.memo("mass_integrand", _nested_integrand)
 
     def cumulative_moment2(self, r):
         """Exact cumulative int_0^r g(s) s^2 ds (the enclosed-mass integral)."""

@@ -1,16 +1,18 @@
 """Adaptive integration used as an independent oracle for every closed form.
 
-Backed by QUADPACK's adaptive Gauss-Kronrod rules (``scipy.integrate.quad``),
-which accept interior breakpoints so subdivision never straddles a supplied
-discontinuity.  Improper upper limits are never integrated: compact support
-is enforced upstream, so all integrals here run over finite intervals.
-Each integrand calls the profile's memoized pointwise evaluator, fetched once
-per integral, not its range-checked ``__call__``: QUADPACK stays in [lo, hi].
+Backed by QUADPACK's adaptive Gauss-Kronrod rules: QAGP, which accepts
+interior breakpoints so subdivision never straddles a supplied
+discontinuity, and QAGS where there are none.  ``_quad`` calls scipy's
+binding of the two routines directly, because ``integrate`` has already
+sorted and clipped the breakpoints that ``scipy.integrate.quad`` would sort
+again.  Improper upper limits are never integrated: compact support is
+enforced upstream, so all integrals here run over finite intervals.
+Each integrand calls a memoized closure of the profile, fetched once per
+integral, not its range-checked ``__call__``: QUADPACK stays in [lo, hi].
 
 scipy is imported on the first integration, not with the package: the
 closed-form route for step data never integrates, so certifying it does
-not pay for loading scipy.  ``_quad`` looks ``quad`` up in
-``scipy.integrate`` on every call, so a wrapper installed there is seen.
+not pay for loading scipy.
 """
 
 from __future__ import annotations
@@ -37,11 +39,34 @@ DEFAULT_BUDGET = 10**6
 _LIMIT_LADDER = (200, 5000)
 
 
-def _quad(*args, **kwargs):
-    """``scipy.integrate.quad``, imported on each call."""
-    from scipy.integrate import quad
+# QUADPACK's reason for each nonzero ier of QAGS and QAGP, in its own words.
+_IER_REASONS = {
+    1: "maximum number of subdivisions allowed has been achieved",
+    2: "roundoff error is detected, which prevents the requested tolerance from being achieved",
+    3: "extremely bad integrand behaviour occurs at some points of the integration interval",
+    4: "the algorithm does not converge: roundoff error is detected in the extrapolation table",
+    5: "the integral is probably divergent, or slowly convergent",
+    6: "the input is invalid",
+}
 
-    return quad(*args, **kwargs)
+
+def _quad(f, lo, hi, points, epsabs, epsrel, limit):
+    """QAGP over sorted interior ``points``, or QAGS if there are none.
+
+    Returns ``(value, err, info)`` like ``scipy.integrate.quad(...,
+    full_output=1)``, with QUADPACK's reason appended when ier != 0.
+    """
+    from scipy.integrate import _quadpack
+
+    if points:
+        # QAGPE's points array holds the breakpoints and two slots of workspace.
+        value, err, info, ier = _quadpack._qagpe(
+            f, lo, hi, [*points, 0.0, 0.0], (), 1, epsabs, epsrel, limit)
+    else:
+        value, err, info, ier = _quadpack._qagse(f, lo, hi, (), 1, epsabs, epsrel, limit)
+    if ier == 0:
+        return value, err, info
+    return value, err, info, _IER_REASONS[ier]
 
 
 @dataclass(frozen=True)
@@ -93,8 +118,7 @@ def integrate(f, lo, hi, breakpoints=(), abs_tol=DEFAULT_ABS_TOL,
     message = None
     for limit in (*_LIMIT_LADDER, budget):
         limit = min(limit, budget)
-        out = _quad(f, lo, hi, points=pts or None, epsabs=abs_tol,
-                    epsrel=rel_tol, limit=limit, full_output=1)
+        out = _quad(f, lo, hi, points=pts, epsabs=abs_tol, epsrel=rel_tol, limit=limit)
         if len(out) == 3:
             value, err, info = out
             return QuadResult(value, err, int(info["last"]))
@@ -137,5 +161,4 @@ def nested_mass_quad(eta):
     upper = eta.support_radius
     if upper == 0.0:
         return QuadResult(0.0, 0.0, 0)
-    g, cumulative = eta._value, eta.cumulative_moment2
-    return integrate(lambda q: g(q) * q * cumulative(q), 0.0, upper, breakpoints=eta.breakpoints)
+    return integrate(eta._mass_integrand, 0.0, upper, breakpoints=eta.breakpoints)

@@ -727,3 +727,20 @@ class TestParserReuse:
         for parser in (second, cli._parser()):
             with pytest.raises(ConfigError, match="--only-first"):
                 parser.parse_args(["--only-first=x", "scan"])
+
+
+class TestNegativeExponentValues:
+    # A negative float in exponent notation is a value, as in the --flag=value form.
+    @pytest.mark.parametrize("command", ["certify", "mollify"])
+    @pytest.mark.parametrize("value", ["-8.266346073670938e-05", "-1e-3", "-8.2E-05", "-.5e2"])
+    def test_space_form_is_the_equals_form(self, capsys, command, value):
+        argv = [command, "--family", "uniform", "--p", "66.39211776263065", "--format", "kv"]
+        spaced = run_cli(capsys, [*argv, "--a", value])
+        joined = run_cli(capsys, [*argv, f"--a={value}"])
+        assert spaced == joined
+        assert "expected one argument" not in spaced[2]
+
+    def test_negative_p_max_reaches_the_range_check(self, capsys):
+        code, out, err = run_cli(capsys, ["scan", "--p-max", "-5e1"])
+        assert (code, out) == (3, "")
+        assert err == "error: invalid configuration: need 0 < p-min <= p-max\n"

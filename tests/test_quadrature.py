@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from virial_forge import quadrature
 from virial_forge.errors import QuadratureBudgetError
@@ -210,3 +211,114 @@ def test_oracle_report_is_that_of_the_profile_calls(monkeypatch, seed, template)
             by_call = evaluate(ansatz, method="quadrature")
         assert repr(fast) == repr(by_call)
         assert fast.residuals and fast.method == "quadrature"
+
+
+BINDING_PROPERTY = settings(derandomize=True, deadline=None, max_examples=60, database=None)
+PIECE_VALUES = st.just(0.0) | st.floats(1e-3, 10.0)
+
+
+@st.composite
+def radial_profiles(draw):
+    """Constant, power-law and ramp pieces from 0, then the zero tail; never all zero."""
+    segments, lo = [], 0.0
+    for _ in range(draw(st.integers(1, 5))):
+        hi = lo + draw(st.floats(1e-3, 3.0))
+        kind = draw(st.sampled_from(("constant", "power", "ramp") if lo > 0.0
+                                    else ("constant", "ramp")))
+        if kind == "constant":
+            segments.append(Piece.constant(draw(PIECE_VALUES), lo, hi))
+        elif kind == "power":
+            segments.append(Piece.power(draw(PIECE_VALUES), draw(st.floats(-3.0, 5.0)), lo, hi))
+        else:
+            segments.append(Piece.ramp(draw(PIECE_VALUES), draw(PIECE_VALUES), lo, hi))
+        lo = hi
+    if all(p.is_zero for p in segments):
+        segments.append(Piece.constant(1.0, lo, lo + 1.0))
+    return PiecewiseProfile.from_segments(segments)
+
+
+@BINDING_PROPERTY
+@given(profile=radial_profiles(), k=st.integers(0, 3), with_breakpoints=st.booleans(),
+       tol=st.sampled_from((1e-6, 1e-10, 1e-13)), limit=st.sampled_from((10, 50, 200)))
+def test_binding_is_scipy_quad_bit_for_bit(profile, k, with_breakpoints, tol, limit):
+    # QAGP/QAGS through the binding against scipy.integrate.quad, including
+    # the runs that stop at the subdivision limit.
+    from scipy.integrate import quad
+
+    g, upper = profile._value, profile.support_radius
+    f = lambda r: g(r) * r**k  # noqa: E731
+    pts = sorted({b for b in profile.breakpoints if 0.0 < b < upper}) if with_breakpoints else []
+    ours = quadrature._quad(f, 0.0, upper, points=pts, epsabs=tol, epsrel=tol, limit=limit)
+    theirs = quad(f, 0.0, upper, points=pts or None, epsabs=tol, epsrel=tol, limit=limit,
+                  full_output=1)
+    assert len(ours) == len(theirs)
+    assert ours[:2] == theirs[:2]
+    assert ours[2]["last"] == theirs[2]["last"]
+
+
+@pytest.mark.parametrize("points", [(), (0.5,)])
+def test_subdivision_limit_names_the_quadpack_reason(points):
+    spike = lambda x: 1.0 / (1e-14 + (x - 0.3141) ** 2)  # noqa: E731
+    with pytest.raises(QuadratureBudgetError,
+                       match="maximum number of subdivisions allowed has been achieved"):
+        integrate(spike, 0.0, 1.0, breakpoints=points, abs_tol=1e-13, rel_tol=1e-12, budget=2)
+
+
+@pytest.mark.parametrize("points", [(), (0.5,)])
+def test_integrand_exception_propagates_unchanged(points):
+    class Boom(Exception):
+        pass
+
+    boom = Boom("integrand failed")
+
+    def f(x):
+        if x > 0.7:
+            raise boom
+        return x
+
+    with pytest.raises(Boom) as caught:
+        integrate(f, 0.0, 1.0, breakpoints=points)
+    assert caught.value is boom
+
+
+def test_oracle_runs_no_scipy_quad_and_no_unique(monkeypatch):
+    # One oracle evaluation on a breakpointed ansatz goes straight to QUADPACK,
+    # and builds the nested-mass integrand of its spatial profile once.
+    import scipy.integrate
+
+    from virial_forge import profiles
+
+    counts = {"quad": 0, "unique": 0}
+    built = []
+    real_quad, real_unique, real_build = scipy.integrate.quad, np.unique, profiles._nested_integrand
+
+    def counting(key, real):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(scipy.integrate, "quad", counting("quad", real_quad))
+    monkeypatch.setattr(np, "unique", counting("unique", real_unique))
+    monkeypatch.setattr(profiles, "_nested_integrand",
+                        lambda profile: built.append(profile) or real_build(profile))
+    ansatz = template_ansatz(np.random.default_rng(5), 1)
+    assert ansatz.spatial.breakpoints
+    report = evaluate(ansatz, method="quadrature")
+    assert report.method == "quadrature"
+    assert counts == {"quad": 0, "unique": 0}
+    assert built == [ansatz.spatial]
+
+
+@BINDING_PROPERTY
+@given(eta=radial_profiles(), fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+def test_nested_integrand_is_value_times_cumulative_mass(eta, fractions):
+    # Interior points of every finite piece, every piece's lo (each breakpoint
+    # included) and a point inside the zero tail.
+    integrand = eta._mass_integrand
+    points = [p.lo + f * p.width for p in eta.pieces if math.isfinite(p.hi) for f in fractions]
+    points += [p.lo for p in eta.pieces] + [2.0 * eta.pieces[-1].lo + 1.0]
+    for q in points:
+        assert integrand(q) == eta._value(q) * q * eta.cumulative_moment2(q), q
+    assert integrand is eta._mass_integrand
+    assert nested_mass_quad(eta) == nested_mass_by_call(eta)
