@@ -18,8 +18,8 @@ _EXPORTS = {
     ),
     "functionals": (
         "CRITICAL_L32_NORM", "Certificate", "FunctionalReport", "check_criteria", "evaluate",
-        "evaluate_cutoffs", "kinetic_energy_ball", "potential_energy_profile",
-        "spatial_momentum_factor", "total_energy", "virial",
+        "kinetic_energy_ball", "potential_energy_profile", "spatial_momentum_factor",
+        "total_energy", "virial",
     ),
     "mollifier": (
         "MollifySpec", "default_delta", "functional_drift", "mollify", "mollify_profile",

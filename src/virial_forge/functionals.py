@@ -19,14 +19,13 @@ Gauss-Legendre rules of ``profiles``, so this route integrates nothing
 adaptively and loads neither numpy nor scipy.  The adaptive source
 (``method="quadrature"``) integrates every moment adaptively, once per
 evaluation, and is kept as an independent oracle.  A source computes the
-a-free part once, as one record, and completes it from each angular
-profile's moments: ``evaluate_cutoffs`` does so for many angular profiles
-and ``evaluate`` is its one-profile case.  Only these two take ``method``;
-``radial_functionals`` (the exact record itself), ``total_energy``,
-``potential_energy_profile`` and ``spatial_momentum_factor`` read the exact
-source.  Certification checks the three blow-up hypotheses: zero total
-energy, virial <= -1/2, and L^{3/2} norm above the critical constant
-(3/8)(15/16)^{1/3}.
+a-free part as one record and completes it from the angular profile's
+moments.  Only ``evaluate`` takes ``method``; ``radial_functionals`` (the
+exact record itself, which the floor scan completes for each cutoff),
+``total_energy``, ``potential_energy_profile`` and
+``spatial_momentum_factor`` read the exact source.  Certification checks
+the three blow-up hypotheses: zero total energy, virial <= -1/2, and
+L^{3/2} norm above the critical constant (3/8)(15/16)^{1/3}.
 """
 
 from __future__ import annotations
@@ -46,6 +45,7 @@ from .profiles import (
     gauss_legendre,
     norm_constant,
     panel_edges,
+    plateau_self_nested,
     power_integral,
     radial_scale,
 )
@@ -62,7 +62,6 @@ __all__ = [
     "radial_functionals",
     "total_energy",
     "evaluate",
-    "evaluate_cutoffs",
     "check_criteria",
 ]
 
@@ -164,7 +163,7 @@ def _exact_nested(profile):
     Walks pieces left to right keeping the exact enclosed mass M and adds
     int piece(q) * q * (M + local cumulative) dq.  A power law (any real
     exponent, with the exact logarithmic cases) has a closed form, and a
-    plateau is the power law of exponent 0.  On a smoothstep ramp the
+    plateau's self term is ``plateau_self_nested``.  On a smoothstep ramp the
     integrand is a polynomial of degree 10 (cubic value, linear q, degree-6
     cumulative), which the 6-point Gauss-Legendre rule integrates exactly.
     """
@@ -182,13 +181,13 @@ def _exact_nested(profile):
             c, n = p.value, p.exponent
             pref = c * lo**n
             lead = enclosed * power_integral(1.0 - n, lo, hi)
-            if n == 3.0:
+            if n == 0.0:
+                inner = plateau_self_nested(lo, hi)
+            elif n == 3.0:
                 inner = 1.0 / lo - (math.log(hi / lo) + 1.0) / hi
             else:
-                inner = (
-                    power_integral(4.0 - 2.0 * n, lo, hi)
-                    - lo ** (3.0 - n) * power_integral(1.0 - n, lo, hi)
-                ) / (3.0 - n)
+                inner = (power_integral(4.0 - 2.0 * n, lo, hi)
+                         - lo ** (3.0 - n) * power_integral(1.0 - n, lo, hi)) / (3.0 - n)
             total += pref * (lead + pref * inner)
             enclosed += pref * power_integral(2.0 - n, lo, hi)
     return total
@@ -229,38 +228,29 @@ class _MomentSource:
         m2q = check_factor(self.moment(eta, 2), "spatial")
         m2p = check_factor(self.moment(phi, 2), "momentum")
         return _Radial(kin, pot, kin + pot, scale, factor, norms, m2q, m2p,
-                       2.0 * math.pi ** (2.0 / 3.0) * m2q * m2p, self.label(eta, phi))
+                       2.0 * math.pi ** (2.0 / 3.0) * m2q * m2p)
 
-    def reports(self, eta, phi, angulars):
-        """A FunctionalReport of C * eta * phi * L for each L in ``angulars``.
-
-        The a-free record is computed once and completed from each L's
-        moments; every product keeps its left-to-right order, so no report
-        depends on the other profiles.
-        """
-        angulars = tuple(angulars)  # alive to the end, as ``_Adaptive`` keys by id
+    def report(self, eta, phi, angular):
+        """The FunctionalReport of C * eta * phi * angular: the a-free record, completed."""
         rad = self.radial(eta, phi)
-        reports = []
-        for angular in angulars:
-            c = norm_constant(rad.scale, angular.moments()[0])
-            m0, m1, nl = self.angular(angular)
-            m0 = check_factor(m0, "angular")
-            reports.append(FunctionalReport(
-                norm_constant=c,
-                mass=c * 8.0 * math.pi**2 * rad.m2q * rad.m2p * m0,
-                l32_norm=rad.l32_norm(m0, nl),
-                kinetic=rad.kinetic,
-                potential=rad.potential,
-                total_energy=rad.total_energy,
-                virial=rad.virial(m0, m1),
-                method=_RULE if rad.label == _CLOSED and angular.has_ramp else rad.label,
-                residuals=self.residuals(eta, phi, angular),
-            ))
-        return reports
+        c = norm_constant(rad.scale, angular.moments()[0])
+        m0, m1, nl = self.angular(angular)
+        m0 = check_factor(m0, "angular")
+        return FunctionalReport(
+            norm_constant=c,
+            mass=c * 8.0 * math.pi**2 * rad.m2q * rad.m2p * m0,
+            l32_norm=rad.l32_norm(m0, nl),
+            kinetic=rad.kinetic,
+            potential=rad.potential,
+            total_energy=rad.total_energy,
+            virial=rad.virial(m0, m1),
+            method=self.label(eta, phi, angular),
+            residuals=self.residuals(eta, phi, angular),
+        )
 
 
 class _Radial(namedtuple("_Radial", "kinetic potential total_energy scale factor norms "
-                                    "m2q m2p den label")):
+                                    "m2q m2p den")):
     """Everything a report needs but the angular moments (m0, m1, m32)."""
 
     __slots__ = ()
@@ -290,10 +280,10 @@ class _Exact(_MomentSource):
     def nested(self, eta):
         return eta.memo("nested", _exact_nested)
 
-    def label(self, eta, phi):
-        """The route of the radial factors; an angular ramp makes it a fixed rule too."""
+    def label(self, eta, phi, angular):
+        """A fixed rule where any factor has a ramp or the momentum factor is not a ball."""
         ball = phi.memo("ball", _is_ball)
-        return _RULE if eta.has_ramp or phi.has_ramp or not ball else _CLOSED
+        return _RULE if eta.has_ramp or phi.has_ramp or angular.has_ramp or not ball else _CLOSED
 
     def residuals(self, eta, phi, angular):
         return {}
@@ -333,7 +323,7 @@ class _Adaptive(_MomentSource):
     def nested(self, eta):
         return self._result(self.quad.nested_mass_quad, eta).value
 
-    def label(self, eta, phi):
+    def label(self, eta, phi, angular):
         return _QUAD
 
     def residuals(self, eta, phi, angular):
@@ -410,14 +400,7 @@ class FunctionalReport:
 
 
 def evaluate(ansatz, method="auto"):
-    """Full functional report for one ansatz: ``evaluate_cutoffs`` of its own angular factor."""
-    return evaluate_cutoffs(ansatz, (ansatz.angular,), method)[0]
-
-
-def evaluate_cutoffs(ansatz, angulars, method="auto"):
-    """Bit for bit, ``evaluate`` of SeparableAnsatz(spatial, momentum, L) for each L.
-
-    The radial factors are the ansatz's; its own angular factor is not read.
+    """Full functional report for one ansatz.
 
     ``method`` picks the moment source: "auto" (closed forms wherever they
     exist, the fixed GL14 rule where ramps or a momentum profile that is not
@@ -427,7 +410,7 @@ def evaluate_cutoffs(ansatz, angulars, method="auto"):
     """
     if method not in _SOURCES:
         raise ValueError(f"unknown evaluation method {method!r}")
-    return _SOURCES[method]().reports(ansatz.spatial, ansatz.momentum, angulars)
+    return _SOURCES[method]().report(ansatz.spatial, ansatz.momentum, ansatz.angular)
 
 
 @dataclass(frozen=True)

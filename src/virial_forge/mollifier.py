@@ -122,15 +122,15 @@ def rebalance(params, spec, energy_tol=solvers.ENERGY_RESIDUAL_TOL):
     mollified_ansatz)`` where that parameter has been re-solved so the
     mollified datum's total energy vanishes to ``energy_tol``.
 
-    The root is bracketed on [x0/2, x0] (hi doubled until the energy changes
-    sign) and refined by Brent iteration.  The whole step ansatz is smoothed
-    once, at x0/2, the first point the bracket visits; every other point
-    rebuilds and smooths only the factor the free parameter moves
-    (``Family.moves``) and shares the other two, with the integrals
-    memoized on them.  Each point's energy and mollified ansatz are computed
-    once, however often the bracket, the Brent iteration and the final check
-    read them.  With ``spec.delta == 0`` the given params and their step
-    ansatz are returned.
+    The root is bracketed on [x0/2, x0] (hi doubled, at most 16 times, up to
+    2^16 x0, until the energy changes sign) and refined by Brent iteration.
+    The whole step ansatz is smoothed once, at x0/2, the first point the
+    bracket visits; every other point rebuilds and smooths only the factor
+    the free parameter moves (``Family.moves``) and shares the other two,
+    with the integrals memoized on them.  Each point's energy and mollified
+    ansatz are computed once, however often the bracket, the Brent iteration
+    and the final check read them.  With ``spec.delta == 0`` the given
+    params and their step ansatz are returned.
     """
     family = solvers.family_of(params)
     if spec.delta == 0.0:

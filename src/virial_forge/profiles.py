@@ -138,6 +138,15 @@ def power_integral(exponent, lo, hi):
     return (hi**e1 - lo**e1) / e1
 
 
+def plateau_self_nested(lo, hi):
+    """Exact int_lo^hi q (q^3 - lo^3) / 3 dq, a unit plateau's nested self term.
+
+    Positive terms in w = hi - lo, so a thin shell's O(w^2) keeps its digits.
+    """
+    w = hi - lo
+    return w * (7.5 * lo**3 * w + 10.0 * lo * lo * w * w + 5.0 * lo * w**3 + w**4) / 5.0 / 3.0
+
+
 @dataclass(frozen=True)
 class Piece:
     """One segment of a piecewise profile on the interval [lo, hi).

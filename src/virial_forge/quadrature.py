@@ -53,8 +53,8 @@ _IER_REASONS = {
 def _quad(f, lo, hi, points, epsabs, epsrel, limit):
     """QAGP over sorted interior ``points``, or QAGS if there are none.
 
-    Returns ``(value, err, info)`` like ``scipy.integrate.quad(...,
-    full_output=1)``, with QUADPACK's reason appended when ier != 0.
+    Returns ``(value, err, last, ier)``: the estimate, its absolute error,
+    the number of subintervals used and QUADPACK's error flag (0 on success).
     """
     from scipy.integrate import _quadpack
 
@@ -64,9 +64,7 @@ def _quad(f, lo, hi, points, epsabs, epsrel, limit):
             f, lo, hi, [*points, 0.0, 0.0], (), 1, epsabs, epsrel, limit)
     else:
         value, err, info, ier = _quadpack._qagse(f, lo, hi, (), 1, epsabs, epsrel, limit)
-    if ier == 0:
-        return value, err, info
-    return value, err, info, _IER_REASONS[ier]
+    return value, err, int(info["last"]), ier
 
 
 @dataclass(frozen=True)
@@ -115,20 +113,18 @@ def integrate(f, lo, hi, breakpoints=(), abs_tol=DEFAULT_ABS_TOL,
         return QuadResult(0.0, 0.0, 0)
 
     pts = sorted({float(b) for b in breakpoints if lo < b < hi})
-    message = None
     for limit in (*_LIMIT_LADDER, budget):
         limit = min(limit, budget)
-        out = _quad(f, lo, hi, points=pts, epsabs=abs_tol, epsrel=rel_tol, limit=limit)
-        if len(out) == 3:
-            value, err, info = out
-            return QuadResult(value, err, int(info["last"]))
-        message = out[3]
-        if out[2]["last"] < limit or limit >= budget:
+        value, err, last, ier = _quad(
+            f, lo, hi, points=pts, epsabs=abs_tol, epsrel=rel_tol, limit=limit)
+        if ier == 0:
+            return QuadResult(value, err, last)
+        if last < limit or limit >= budget:
             # Stopped short of the limit (roundoff, divergence): a larger
             # limit repeats the same subdivisions and cannot help.
             break
     raise QuadratureBudgetError(
-        f"integration failed within budget {budget}: {message}"
+        f"integration failed within budget {budget}: {_IER_REASONS[ier]}"
     )
 
 

@@ -23,7 +23,6 @@ RNG, the fits), so importing this module does not load it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -285,23 +284,6 @@ def virial_unbounded_below(threshold, a=-0.9, P_values=None):
 format_float = functionals._format_float
 
 
-def _column(values):
-    """The CSV cells of one column: None renders empty, a string as itself.
-
-    Each distinct value is formatted once.  0.0 == -0.0 share a hash but
-    print as "0" and "-0", so a zero is keyed with its sign.
-    """
-    memo, cells = {}, []
-    for val in values:
-        key = (val, math.copysign(1.0, val)) if val == 0 else val
-        cell = memo.get(key)
-        if cell is None:
-            cell = "" if val is None else val if isinstance(val, str) else format_float(val)
-            memo[key] = cell
-        cells.append(cell)
-    return cells
-
-
 def _write_columns(columns, stream):
     """Write the header and the rows of these cell columns, unquoted."""
     lines = [",".join(CSV_COLUMNS), *map(",".join, zip(*columns))]
@@ -309,13 +291,16 @@ def _write_columns(columns, stream):
 
 
 def rows_to_csv(rows, stream):
-    """Write scan rows with the fixed column set; None renders empty.
+    """Write scan rows with the fixed column set.
 
-    Cells are rendered column by column, formatting each distinct value of a
-    column once (keeping the sign of zero).  No cell holds a comma, quote or
-    newline, so no cell is quoted.
+    None renders empty, a string as itself and a float through
+    ``format_float``.  No cell holds a comma, quote or newline, so no cell
+    is quoted.
     """
-    _write_columns([_column([row.get(col) for row in rows]) for col in CSV_COLUMNS], stream)
+    def cell(val):
+        return "" if val is None else val if isinstance(val, str) else format_float(val)
+
+    _write_columns([[cell(row.get(col)) for row in rows] for col in CSV_COLUMNS], stream)
 
 
 def floor_to_csv(result, stream):

@@ -49,6 +49,8 @@ from .profiles import (
     core_halo_eta,
     momentum_ball,
     monotonic_eta,
+    plateau_self_nested,
+    power_integral,
     uniform_eta,
 )
 
@@ -74,7 +76,7 @@ __all__ = [
 PARAM_TOL = 1e-12
 ENERGY_RESIDUAL_TOL = 1e-10
 BRACKET_START = (1e-3, 10.0)
-BRACKET_CAP = 1e6
+BRACKET_DOUBLINGS = 16  # the most ``RootBracket.expand`` doubles its starting hi
 # scipy's default (and smallest allowed) relative tolerance of brentq.
 _BRENT_RTOL = 4 * sys.float_info.epsilon
 
@@ -143,21 +145,22 @@ class RootBracket:
 
     @classmethod
     def expand(cls, f, lo, hi):
-        """Double hi until f changes sign on [lo, hi]; error past BRACKET_CAP.
+        """Double hi until f changes sign on [lo, hi], at most BRACKET_DOUBLINGS times.
 
-        Doubling cannot move a hi at or below max(lo, 0), so such a start
-        raises BracketError at once.
+        The cap is relative to the given hi, so a free parameter of any scale
+        gets the same 2^16-fold search.  Doubling cannot move a hi at or below
+        max(lo, 0), so such a start raises BracketError at once.
         """
         if hi <= max(lo, 0.0):
             raise BracketError(f"cannot expand [{lo!r}, {hi!r}]: need hi > max(lo, 0)")
         flo = f(lo)
         if flo == 0.0:
             return cls(lo, lo)
-        while hi <= BRACKET_CAP:
-            if flo * f(hi) < 0.0:
-                return cls(lo, hi)
-            hi *= 2.0
-        raise BracketError(f"no sign change up to {BRACKET_CAP}")
+        for k in range(BRACKET_DOUBLINGS + 1):
+            h = hi * 2.0**k  # exact: k doublings of hi
+            if flo * f(h) < 0.0:
+                return cls(lo, h)
+        raise BracketError(f"no sign change up to {h!r}")
 
 
 def brentq(f, a, b, xtol, maxiter=100):
@@ -241,14 +244,13 @@ def corehalo_energy_quadratic(r1, r2, r3, p):
 
     With m2(a) the spatial second moment and N(a) the nested mass integral,
     both quadratic in the halo level a, the zero-energy condition
-    KE = N / m2^2 is equivalent to g(a) = KE * m2(a)^2 - N(a) = 0.
+    KE = N / m2^2 is equivalent to g(a) = KE * m2(a)^2 - N(a) = 0, with the
+    moments the exact nested integral takes on the two plateaus.
     """
     ke = functionals.kinetic_energy_ball(p)
-    m2_core = r1**3 / 3.0
-    m2_halo = (r3**3 - r2**3) / 3.0
-    nested_cc = r1**5 / 15.0
-    nested_ch = r1**3 * (r3**2 - r2**2) / 6.0
-    nested_hh = ((r3**5 - r2**5) / 5.0 - r2**3 * (r3**2 - r2**2) / 2.0) / 3.0
+    m2_core, m2_halo = power_integral(2.0, 0.0, r1), power_integral(2.0, r2, r3)
+    nested_cc, nested_hh = plateau_self_nested(0.0, r1), plateau_self_nested(r2, r3)
+    nested_ch = m2_core * power_integral(1.0, r2, r3)
     a_coef = ke * m2_halo**2 - nested_hh
     b_coef = 2.0 * ke * m2_core * m2_halo - nested_ch
     c_coef = ke * m2_core**2 - nested_cc

@@ -15,7 +15,7 @@ from virial_forge import cli, solvers
 from virial_forge.cli import main
 from virial_forge.errors import ConfigError
 from virial_forge.mollifier import mollify_profile
-from virial_forge.profiles import momentum_ball, uniform_eta
+from virial_forge.profiles import core_halo_eta, momentum_ball, uniform_eta
 from virial_forge.solvers import solve_corehalo_alpha
 
 COREHALO = ["--family", "core-halo", "--r1", "0.2", "--r2", "1", "--r3", "2",
@@ -54,6 +54,23 @@ class TestCertify:
             solve_corehalo_alpha(0.2, 1.0, 2.0, 1.0), rel=1e-15
         )
         assert -0.81 <= float(doc["a_star"]) <= -0.79
+
+    @pytest.mark.parametrize("r3", ["1.00001", "1.000001", "1.000000001", "1.0000000001"])
+    def test_thin_halo_passes(self, capsys, r3):
+        # Halos 1e-5 to 1e-10 thick.  The halo's O(w^2) self term once
+        # cancelled away: first the energy residual read 2e-8 and 9e-6; then
+        # the solver and the exact evaluator shared the cancellation, and data
+        # whose true energy was -5e-9 and -2.5e-7 passed with 4e-16.
+        code, out, err = run_cli(capsys, ["certify", "--family", "core-halo", "--r1", "0.01",
+                                          "--r2", "1", "--r3", r3, "--p", "5", "--a", "-0.9",
+                                          "--format", "kv"])
+        doc = kv_parse(out)
+        with mpmath.workdps(40):
+            energy = mp_total_energy(
+                core_halo_eta(0.01, 1.0, float(r3), float(doc["alpha"])), momentum_ball(5.0))
+        assert code == 0, err
+        assert doc["verdict"] == "pass"
+        assert abs(energy) <= float(doc["energy_tol"])
 
     def test_uniform_fails_on_virial(self, capsys):
         code, out, _ = run_cli(
@@ -269,6 +286,18 @@ class TestMollify:
         assert float(doc["alpha"]) > 0.0
         assert float(doc["seam_smoothness"]) < 1e-4
         assert float(doc["drift.kinetic"]) < 1e-3
+
+    @pytest.mark.parametrize("r3", ["1.000000002", "1.000000001"])
+    def test_halo_level_above_a_million_is_bracketed(self, capsys, r3):
+        # The step halo level is ~1e6 and ~2e6: the bracket doubles from it,
+        # not up to a fixed absolute cap.  Virial fails; energy is zero.
+        code, out, err = run_cli(capsys, ["mollify", "--family", "core-halo", "--r1", "0.2",
+                                          "--r2", "1", "--r3", r3, "--p", "1", "--a", "-0.8",
+                                          "--format", "kv"])
+        assert code == 1, err
+        doc = kv_parse(out)
+        assert float(doc["alpha"]) > 1e6
+        assert float(doc["energy_residual"]) <= float(doc["energy_tol"])
 
     def test_one_step_solve_per_op(self, capsys, monkeypatch):
         # The drift table's step datum is the one rebalance starts from: the

@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import weakref
 
 import mpmath
 import numpy as np
@@ -12,10 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import (
     assert_rel,
     mp_piece_integral,
-    random_angular_profile,
     random_ansatz,
     random_momentum_profile,
-    random_radial_profile,
     tight_nested,
 )
 from virial_forge import functionals, profiles, quadrature
@@ -24,7 +21,6 @@ from virial_forge.functionals import (
     CRITICAL_L32_NORM,
     check_criteria,
     evaluate,
-    evaluate_cutoffs,
     kinetic_energy_ball,
     momentum_energy_moment,
     potential_energy_profile,
@@ -269,6 +265,17 @@ class TestPotentialEnergy:
     def test_never_positive(self, rng):
         for _ in range(10):
             assert evaluate(random_ansatz(rng)).potential <= 0.0
+
+    @pytest.mark.parametrize("thickness", [1e-4, 1e-8, 1e-10])
+    def test_thin_plateau_shell_nested_keeps_its_digits(self, thickness):
+        # A lone plateau [1, 1 + w]: its O(w^2) nested term once came from
+        # O(w) differences and erred by 2e-12, 4.7e-9 and 8.8e-7 here.
+        hi = 1.0 + thickness
+        eta = PiecewiseProfile.from_segments([Piece.constant(0.0, 0.0, 1.0),
+                                              Piece.constant(1.0, 1.0, hi)])
+        with mpmath.workdps(40):
+            ref = mpmath.quad(lambda q: q * (q**3 - 1) / 3, [1, mpmath.mpf(hi)])
+        assert_rel(functionals._exact_nested(eta), float(ref), 1e-15)
 
 
 NESTED_PROPERTY = settings(derandomize=True, deadline=None, max_examples=60, database=None)
@@ -528,50 +535,14 @@ class TestOracleEquivalence:
             assert closed.potential == pytest.approx(oracle.potential, rel=1e-8)
 
 
-def report_fields(report):
-    return {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
-
-
 class TestEvaluateCutoffs:
-    """evaluate_cutoffs is evaluate on each angular profile, bit for bit."""
-
-    @staticmethod
-    def radial_pairs(rng):
-        ramped = mollify_profile(core_halo_eta(0.2, 1.0, 2.0, 0.3), 0.01)
-        two_plateaus = PiecewiseProfile.from_segments(
-            [Piece.constant(1.0, 0.0, 0.5), Piece.constant(0.3, 0.5, 1.5)],
-            domain_label="radial-momentum")
-        ball = momentum_ball(float(rng.uniform(0.3, 3.0)))
-        return [(random_radial_profile(rng), ball),
-                (ramped, two_plateaus),
-                (random_radial_profile(rng), mollify_profile(ball, 0.01)),
-                (uniform_eta(float(rng.uniform(0.5, 2.0))), ball)]
-
-    @staticmethod
-    def angulars(rng):
-        cuts = [AngularProfile.cutoff(float(a)) for a in rng.uniform(-0.99, 0.9, size=3)]
-        ramp = AngularProfile((Piece.constant(1.0, -1.0, -0.2), Piece.ramp(1.0, 0.1, -0.2, 0.4),
-                               Piece.constant(0.1, 0.4, 1.0)))
-        return cuts + [AngularProfile.cutoff(1.0), random_angular_profile(rng),
-                       mollify_profile(cuts[0], 0.02), ramp]
-
-    @pytest.mark.parametrize("method", ["auto", "quadrature"])
-    def test_matches_one_profile_evaluate(self, rng, method):
-        angulars = self.angulars(rng)
-        for eta, phi in self.radial_pairs(rng):
-            # The ansatz's own angular factor is not read.
-            shared = evaluate_cutoffs(SeparableAnsatz(eta, phi, angulars[-1]), angulars, method)
-            assert len(shared) == len(angulars)
-            for got, angular in zip(shared, angulars):
-                want = evaluate(SeparableAnsatz(eta, phi, angular), method)
-                assert report_fields(got) == report_fields(want)
+    """evaluate across angular profiles: route labels and degenerate factors."""
 
     def test_labels_follow_each_angular_profile(self):
-        ball = SeparableAnsatz(uniform_eta(1.0), momentum_ball(1.0), AngularProfile.cutoff(1.0))
+        # Only the angular factor differs: its ramp alone makes the route a fixed rule.
         angulars = (AngularProfile.cutoff(-0.5), mollify_profile(AngularProfile.cutoff(-0.5), 0.1))
-        assert [r.method for r in evaluate_cutoffs(ball, angulars)] == [
-            "closed-form", "fixed-rule"]
-        assert evaluate_cutoffs(ball, ()) == []
+        assert [evaluate(SeparableAnsatz(uniform_eta(1.0), momentum_ball(1.0), angular)).method
+                for angular in angulars] == ["closed-form", "fixed-rule"]
 
     @pytest.mark.parametrize("method", ["auto", "quadrature"])
     @pytest.mark.parametrize("factor", ["spatial", "momentum", "angular", "normalization"])
@@ -591,8 +562,6 @@ class TestEvaluateCutoffs:
                                      AngularProfile.cutoff(1.0))
         with pytest.raises(DegenerateFactorError, match=factor):
             evaluate(ansatz, method)
-        with pytest.raises(DegenerateFactorError, match=factor):
-            evaluate_cutoffs(ansatz, (AngularProfile.cutoff(0.5), ansatz.angular), method)
 
     @pytest.mark.parametrize("method", ["auto", "quadrature"])
     @pytest.mark.parametrize("radius, squared", [(1e-103, "0.0"), (1e60, "inf")],
@@ -605,8 +574,6 @@ class TestEvaluateCutoffs:
         message = f"squared spatial factor integral is {squared}"
         with pytest.raises(DegenerateFactorError, match=message):
             evaluate(ansatz, method)
-        with pytest.raises(DegenerateFactorError, match=message):
-            evaluate_cutoffs(ansatz, (AngularProfile.cutoff(0.5),), method)
 
 
 class TestMomentSources:
@@ -700,32 +667,8 @@ class TestMomentSources:
         for make in build:
             first, second = make(), make()
             assert first == second and first is not second
-            reports = evaluate_cutoffs(step, (first, second), method="quadrature")
-            assert reports[0] == reports[1]
-            assert reports[0] == evaluate_cutoffs(step, (first,), method="quadrature")[0]
-
-    def test_oracle_keeps_generated_angulars_alive(self, monkeypatch):
-        # The oracle keys its integrals by id, so a profile made on the fly
-        # must outlive the call: no later profile may take its id.
-        step = reference_corehalo()
-        cuts = (-0.9, -0.5, -0.1, 0.3, 0.7)
-        made = []
-        real = quadrature.angular_moment_quad
-
-        def checked(angular, *args):
-            assert all(ref() is not None for ref in made)
-            return real(angular, *args)
-
-        def generated():
-            for a in cuts:
-                angular = AngularProfile.cutoff(a)
-                made.append(weakref.ref(angular))
-                yield angular
-
-        listed = evaluate_cutoffs(step, [AngularProfile.cutoff(a) for a in cuts], "quadrature")
-        monkeypatch.setattr(quadrature, "angular_moment_quad", checked)
-        assert evaluate_cutoffs(step, generated(), "quadrature") == listed
-        assert len(made) == len(cuts)
+            assert (evaluate(dataclasses.replace(step, angular=first), method="quadrature")
+                    == evaluate(dataclasses.replace(step, angular=second), method="quadrature"))
 
     @staticmethod
     def _rel_estimate(result):
@@ -751,9 +694,7 @@ class TestMomentSources:
         assert evaluate(ans, method="quadrature").residuals["virial"] >= first
 
     @pytest.mark.parametrize("method", ["closed-form", "quad", "exact", ""])
-    @pytest.mark.parametrize("call", [
-        evaluate, lambda ansatz, method: evaluate_cutoffs(ansatz, (), method)],
-        ids=["evaluate", "evaluate_cutoffs"])
+    @pytest.mark.parametrize("call", [evaluate], ids=["evaluate"])
     def test_unknown_method_rejected(self, call, method):
         with pytest.raises(ValueError, match="unknown evaluation method"):
             call(reference_corehalo(), method)

@@ -41,9 +41,8 @@ EAGER_EXPORTS = {
                "NoRootError", "ProfileError", "QuadratureBudgetError", "RampOverlapError",
                "ThresholdUnreachableError", "VirialForgeError"),
     "functionals": ("CRITICAL_L32_NORM", "Certificate", "FunctionalReport", "check_criteria",
-                    "evaluate", "evaluate_cutoffs", "kinetic_energy_ball",
-                    "potential_energy_profile", "spatial_momentum_factor", "total_energy",
-                    "virial"),
+                    "evaluate", "kinetic_energy_ball", "potential_energy_profile",
+                    "spatial_momentum_factor", "total_energy", "virial"),
     "mollifier": ("MollifySpec", "default_delta", "functional_drift", "mollify",
                   "mollify_profile", "rebalance", "seam_smoothness"),
     "profiles": ("AngularProfile", "Piece", "PiecewiseProfile", "SeparableAnsatz",

@@ -206,8 +206,8 @@ class TestCsv:
         # KE, PE and E; per cutoff it repeats a; only V and l32_norm vary
         # with both, so rendering needs at most 2 p a + 5 p + a format calls,
         # not one per float cell (8 p a).
-        rows = uniform_ball_floor(ScanGrid(P_values=tuple(np.geomspace(1e-2, 1e4, n_p)),
-                                           a_values=tuple(np.linspace(-0.99, 1.0, n_a)))).rows
+        result = uniform_ball_floor(ScanGrid(P_values=tuple(np.geomspace(1e-2, 1e4, n_p)),
+                                             a_values=tuple(np.linspace(-0.99, 1.0, n_a))))
         calls = [0]
 
         def counting(x):
@@ -216,9 +216,9 @@ class TestCsv:
 
         monkeypatch.setattr(scans, "format_float", counting)
         buf = io.StringIO()
-        rows_to_csv(rows, buf)
+        floor_to_csv(result, buf)
         assert 0 < calls[0] <= 2 * n_p * n_a + 5 * n_p + n_a
-        assert buf.getvalue() == self.reference_csv(rows)
+        assert buf.getvalue() == self.reference_csv(result.rows)
 
     def test_float_format_round_trips(self):
         for x in (1.0 / 3.0, 7.816488155904346e-4, -0.5007330147533631):

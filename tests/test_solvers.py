@@ -3,10 +3,13 @@
 import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings, strategies as st
 
+from conftest import mp_total_energy
 from virial_forge import solvers
 from virial_forge.cli import main
 from virial_forge.errors import (
@@ -145,6 +148,19 @@ class TestCoreHalo:
         assert fitted[1] == pytest.approx(b_coef, rel=1e-10)
         assert fitted[2] == pytest.approx(c_coef, rel=1e-10, abs=1e-16)
 
+    @settings(derandomize=True, deadline=None, max_examples=40, database=None)
+    @given(r1=st.floats(0.005, 0.05), r2=st.floats(1.0, 2.0), p=st.floats(0.5, 5.0),
+           log_thickness=st.floats(-10.0, -1.0))
+    def test_thin_halo_level_is_zero_energy(self, r1, r2, p, log_thickness):
+        # The halo's self term is O(w^2), w = r3 - r2; summed from O(w)
+        # differences it lost every digit as w shrank, in the solver and in
+        # the exact evaluator alike, so only mpmath can judge the level.
+        r3 = r2 * (1.0 + 10.0**log_thickness)
+        alpha = solve_corehalo_alpha(r1, r2, r3, p)
+        with mpmath.workdps(40):
+            energy = mp_total_energy(core_halo_eta(r1, r2, r3, alpha), momentum_ball(p))
+        assert abs(energy) <= 1e-10 * kinetic_energy_ball(p)
+
     def test_degenerate_halo_rejected(self):
         with pytest.raises(NoPositiveRootError):
             solve_corehalo_alpha(0.2, 1.0, 1.0, 1.0)
@@ -268,6 +284,19 @@ class TestQuadraticAndBracket:
         assert f(br.lo) * f(br.hi) < 0.0
         with pytest.raises(BracketError):
             RootBracket.expand(lambda x: x + 1.0, 1.0, 2.0)
+
+    def test_bracket_tries_sixteen_doublings_of_hi(self):
+        # From BRACKET_START: 10 * 2^k for k = 0..16, the points an absolute
+        # cap of 1e6 allowed, and the error names the last one.
+        tried = []
+
+        def positive(x):
+            tried.append(x)
+            return 1.0
+
+        with pytest.raises(BracketError, match="no sign change up to 655360.0"):
+            RootBracket.expand(positive, *BRACKET_START)
+        assert tried == [BRACKET_START[0], *(10.0 * 2.0**k for k in range(17))]
 
     @pytest.mark.parametrize("lo, hi", [(0.0, 0.0), (-1.0, 0.0), (-2.0, -1.0), (1.0, 1.0),
                                         (2.0, 1.0), (0.0, -0.0)])
