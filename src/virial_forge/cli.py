@@ -9,6 +9,9 @@ kv/CSV output.
 Exit codes: 0 = success (certify/mollify: verdict pass), 1 = verdict fail,
 2 = solver or numerical failure (overflow included), 3 = invalid or
 non-finite configuration; an --out that cannot be written is one too.
+A flag's own range is checked by its argparse type as it is parsed, so an
+out-of-range value exits 3 before any solve; what is left after parsing are
+the checks across flags.
 
 Each command imports only what it runs: ``scan`` and ``asymptotics`` load
 ``scans``, ``mollify`` loads ``mollifier`` and the custom family ``json``.
@@ -19,14 +22,14 @@ from __future__ import annotations
 import argparse
 import functools
 import io
-import math
 import re
 import sys
 
 from . import functionals, solvers
 from .errors import ConfigError, ProfileError, VirialForgeError
 from .functionals import _format_float
-from .profiles import AngularProfile, Piece, PiecewiseProfile, SeparableAnsatz, check_radii
+from .profiles import (AngularProfile, Piece, PiecewiseProfile, SeparableAnsatz, check_cutoff,
+                       check_positive, check_radii)
 
 __all__ = ["main", "entrypoint", "build_parser"]
 
@@ -56,15 +59,19 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _finite_float(text):
-    """argparse type for every float flag: nan and +-inf are config errors."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-    return value
+def _ranged(parse, check, *args):
+    """argparse type: ``parse(text)``, accepted by the library's range ``check``."""
+    def convert(text):
+        value = parse(text)
+        check(value, "value", argparse.ArgumentTypeError, *args)
+        return value
+
+    convert.__name__ = parse.__name__  # argparse's "invalid float value: 'x'" names it
+    return convert
+
+
+_POSITIVE, _CUTOFF = _ranged(float, check_positive), _ranged(float, check_cutoff)
+_NON_NEGATIVE, _COUNT = _ranged(float, check_positive, True), _ranged(int, check_positive)
 
 
 def _add_family_options(sub, custom=True):
@@ -72,7 +79,7 @@ def _add_family_options(sub, custom=True):
     sub.add_argument("--family", required=True,
                      choices=FAMILY_CHOICES if custom else tuple(solvers.FAMILIES))
     for name in _DATUM_FLOATS:
-        sub.add_argument(f"--{name}", type=_finite_float)
+        sub.add_argument(f"--{name}", type=_CUTOFF if name == "a" else _POSITIVE)
     if custom:
         sub.add_argument("--profiles", help="profile-literal JSON file (custom family)")
 
@@ -84,7 +91,7 @@ def _add_output_options(sub, formats=FORMATS):
 
 def _add_certificate_options(sub):
     _add_output_options(sub, formats=("human", "kv"))
-    sub.add_argument("--tol-energy", type=_finite_float, default=functionals.DEFAULT_ENERGY_TOL,
+    sub.add_argument("--tol-energy", type=_POSITIVE, default=functionals.DEFAULT_ENERGY_TOL,
                      dest="tol_energy")
 
 
@@ -105,26 +112,28 @@ def build_parser():
     _add_output_options(report, formats=("human", "kv"))
 
     scan = commands.add_parser("scan", help="uniform-ball virial floor sweep")
-    scan.add_argument("--p-min", type=_finite_float, default=1e-2, dest="p_min")
-    scan.add_argument("--p-max", type=_finite_float, default=1e4, dest="p_max")
-    scan.add_argument("--p-points", type=int, default=200, dest="p_points")
-    scan.add_argument("--a-points", type=int, default=40, dest="a_points")
+    scan.add_argument("--p-min", type=_POSITIVE, default=1e-2, dest="p_min")
+    scan.add_argument("--p-max", type=_POSITIVE, default=1e4, dest="p_max")
+    scan.add_argument("--p-points", type=_COUNT, default=200, dest="p_points")
+    scan.add_argument("--a-points", type=_COUNT, default=40, dest="a_points")
     _add_output_options(scan)
 
     asym = commands.add_parser(
         "asymptotics", help="large-P halo-level and virial scaling fits"
     )
-    asym.add_argument("--p-min", type=_finite_float, default=1e2, dest="p_min")
-    asym.add_argument("--p-max", type=_finite_float, default=1e4, dest="p_max")
-    asym.add_argument("--p-points", type=int, default=9, dest="p_points")
-    asym.add_argument("--a", type=_finite_float, default=-0.9)
+    asym.add_argument("--p-min", type=_POSITIVE, default=1e2, dest="p_min")
+    asym.add_argument("--p-max", type=_POSITIVE, default=1e4, dest="p_max")
+    # asymptotic_scaling owns the fit's fewest points and the range of a.
+    asym.add_argument("--p-points", type=_COUNT, default=9, dest="p_points")
+    asym.add_argument("--a", type=float, default=-0.9)
     _add_output_options(asym)
 
     moll = commands.add_parser(
         "mollify", help="smooth the steps, re-solve zero energy, certify"
     )
     _add_family_options(moll, custom=False)
-    moll.add_argument("--delta", type=_finite_float, help="ramp half-width (default 1e-3 * feature)")
+    moll.add_argument("--delta", type=_NON_NEGATIVE,
+                      help="ramp half-width (default 1e-3 * feature)")
     _add_certificate_options(moll)
     return parser
 
@@ -219,24 +228,12 @@ def _step_datum(args):
         raise ConfigError(f"family {args.family!r} requires {_flags(missing)}")
     if "r1" in reads:
         check_radii(given["r1"], given["r2"], given["r3"])
-    for name, value in given.items():
-        if name not in ("a", "profiles") and value <= 0.0:
-            raise ConfigError(f"--{name} must be positive")
-    if "a" in given and not (-1.0 < given["a"] <= 1.0):
-        raise ConfigError("--a must lie in (-1, 1]")
     if family is None:
         return None, _load_custom_ansatz(given["profiles"])
     known = {name: given[name] for name in family.inputs}
     value = given[family.free] if family.free in given else family.solve(**known)
     params = family.params(**known, **{family.free: value})
     return params, family.ansatz(params)
-
-
-def _energy_tol(args):
-    """The --tol-energy of certify or mollify, which must be positive."""
-    if args.tol_energy <= 0.0:
-        raise ConfigError("--tol-energy must be positive")
-    return args.tol_energy
 
 
 def _fmt_value(value):
@@ -298,9 +295,8 @@ def _threshold_or_none(ansatz):
 
 
 def _cmd_certify(args):
-    energy_tol = _energy_tol(args)
     params, ansatz = _step_datum(args)
-    cert = functionals.check_criteria(ansatz, energy_tol=energy_tol)
+    cert = functionals.check_criteria(ansatz, energy_tol=args.tol_energy)
     a_star = _threshold_or_none(ansatz)
     pairs = _config_pairs(args) + _certificate_pairs(args, cert, params, a_star)
     return (0 if cert.passed else 1), _render(pairs, args.format)
@@ -334,19 +330,22 @@ def _csv_with_config(args, write_body, summary_lines):
     return buf.getvalue()
 
 
+def _p_values(args):
+    """--p-points momentum cutoffs, log-spaced from --p-min to --p-max."""
+    if args.p_min > args.p_max:
+        raise ConfigError("need p-min <= p-max")
+    import numpy as np
+
+    return tuple(np.geomspace(args.p_min, args.p_max, args.p_points))
+
+
 def _cmd_scan(args):
-    if args.p_points < 1 or args.a_points < 1:
-        raise ConfigError("grid sizes must be >= 1")
-    if not (0.0 < args.p_min <= args.p_max):
-        raise ConfigError("need 0 < p-min <= p-max")
     import numpy as np
 
     from . import scans
 
-    grid = scans.ScanGrid(
-        P_values=tuple(np.geomspace(args.p_min, args.p_max, args.p_points)),
-        a_values=tuple(np.linspace(-1.0 + 1e-6, 0.9, args.a_points)),
-    )
+    grid = scans.ScanGrid(P_values=_p_values(args),
+                          a_values=tuple(np.linspace(-1.0 + 1e-6, 0.9, args.a_points)))
     result = scans.uniform_ball_floor(grid)
     floor_ok = result.min_virial > -0.45
     summary = [
@@ -366,19 +365,9 @@ def _cmd_scan(args):
 
 
 def _cmd_asymptotics(args):
-    if args.p_points < 5:
-        raise ConfigError("asymptotics needs at least 5 grid points")
-    if not (0.0 < args.p_min <= args.p_max):
-        raise ConfigError("need 0 < p-min <= p-max")
-    if not (-1.0 < args.a < 1.0):
-        raise ConfigError("--a must lie in (-1, 1)")
-    import numpy as np
-
     from . import scans
 
-    result = scans.asymptotic_scaling(
-        tuple(np.geomspace(args.p_min, args.p_max, args.p_points)), a=args.a
-    )
+    result = scans.asymptotic_scaling(_p_values(args), a=args.a)
     summary = [
         f"# alpha_slope={_format_float(result.alpha_fit.slope)}",
         f"# virial_slope={_format_float(result.virial_fit.slope)}",
@@ -401,16 +390,13 @@ def _cmd_asymptotics(args):
 def _cmd_mollify(args):
     from . import mollifier
 
-    energy_tol = _energy_tol(args)
-    if args.delta is not None and args.delta < 0.0:
-        raise ConfigError("--delta must be >= 0")
     params, step_ansatz = _step_datum(args)
     delta = args.delta
     if delta is None:
         delta = mollifier.default_delta(step_ansatz)
     spec = mollifier.MollifySpec(delta=delta)
-    new_params, moll_ansatz = mollifier.rebalance(params, spec, energy_tol=energy_tol)
-    cert = functionals.check_criteria(moll_ansatz, energy_tol=energy_tol)
+    new_params, moll_ansatz = mollifier.rebalance(params, spec, energy_tol=args.tol_energy)
+    cert = functionals.check_criteria(moll_ansatz, energy_tol=args.tol_energy)
     drift = mollifier.functional_drift(step_ansatz, moll_ansatz)
     pairs = _config_pairs(args)
     pairs.append(("delta", _fmt_value(delta)))

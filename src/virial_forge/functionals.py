@@ -157,13 +157,43 @@ def _exact_kinetic(phi):
     return math.fsum(_kinetic_weight(p) for p in phi.pieces), phi.moment(2)
 
 
+# The closed-form power-law self term stands while its two terms differ by at
+# least this share of the larger, times w/lo on a piece thinner than its left
+# end (whose log(hi/lo) errs by ~eps lo/w); it then errs below ~3e-12 (mpmath).
+_SELF_TERM_CANCEL = 1e-4
+
+
+def _power_self_nested(n, lo, hi):
+    """int_lo^hi q^(1-n) int_lo^q s^(2-n) ds dq, the self term of a power law (lo/r)**n.
+
+    Its closed form builds an O(w^2) term, w = hi - lo, from O(w) terms, and
+    near n = 3 divides a cancelling difference by 3 - n.  Where that cancels,
+    q = lo e^s gives lo^(5-2n) int_0^log1p(w/lo) e^((2-n)s) expm1((3-n)s)/(3-n) ds
+    (the quotient is s at n = 3), which cancels nothing: GL14 on unit panels
+    keeps it within ~4e-15 for n in [0.5, 6] and w/lo in [1e-12, 1e4].
+    """
+    w = hi - lo
+    if n == 3.0:
+        big, small = 1.0 / lo, (math.log(hi / lo) + 1.0) / hi
+    else:
+        big = power_integral(4.0 - 2.0 * n, lo, hi)
+        small = lo ** (3.0 - n) * power_integral(1.0 - n, lo, hi)
+    if abs(big - small) * w >= _SELF_TERM_CANCEL * max(big, small) * max(w, lo):
+        return big - small if n == 3.0 else (big - small) / (3.0 - n)
+    k = 3.0 - n
+    return lo ** (5.0 - 2.0 * n) * fixed_rule(
+        lambda s: math.exp((2.0 - n) * s) * (math.expm1(k * s) / k if k else s),
+        panel_edges(0.0, math.log1p(w / lo)))
+
+
 def _exact_nested(profile):
     """Nested mass integral, exact piece by piece.
 
     Walks pieces left to right keeping the exact enclosed mass M and adds
     int piece(q) * q * (M + local cumulative) dq.  A power law (any real
-    exponent, with the exact logarithmic cases) has a closed form, and a
-    plateau's self term is ``plateau_self_nested``.  On a smoothstep ramp the
+    exponent, with the exact logarithmic cases) has a closed form, save where
+    its self term cancels (``_power_self_nested``), and a plateau's self
+    term is ``plateau_self_nested``.  On a smoothstep ramp the
     integrand is a polynomial of degree 10 (cubic value, linear q, degree-6
     cumulative), which the 6-point Gauss-Legendre rule integrates exactly.
     """
@@ -181,13 +211,7 @@ def _exact_nested(profile):
             c, n = p.value, p.exponent
             pref = c * lo**n
             lead = enclosed * power_integral(1.0 - n, lo, hi)
-            if n == 0.0:
-                inner = plateau_self_nested(lo, hi)
-            elif n == 3.0:
-                inner = 1.0 / lo - (math.log(hi / lo) + 1.0) / hi
-            else:
-                inner = (power_integral(4.0 - 2.0 * n, lo, hi)
-                         - lo ** (3.0 - n) * power_integral(1.0 - n, lo, hi)) / (3.0 - n)
+            inner = plateau_self_nested(lo, hi) if n == 0.0 else _power_self_nested(n, lo, hi)
             total += pref * (lead + pref * inner)
             enclosed += pref * power_integral(2.0 - n, lo, hi)
     return total

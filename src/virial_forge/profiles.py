@@ -40,6 +40,7 @@ __all__ = [
     "monotonic_eta",
     "check_radii",
     "check_positive",
+    "check_cutoff",
 ]
 
 CONSTANT = "constant"
@@ -528,8 +529,7 @@ class AngularProfile(_PieceSet):
     def cutoff(cls, a):
         """Sharp cutoff chi_[-1, a] for a in (-1, 1]."""
         a = float(a)
-        if not (-1.0 < a <= 1.0):
-            raise ProfileError("cutoff parameter must lie in (-1, 1]")
+        check_cutoff(a, "cutoff parameter")
         if a == 1.0:
             return cls((Piece.constant(1.0, -1.0, 1.0),))
         return cls((Piece.constant(1.0, -1.0, a), Piece.constant(0.0, a, 1.0)))
@@ -582,10 +582,6 @@ class SeparableAnsatz:
         """C with 1/C = 8 pi^2 * ||spatial r^2|| * ||momentum p^2|| * int L."""
         return norm_constant(radial_scale(self.spatial, self.momentum), self.angular.moments()[0])
 
-    @property
-    def has_ramp(self):
-        return self.spatial.has_ramp or self.momentum.has_ramp or self.angular.has_ramp
-
 
 def check_factor(value, name):
     """``value``, unless it is not finite and positive (DegenerateFactorError)."""
@@ -628,6 +624,12 @@ def check_positive(value, name, error=ProfileError, zero_ok=False):
     if not (0.0 < value < math.inf or zero_ok and value == 0.0):
         bound = ">= 0" if zero_ok else "positive"
         raise error(f"{name} must be finite and {bound}, got {value}")
+
+
+def check_cutoff(a, name, error=ProfileError):
+    """``error`` unless ``a`` lies in (-1, 1], the range of a sharp angular cutoff."""
+    if not -1.0 < a <= 1.0:
+        raise error(f"{name} must lie in (-1, 1], got {a}")
 
 
 def check_radii(r1, r2, r3):

@@ -28,7 +28,7 @@ from functools import cached_property
 
 from . import functionals, solvers
 from .errors import GridExhaustedError, NoPositiveRootError, ProfileError, VirialForgeError
-from .profiles import AngularProfile, check_positive, norm_constant
+from .profiles import AngularProfile, check_cutoff, check_positive, norm_constant
 from .solvers import CoreHaloParams, UniformParams, solve_corehalo_alpha
 
 __all__ = [
@@ -54,6 +54,7 @@ _REPORT_FIELDS = {"KE": "kinetic", "PE": "potential", "E": "total_energy", "V": 
 
 _CROSSCHECK_SEED = 20260809
 _CROSSCHECK_RTOL = 1e-8
+MIN_FIT_POINTS = 5  # the fewest points a log-log fit takes
 
 
 @dataclass(frozen=True)
@@ -70,8 +71,8 @@ class ScanGrid:
             raise VirialForgeError("scan grid must be non-empty")
         for p in self.P_values:
             check_positive(p, "momentum grid value", VirialForgeError)
-        if any(not (-1.0 < a <= 1.0) for a in self.a_values):
-            raise VirialForgeError("angular grid values must lie in (-1, 1]")
+        for a in self.a_values:
+            check_cutoff(a, "angular grid value", VirialForgeError)
 
 
 @dataclass(frozen=True)
@@ -199,8 +200,8 @@ def loglog_fit(xs, ys):
     """Least-squares line through (log x, log y); max residual in log y."""
     import numpy as np
 
-    if len(xs) < 5:
-        raise VirialForgeError(f"need at least 5 points for a fit, got {len(xs)}")
+    if len(xs) < MIN_FIT_POINTS:
+        raise VirialForgeError(f"need at least {MIN_FIT_POINTS} points for a fit, got {len(xs)}")
     lx = np.log(np.asarray(xs, dtype=float))
     ly = np.log(np.asarray(ys, dtype=float))
     slope, intercept = np.polyfit(lx, ly, 1)
@@ -218,15 +219,18 @@ def asymptotic_scaling(P_values=None, a=-0.9):
 
     Solves the zero-energy halo level for radii (P^-2, P, P^2) at each P,
     then fits log alpha and log(-V) against log P.  Expected slopes:
-    -23/2 for the halo level and +3 for -V.
+    -23/2 for the halo level and +3 for -V.  Before any solve, ProfileError
+    rejects an ``a`` outside (-1, 1) and fewer than MIN_FIT_POINTS P values.
     """
     import numpy as np
 
     if P_values is None:
         P_values = default_scaling_pvalues()
     P_values = [float(P) for P in P_values]
-    if not (-1.0 < a < 1.0):
-        raise VirialForgeError("scaling scan needs a in (-1, 1)")
+    if not -1.0 < a < 1.0:
+        raise ProfileError(f"scaling scan needs a in (-1, 1), got {a}")
+    if len(P_values) < MIN_FIT_POINTS:
+        raise ProfileError(f"scaling fit needs >= {MIN_FIT_POINTS} P values, got {len(P_values)}")
 
     rows, ansaetze, failures = [], [], []
     for P in P_values:
@@ -237,7 +241,7 @@ def asymptotic_scaling(P_values=None, a=-0.9):
             continue
         rows.append(row)
         ansaetze.append(ansatz)
-    if len(rows) < 5:
+    if len(rows) < MIN_FIT_POINTS:
         raise VirialForgeError(
             f"only {len(rows)} grid points solved; cannot fit (failures: {failures})"
         )

@@ -19,7 +19,10 @@ for a root.
 parameter, the factor that parameter moves, spatial-profile builder and
 exact zero-energy solve; the step ansatz (``Family.ansatz``, also bound as
 ``uniform_ansatz``, ``core_halo_ansatz`` and ``monotonic_ansatz``) is built
-the same way for all three.
+the same way for all three.  The params classes are plain records: each
+field is checked by the profile builder that consumes it (``uniform_eta``,
+``core_halo_eta``, ``monotonic_eta``, ``momentum_ball``,
+``AngularProfile.cutoff``).
 
 The angular threshold a* = 1 - 1/S (S the spatial*momentum virial factor)
 marks where the virial reaches -1/2; any cutoff at or below a* certifies
@@ -38,7 +41,6 @@ from .errors import (
     BracketError,
     NoPositiveRootError,
     NoRootError,
-    ProfileError,
     ThresholdUnreachableError,
 )
 from .profiles import (
@@ -81,11 +83,6 @@ BRACKET_DOUBLINGS = 16  # the most ``RootBracket.expand`` doubles its starting h
 _BRENT_RTOL = 4 * sys.float_info.epsilon
 
 
-def _check_angle(a):
-    if not (-1.0 < a <= 1.0):
-        raise ProfileError("angular cutoff must lie in (-1, 1]")
-
-
 @dataclass(frozen=True)
 class UniformParams:
     """Uniform ball of radius r with momentum cutoff p and angular cutoff a."""
@@ -93,11 +90,6 @@ class UniformParams:
     r: float
     p: float
     a: float
-
-    def __post_init__(self):
-        check_positive(self.r, "uniform-ball radius")
-        check_positive(self.p, "momentum cutoff")
-        _check_angle(self.a)
 
 
 @dataclass(frozen=True)
@@ -111,12 +103,6 @@ class CoreHaloParams:
     alpha: float
     a: float
 
-    def __post_init__(self):
-        check_radii(self.r1, self.r2, self.r3)
-        check_positive(self.p, "momentum cutoff")
-        check_positive(self.alpha, "halo level", zero_ok=True)
-        _check_angle(self.a)
-
 
 @dataclass(frozen=True)
 class MonotonicParams:
@@ -128,12 +114,6 @@ class MonotonicParams:
     n: float
     p: float
     a: float
-
-    def __post_init__(self):
-        check_radii(self.r1, self.r2, self.r3)
-        check_positive(self.n, "atmosphere exponent")
-        check_positive(self.p, "momentum cutoff")
-        _check_angle(self.a)
 
 
 @dataclass(frozen=True)

@@ -79,11 +79,12 @@ def mp_piece_integral(piece, f):
 
 
 def mp_total_energy(spatial, momentum):
-    """Kinetic plus potential energy of constant/ramp profiles, in mpmath.
+    """Kinetic plus potential energy of piecewise profiles, in mpmath.
 
     The kinetic energy is int sqrt(1+p^2) h p^2 / int h p^2; the potential is
     -int g(q) q M(q) dq / M(inf)^2 with the enclosed mass M(q) = int_0^q g s^2 ds,
-    taken piece by piece (a polynomial on a ramp, integrated exactly).
+    taken piece by piece (a polynomial on a ramp, integrated exactly; on a
+    power law c (lo/s)^n, c lo^3 expm1((3-n) log(q/lo)) / (3-n), log(q/lo) at n = 3).
     """
     def weight(value, p):
         return value * p * p
@@ -112,7 +113,18 @@ def mp_total_energy(spatial, momentum):
                 lambda t: mpmath.polyval(coeffs[::-1], t) * (lo + w * t)
                 * (enclosed + mpmath.polyval(cumulative[::-1], t)), [0, 1])
         else:
-            raise ValueError("power-law pieces are not supported here")
+            c, n = mpmath.mpf(p.value), mpmath.mpf(p.exponent)
+            lo, hi, k = mpmath.mpf(p.lo), mpmath.mpf(p.hi), 3 - n
+
+            def local(q):
+                log_q = mpmath.log(q / lo)
+                return c * lo**3 * (mpmath.expm1(k * log_q) / k if k else log_q)
+
+            cuts = [lo]
+            while 2 * cuts[-1] < hi:
+                cuts.append(2 * cuts[-1])
+            nested += mpmath.quad(lambda q: c * (lo / q) ** n * q * (enclosed + local(q)),
+                                  [*cuts, hi])
         enclosed += mp_piece_integral(p, weight)
     return num / den - nested / enclosed**2
 

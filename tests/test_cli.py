@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import mp_total_energy
-from virial_forge import cli, solvers
+from virial_forge import cli, functionals, mollifier, scans, solvers
 from virial_forge.cli import main
 from virial_forge.errors import ConfigError
 from virial_forge.mollifier import mollify_profile
-from virial_forge.profiles import core_halo_eta, momentum_ball, uniform_eta
+from virial_forge.profiles import core_halo_eta, momentum_ball, monotonic_eta, uniform_eta
 from virial_forge.solvers import solve_corehalo_alpha
 
 COREHALO = ["--family", "core-halo", "--r1", "0.2", "--r2", "1", "--r3", "2",
@@ -68,6 +68,22 @@ class TestCertify:
         with mpmath.workdps(40):
             energy = mp_total_energy(
                 core_halo_eta(0.01, 1.0, float(r3), float(doc["alpha"])), momentum_ball(5.0))
+        assert code == 0, err
+        assert doc["verdict"] == "pass"
+        assert abs(energy) <= float(doc["energy_tol"])
+
+    @pytest.mark.parametrize("n", ["3.000000000001", "2.999999999999"])
+    def test_near_cubic_atmosphere_passes_with_its_true_energy(self, capsys, n):
+        # The atmosphere's self term divides by 3 - n.  It once cancelled, and
+        # the solver and the evaluator shared the error: the datum passed with
+        # energy residual 2.3e-14 while its true energy was 6.7e-4.
+        code, out, err = run_cli(capsys, ["certify", "--family", "monotonic", "--r1", "0.01",
+                                          "--r2", "0.0909090909", "--r3", "0.1", "--n", n,
+                                          "--a", "-0.95", "--format", "kv"])
+        doc = kv_parse(out)
+        with mpmath.workdps(40):
+            energy = mp_total_energy(monotonic_eta(0.01, 0.0909090909, 0.1, float(n)),
+                                     momentum_ball(float(doc["P"])))
         assert code == 0, err
         assert doc["verdict"] == "pass"
         assert abs(energy) <= float(doc["energy_tol"])
@@ -267,9 +283,10 @@ class TestAsymptotics:
 
     @pytest.mark.parametrize("a", ["-1", "1"])
     def test_a_outside_the_open_interval_is_config_error(self, capsys, a):
-        code, _, err = run_cli(capsys, ["asymptotics", "--a", a])
-        assert code == 3
-        assert err == "error: invalid configuration: --a must lie in (-1, 1)\n"
+        # asymptotic_scaling owns the open interval and rejects it before any solve.
+        code, out, err = run_cli(capsys, ["asymptotics", "--a", a])
+        assert (code, out) == (3, "")
+        assert err == f"error: invalid parameters: scaling scan needs a in (-1, 1), got {float(a)}\n"
 
 
 class TestMollify:
@@ -582,6 +599,62 @@ class TestOutputFile:
         assert err.count("\n") == 1
 
 
+# Valid argv of each command, and out-of-range values of each flag whose own
+# range is checked (its argparse type, or asymptotic_scaling for the last two).
+RANGE_ARGV = {
+    "certify": ["certify", *COREHALO],
+    "report": ["report", *COREHALO],
+    "mollify": ["mollify", *COREHALO],
+    "scan": ["scan", "--p-points", "3", "--a-points", "2"],
+    "asymptotics": ["asymptotics"],
+}
+POSITIVE_BAD = ("0", "-1", "-8.2e-05", "nan", "inf")
+RANGE_BAD = {
+    **{(command, flag): POSITIVE_BAD for command in ("certify", "report", "mollify")
+       for flag in ("r1", "r2", "r3", "p", "n", "alpha")},
+    **{(command, "a"): ("-1", "1.5", "nan", "-inf") for command in ("certify", "report", "mollify")},
+    **{(command, "tol-energy"): ("0", "-1e-9", "nan") for command in ("certify", "mollify")},
+    ("mollify", "delta"): ("-1e-3", "nan", "inf"),
+    **{(command, flag): ("0", "-5e1", "inf") for command in ("scan", "asymptotics")
+       for flag in ("p-min", "p-max")},
+    **{("scan", flag): ("0", "-2") for flag in ("p-points", "a-points")},
+    ("asymptotics", "p-points"): ("0", "-2"),
+}
+LIBRARY_BAD = {("asymptotics", "a"): ("-1", "1", "2", "nan"), ("asymptotics", "p-points"): ("1", "4")}
+
+
+@pytest.fixture
+def no_computation(monkeypatch):
+    """Every solve, scan and evaluation the commands reach raises."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("computed before the range check")
+
+    for module, name in [(solvers, "solve_uniform_R"), (solvers, "solve_corehalo_alpha"),
+                         (solvers, "solve_monotonic_P"), (scans, "solve_corehalo_alpha"),
+                         (scans, "uniform_ball_floor"), (functionals, "evaluate"),
+                         (functionals, "check_criteria"), (mollifier, "rebalance")]:
+        monkeypatch.setattr(module, name, forbidden)
+
+
+class TestRangeChecks:
+    @pytest.mark.parametrize("command, flag, value", [
+        (command, flag, value) for (command, flag), values in RANGE_BAD.items() for value in values])
+    def test_flag_range_exits_3_at_parse(self, capsys, no_computation, command, flag, value):
+        code, out, err = run_cli(capsys, [*RANGE_ARGV[command], f"--{flag}={value}"])
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: invalid configuration: argument --{flag}: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, flag, value", [
+        (command, flag, value) for (command, flag), values in LIBRARY_BAD.items() for value in values])
+    def test_library_range_exits_3_before_any_solve(self, capsys, no_computation,
+                                                    command, flag, value):
+        code, out, err = run_cli(capsys, [*RANGE_ARGV[command], f"--{flag}={value}"])
+        assert (code, out) == (3, "")
+        assert err.startswith("error: invalid parameters: scaling ")
+        assert err.count("\n") == 1
+
+
 NON_FINITE = ("nan", "inf", "-inf")
 COREHALO_NO_P = ["--family", "core-halo", "--r1", "0.2", "--r2", "1", "--r3", "2",
                  "--a", "-0.8"]
@@ -772,4 +845,5 @@ class TestNegativeExponentValues:
     def test_negative_p_max_reaches_the_range_check(self, capsys):
         code, out, err = run_cli(capsys, ["scan", "--p-max", "-5e1"])
         assert (code, out) == (3, "")
-        assert err == "error: invalid configuration: need 0 < p-min <= p-max\n"
+        assert err == ("error: invalid configuration: argument --p-max: "
+                       "value must be finite and positive, got -50.0\n")

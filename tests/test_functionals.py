@@ -6,7 +6,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import (
     assert_rel,
@@ -276,6 +276,66 @@ class TestPotentialEnergy:
         with mpmath.workdps(40):
             ref = mpmath.quad(lambda q: q * (q**3 - 1) / 3, [1, mpmath.mpf(hi)])
         assert_rel(functionals._exact_nested(eta), float(ref), 1e-15)
+
+
+def mp_power_self_nested(n, lo, hi):
+    """int_lo^hi q^(1-n) int_lo^q s^(2-n) ds dq in 60-digit mpmath."""
+    with mpmath.workdps(60):
+        n, lo, hi = mpmath.mpf(n), mpmath.mpf(lo), mpmath.mpf(hi)
+        k = 3 - n
+
+        def inner(q):
+            return (q**k - lo**k) / k if k else mpmath.log(q / lo)
+
+        return float(mpmath.quad(lambda q: q ** (1 - n) * inner(q), [lo, hi]))
+
+
+SELF_TERM_PROPERTY = settings(derandomize=True, deadline=None, max_examples=150, database=None)
+NEAR_CUBIC = st.builds(lambda sign, e: 3.0 + sign * 10.0**e, st.sampled_from([-1.0, 1.0]),
+                       st.floats(min_value=-13, max_value=-6))
+EXPONENTS = st.one_of(st.floats(min_value=0.5, max_value=6.0), st.just(3.0), NEAR_CUBIC)
+LOWER_ENDS = st.floats(min_value=-3, max_value=2).map(lambda e: 10.0**e)
+
+
+def relative_widths(lo_exp, hi_exp):
+    return st.floats(min_value=lo_exp, max_value=hi_exp).map(lambda e: 10.0**e)
+
+
+class TestPowerSelfTerm:
+    """The self term of a power-law piece against mpmath.
+
+    Its closed form divides by 3 - n and builds an O(w^2) term from O(w)
+    terms; where that cancels it read 3.3e-4 off at n = 3 +- 1e-12 and exactly
+    0 on a 1e-10-thin piece at n = 3.
+    """
+
+    @SELF_TERM_PROPERTY
+    @given(n=NEAR_CUBIC, lo=LOWER_ENDS, x=relative_widths(-12, 4))
+    @example(n=3.0 + 1e-12, lo=0.01, x=0.0909090909 / 0.01 - 1.0)
+    @example(n=3.0 - 1e-12, lo=0.01, x=0.0909090909 / 0.01 - 1.0)
+    @example(n=3.0 + 1e-9, lo=1.0, x=0.1)
+    def test_near_cubic_keeps_its_digits(self, n, lo, x):
+        hi = lo * (1.0 + x)
+        assume(hi > lo)
+        assert_rel(functionals._power_self_nested(n, lo, hi), mp_power_self_nested(n, lo, hi), 1e-14)
+
+    @SELF_TERM_PROPERTY
+    @given(n=EXPONENTS, lo=LOWER_ENDS, x=relative_widths(-12, -6))
+    @example(n=3.0, lo=1.0, x=1e-10)
+    @example(n=2.0, lo=1.0, x=1e-10)
+    def test_thin_piece_keeps_its_digits(self, n, lo, x):
+        hi = lo * (1.0 + x)
+        assume(hi > lo)
+        assert_rel(functionals._power_self_nested(n, lo, hi), mp_power_self_nested(n, lo, hi), 1e-14)
+
+    @SELF_TERM_PROPERTY
+    @given(n=EXPONENTS, lo=LOWER_ENDS, x=relative_widths(-12, 4))
+    def test_any_piece_within_the_closed_form_band(self, n, lo, x):
+        # The closed form stands until its cancellation would cost it more
+        # than ~3e-12; the fixed rule takes the rest.
+        hi = lo * (1.0 + x)
+        assume(hi > lo)
+        assert_rel(functionals._power_self_nested(n, lo, hi), mp_power_self_nested(n, lo, hi), 1e-11)
 
 
 NESTED_PROPERTY = settings(derandomize=True, deadline=None, max_examples=60, database=None)

@@ -307,7 +307,7 @@ class TestRebalance:
         params = reference_params()
         new_params, ansatz = rebalance(params, MollifySpec(delta=0.0))
         assert new_params.alpha == solve_corehalo_alpha(0.2, 1.0, 2.0, 1.0)
-        assert not ansatz.has_ramp
+        assert not any(f.has_ramp for f in (ansatz.spatial, ansatz.momentum, ansatz.angular))
 
     def test_brackets_from_the_given_step_solve(self, monkeypatch):
         # The caller's params already hold the step solve; rebalance starts

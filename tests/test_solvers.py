@@ -474,11 +474,15 @@ NAN, INF = math.nan, math.inf
 @pytest.mark.parametrize(
     "build, error",
     [
-        (lambda: UniformParams(r=NAN, p=1.0, a=0.0), ProfileError),
-        (lambda: UniformParams(r=1.0, p=INF, a=0.0), ProfileError),
-        (lambda: CoreHaloParams(r1=0.2, r2=1.0, r3=2.0, p=NAN, alpha=0.1, a=0.0), ProfileError),
-        (lambda: CoreHaloParams(r1=0.2, r2=1.0, r3=2.0, p=1.0, alpha=NAN, a=0.0), ProfileError),
-        (lambda: MonotonicParams(r1=0.01, r2=0.09, r3=0.1, n=INF, p=1.0, a=0.0), ProfileError),
+        # The params classes are plain records: building the ansatz checks their fields.
+        (lambda: uniform_ansatz(UniformParams(r=NAN, p=1.0, a=0.0)), ProfileError),
+        (lambda: uniform_ansatz(UniformParams(r=1.0, p=INF, a=0.0)), ProfileError),
+        (lambda: core_halo_ansatz(CoreHaloParams(r1=0.2, r2=1.0, r3=2.0, p=NAN, alpha=0.1,
+                                                 a=0.0)), ProfileError),
+        (lambda: core_halo_ansatz(CoreHaloParams(r1=0.2, r2=1.0, r3=2.0, p=1.0, alpha=NAN,
+                                                 a=0.0)), ProfileError),
+        (lambda: monotonic_ansatz(MonotonicParams(r1=0.01, r2=0.09, r3=0.1, n=INF, p=1.0,
+                                                  a=0.0)), ProfileError),
         (lambda: solve_uniform_R(NAN), ProfileError),
         (lambda: solve_uniform_R(INF), ProfileError),
         (lambda: solve_corehalo_alpha(0.2, 1.0, 2.0, NAN), ProfileError),
