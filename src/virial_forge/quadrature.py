@@ -3,21 +3,31 @@
 Backed by QUADPACK's adaptive Gauss-Kronrod rules: QAGP, which accepts
 interior breakpoints so subdivision never straddles a supplied
 discontinuity, and QAGS where there are none.  ``_quad`` calls scipy's
-binding of the two routines directly, because ``integrate`` has already
-sorted and clipped the breakpoints that ``scipy.integrate.quad`` would sort
-again.  Improper upper limits are never integrated: compact support is
-enforced upstream, so all integrals here run over finite intervals.
-Each integrand calls a memoized closure of the profile, fetched once per
-integral, not its range-checked ``__call__``: QUADPACK stays in [lo, hi].
+binding of the two routines, the extension ``scipy.integrate._quadpack``,
+directly, because ``integrate`` has already sorted and clipped the
+breakpoints that ``scipy.integrate.quad`` would sort again.  Improper
+upper limits are never integrated: compact support is enforced upstream,
+so all integrals here run over finite intervals.  Each integrand calls a
+memoized closure of the profile, fetched once per integral, not its
+range-checked ``__call__``: QUADPACK stays in [lo, hi].
 
 scipy is imported on the first integration, not with the package: the
 closed-form route for step data never integrates, so certifying it does
-not pay for loading scipy.
+not pay for loading scipy.  ``_load_quadpack`` then loads only the
+QUADPACK extension, from scipy's ``integrate`` directory under its real
+name: importing it by name would run ``scipy.integrate/__init__``, which
+loads scipy.special, optimize, linalg and sparse, most of a cold
+``scan``'s time, for nothing the oracle calls.  ``sys.modules`` holds the
+one copy, shared with ``import scipy.integrate`` in either order.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 from .errors import QuadratureBudgetError
@@ -49,6 +59,22 @@ _IER_REASONS = {
     6: "the input is invalid",
 }
 
+_QUADPACK = "scipy.integrate._quadpack"
+
+
+def _load_quadpack():
+    """Load scipy's QUADPACK extension alone and register it in ``sys.modules``."""
+    import scipy
+
+    where = os.path.join(scipy.__path__[0], "integrate")
+    spec = importlib.machinery.PathFinder.find_spec(_QUADPACK, [where])
+    if spec is None:
+        raise ImportError(f"no {_QUADPACK} extension in {where}", name=_QUADPACK)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[_QUADPACK] = module
+    return module
+
 
 def _quad(f, lo, hi, points, epsabs, epsrel, limit):
     """QAGP over sorted interior ``points``, or QAGS if there are none.
@@ -56,8 +82,7 @@ def _quad(f, lo, hi, points, epsabs, epsrel, limit):
     Returns ``(value, err, last, ier)``: the estimate, its absolute error,
     the number of subintervals used and QUADPACK's error flag (0 on success).
     """
-    from scipy.integrate import _quadpack
-
+    _quadpack = sys.modules.get(_QUADPACK) or _load_quadpack()
     if points:
         # QAGPE's points array holds the breakpoints and two slots of workspace.
         value, err, info, ier = _quadpack._qagpe(

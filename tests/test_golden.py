@@ -5,7 +5,8 @@ oracle.txt the repr of ``evaluate(..., method="quadrature")`` for each
 ansatz of ORACLE_CASES.  A change that alters a single byte of kv/CSV
 output or of an oracle report fails here; if the change is deliberate,
 regenerate with ``PYTHONPATH=src python tests/test_golden.py`` and record
-the reason in CHANGES.md.
+the reason in CHANGES.md.  The same command rewrites the benchmark output
+manifest of test_bench_outputs.py.
 """
 
 import argparse
@@ -160,6 +161,8 @@ if __name__ == "__main__":
     import contextlib
     import io
 
+    from test_bench_outputs import write_manifest
+
     for name, (argv, expected_code) in CASES.items():
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
@@ -168,3 +171,4 @@ if __name__ == "__main__":
             raise SystemExit(f"{name}: exit code {code}, expected {expected_code}; not written")
         (GOLDEN / name).write_text(buf.getvalue(), encoding="utf-8", newline="")
     (GOLDEN / "oracle.txt").write_text(oracle_document(), encoding="utf-8", newline="")
+    write_manifest()
