@@ -15,6 +15,7 @@ the checks across flags.
 
 Each command imports only what it runs: ``scan`` and ``asymptotics`` load
 ``scans``, ``mollify`` loads ``mollifier`` and the custom family ``json``.
+Flags are parsed once, by the named command's own parser.
 """
 
 from __future__ import annotations
@@ -422,8 +423,17 @@ _COMMANDS = {
 
 def main(argv=None):
     """Run the CLI; returns the process exit code."""
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _parser().parse_args(argv)
+        parser = _parser()
+        (commands,) = (action.choices for action in parser._actions
+                       if isinstance(action, argparse._SubParsersAction))
+        if argv and argv[0] in commands:
+            # What the subparsers action does, without the root parser first
+            # classifying every flag; any other argv ends in help or a usage error.
+            args = commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+        else:
+            args = parser.parse_args(argv)
         code, text = _COMMANDS[args.command](args)
         if not args.out:
             sys.stdout.write(text)

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import sys
 import types
 
 import mpmath
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import mp_total_energy
 from virial_forge import cli, functionals, mollifier, scans, solvers
 from virial_forge.cli import main
-from virial_forge.errors import ConfigError
+from virial_forge.errors import ConfigError, ProfileError, VirialForgeError
 from virial_forge.mollifier import mollify_profile
 from virial_forge.profiles import core_halo_eta, momentum_ball, monotonic_eta, uniform_eta
 from virial_forge.solvers import solve_corehalo_alpha
@@ -829,6 +830,116 @@ class TestParserReuse:
         for parser in (second, cli._parser()):
             with pytest.raises(ConfigError, match="--only-first"):
                 parser.parse_args(["--only-first=x", "scan"])
+
+
+def captured(call):
+    """(exit code, stdout, stderr) of call(); --help exits through SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = call()
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def reference_main(argv):
+    """main as it ran when the root parser parsed every argv (none here gives --out)."""
+    try:
+        args = cli.build_parser().parse_args(argv)
+        code, text = cli._COMMANDS[args.command](args)
+        assert not args.out
+        sys.stdout.write(text)
+    except ConfigError as exc:
+        print(f"error: invalid configuration: {exc}", file=sys.stderr)
+        return 3
+    except ProfileError as exc:
+        print(f"error: invalid parameters: {exc}", file=sys.stderr)
+        return 3
+    except VirialForgeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:
+        print(f"error: numerical failure ({type(exc).__name__}): {exc}", file=sys.stderr)
+        return 2
+    return code
+
+
+# A quick valid argv tail of each command, and tokens drawn around it.
+CHEAP_ARGV = {
+    "certify": COREHALO,
+    "report": MONOTONIC,
+    "scan": ["--p-points", "3", "--a-points", "2"],
+    "asymptotics": ["--p-points", "5"],
+    "mollify": ["--family", "uniform", "--p", "1", "--a", "-0.5"],
+}
+ARGV_TOKENS = ("--format", "kv", "csv", "human", "--tol-energy", "1e-9", "--delta", "1e-3",
+               "--family", "uniform", "--p", "nan", "-8.2e-05", "--a", "-0.9", "--p-min",
+               "1e3", "--nonsense", "1", "--", "-h", "--he", "certify", "nonsense", "")
+ROOT_ARGVS = (
+    (),
+    ("-h",),
+    ("--help",),
+    ("nonsense",),
+    ("--format", "kv"),
+    ("--format", "kv", "certify", *COREHALO),
+    ("--nonsense", "certify", *COREHALO),
+    ("--", "certify", *COREHALO),
+    ("Certify", *COREHALO),
+)
+
+
+@st.composite
+def any_argv(draw):
+    """An argv of any command or of none, with tokens before and after its flags."""
+    command = draw(st.sampled_from((*CHEAP_ARGV, "nonsense", "")))
+    before = draw(st.lists(st.sampled_from(ARGV_TOKENS), max_size=2))
+    after = draw(st.lists(st.sampled_from(ARGV_TOKENS), max_size=4))
+    return [*before, command, *CHEAP_ARGV.get(command, ()), *after]
+
+
+class TestCommandRouting:
+    """main hands argv to the named command's parser; the outcome is the root parser's."""
+
+    @pytest.mark.parametrize("argv", PARSER_ARGVS + ROOT_ARGVS)
+    def test_listed_argv_matches_the_root_parser(self, argv):
+        assert outcome(argv) == captured(lambda: reference_main(list(argv)))
+
+    @settings(derandomize=True, deadline=None, max_examples=150, database=None)
+    @given(any_argv())
+    def test_any_argv_matches_the_root_parser(self, argv):
+        assert outcome(argv) == captured(lambda: reference_main(list(argv)))
+
+    @pytest.mark.parametrize("command", sorted(CHEAP_ARGV))
+    def test_each_flag_is_parsed_once(self, monkeypatch, command):
+        calls = []
+        original = argparse.ArgumentParser.parse_known_args
+
+        def counting(self, *args, **kwargs):
+            calls.append(self.prog)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+        code, _, err = outcome([command, *CHEAP_ARGV[command]])
+        assert (code, err) in ((0, ""), (1, ""))
+        assert calls == [f"virial-forge {command}"]
+
+    @pytest.mark.parametrize("argv", ROOT_ARGVS)
+    def test_argv_naming_no_command_runs_none(self, monkeypatch, argv):
+        ran = []
+        monkeypatch.setattr(cli, "_COMMANDS", {name: ran.append for name in cli._COMMANDS})
+        code, _, err = outcome(argv)
+        assert ran == []
+        assert (code, err == "") in ((0, True), (3, False))
+
+    @pytest.mark.parametrize("argv", [("certify", *COREHALO, "--format", "kv"),
+                                      ("scan", "--p-points", "2", "--a-points", "2"),
+                                      ("certify", "--help"), *ROOT_ARGVS])
+    def test_console_script_reads_sys_argv(self, monkeypatch, argv):
+        expected = outcome(argv)
+        monkeypatch.setattr(sys, "argv", ["virial-forge", *argv])
+        assert captured(main) == expected
+        assert captured(cli.entrypoint) == expected
 
 
 class TestNegativeExponentValues:
