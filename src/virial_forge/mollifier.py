@@ -16,9 +16,9 @@ is C^1 at every former value jump only: slope jumps without a value jump
 ``seam_smoothness`` examines the ends of ramps only.
 
 Smoothing perturbs the energy balance, so ``rebalance`` re-solves each
-family's free parameter on the mollified profiles with one bracketed Brent
-solve for all of ``solvers.FAMILIES``; the nested potential integral stays
-exact on ramps (see ``functionals``).
+family's free parameter on the mollified profiles with one Brent solve for
+all of ``solvers.FAMILIES``, bracketed outward from the step solve; the
+nested potential integral stays exact on ramps (see ``functionals``).
 """
 
 from __future__ import annotations
@@ -122,29 +122,27 @@ def rebalance(params, spec, energy_tol=solvers.ENERGY_RESIDUAL_TOL):
     mollified_ansatz)`` where that parameter has been re-solved so the
     mollified datum's total energy vanishes to ``energy_tol``.
 
-    The root is bracketed on [x0/2, x0] (hi doubled, at most 16 times, up to
-    2^16 x0, until the energy changes sign) and refined by Brent iteration.
-    The whole step ansatz is smoothed once, at x0/2, the first point the
-    bracket visits; every other point rebuilds and smooths only the factor
-    the free parameter moves (``Family.moves``) and shares the other two,
-    with the integrals memoized on them.  Each point's energy and mollified
-    ansatz are computed once, however often the bracket, the Brent iteration
-    and the final check read them.  With ``spec.delta == 0`` the given
-    params and their step ansatz are returned.
+    ``RootBracket.around`` brackets the root, which lies close to x0, by
+    probing outward from x0, and Brent iteration refines it.  The given
+    step ansatz is smoothed once, at x0; every other point rebuilds and
+    smooths only the factor the free parameter moves (``Family.moves``)
+    and shares the other two, with the integrals memoized on them.  Each
+    point's energy and mollified ansatz are computed once, however often
+    the bracket, the Brent iteration and the final check read them.  With
+    ``spec.delta == 0`` the given params and their step ansatz are returned.
     """
     family = solvers.family_of(params)
     if spec.delta == 0.0:
         return params, family.ansatz(params)
     x0 = getattr(params, family.free)
-    lo = 0.5 * x0
-    first = mollify(family.ansatz(replace(params, **{family.free: lo})), spec)
+    first = mollify(family.ansatz(params), spec)
     points = {}
 
     def point(x):
         """(total energy, mollified ansatz) at free value x."""
         if x not in points:
             ansatz = first
-            if x != lo:
+            if x != x0:
                 moved = family.factor(replace(params, **{family.free: x}), family.moves)
                 ansatz = replace(first, **{family.moves: mollify_profile(moved, spec.delta)})
             points[x] = functionals.total_energy(ansatz), ansatz
@@ -153,7 +151,7 @@ def rebalance(params, spec, energy_tol=solvers.ENERGY_RESIDUAL_TOL):
     def residual(x):
         return point(x)[0]
 
-    bracket = RootBracket.expand(residual, lo, x0)
+    bracket = RootBracket.around(residual, x0)
     x = brentq(residual, bracket.lo, bracket.hi, xtol=1e-15 * x0)
     energy, ansatz = point(x)
     if abs(energy) > energy_tol:

@@ -79,6 +79,7 @@ PARAM_TOL = 1e-12
 ENERGY_RESIDUAL_TOL = 1e-10
 BRACKET_START = (1e-3, 10.0)
 BRACKET_DOUBLINGS = 16  # the most ``RootBracket.expand`` doubles its starting hi
+AROUND_EPS = tuple(2.0**k for k in range(-9, 18, 2))  # reach (1 + 2^17) x0 > 2^16 x0
 # scipy's default (and smallest allowed) relative tolerance of brentq.
 _BRENT_RTOL = 4 * sys.float_info.epsilon
 
@@ -141,6 +142,27 @@ class RootBracket:
             if flo * f(h) < 0.0:
                 return cls(lo, h)
         raise BracketError(f"no sign change up to {h!r}")
+
+    @classmethod
+    def around(cls, f, x0):
+        """Probe x0 (1 + eps), then x0 / (1 + eps), per eps of AROUND_EPS until f changes sign.
+
+        Returns the last two probes on the side of the sign change (x0 is the
+        first probe of both sides); an x0 <= 0 raises BracketError at once.
+        """
+        if not x0 > 0.0:
+            raise BracketError(f"cannot bracket around {x0!r}: need x0 > 0")
+        f0 = f(x0)
+        if f0 == 0.0:
+            return cls(x0, x0)
+        last = (x0, x0)
+        for eps in AROUND_EPS:
+            probes = (x0 * (1.0 + eps), x0 / (1.0 + eps))
+            for near, far in zip(last, probes):
+                if f0 * f(far) <= 0.0:
+                    return cls(min(near, far), max(near, far))
+            last = probes
+        raise BracketError(f"no sign change on [{last[1]!r}, {last[0]!r}]")
 
 
 def brentq(f, a, b, xtol, maxiter=100):

@@ -379,6 +379,25 @@ class TestMollify:
         doc = kv_parse(out)
         assert float(doc["energy_residual"]) <= float(doc["energy_tol"])
 
+    def test_ramps_that_fit_the_given_ball_rebalance(self, capsys):
+        # R = 0.476...: the 0.3 ramp fits the given ball, though not one of
+        # radius R/2, so the rebalance may not smooth the ball at R/2.
+        code, out, err = run_cli(capsys, ["mollify", "--family", "uniform", "--p", "1",
+                                          "--a", "-0.5", "--delta", "0.3", "--format", "kv"])
+        assert code == 1, err
+        doc = kv_parse(out)
+        assert float(doc["energy_residual"]) <= float(doc["energy_tol"])
+        assert float(doc["R"]) > 0.6
+
+    def test_ramp_misfit_names_the_given_breakpoint(self, capsys):
+        code, out, err = run_cli(capsys, ["mollify", "--family", "uniform", "--p", "1",
+                                          "--a", "-0.5", "--delta", "0.6"])
+        assert code == 3 and out == ""
+        assert err == (
+            "error: invalid parameters: ramp [-0.12398903379248816, 0.4760109662075118] at "
+            "breakpoint 0.4760109662075118 would leave [0.0, inf], crossing a piece edge or "
+            "the ramp before it\n")
+
     def test_large_p_datum_is_zero_energy_exactly(self, capsys):
         # At P ~ 333 a kinetic weight off by ~1e-11 relative left the printed
         # datum's exact energy at 2e-9, above energy_tol.  Rebuild the printed

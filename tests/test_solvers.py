@@ -309,6 +309,86 @@ class TestQuadraticAndBracket:
             RootBracket.expand(f, lo, hi)
 
 
+class TestBracketAround:
+    @staticmethod
+    def probes(x0, steps):
+        """x0, then x0 (1 + eps) and x0 / (1 + eps) for eps = 2^-9 times 4^k, k < steps."""
+        grows = [1.0 + 2.0 ** (2 * k - 9) for k in range(steps)]
+        return [x0, *(x for g in grows for x in (x0 * g, x0 / g))]
+
+    @staticmethod
+    def recording(f):
+        tried = []
+
+        def g(x):
+            tried.append(x)
+            return f(x)
+
+        return g, tried
+
+    @pytest.mark.parametrize("x0", [1.0, 3.7e-6, 2.5e4])
+    def test_sign_change_above_x0(self, x0):
+        # Root at 1.3 x0: a miss at eps = 2^-9 .. 2^-3 on both sides, then a
+        # sign change at x0 (1 + 2^-1); the bracket is the last two probes above x0.
+        f, tried = self.recording(lambda x: x - 1.3 * x0)
+        br = RootBracket.around(f, x0)
+        assert tried == self.probes(x0, 5)[:-1]
+        assert (br.lo, br.hi) == (x0 * (1.0 + 2.0**-3), x0 * (1.0 + 2.0**-1))
+        assert f(br.lo) < 0.0 < f(br.hi)
+
+    @pytest.mark.parametrize("x0", [1.0, 3.7e-6, 2.5e4])
+    def test_sign_change_below_x0(self, x0):
+        # Root at x0 / 1.005: the up probe at eps = 2^-7 misses, the down one hits.
+        f, tried = self.recording(lambda x: math.atan(x / x0 - 1.0 / 1.005))
+        br = RootBracket.around(f, x0)
+        assert tried == self.probes(x0, 2)
+        assert (br.lo, br.hi) == (x0 / (1.0 + 2.0**-7), x0 / (1.0 + 2.0**-9))
+        assert f(br.lo) < 0.0 < f(br.hi)
+
+    def test_first_probe_past_x0_brackets_against_x0(self):
+        br = RootBracket.around(lambda x: x - 1.001, 1.0)
+        assert (br.lo, br.hi) == (1.0, 1.0 + 2.0**-9)
+
+    def test_root_at_x0_returns_at_once(self):
+        f, tried = self.recording(lambda x: x - 2.0)
+        br = RootBracket.around(f, 2.0)
+        assert (br.lo, br.hi) == (2.0, 2.0) and tried == [2.0]
+        assert brentq(f, br.lo, br.hi, xtol=1e-15) == 2.0
+
+    def test_zero_probe_ends_the_search_and_is_the_root(self):
+        x0 = 1.0
+        root = x0 / (1.0 + 2.0**-7)
+        f = lambda x: 0.0 if x == root else x - 0.5 * (root + x0 / (1.0 + 2.0**-5))  # noqa: E731
+        br = RootBracket.around(f, x0)
+        assert (br.lo, br.hi) == (root, x0 / (1.0 + 2.0**-9))
+        assert brentq(f, br.lo, br.hi, xtol=1e-15) == root
+
+    @pytest.mark.parametrize("x0", [0.0, -0.0, -1.0, -math.inf, math.nan])
+    def test_non_positive_x0_is_rejected_before_any_evaluation(self, x0):
+        def f(x):
+            raise AssertionError("the residual must not be evaluated")
+
+        with pytest.raises(BracketError, match="need x0 > 0"):
+            RootBracket.around(f, x0)
+
+    def test_no_sign_change_names_the_last_interval(self):
+        f, tried = self.recording(lambda x: 1.0)
+        grow = 1.0 + 2.0**17
+        with pytest.raises(BracketError) as err:
+            RootBracket.around(f, 3.0)
+        assert str(err.value) == f"no sign change on [{3.0 / grow!r}, {3.0 * grow!r}]"
+        assert tried == self.probes(3.0, 14)
+
+    @pytest.mark.parametrize("x0", [1.0, 1e-3, 7.0e5])
+    def test_reach_upward_covers_sixteen_doublings(self, x0):
+        # RootBracket.expand reaches 2^16 times its starting hi; so does this.
+        root = x0 * 2.0**16
+        br = RootBracket.around(lambda x: x - root, x0)
+        assert br.lo < root <= br.hi
+        assert brentq(lambda x: x - root, br.lo, br.hi, xtol=1e-15 * x0) == pytest.approx(
+            root, rel=1e-14)
+
+
 def _brent_trace(solver, f, lo, hi, **kwargs):
     """Root and evaluation points of one solve, as float.hex strings."""
     xs = []
