@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
 
 from .profiles import (
     CONSTANT,
@@ -403,24 +402,17 @@ def virial(ansatz):
     return evaluate(ansatz).virial
 
 
-@dataclass(frozen=True)
-class FunctionalReport:
+class FunctionalReport(namedtuple("FunctionalReport", "norm_constant mass l32_norm kinetic "
+                                                    "potential total_energy virial method "
+                                                    "residuals")):
     """Every functional of one ansatz, plus evaluation-error estimates.
 
     ``residuals`` maps entry names to relative error estimates; the exact
     source reports none, the adaptive source propagates the integrator's
-    estimates.
+    estimates.  It has no default, so no two reports share one dict.
     """
 
-    norm_constant: float
-    mass: float
-    l32_norm: float
-    kinetic: float
-    potential: float
-    total_energy: float
-    virial: float
-    method: str
-    residuals: dict = field(default_factory=dict)
+    __slots__ = ()
 
 
 def evaluate(ansatz, method="auto"):
@@ -437,8 +429,8 @@ def evaluate(ansatz, method="auto"):
     return _SOURCES[method]().report(ansatz.spatial, ansatz.momentum, ansatz.angular)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(namedtuple("Certificate", "report energy_residual virial_margin norm_margin "
+                                          "critical_norm energy_tol passed")):
     """Verdict on the three finite-time blow-up hypotheses.
 
     pass requires |total energy| <= energy_tol, virial <= -1/2 (non-strict),
@@ -446,13 +438,7 @@ class Certificate:
     are recorded so the verdict is recomputable.
     """
 
-    report: FunctionalReport
-    energy_residual: float
-    virial_margin: float
-    norm_margin: float
-    critical_norm: float
-    energy_tol: float
-    passed: bool
+    __slots__ = ()
 
 
 def check_criteria(ansatz, energy_tol=DEFAULT_ENERGY_TOL):

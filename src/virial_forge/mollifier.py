@@ -24,7 +24,7 @@ nested potential integral stays exact on ramps (see ``functionals``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from . import functionals, solvers
 from .errors import NoRootError, ProfileError, RampOverlapError
@@ -45,19 +45,19 @@ __all__ = [
 _JUMP_REL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class MollifySpec:
+class MollifySpec(namedtuple("MollifySpec", "delta")):
     """Transition half-width of the ramps that smooth all three factors.
 
     ``delta`` is in the units of the mollified variable and must stay below
     half the smallest piece width so ramps cannot collide.
     """
 
-    delta: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.delta < 0.0 or not math.isfinite(self.delta):
+    def __new__(cls, delta):
+        if delta < 0.0 or not math.isfinite(delta):
             raise ProfileError("mollification half-width must be finite and >= 0")
+        return super().__new__(cls, delta)
 
 
 def default_delta(ansatz, fraction=1e-3):
@@ -103,7 +103,7 @@ def _mollify_pieces(pieces, delta):
 
 def mollify_profile(profile, delta):
     """Continuous version of a step profile, radial or angular: a ramp at every value jump."""
-    return replace(profile, pieces=_mollify_pieces(profile.pieces, delta))
+    return profile._replace(pieces=_mollify_pieces(profile.pieces, delta))
 
 
 def mollify(ansatz, spec):
@@ -143,8 +143,8 @@ def rebalance(params, spec, energy_tol=solvers.ENERGY_RESIDUAL_TOL):
         if x not in points:
             ansatz = first
             if x != x0:
-                moved = family.factor(replace(params, **{family.free: x}), family.moves)
-                ansatz = replace(first, **{family.moves: mollify_profile(moved, spec.delta)})
+                moved = family.factor(params._replace(**{family.free: x}), family.moves)
+                ansatz = first._replace(**{family.moves: mollify_profile(moved, spec.delta)})
             points[x] = functionals.total_energy(ansatz), ansatz
         return points[x]
 
@@ -156,7 +156,7 @@ def rebalance(params, spec, energy_tol=solvers.ENERGY_RESIDUAL_TOL):
     energy, ansatz = point(x)
     if abs(energy) > energy_tol:
         raise NoRootError(f"rebalanced energy residual {energy:.3e}")
-    return replace(params, **{family.free: x}), ansatz
+    return params._replace(**{family.free: x}), ansatz
 
 
 def seam_smoothness(profile):

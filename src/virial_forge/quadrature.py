@@ -28,7 +28,7 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import QuadratureBudgetError
 
@@ -92,13 +92,10 @@ def _quad(f, lo, hi, points, epsabs, epsrel, limit):
     return value, err, int(info["last"]), ier
 
 
-@dataclass(frozen=True)
-class QuadResult:
+class QuadResult(namedtuple("QuadResult", "value abs_error_estimate subdivisions")):
     """Value, error estimate, and subdivision count of one integration."""
 
-    value: float
-    abs_error_estimate: float
-    subdivisions: int
+    __slots__ = ()
 
 
 def integrate(f, lo, hi, breakpoints=(), abs_tol=DEFAULT_ABS_TOL,

@@ -14,17 +14,17 @@ R, KE, PE and E come once per P from ``functionals.radial_functionals`` of
 that P's ball, and a grid point costs only its virial and L^{3/2} norm.
 ``floor_to_csv`` writes those columns, formatting each per-P cell once per
 P and each a once per scan.  One grid point per scan (chosen by a
-fixed-seed RNG so output stays deterministic) is cross-checked against the
-adaptive-quadrature oracle.
+fixed-seed ``random.Random`` so output stays deterministic) is cross-checked
+against the adaptive-quadrature oracle.
 
-numpy is imported inside the functions that use it (grids, the crosscheck
-RNG, the fits), so importing this module does not load it.
+numpy is imported inside the functions that use it (grids and fits), so
+importing this module does not load it; nothing here loads numpy.random.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+import random
+from collections import namedtuple
 
 from . import functionals, solvers
 from .errors import GridExhaustedError, NoPositiveRootError, ProfileError, VirialForgeError
@@ -57,50 +57,39 @@ _CROSSCHECK_RTOL = 1e-8
 MIN_FIT_POINTS = 5  # the fewest points a log-log fit takes
 
 
-@dataclass(frozen=True)
-class ScanGrid:
+class ScanGrid(namedtuple("ScanGrid", "P_values a_values")):
     """Cartesian grid of momentum cutoffs and angular cutoffs."""
 
-    P_values: tuple
-    a_values: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "P_values", tuple(float(p) for p in self.P_values))
-        object.__setattr__(self, "a_values", tuple(float(a) for a in self.a_values))
-        if not self.P_values or not self.a_values:
+    def __new__(cls, P_values, a_values):
+        P_values = tuple(float(p) for p in P_values)
+        a_values = tuple(float(a) for a in a_values)
+        if not P_values or not a_values:
             raise VirialForgeError("scan grid must be non-empty")
-        for p in self.P_values:
+        for p in P_values:
             check_positive(p, "momentum grid value", VirialForgeError)
-        for a in self.a_values:
+        for a in a_values:
             check_cutoff(a, "angular grid value", VirialForgeError)
+        return super().__new__(cls, P_values, a_values)
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(namedtuple("FitResult", "slope intercept max_residual n_points")):
     """Log-log least-squares power-law fit y ~ exp(intercept) * x**slope."""
 
-    slope: float
-    intercept: float
-    max_residual: float
-    n_points: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FloorScanResult:
+class FloorScanResult(namedtuple("FloorScanResult", "min_virial argmin_P argmin_a a_values "
+                                                  "radial virials l32_norms")):
     """A uniform-ball floor scan, kept as columns; the minimum is the first one.
 
     ``radial`` holds (P, R, KE, PE, E) per P; ``virials`` and ``l32_norms``
     one value per grid point in row order (P-major).  ``rows`` builds the
-    CSV_COLUMNS dicts on first use.
+    CSV_COLUMNS dicts on each use.
     """
 
-    min_virial: float
-    argmin_P: float
-    argmin_a: float
-    a_values: tuple
-    radial: tuple
-    virials: tuple
-    l32_norms: tuple
+    __slots__ = ()
 
     def row(self, k):
         """The CSV_COLUMNS dict of grid point ``k`` in row order."""
@@ -109,17 +98,15 @@ class FloorScanResult:
         return {"family": "uniform", "P": P, "a": self.a_values[j], "alpha": None, "R": R,
                 "KE": KE, "PE": PE, "E": E, "V": self.virials[k], "l32_norm": self.l32_norms[k]}
 
-    @cached_property
+    @property
     def rows(self):
         return tuple(map(self.row, range(len(self.virials))))
 
 
-@dataclass(frozen=True)
-class ScalingScanResult:
-    alpha_fit: FitResult
-    virial_fit: FitResult
-    rows: tuple
-    failures: tuple  # P values whose zero-energy solve had no positive root
+class ScalingScanResult(namedtuple("ScalingScanResult", "alpha_fit virial_fit rows failures")):
+    """The two scaling fits, the solved rows, and the P values with no positive root."""
+
+    __slots__ = ()
 
 
 def default_scaling_pvalues(n=9):
@@ -168,8 +155,6 @@ def uniform_ball_floor(grid):
     cannot reach virial <= -1/2: the infimum -9/20 is approached only as
     P -> inf with a -> -1.
     """
-    import numpy as np
-
     uniform = solvers.FAMILIES["uniform"]
     moments = [AngularProfile.cutoff(a).moments() for a in grid.a_values]
     radial, virials, l32_norms = [], [], []
@@ -188,8 +173,7 @@ def uniform_ball_floor(grid):
     n_a = len(grid.a_values)
     result = FloorScanResult(virials[best], grid.P_values[best // n_a], grid.a_values[best % n_a],
                              grid.a_values, tuple(radial), tuple(virials), tuple(l32_norms))
-    rng = np.random.default_rng(_CROSSCHECK_SEED)
-    probe = result.row(int(rng.integers(len(virials))))
+    probe = result.row(random.Random(_CROSSCHECK_SEED).randrange(len(virials)))
     _crosscheck_row(probe, solvers.uniform_ansatz(
         UniformParams(r=probe["R"], p=probe["P"], a=probe["a"])
     ))
@@ -222,8 +206,6 @@ def asymptotic_scaling(P_values=None, a=-0.9):
     -23/2 for the halo level and +3 for -V.  Before any solve, ProfileError
     rejects an ``a`` outside (-1, 1) and fewer than MIN_FIT_POINTS P values.
     """
-    import numpy as np
-
     if P_values is None:
         P_values = default_scaling_pvalues()
     P_values = [float(P) for P in P_values]
@@ -250,8 +232,7 @@ def asymptotic_scaling(P_values=None, a=-0.9):
     alpha_fit = loglog_fit(ps, [r["alpha"] for r in rows])
     virial_fit = loglog_fit(ps, [-r["V"] for r in rows])
 
-    rng = np.random.default_rng(_CROSSCHECK_SEED + 1)
-    idx = int(rng.integers(len(rows)))
+    idx = random.Random(_CROSSCHECK_SEED + 1).randrange(len(rows))
     _crosscheck_row(rows[idx], ansaetze[idx])
     return ScalingScanResult(
         alpha_fit=alpha_fit,

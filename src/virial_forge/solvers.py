@@ -19,7 +19,7 @@ for a root.
 parameter, the factor that parameter moves, spatial-profile builder and
 exact zero-energy solve; the step ansatz (``Family.ansatz``, also bound as
 ``uniform_ansatz``, ``core_halo_ansatz`` and ``monotonic_ansatz``) is built
-the same way for all three.  The params classes are plain records: each
+the same way for all three.  The params classes are named tuples: each
 field is checked by the profile builder that consumes it (``uniform_eta``,
 ``core_halo_eta``, ``monotonic_eta``, ``momentum_ball``,
 ``AngularProfile.cutoff``).
@@ -33,8 +33,7 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Callable
-from dataclasses import dataclass, fields
+from collections import namedtuple
 
 from . import functionals
 from .errors import (
@@ -84,45 +83,28 @@ AROUND_EPS = tuple(2.0**k for k in range(-9, 18, 2))  # reach (1 + 2^17) x0 > 2^
 _BRENT_RTOL = 4 * sys.float_info.epsilon
 
 
-@dataclass(frozen=True)
-class UniformParams:
+class UniformParams(namedtuple("UniformParams", "r p a")):
     """Uniform ball of radius r with momentum cutoff p and angular cutoff a."""
 
-    r: float
-    p: float
-    a: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CoreHaloParams:
+class CoreHaloParams(namedtuple("CoreHaloParams", "r1 r2 r3 p alpha a")):
     """Disjoint core [0, r1] plus halo [r2, r3] at level alpha (> 0)."""
 
-    r1: float
-    r2: float
-    r3: float
-    p: float
-    alpha: float
-    a: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class MonotonicParams:
+class MonotonicParams(namedtuple("MonotonicParams", "r1 r2 r3 n p a")):
     """Singly-supported profile: core to r1, (r1/r)**n atmosphere, skin to r3."""
 
-    r1: float
-    r2: float
-    r3: float
-    n: float
-    p: float
-    a: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RootBracket:
+class RootBracket(namedtuple("RootBracket", "lo hi")):
     """Interval with a sign change of a scalar residual."""
 
-    lo: float
-    hi: float
+    __slots__ = ()
 
     @classmethod
     def expand(cls, f, lo, hi):
@@ -145,23 +127,27 @@ class RootBracket:
 
     @classmethod
     def around(cls, f, x0):
-        """Probe x0 (1 + eps), then x0 / (1 + eps), per eps of AROUND_EPS until f changes sign.
+        """Probe x0 (1 + eps) and x0 / (1 + eps) per eps of AROUND_EPS until f changes sign.
 
-        Returns the last two probes on the side of the sign change (x0 is the
-        first probe of both sides); an x0 <= 0 raises BracketError at once.
+        At the first eps the probe above x0 goes first; from then on, the
+        side whose last probe had the smaller |f|, where a residual monotone
+        near x0 has its root.  Returns the last two probes on the side of
+        the sign change (x0 is the first probe of both sides); an x0 <= 0
+        raises BracketError at once.
         """
         if not x0 > 0.0:
             raise BracketError(f"cannot bracket around {x0!r}: need x0 > 0")
         f0 = f(x0)
         if f0 == 0.0:
             return cls(x0, x0)
-        last = (x0, x0)
+        last, f_last = [x0, x0], [f0, f0]  # the last probe above and below x0
         for eps in AROUND_EPS:
-            probes = (x0 * (1.0 + eps), x0 / (1.0 + eps))
-            for near, far in zip(last, probes):
-                if f0 * f(far) <= 0.0:
-                    return cls(min(near, far), max(near, far))
-            last = probes
+            for side in sorted((0, 1), key=lambda s: abs(f_last[s])):
+                far = x0 * (1.0 + eps) if side == 0 else x0 / (1.0 + eps)
+                f_far = f(far)
+                if f0 * f_far <= 0.0:
+                    return cls(min(last[side], far), max(last[side], far))
+                last[side], f_last[side] = far, f_far
         raise BracketError(f"no sign change on [{last[1]!r}, {last[0]!r}]")
 
 
@@ -351,11 +337,10 @@ def solve_threshold_a(ansatz):
 _FACTORS = ("spatial", "momentum", "angular")
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(namedtuple("Family", "name params free moves spatial solve")):
     """One ansatz family: a spatial profile plus one free parameter.
 
-    ``params`` is the family's parameter dataclass and ``free`` the name of
+    ``params`` is the family's parameter record class and ``free`` the name of
     its field fixed by zero energy.  ``spatial`` builds the step spatial
     profile from the params; every family takes the momentum ball of radius
     ``p`` and the angular cutoff ``a``, so ``factor`` and ``ansatz`` are
@@ -365,17 +350,12 @@ class Family:
     returns the exact zero-energy value of the free one.
     """
 
-    name: str
-    params: type
-    free: str
-    moves: str
-    spatial: Callable
-    solve: Callable
+    __slots__ = ()
 
     @property
     def inputs(self):
         """Parameter fields other than the free one, in declaration order."""
-        return tuple(f.name for f in fields(self.params) if f.name != self.free)
+        return tuple(name for name in self.params._fields if name != self.free)
 
     def factor(self, params, name):
         """The step profile of one factor ("spatial", "momentum" or "angular") of ``params``."""

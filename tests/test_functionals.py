@@ -1,6 +1,5 @@
 """Energies, norm, virial, and certification against independent oracles."""
 
-import dataclasses
 import math
 
 import mpmath
@@ -609,13 +608,13 @@ class TestEvaluateCutoffs:
     def test_degenerate_factors_raise(self, method, factor):
         ansatz = unit_box_ansatz()
         if factor == "spatial":
-            ansatz = dataclasses.replace(
-                ansatz, spatial=PiecewiseProfile((Piece.constant(0.0, 0.0, math.inf),)))
+            ansatz = ansatz._replace(
+                spatial=PiecewiseProfile((Piece.constant(0.0, 0.0, math.inf),)))
         elif factor == "momentum":
-            ansatz = dataclasses.replace(ansatz, momentum=PiecewiseProfile(
+            ansatz = ansatz._replace(momentum=PiecewiseProfile(
                 (Piece.constant(0.0, 0.0, math.inf),), domain_label="radial-momentum"))
         elif factor == "angular":
-            ansatz = dataclasses.replace(ansatz, angular=AngularProfile(
+            ansatz = ansatz._replace(angular=AngularProfile(
                 (Piece.constant(0.0, -1.0, 1.0),)))
         else:
             ansatz = SeparableAnsatz(uniform_eta(1e-52), momentum_ball(1e-52),
@@ -727,8 +726,8 @@ class TestMomentSources:
         for make in build:
             first, second = make(), make()
             assert first == second and first is not second
-            assert (evaluate(dataclasses.replace(step, angular=first), method="quadrature")
-                    == evaluate(dataclasses.replace(step, angular=second), method="quadrature"))
+            assert (evaluate(step._replace(angular=first), method="quadrature")
+                    == evaluate(step._replace(angular=second), method="quadrature"))
 
     @staticmethod
     def _rel_estimate(result):

@@ -14,6 +14,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy
 import pytest
 from test_golden import CASES, COREHALO
 
@@ -109,6 +110,56 @@ def test_scans_load_scans(argv):
     assert code == 0
     assert "virial_forge.scans" in loaded
     assert "virial_forge.mollifier" not in loaded
+
+
+# Runs the CLI on argv, or with no argv evaluates one ansatz on the oracle
+# route, then writes every loaded module name to stderr as the last line.
+_ALL_LOADED_PROBE = """
+import sys
+if sys.argv[1:]:
+    from virial_forge.cli import main
+    main(sys.argv[1:])
+else:
+    from virial_forge import UniformParams, evaluate, uniform_ansatz
+    evaluate(uniform_ansatz(UniformParams(r=1.5, p=2.0, a=-0.5)), method="quadrature")
+sys.stdout.flush()
+sys.stderr.write("\\n" + repr(sorted(sys.modules)))
+"""
+
+
+def _all_loaded(argv):
+    """Every module loaded by ``_ALL_LOADED_PROBE`` on argv in a new interpreter."""
+    return set(ast.literal_eval(_python(_ALL_LOADED_PROBE, *argv).stderr.decode().splitlines()[-1]))
+
+
+# ``dataclasses`` loads ``inspect``, ``ast``, ``dis`` and ``tokenize``: ~5 ms of a cold start.
+@pytest.mark.parametrize("name", sorted(n for n in CASES
+                                        if n.startswith(("certify-", "report-", "mollify-"))))
+def test_step_commands_load_neither_dataclasses_nor_inspect(name):
+    assert not _all_loaded(CASES[name][0]) & {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize("argv", [CASES["scan.csv"][0], CASES["asymptotics.csv"][0], []],
+                         ids=["scan", "asymptotics", "oracle"])
+def test_scans_and_oracle_load_no_dataclasses_or_numpy_random(argv):
+    loaded = _all_loaded(argv)
+    assert "dataclasses" not in loaded
+    if int(numpy.__version__.split(".")[0]) < 2:
+        pytest.skip("numpy < 2 imports numpy.random whenever numpy is imported")
+    assert "numpy.random" not in loaded
+
+
+def test_no_module_imports_dataclasses_or_names_numpy_random():
+    for path in sorted(Path(SRC, "virial_forge").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names}
+        imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        assert "dataclasses" not in imported, path.name
+        assert "numpy.random" not in imported, path.name
+        assert not [ast.unparse(node) for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr == "random"
+                    and ast.unparse(node.value) in ("np", "numpy")], path.name
 
 
 @pytest.mark.parametrize("module, name", EXPORTED)

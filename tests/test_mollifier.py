@@ -1,7 +1,6 @@
 """Smoothing of step profiles and zero-energy rebalancing."""
 
 import math
-from dataclasses import replace
 from itertools import accumulate
 
 import numpy as np
@@ -398,7 +397,7 @@ def rebalance_reference(params, spec, bracket=RootBracket.around):
     x0 = getattr(params, family.free)
 
     def mollified(x):
-        return mollify(family.ansatz(replace(params, **{family.free: x})), spec)
+        return mollify(family.ansatz(params._replace(**{family.free: x})), spec)
 
     def residual(x):
         return total_energy(mollified(x))

@@ -247,13 +247,13 @@ class TestSharedProfiles:
     def test_construction_scales_with_axis_lengths(self, monkeypatch):
         # Profiles are built once per P and once per a, not once per grid point.
         count = [0]
-        real = Piece.__post_init__
+        real = Piece.__init__
 
-        def counting(self):
+        def counting(self, *args, **kwargs):
             count[0] += 1
-            real(self)
+            real(self, *args, **kwargs)
 
-        monkeypatch.setattr(Piece, "__post_init__", counting)
+        monkeypatch.setattr(Piece, "__init__", counting)
 
         def pieces_built(n_p, n_a):
             grid = ScanGrid(P_values=tuple(np.geomspace(1e-2, 1e4, n_p)),
@@ -319,17 +319,17 @@ class TestColumnarFloor:
         # Counts calls and times nothing.  The crosscheck's oracle builds the
         # one FunctionalReport and the one moments() call of its own cutoff.
         reports, moments = [0], [0]
-        real_init, real_moments = FunctionalReport.__init__, AngularProfile.moments
+        real_new, real_moments = FunctionalReport.__new__, AngularProfile.moments
 
-        def counting_init(self, *args, **kwargs):
+        def counting_new(cls, *args, **kwargs):
             reports[0] += 1
-            real_init(self, *args, **kwargs)
+            return real_new(cls, *args, **kwargs)
 
         def counting_moments(self):
             moments[0] += 1
             return real_moments(self)
 
-        monkeypatch.setattr(FunctionalReport, "__init__", counting_init)
+        monkeypatch.setattr(FunctionalReport, "__new__", counting_new)
         monkeypatch.setattr(AngularProfile, "moments", counting_moments)
         for n_p, n_a in ((3, 7), (5, 11)):
             reports[0] = moments[0] = 0

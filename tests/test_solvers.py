@@ -338,12 +338,23 @@ class TestBracketAround:
 
     @pytest.mark.parametrize("x0", [1.0, 3.7e-6, 2.5e4])
     def test_sign_change_below_x0(self, x0):
-        # Root at x0 / 1.005: the up probe at eps = 2^-7 misses, the down one hits.
+        # Root at x0 / 1.005: the down probe at eps = 2^-9 has the smaller |f|,
+        # so at eps = 2^-7 the down probe goes first, and it hits.
         f, tried = self.recording(lambda x: math.atan(x / x0 - 1.0 / 1.005))
         br = RootBracket.around(f, x0)
-        assert tried == self.probes(x0, 2)
+        assert tried == [*self.probes(x0, 1), x0 / (1.0 + 2.0**-7)]
         assert (br.lo, br.hi) == (x0 / (1.0 + 2.0**-7), x0 / (1.0 + 2.0**-9))
         assert f(br.lo) < 0.0 < f(br.hi)
+
+    @pytest.mark.parametrize("x0", [1.0, 3.7e-6, 2.5e4])
+    def test_root_side_goes_first_after_the_first_eps(self, x0):
+        # Root at 0.9 x0, found at eps = 2^-3: the bracket of the above-first
+        # order, (x0 / (1 + 2^-3), x0 / (1 + 2^-5)), whose last up probe is saved.
+        f, tried = self.recording(lambda x: x - 0.9 * x0)
+        br = RootBracket.around(f, x0)
+        assert (br.lo, br.hi) == (x0 / (1.0 + 2.0**-3), x0 / (1.0 + 2.0**-5))
+        _, up1, down1, up2, down2, up3, down3, _, down4 = self.probes(x0, 4)
+        assert tried == [x0, up1, down1, down2, up2, down3, up3, down4]
 
     def test_first_probe_past_x0_brackets_against_x0(self):
         br = RootBracket.around(lambda x: x - 1.001, 1.0)
