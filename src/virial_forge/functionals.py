@@ -13,10 +13,11 @@ functional reduces to products and ratios of one-dimensional moments:
 
 Each formula is written once and reads its moments from a moment source.
 The exact source (``method="auto"``) takes them from exact piecewise
-moments and an exact nested integral; the kinetic weight of a momentum
-profile that is not a ball and the fractional powers of ramps use the fixed
-Gauss-Legendre rules of ``profiles``, so this route integrates nothing
-adaptively and loads neither numpy nor scipy.  The adaptive source
+moments and a nested integral exact on plateaus and ramps; the self term
+of a spatial power law, the kinetic weight of a momentum profile that is
+not a ball and the fractional powers of ramps use the fixed Gauss-Legendre
+rules of ``profiles``, so this route integrates nothing adaptively and
+loads neither numpy nor scipy.  The adaptive source
 (``method="quadrature"``) integrates every moment adaptively, once per
 evaluation, and is kept as an independent oracle.  A source computes the
 a-free part as one record and completes it from the angular profile's
@@ -156,43 +157,34 @@ def _exact_kinetic(phi):
     return math.fsum(_kinetic_weight(p) for p in phi.pieces), phi.moment(2)
 
 
-# The closed-form power-law self term stands while its two terms differ by at
-# least this share of the larger, times w/lo on a piece thinner than its left
-# end (whose log(hi/lo) errs by ~eps lo/w); it then errs below ~3e-12 (mpmath).
-_SELF_TERM_CANCEL = 1e-4
-
-
 def _power_self_nested(n, lo, hi):
     """int_lo^hi q^(1-n) int_lo^q s^(2-n) ds dq, the self term of a power law (lo/r)**n.
 
-    Its closed form builds an O(w^2) term, w = hi - lo, from O(w) terms, and
-    near n = 3 divides a cancelling difference by 3 - n.  Where that cancels,
-    q = lo e^s gives lo^(5-2n) int_0^log1p(w/lo) e^((2-n)s) expm1((3-n)s)/(3-n) ds
-    (the quotient is s at n = 3), which cancels nothing: GL14 on unit panels
-    keeps it within ~4e-15 for n in [0.5, 6] and w/lo in [1e-12, 1e4].
+    q = lo e^s gives lo^(5-2n) int_0^u e^((2-n)s) expm1((3-n)s)/(3-n) ds,
+    u = log1p((hi - lo) / lo) (the quotient is s at n = 3), which cancels
+    nothing on a thin piece or near n = 3.  The integrand is entire, its
+    exponential rates between 2 - n and 5 - 2n, and largest at s = u where
+    5 - 2n > 0, else near s = 0.  GL14 panels 8/rate wide at that end,
+    doubling away from it, keep the sum within ~4e-15 of mpmath for n in
+    [0.5, 6] and w/lo in [1e-12, 1e4], and within ~eps |5 - 2n| u beyond.
     """
-    w = hi - lo
-    if n == 3.0:
-        big, small = 1.0 / lo, (math.log(hi / lo) + 1.0) / hi
-    else:
-        big = power_integral(4.0 - 2.0 * n, lo, hi)
-        small = lo ** (3.0 - n) * power_integral(1.0 - n, lo, hi)
-    if abs(big - small) * w >= _SELF_TERM_CANCEL * max(big, small) * max(w, lo):
-        return big - small if n == 3.0 else (big - small) / (3.0 - n)
-    k = 3.0 - n
+    k, u = 3.0 - n, math.log1p((hi - lo) / lo)
+    rate = max(abs(2.0 - n), abs(5.0 - 2.0 * n))
+    edges = [t / rate for t in panel_edges(0.0, rate * u, 8.0)[:-1]] + [u]
+    if n < 2.5:
+        edges = [u - s for s in reversed(edges)]
     return lo ** (5.0 - 2.0 * n) * fixed_rule(
-        lambda s: math.exp((2.0 - n) * s) * (math.expm1(k * s) / k if k else s),
-        panel_edges(0.0, math.log1p(w / lo)))
+        lambda s: math.exp((2.0 - n) * s) * (math.expm1(k * s) / k if k else s), edges)
 
 
 def _exact_nested(profile):
     """Nested mass integral, exact piece by piece.
 
     Walks pieces left to right keeping the exact enclosed mass M and adds
-    int piece(q) * q * (M + local cumulative) dq.  A power law (any real
-    exponent, with the exact logarithmic cases) has a closed form, save where
-    its self term cancels (``_power_self_nested``), and a plateau's self
-    term is ``plateau_self_nested``.  On a smoothstep ramp the
+    int piece(q) * q * (M + local cumulative) dq.  On a power law (any real
+    exponent) the term in M has a closed form and the self term is a fixed
+    rule (``_power_self_nested``); a plateau's self term is
+    ``plateau_self_nested``.  On a smoothstep ramp the
     integrand is a polynomial of degree 10 (cubic value, linear q, degree-6
     cumulative), which the 6-point Gauss-Legendre rule integrates exactly.
     """
@@ -304,9 +296,11 @@ class _Exact(_MomentSource):
         return eta.memo("nested", _exact_nested)
 
     def label(self, eta, phi, angular):
-        """A fixed rule where any factor has a ramp or the momentum factor is not a ball."""
-        ball = phi.memo("ball", _is_ball)
-        return _RULE if eta.has_ramp or phi.has_ramp or angular.has_ramp or not ball else _CLOSED
+        """A fixed rule where any factor has a ramp, the spatial factor a power law
+        (its self term) or the momentum factor is not a ball."""
+        rule = eta.has_ramp or phi.has_ramp or angular.has_ramp or not phi.memo("ball", _is_ball)
+        power = any(p.kind == POWER and not p.is_zero for p in eta.pieces)
+        return _RULE if rule or power else _CLOSED
 
     def residuals(self, eta, phi, angular):
         return {}
@@ -419,10 +413,10 @@ def evaluate(ansatz, method="auto"):
     """Full functional report for one ansatz.
 
     ``method`` picks the moment source: "auto" (closed forms wherever they
-    exist, the fixed GL14 rule where ramps or a momentum profile that is not
-    a ball need it; ``method`` in the report is "closed-form" or
-    "fixed-rule" accordingly) or "quadrature" (every integral adaptive, each
-    computed once -- the oracle route).
+    exist, the fixed GL14 rule for ramps, a momentum profile that is not a
+    ball and a spatial power law's self term; ``method`` in the report is
+    "closed-form" or "fixed-rule" accordingly) or "quadrature" (every
+    integral adaptive, each computed once -- the oracle route).
     """
     if method not in _SOURCES:
         raise ValueError(f"unknown evaluation method {method!r}")

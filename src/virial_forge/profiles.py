@@ -114,10 +114,12 @@ def power_integral(exponent, lo, hi):
     numerical proximity.  Small integer exponents use factored forms of the
     difference of powers, which stay accurate when hi is close to lo (thin
     shells) or when lo and hi nearly cancel (angular intervals straddling
-    zero); other exponents on positive intervals go through expm1/log.
+    zero); other exponents on positive intervals go through expm1 of
+    u = log1p((hi - lo) / lo): the log of the rounded ratio hi / lo would
+    err by ~eps lo / (hi - lo) on a thin interval, the relative width does not.
     """
     if exponent == -1.0:
-        return math.log(hi / lo)
+        return math.log1p((hi - lo) / lo)
     if exponent == 0.0:
         return hi - lo
     if exponent == 1.0:
@@ -134,7 +136,7 @@ def power_integral(exponent, lo, hi):
     if lo == 0.0:
         return hi**e1 / e1
     if lo > 0.0:
-        return lo**e1 * math.expm1(e1 * math.log(hi / lo)) / e1
+        return lo**e1 * math.expm1(e1 * math.log1p((hi - lo) / lo)) / e1
     return (hi**e1 - lo**e1) / e1
 
 
@@ -398,8 +400,9 @@ def _evaluator(profile):
 def _nested_integrand(profile):
     """q -> g(q) q int_0^q g(s) s^2 ds on [0, inf), the integrand of the nested potential.
 
-    The product ``g(q) * q * cumulative_moment2(q)``, through the same piece
-    methods, found by one bisect of the piece starts per point.
+    The piece's value times q times the mass before the piece plus its
+    ``partial_moment(2, q)``, the piece found by one bisect of the piece
+    starts per point.
     """
     starts = profile.memo("starts", _piece_starts)
     prefix = profile.memo("prefix2", _mass_prefix)
@@ -523,17 +526,6 @@ class PiecewiseProfile(_PieceSet):
     def _mass_integrand(self):
         """``_nested_integrand``, built once: no range check, so callers keep to [0, inf)."""
         return self.memo("mass_integrand", _nested_integrand)
-
-    def cumulative_moment2(self, r):
-        """Exact cumulative int_0^r g(s) s^2 ds (the enclosed-mass integral)."""
-        if not r >= 0.0:
-            raise ValueError("radial argument must be >= 0")
-        idx = bisect.bisect_right(self.memo("starts", _piece_starts), r) - 1
-        piece = self.pieces[idx]
-        base = self.memo("prefix2", _mass_prefix)[idx]
-        if r <= piece.lo:
-            return base
-        return base + piece.partial_moment(2, min(r, piece.hi))
 
     def dilate(self, lam):
         """Profile r -> g(r / lam): support scales by lam, values unchanged."""

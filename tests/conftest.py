@@ -1,6 +1,8 @@
 """Shared helpers: seeded random profiles/ansaetze for the property suites."""
 
+import bisect
 import math
+from itertools import accumulate
 
 import mpmath
 import numpy as np
@@ -31,9 +33,24 @@ def tight_integral(f, profile):
                      for p in pieces)
 
 
+def enclosed_mass(profile):
+    """q -> int_0^q g(s) s^2 ds in floats, from ``piece_mass`` (not the exact route's moments)."""
+    starts = [p.lo for p in profile.pieces]
+    masses = [piece_mass(p, math) for p in profile.pieces]  # the zero tail's is 0
+    prefix = list(accumulate((share(p.hi) for p, share in zip(profile.pieces[:-1], masses)),
+                             initial=0.0))
+
+    def mass(q):
+        i = bisect.bisect_right(starts, q) - 1
+        return prefix[i] + masses[i](q)
+
+    return mass
+
+
 def tight_nested(eta):
     """Tight reference for the nested mass integral int g(q) q (int_0^q g s^2 ds) dq."""
-    return tight_integral(lambda q: eta(q) * q * eta.cumulative_moment2(q), eta)
+    mass = enclosed_mass(eta)
+    return tight_integral(lambda q: eta(q) * q * mass(q), eta)
 
 
 def assert_rel(value, reference, rel):
@@ -41,11 +58,49 @@ def assert_rel(value, reference, rel):
     assert abs(value - reference) <= rel * abs(reference), (value, reference)
 
 
-def _mp_ramp_poly(piece):
-    """(lo, w, ascending coefficients of the ramp value in t = (r - lo)/w), in mpf."""
-    lo, w = mpmath.mpf(piece.lo), mpmath.mpf(piece.hi) - mpmath.mpf(piece.lo)
-    left, d = mpmath.mpf(piece.left), mpmath.mpf(piece.right) - mpmath.mpf(piece.left)
+def _ramp_poly(piece, num=mpmath.mpf):
+    """(lo, w, ascending coefficients of the ramp value in t = (r - lo)/w), in ``num``."""
+    lo, w = num(piece.lo), num(piece.hi) - num(piece.lo)
+    left, d = num(piece.left), num(piece.right) - num(piece.left)
     return lo, w, [left, 0, 3 * d, -2 * d]
+
+
+def piece_mass(piece, m=mpmath):
+    """q -> int_lo^q g(s) s^2 ds on one finite piece, from the piece's own form.
+
+    A plateau c gives c (q - lo)(q^2 + q lo + lo^2) / 3; a power law
+    c (lo/s)^n gives c lo^3 expm1((3-n) L)/(3-n), L = log1p((q - lo)/lo)
+    (c lo^3 L at n = 3); a ramp its value polynomial times (lo + w t)^2,
+    integrated term by term in t = (q - lo)/w.  ``m`` is ``mpmath`` (in mpf
+    at the current precision) or ``math`` (in floats).
+    """
+    num = mpmath.mpf if m is mpmath else float
+    if piece.kind == "ramp":
+        lo, w, coeffs = _ramp_poly(piece, num)
+        mass = [0.0] * 6
+        for i, c in enumerate(coeffs):
+            for j, s in enumerate((lo * lo, 2 * lo * w, w * w)):
+                mass[i + j] += c * s * w
+        cumulative = [c / (j + 1) for j, c in enumerate(mass)]
+
+        def ramp(q):
+            t = (q - lo) / w
+            total = 0.0
+            for c in reversed(cumulative):
+                total = (total + c) * t
+            return total
+
+        return ramp
+    lo, c = num(piece.lo), num(piece.value)
+    if piece.kind == "constant":
+        return lambda q: c * (q - lo) * (q * q + q * lo + lo * lo) / 3
+    k = 3 - num(piece.exponent)
+
+    def power(q):
+        log_q = m.log1p((q - lo) / lo)
+        return c * lo**3 * (m.expm1(k * log_q) / k if k else log_q)
+
+    return power
 
 
 def mp_piece_integral(piece, f):
@@ -58,7 +113,7 @@ def mp_piece_integral(piece, f):
     """
     lo, hi = mpmath.mpf(piece.lo), mpmath.mpf(piece.hi)
     if piece.kind == "ramp":
-        lo, w, coeffs = _mp_ramp_poly(piece)
+        lo, w, coeffs = _ramp_poly(piece)
         small, big = sorted((piece.left, piece.right))
         depth = 1
         if 0.0 < small < big:
@@ -83,8 +138,7 @@ def mp_total_energy(spatial, momentum):
 
     The kinetic energy is int sqrt(1+p^2) h p^2 / int h p^2; the potential is
     -int g(q) q M(q) dq / M(inf)^2 with the enclosed mass M(q) = int_0^q g s^2 ds,
-    taken piece by piece (a polynomial on a ramp, integrated exactly; on a
-    power law c (lo/s)^n, c lo^3 expm1((3-n) log(q/lo)) / (3-n), log(q/lo) at n = 3).
+    each piece's share from ``piece_mass``.
     """
     def weight(value, p):
         return value * p * p
@@ -97,34 +151,8 @@ def mp_total_energy(spatial, momentum):
     for p in spatial.pieces:
         if p.is_zero or not math.isfinite(p.hi):
             continue
-        if p.kind == "constant":
-            c, lo = mpmath.mpf(p.value), mpmath.mpf(p.lo)
-            nested += mpmath.quad(lambda q: c * q * (enclosed + c * (q**3 - lo**3) / 3),
-                                  [lo, mpmath.mpf(p.hi)])
-        elif p.kind == "ramp":
-            lo, w, coeffs = _mp_ramp_poly(p)
-            # value(t) * (lo + w t)^2 * w, then its antiderivative from 0.
-            mass = [mpmath.mpf(0)] * 6
-            for i, c in enumerate(coeffs):
-                for j, s in enumerate((lo * lo, 2 * lo * w, w * w)):
-                    mass[i + j] += c * s * w
-            cumulative = [0] + [c / (j + 1) for j, c in enumerate(mass)]
-            nested += w * mpmath.quad(
-                lambda t: mpmath.polyval(coeffs[::-1], t) * (lo + w * t)
-                * (enclosed + mpmath.polyval(cumulative[::-1], t)), [0, 1])
-        else:
-            c, n = mpmath.mpf(p.value), mpmath.mpf(p.exponent)
-            lo, hi, k = mpmath.mpf(p.lo), mpmath.mpf(p.hi), 3 - n
-
-            def local(q):
-                log_q = mpmath.log(q / lo)
-                return c * lo**3 * (mpmath.expm1(k * log_q) / k if k else log_q)
-
-            cuts = [lo]
-            while 2 * cuts[-1] < hi:
-                cuts.append(2 * cuts[-1])
-            nested += mpmath.quad(lambda q: c * (lo / q) ** n * q * (enclosed + local(q)),
-                                  [*cuts, hi])
+        local = piece_mass(p)
+        nested += mp_piece_integral(p, lambda v, q: v * q * (enclosed + local(q)))
         enclosed += mp_piece_integral(p, weight)
     return num / den - nested / enclosed**2
 

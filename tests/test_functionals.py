@@ -300,12 +300,24 @@ def relative_widths(lo_exp, hi_exp):
     return st.floats(min_value=lo_exp, max_value=hi_exp).map(lambda e: 10.0**e)
 
 
+def mp_closed_self_nested(n, lo, hi):
+    """The closed form of the self term in 80-digit mpmath, for n other than 2, 5/2 and 3."""
+    with mpmath.workdps(80):
+        n, lo, hi = mpmath.mpf(n), mpmath.mpf(lo), mpmath.mpf(hi)
+
+        def power(e):
+            return (hi ** (e + 1) - lo ** (e + 1)) / (e + 1)
+
+        return float((power(4 - 2 * n) - lo ** (3 - n) * power(1 - n)) / (3 - n))
+
+
 class TestPowerSelfTerm:
     """The self term of a power-law piece against mpmath.
 
-    Its closed form divides by 3 - n and builds an O(w^2) term from O(w)
-    terms; where that cancels it read 3.3e-4 off at n = 3 +- 1e-12 and exactly
-    0 on a 1e-10-thin piece at n = 3.
+    A closed form divides by 3 - n and builds an O(w^2) term from O(w)
+    terms; where that cancelled it read 3.3e-4 off at n = 3 +- 1e-12 and
+    exactly 0 on a 1e-10-thin piece at n = 3.  The fixed rule in log radius
+    cancels nothing.
     """
 
     @SELF_TERM_PROPERTY
@@ -330,11 +342,25 @@ class TestPowerSelfTerm:
     @SELF_TERM_PROPERTY
     @given(n=EXPONENTS, lo=LOWER_ENDS, x=relative_widths(-12, 4))
     def test_any_piece_within_the_closed_form_band(self, n, lo, x):
-        # The closed form stands until its cancellation would cost it more
-        # than ~3e-12; the fixed rule takes the rest.
+        # One fixed rule for every piece, thin or wide, near n = 3 or not.
         hi = lo * (1.0 + x)
         assume(hi > lo)
-        assert_rel(functionals._power_self_nested(n, lo, hi), mp_power_self_nested(n, lo, hi), 1e-11)
+        assert_rel(functionals._power_self_nested(n, lo, hi), mp_power_self_nested(n, lo, hi), 1e-14)
+
+    @SELF_TERM_PROPERTY
+    @given(n=st.one_of(st.floats(min_value=-10.0, max_value=0.4),
+                       st.floats(min_value=6.0, max_value=40.0)),
+           lo=LOWER_ENDS, x=relative_widths(-12, 4))
+    @example(n=20.0, lo=0.01, x=1e4)
+    @example(n=-5.0, lo=1.0, x=1e4)
+    def test_steep_exponents_keep_their_digits(self, n, lo, x):
+        # Panels as wide as at n in [0.5, 6] read 1.3e-8 off at the first
+        # example.  The bound adds the self term's own conditioning in n,
+        # ~eps |5 - 2n| log(hi / lo).
+        hi = lo * (1.0 + x)
+        assume(hi > lo)
+        rel = 1e-14 + 2.2e-16 * abs(5.0 - 2.0 * n) * math.log1p(x)
+        assert_rel(functionals._power_self_nested(n, lo, hi), mp_closed_self_nested(n, lo, hi), rel)
 
 
 NESTED_PROPERTY = settings(derandomize=True, deadline=None, max_examples=60, database=None)
@@ -602,6 +628,11 @@ class TestEvaluateCutoffs:
         angulars = (AngularProfile.cutoff(-0.5), mollify_profile(AngularProfile.cutoff(-0.5), 0.1))
         assert [evaluate(SeparableAnsatz(uniform_eta(1.0), momentum_ball(1.0), angular)).method
                 for angular in angulars] == ["closed-form", "fixed-rule"]
+
+    def test_labels_follow_the_spatial_power_law(self):
+        # A power law's self term runs the fixed rule; plateaus alone stay closed form.
+        assert evaluate(reference_monotonic()).method == "fixed-rule"
+        assert evaluate(reference_corehalo()).method == "closed-form"
 
     @pytest.mark.parametrize("method", ["auto", "quadrature"])
     @pytest.mark.parametrize("factor", ["spatial", "momentum", "angular", "normalization"])
