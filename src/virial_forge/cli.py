@@ -9,6 +9,7 @@ kv/CSV output.
 Exit codes: 0 = success (certify/mollify: verdict pass), 1 = verdict fail,
 2 = solver or numerical failure (overflow included), 3 = invalid or
 non-finite configuration; an --out that cannot be written is one too.
+A solve never judges the energy: one above --tol-energy fails the verdict.
 A flag's own range is checked by its argparse type as it is parsed, so an
 out-of-range value exits 3 before any solve; what is left after parsing are
 the checks across flags.
@@ -30,7 +31,7 @@ from . import functionals, solvers
 from .errors import ConfigError, ProfileError, VirialForgeError
 from .functionals import _format_float
 from .profiles import (AngularProfile, Piece, PiecewiseProfile, SeparableAnsatz, check_cutoff,
-                       check_positive, check_radii)
+                       check_positive)
 
 __all__ = ["main", "entrypoint", "build_parser"]
 
@@ -227,8 +228,6 @@ def _step_datum(args):
     missing = [name for name in required if name not in given]
     if missing:
         raise ConfigError(f"family {args.family!r} requires {_flags(missing)}")
-    if "r1" in reads:
-        check_radii(given["r1"], given["r2"], given["r3"])
     if family is None:
         return None, _load_custom_ansatz(given["profiles"])
     known = {name: given[name] for name in family.inputs}
@@ -396,7 +395,7 @@ def _cmd_mollify(args):
     if delta is None:
         delta = mollifier.default_delta(step_ansatz)
     spec = mollifier.MollifySpec(delta=delta)
-    new_params, moll_ansatz = mollifier.rebalance(params, spec, energy_tol=args.tol_energy)
+    new_params, moll_ansatz = mollifier.rebalance(params, spec)
     cert = functionals.check_criteria(moll_ansatz, energy_tol=args.tol_energy)
     drift = mollifier.functional_drift(step_ansatz, moll_ansatz)
     pairs = _config_pairs(args)

@@ -18,7 +18,8 @@ is C^1 at every former value jump only: slope jumps without a value jump
 Smoothing perturbs the energy balance, so ``rebalance`` re-solves each
 family's free parameter on the mollified profiles with one Brent solve for
 all of ``solvers.FAMILIES``, bracketed outward from the step solve; the
-nested potential integral stays exact on ramps (see ``functionals``).
+nested potential integral stays exact on ramps (see ``functionals``).  It
+returns the root; ``functionals.check_criteria`` judges its energy.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import math
 from collections import namedtuple
 
 from . import functionals, solvers
-from .errors import NoRootError, ProfileError, RampOverlapError
+from .errors import ProfileError, RampOverlapError
 from .profiles import RAMP, Piece, SeparableAnsatz
 from .solvers import RootBracket, brentq
 
@@ -113,14 +114,14 @@ def mollify(ansatz, spec):
                            mollify_profile(ansatz.angular, spec.delta))
 
 
-def rebalance(params, spec, energy_tol=solvers.ENERGY_RESIDUAL_TOL):
+def rebalance(params, spec):
     """Re-solve the family's free parameter on the mollified profiles.
 
     ``params`` is a step datum whose free parameter x0 (radius for the
     uniform ball, halo level for the disjoint core-halo, momentum cutoff for
     the monotonic family) is the step solve.  Returns ``(new_params,
-    mollified_ansatz)`` where that parameter has been re-solved so the
-    mollified datum's total energy vanishes to ``energy_tol``.
+    mollified_ansatz)`` where that parameter is the Brent root of the
+    mollified datum's total energy.
 
     ``RootBracket.around`` brackets the root, which lies close to x0, by
     probing outward from x0, and Brent iteration refines it.  The given
@@ -128,8 +129,9 @@ def rebalance(params, spec, energy_tol=solvers.ENERGY_RESIDUAL_TOL):
     smooths only the factor the free parameter moves (``Family.moves``)
     and shares the other two, with the integrals memoized on them.  Each
     point's energy and mollified ansatz are computed once, however often
-    the bracket, the Brent iteration and the final check read them.  With
-    ``spec.delta == 0`` the given params and their step ansatz are returned.
+    the bracket and the Brent iteration read them; the root's comes from
+    that memo.  With ``spec.delta == 0`` the given params and their step
+    ansatz are returned.
     """
     family = solvers.family_of(params)
     if spec.delta == 0.0:
@@ -153,10 +155,7 @@ def rebalance(params, spec, energy_tol=solvers.ENERGY_RESIDUAL_TOL):
 
     bracket = RootBracket.around(residual, x0)
     x = brentq(residual, bracket.lo, bracket.hi, xtol=1e-15 * x0)
-    energy, ansatz = point(x)
-    if abs(energy) > energy_tol:
-        raise NoRootError(f"rebalanced energy residual {energy:.3e}")
-    return params._replace(**{family.free: x}), ansatz
+    return params._replace(**{family.free: x}), point(x)[1]
 
 
 def seam_smoothness(profile):

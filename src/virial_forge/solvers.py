@@ -9,6 +9,8 @@ energy to vanish exactly:
 * monotonic core-halo: the momentum cutoff, found by bracketing + Brent
   iteration (the kinetic term is strictly increasing in it).
 
+A solve returns its root; ``functionals.check_criteria`` judges its energy.
+
 Brent iteration (R. P. Brent, *Algorithms for Minimization without
 Derivatives*, 1973, ch. 4) is ``brentq``, a step-for-step port of the C
 routine behind ``scipy.optimize.brentq`` at its default tolerances, so its
@@ -75,10 +77,8 @@ __all__ = [
 ]
 
 PARAM_TOL = 1e-12
-ENERGY_RESIDUAL_TOL = 1e-10
 BRACKET_START = (1e-3, 10.0)
-BRACKET_DOUBLINGS = 16  # the most ``RootBracket.expand`` doubles its starting hi
-AROUND_EPS = tuple(2.0**k for k in range(-9, 18, 2))  # reach (1 + 2^17) x0 > 2^16 x0
+AROUND_EPS = tuple(2.0**k for k in range(-9, 18, 2))  # probes reach (1 + 2^17) x0
 # scipy's default (and smallest allowed) relative tolerance of brentq.
 _BRENT_RTOL = 4 * sys.float_info.epsilon
 
@@ -108,22 +108,22 @@ class RootBracket(namedtuple("RootBracket", "lo hi")):
 
     @classmethod
     def expand(cls, f, lo, hi):
-        """Double hi until f changes sign on [lo, hi], at most BRACKET_DOUBLINGS times.
+        """Double hi until f changes sign on [lo, hi], while the doubled hi is finite.
 
-        The cap is relative to the given hi, so a free parameter of any scale
-        gets the same 2^16-fold search.  Doubling cannot move a hi at or below
-        max(lo, 0), so such a start raises BracketError at once.
+        Doubling is exact, so the k-th probe is hi * 2^k.  Doubling cannot
+        move a hi at or below max(lo, 0), so such a start raises BracketError
+        at once.
         """
         if hi <= max(lo, 0.0):
             raise BracketError(f"cannot expand [{lo!r}, {hi!r}]: need hi > max(lo, 0)")
         flo = f(lo)
         if flo == 0.0:
             return cls(lo, lo)
-        for k in range(BRACKET_DOUBLINGS + 1):
-            h = hi * 2.0**k  # exact: k doublings of hi
-            if flo * f(h) < 0.0:
-                return cls(lo, h)
-        raise BracketError(f"no sign change up to {h!r}")
+        while not flo * f(hi) < 0.0:
+            if not math.isfinite(2.0 * hi):
+                raise BracketError(f"no sign change up to {hi!r}")
+            hi *= 2.0
+        return cls(lo, hi)
 
     @classmethod
     def around(cls, f, x0):
@@ -312,10 +312,7 @@ def solve_monotonic_P(r1, r2, r3, n):
         return functionals.kinetic_energy_ball(p) + pot
 
     bracket = RootBracket.expand(residual, *BRACKET_START)
-    p_star = brentq(residual, bracket.lo, bracket.hi, xtol=PARAM_TOL)
-    if abs(residual(p_star)) > ENERGY_RESIDUAL_TOL:
-        raise NoRootError(f"energy residual {residual(p_star):.3e} above tolerance")
-    return p_star
+    return brentq(residual, bracket.lo, bracket.hi, xtol=PARAM_TOL)
 
 
 def solve_threshold_a(ansatz):

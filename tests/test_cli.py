@@ -4,6 +4,8 @@ import argparse
 import contextlib
 import io
 import json
+import math
+import runpy
 import sys
 import types
 
@@ -219,6 +221,45 @@ class TestExitCodes:
         )
         assert code == 2
         assert "positive" in err
+
+    @pytest.mark.parametrize("argv, code, key, above", [
+        (["certify", "--family", "monotonic", "--r1", "3.9113963460412596e-07",
+          "--r2", "3.555459278551505e-06", "--r3", "3.911396346041259e-06", "--n", "3",
+          "--a", "-0.95"], 0, "energy_residual", 1e-10),
+        (["certify", "--family", "monotonic", "--r1", "1e-7", "--r2", "9.09e-7", "--r3", "1e-6",
+          "--n", "3", "--a", "-0.95"], 0, "P", 655360.0),
+        (["mollify", *COREHALO[:-2], "--a", "-0.85", "--tol-energy", "1e-300"], 1,
+         "energy_residual", 1e-300),
+    ], ids=["residual-above-1e-10", "root-above-655360", "tol-energy-1e-300"])
+    def test_the_certificate_alone_judges_the_energy(self, capsys, argv, code, key, above):
+        # The solve returns its root, here past a bound a solve once judged
+        # (exit 2); the verdict alone says whether the energy is in tolerance.
+        got, out, err = run_cli(capsys, [*argv, "--format", "kv"])
+        doc = kv_parse(out)
+        assert (got, err, doc["verdict"]) == (code, "", "pass" if code == 0 else "fail")
+        assert float(doc[key]) > above
+        assert (abs(float(doc["energy_residual"])) <= float(doc["energy_tol"])) == (code == 0)
+
+    @pytest.mark.parametrize("command", ["scan", "asymptotics"])
+    def test_p_min_above_p_max_is_config_error(self, capsys, command):
+        code, out, err = run_cli(capsys, [command, "--p-min", "200", "--p-max", "100"])
+        assert (code, out) == (3, "")
+        assert err == "error: invalid configuration: need p-min <= p-max\n"
+
+    def test_oracle_disagreement_is_exit_2(self, capsys, monkeypatch):
+        # The scan cross-checks one point against the quadrature oracle.
+        evaluate = functionals.evaluate
+
+        def off_oracle(ansatz, method="auto"):
+            report = evaluate(ansatz, method=method)
+            if method == "quadrature":
+                report = report._replace(kinetic=report.kinetic * (1.0 + 1e-6))
+            return report
+
+        monkeypatch.setattr(functionals, "evaluate", off_oracle)
+        code, out, err = run_cli(capsys, ["scan", "--p-points", "2", "--a-points", "2"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: closed-form/quadrature mismatch in KE: ")
 
     def test_report_always_exits_zero(self, capsys):
         code, out, _ = run_cli(
@@ -485,6 +526,26 @@ class TestCustomFamily:
         assert code == 3
         assert out == ""
         assert err.startswith("error: invalid configuration: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("piece, message", [
+        ({"kind": "constant", "lo": -math.inf, "hi": 1, "value": 1},
+         "piece lower endpoint must be finite"),
+        ({"kind": "power", "lo": 0.5, "hi": 1, "value": math.inf, "exponent": 2},
+         "power-law prefactor must be finite and >= 0"),
+        ({"kind": "power", "lo": 0.5, "hi": 1, "value": 1, "exponent": math.nan},
+         "power-law exponent must be finite"),
+        ({"kind": "ramp", "lo": 0, "hi": 1, "left": 0, "right": math.inf},
+         "ramp endpoint values must be finite"),
+    ], ids=["lo-minus-inf", "power-value-inf", "power-exponent-nan", "ramp-end-inf"])
+    def test_non_finite_piece_is_config_error(self, capsys, tmp_path, piece, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"spatial": {"pieces": [piece]}, "momentum": {"pieces": [
+            {"kind": "constant", "lo": 0, "hi": 1, "value": 1}]}, "angular": {"cutoff": 0}}))
+        code, out, err = run_cli(
+            capsys, ["certify", "--family", "custom", "--profiles", str(path)]
+        )
+        assert (code, out) == (3, "")
+        assert err == f"error: invalid configuration: invalid profile literal: {message}\n"
 
     ZERO_PIECE = '{"pieces": [{"kind": "constant", "lo": 0, "hi": 1, "value": 0}]}'
 
@@ -959,6 +1020,10 @@ class TestCommandRouting:
         monkeypatch.setattr(sys, "argv", ["virial-forge", *argv])
         assert captured(main) == expected
         assert captured(cli.entrypoint) == expected
+        # python -m virial_forge.cli: a fresh module namespace run as __main__.
+        monkeypatch.delitem(sys.modules, "virial_forge.cli")
+        assert captured(lambda: runpy.run_module("virial_forge.cli", run_name="__main__")) \
+            == expected
 
 
 class TestNegativeExponentValues:

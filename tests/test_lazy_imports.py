@@ -184,6 +184,10 @@ def test_star_import_and_dir_list_the_eager_namespace():
     assert set(star) <= set(listed)
 
 
+def test_dir_lists_every_export():
+    assert set(virial_forge.__all__) <= set(dir(virial_forge))
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         virial_forge.no_such_name

@@ -268,6 +268,14 @@ class TestSeams:
 
     def test_step_profile_has_no_seams(self):
         assert seam_smoothness(uniform_eta(1.0)) == 0.0
+        assert seam_smoothness(AngularProfile((Piece.ramp(0.0, 0.0, -1.0, 1.0),))) == 0.0
+
+    def test_ramp_holds_its_end_value_past_the_domain(self):
+        # The right quotient at x = 1 reads past [-1, 1]; the ramp holds its
+        # end value there, so only the left quotient's 1.5 h remains (the
+        # extrapolated cubic would double it).
+        profile = AngularProfile((Piece.constant(1.0, -1.0, 0.5), Piece.ramp(1.0, 0.5, 0.5, 1.0)))
+        assert seam_smoothness(profile) == pytest.approx(1.5e-6, rel=1e-4)
 
 
 class TestConvergence:
@@ -349,7 +357,7 @@ class TestRebalance:
         p_step = solve_monotonic_P(r1, r2, r3, n)
         params = MonotonicParams(r1=r1, r2=r2, r3=r3, n=n, p=p_step, a=a)
         spec = MollifySpec(delta=default_delta(monotonic_ansatz(params)))
-        _, moll = rebalance(params, spec, energy_tol=DEFAULT_ENERGY_TOL)
+        _, moll = rebalance(params, spec)
         assert check_criteria(moll).passed
 
         eta, phi = moll.spatial, moll.momentum
@@ -531,8 +539,8 @@ class TestRebalanceWork:
                 continue
             (new_params, moll), (x_old, moll_old, energy_old) = ours, former
             assert abs(getattr(new_params, family.free) - x_old) <= 1e-12 * x0, params
-            assert abs(total_energy(moll)) <= solvers.ENERGY_RESIDUAL_TOL
-            assert abs(energy_old) <= solvers.ENERGY_RESIDUAL_TOL
+            assert abs(total_energy(moll)) <= 1e-10
+            assert abs(energy_old) <= 1e-10
             assert check_criteria(moll).passed == check_criteria(moll_old).passed, params
 
     def test_energy_evaluations_per_rebalance(self, monkeypatch):

@@ -117,6 +117,10 @@ class TestConstruction:
         with pytest.raises(ProfileError):
             Piece.ramp(-0.1, 1.0, 0.0, 1.0)
 
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ProfileError, match="unknown piece kind 'spline'"):
+            Piece("spline", 0.0, 1.0)
+
     def test_profiles_immutable(self):
         eta = uniform_eta(1.0)
         with pytest.raises(AttributeError):
@@ -154,6 +158,20 @@ class TestMoments:
         eta = monotonic_eta(0.01, 1.0 / 11.0, 0.1, 3.0 + 1e-9)
         oracle = profile_moment_quad(eta, 2)
         assert eta.moment(2) == pytest.approx(oracle.value, rel=1e-9)
+
+    def test_general_exponent_from_and_across_zero(self):
+        # Order 5 has no factored form: its integral runs from lo = 0 on the
+        # ball and from lo = -1 on an angular cutoff.
+        assert uniform_eta(2.0).moment(5) == pytest.approx(2.0**6 / 6.0, rel=1e-15)
+        assert AngularProfile.cutoff(0.5).moment(5) == pytest.approx(
+            (0.5**6 - 1.0) / 6.0, rel=1e-15)
+
+    def test_negative_order_and_power_rejected(self):
+        eta = uniform_eta(1.0)
+        with pytest.raises(ValueError, match="moment order must be >= 0"):
+            eta.moment(-1)
+        with pytest.raises(ValueError, match="power must be > 0"):
+            eta.power_moment(0.0, 2)
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_moment_additivity_matches_quadrature(self, k, rng):
@@ -426,10 +444,8 @@ class TestAngular:
             zero.moments()
 
     def test_power_pieces_rejected(self):
-        with pytest.raises(ProfileError):
-            AngularProfile(
-                (Piece.power(1.0, 1.0, 0.5, 1.0),)  # wrong domain anyway
-            )
+        with pytest.raises(ProfileError, match="constant or ramp pieces only"):
+            AngularProfile((Piece.constant(1.0, -1.0, 0.5), Piece.power(1.0, 1.0, 0.5, 1.0)))
 
     @given(st.floats(min_value=-1.0 + 1e-6, max_value=1.0, exclude_min=True))
     def test_factorization(self, a):
@@ -455,3 +471,5 @@ def test_momentum_ball_labels():
 def test_smallest_width():
     eta = core_halo_eta(0.2, 1.0, 2.0, ALPHA_REF)
     assert eta.smallest_width == pytest.approx(0.2)
+    with pytest.raises(ProfileError, match="no finite piece"):
+        PiecewiseProfile.from_segments([]).smallest_width

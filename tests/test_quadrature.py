@@ -1,6 +1,7 @@
 """The adaptive integrator against known antiderivatives."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -97,6 +98,15 @@ def test_validation():
         integrate(lambda r: r, 0.0, math.inf)
     with pytest.raises(ValueError):
         integrate(lambda r: r, 1.0, 0.0)
+
+
+def test_scipy_without_quadpack_is_an_import_error(monkeypatch, tmp_path):
+    import scipy
+
+    monkeypatch.delitem(sys.modules, quadrature._QUADPACK, raising=False)
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    with pytest.raises(ImportError, match=r"no scipy\.integrate\._quadpack extension in "):
+        integrate(lambda r: r, 0.0, 1.0)
 
 
 def test_empty_interval():

@@ -275,6 +275,9 @@ class TestQuadraticAndBracket:
         assert roots == pytest.approx((1.0, 2.0))
         assert solve_quadratic(1.0, 0.0, 1.0) == ()
         assert solve_quadratic(0.0, 2.0, -4.0) == pytest.approx((2.0,))
+        assert solve_quadratic(0.0, 0.0, 1.0) == ()
+        assert solve_quadratic(1.0, 0.0, -4.0) == (-2.0, 2.0)
+        assert solve_quadratic(1.0, 0.0, 0.0) == (0.0, 0.0)
         big = solve_quadratic(1.0, -1e8, 1.0)
         assert min(big) == pytest.approx(1e-8, rel=1e-12)
 
@@ -285,18 +288,22 @@ class TestQuadraticAndBracket:
         with pytest.raises(BracketError):
             RootBracket.expand(lambda x: x + 1.0, 1.0, 2.0)
 
-    def test_bracket_tries_sixteen_doublings_of_hi(self):
-        # From BRACKET_START: 10 * 2^k for k = 0..16, the points an absolute
-        # cap of 1e6 allowed, and the error names the last one.
+    def test_bracket_doubles_hi_while_finite(self):
+        # From BRACKET_START: 10 * 2^k for k = 0..1020, the last hi whose
+        # double is finite, and the error names it.
         tried = []
 
         def positive(x):
             tried.append(x)
             return 1.0
 
-        with pytest.raises(BracketError, match="no sign change up to 655360.0"):
+        with pytest.raises(BracketError, match=r"no sign change up to 1\.1235582092889474e\+308"):
             RootBracket.expand(positive, *BRACKET_START)
-        assert tried == [BRACKET_START[0], *(10.0 * 2.0**k for k in range(17))]
+        assert tried == [BRACKET_START[0], *(10.0 * 2.0**k for k in range(1021))]
+        assert math.isinf(2.0 * tried[-1])
+
+    def test_bracket_with_a_root_at_lo_is_that_point(self):
+        assert RootBracket.expand(lambda x: x - 1.0, 1.0, 2.0) == (1.0, 1.0)
 
     @pytest.mark.parametrize("lo, hi", [(0.0, 0.0), (-1.0, 0.0), (-2.0, -1.0), (1.0, 1.0),
                                         (2.0, 1.0), (0.0, -0.0)])
@@ -392,7 +399,7 @@ class TestBracketAround:
 
     @pytest.mark.parametrize("x0", [1.0, 1e-3, 7.0e5])
     def test_reach_upward_covers_sixteen_doublings(self, x0):
-        # RootBracket.expand reaches 2^16 times its starting hi; so does this.
+        # AROUND_EPS's probes reach (1 + 2^17) x0, past 2^16 x0.
         root = x0 * 2.0**16
         br = RootBracket.around(lambda x: x - root, x0)
         assert br.lo < root <= br.hi
