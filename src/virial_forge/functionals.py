@@ -19,14 +19,16 @@ not a ball and the fractional powers of ramps use the fixed Gauss-Legendre
 rules of ``profiles``, so this route integrates nothing adaptively and
 loads neither numpy nor scipy.  The adaptive source
 (``method="quadrature"``) integrates every moment adaptively, once per
-evaluation, and is kept as an independent oracle.  A source computes the
-a-free part as one record and completes it from the angular profile's
-moments.  Only ``evaluate`` takes ``method``; ``radial_functionals`` (the
-exact record itself, which the floor scan completes for each cutoff),
-``total_energy``, ``potential_energy_profile`` and
-``spatial_momentum_factor`` read the exact source.  Certification checks
-the three blow-up hypotheses: zero total energy, virial <= -1/2, and
-L^{3/2} norm above the critical constant (3/8)(15/16)^{1/3}.
+evaluation, and is kept as an independent oracle.  A source gives a
+radial profile's record (||g r^2||, ||g r^3||, int g^{3/2} r^2) at once,
+the exact one summed in one walk over the pieces, computes the a-free part
+from the two records and completes it from the angular moments.  Only
+``evaluate`` takes ``method``; ``radial_functionals`` (the exact a-free
+part, which the floor scan completes for each cutoff),
+``spatial_momentum_factor``, and ``total_energy`` and
+``potential_energy_profile`` (which read ||g r^2|| alone) take the exact
+source.  Certification checks the three blow-up hypotheses: zero total
+energy, virial <= -1/2, and L^{3/2} norm above (3/8)(15/16)^{1/3}.
 """
 
 from __future__ import annotations
@@ -43,11 +45,13 @@ from .profiles import (
     check_positive,
     fixed_rule,
     gauss_legendre,
+    hold,
     norm_constant,
     panel_edges,
     plateau_self_nested,
     power_integral,
     radial_scale,
+    release,
 )
 
 __all__ = [
@@ -208,11 +212,21 @@ def _exact_nested(profile):
     return total
 
 
+_RECORD = (("moment", 2), ("moment", 3), ("power_moment", 1.5, 2))
+
+
+def _virial_factor(spatial, momentum):
+    """(||g r^3||/||g r^2||) * (||h p^3||/||h p^2||) from the records of g and h, m3 first."""
+    m3q, m2q, m3p, m2p = map(release, (spatial[1], spatial[0], momentum[1], momentum[0]))
+    return (m3q / check_factor(m2q, "spatial")) * (m3p / check_factor(m2p, "momentum"))
+
+
 class _MomentSource:
     """Every functional, written once over a source of one-dimensional moments.
 
-    A source supplies ``moment(g, k)`` = int g r^k dr, ``norm_moment(g)`` =
-    int g^{3/2} r^2 dr, ``angular(L)`` = (int L, int x L, int L^{3/2}),
+    A source supplies ``record(g)`` = (int g r^2, int g r^3, int g^{3/2} r^2),
+    each a value or the error ``profiles.hold`` kept, ``scale`` = 1/C without
+    its angular factor, ``angular(L)`` = (int L, int x L, int L^{3/2}),
     ``kinetic(h)`` = (int sqrt(1+p^2) h p^2 dp, int h p^2 dp) up to a common
     positive factor, and ``nested(g)`` = int g(q) q (int_0^q g s^2 ds) dq;
     ``label`` and ``residuals`` fill the report's route and error estimates.
@@ -222,26 +236,27 @@ class _MomentSource:
         num, den = self.kinetic(phi)
         return num / check_factor(den, "momentum")
 
-    def potential_energy(self, eta):
-        m2 = check_factor(self.moment(eta, 2), "spatial")
+    def potential_energy(self, eta, m2):
+        """The potential energy of eta, whose int g r^2 is ``m2``."""
+        m2 = check_factor(m2, "spatial")
         try:
             squared = m2**2  # 0 once m2 < ~1e-162
         except OverflowError:
             squared = math.inf
         return -self.nested(eta) / check_factor(squared, "squared spatial")
 
-    def spatial_momentum_factor(self, eta, phi):
-        m3q, m2q = self.moment(eta, 3), self.moment(eta, 2)
-        m3p, m2p = self.moment(phi, 3), self.moment(phi, 2)
-        return (m3q / check_factor(m2q, "spatial")) * (m3p / check_factor(m2p, "momentum"))
+    def scale(self, eta, phi, m2q, m2p):
+        return 8.0 * math.pi**2 * m2q * m2p  # as ``radial_scale`` forms it
 
     def radial(self, eta, phi):
         """The a-free record of C * eta * phi * L, for any angular profile L."""
-        kin, pot = self.kinetic_energy(phi), self.potential_energy(eta)
-        scale, factor = radial_scale(eta, phi), self.spatial_momentum_factor(eta, phi)
-        norms = self.norm_moment(eta) * self.norm_moment(phi)
-        m2q = check_factor(self.moment(eta, 2), "spatial")
-        m2p = check_factor(self.moment(phi, 2), "momentum")
+        kin = self.kinetic_energy(phi)
+        spatial, momentum = self.record(eta), self.record(phi)  # errors held, raised in use
+        m2q = release(spatial[0])
+        pot = self.potential_energy(eta, m2q)
+        m2p = check_factor(release(momentum[0]), "momentum")
+        scale, factor = self.scale(eta, phi, m2q, m2p), _virial_factor(spatial, momentum)
+        norms = release(spatial[2]) * release(momentum[2])
         return _Radial(kin, pot, kin + pot, scale, factor, norms, m2q, m2p,
                        2.0 * math.pi ** (2.0 / 3.0) * m2q * m2p)
 
@@ -280,11 +295,8 @@ class _Radial(namedtuple("_Radial", "kinetic potential total_energy scale factor
 class _Exact(_MomentSource):
     """Closed forms, else the fixed GL14 rule, memoized per profile; never adaptive."""
 
-    def moment(self, profile, k):
-        return profile.moment(k)
-
-    def norm_moment(self, profile):
-        return profile.power_moment(1.5, 2)
+    def record(self, profile):
+        return profile.sums(_RECORD)
 
     def angular(self, angular):
         return angular.moments()
@@ -321,11 +333,14 @@ class _Adaptive(_MomentSource):
             self.results[key] = integral(profile, *args)
         return self.results[key]
 
-    def moment(self, profile, k):
-        return self._result(self.quad.profile_moment_quad, profile, k).value
+    def moment(self, profile, k, *beta):
+        return self._result(self.quad.profile_moment_quad, profile, k, *beta).value
 
-    def norm_moment(self, profile):
-        return self._result(self.quad.profile_moment_quad, profile, 2, 1.5).value
+    def record(self, profile):
+        return [hold(self.moment, profile, *args) for args in ((2,), (3,), (2, 1.5))]
+
+    def scale(self, eta, phi, m2q, m2p):
+        return radial_scale(eta, phi)  # from the exact moments, as every route forms C
 
     def angular(self, angular):
         return tuple(
@@ -369,17 +384,18 @@ _EXACT = _Exact()
 
 def potential_energy_profile(eta):
     """Potential energy determined by the spatial profile alone (<= 0)."""
-    return _EXACT.potential_energy(eta)
+    return _EXACT.potential_energy(eta, eta.moment(2))
 
 
 def total_energy(ansatz):
-    """Kinetic plus potential energy; ``rebalance``'s residual, so no L^{3/2} ramp rules."""
-    return _EXACT.kinetic_energy(ansatz.momentum) + _EXACT.potential_energy(ansatz.spatial)
+    """Kinetic plus potential energy; ``rebalance``'s residual, so it reads m2 alone."""
+    kinetic, eta = _EXACT.kinetic_energy(ansatz.momentum), ansatz.spatial
+    return kinetic + _EXACT.potential_energy(eta, eta.moment(2))
 
 
 def spatial_momentum_factor(eta, phi):
     """(||g r^3||/||g r^2||) * (||h p^3||/||h p^2||), the a-free virial factor."""
-    return _EXACT.spatial_momentum_factor(eta, phi)
+    return _virial_factor(_EXACT.record(eta), _EXACT.record(phi))
 
 
 def radial_functionals(spatial, momentum):

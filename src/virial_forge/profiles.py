@@ -25,8 +25,9 @@ import bisect
 import math
 import warnings
 from itertools import accumulate
+from operator import methodcaller
 
-from .errors import DegenerateFactorError, DivergentMomentError, ProfileError
+from .errors import DegenerateFactorError, DivergentMomentError, ProfileError, VirialForgeError
 
 __all__ = [
     "Piece",
@@ -320,7 +321,7 @@ class Piece(_Value):
 
     def moment(self, k):
         """Exact int value(r) * r^k dr over the whole piece."""
-        return 0.0 if self.is_zero else self.partial_moment(k, self.hi)
+        return self.partial_moment(k, self.hi)  # 0 on a zero piece, the tail included
 
     def ramp_rule(self, f, edges):
         """int f(value(r), r) dr over a ramp, by GL14 on ``edges`` of v in [0, 1].
@@ -416,10 +417,27 @@ def _nested_integrand(profile):
     return integrand
 
 
-def _finite_sum(terms, what):
-    total = math.fsum(terms)
+def hold(compute, *args):
+    """``compute(*args)``, or the error it raised, for ``release`` to raise where it is read."""
+    try:
+        return compute(*args)
+    except (ArithmeticError, ValueError, VirialForgeError) as exc:
+        return exc
+
+
+def release(entry):
+    """``entry``, or a fresh copy of the error ``hold`` kept: a value fails where it is read."""
+    if isinstance(entry, Exception):  # fresh, so the kept one's traceback never grows
+        raise type(entry)(*entry.args) from entry
+    return entry
+
+
+def _sum(live, key):
+    """Sum over the nonzero pieces ``live``: key ("moment", k) or ("power_moment", beta, k)."""
+    total = math.fsum(map(methodcaller(*key), live))
     if not math.isfinite(total):
-        raise DivergentMomentError(f"{what} diverges")
+        what = "moment of order {}" if key[0] == "moment" else "power moment ({}, {})"
+        raise DivergentMomentError(f"{what.format(*key[1:])} diverges")
     return total
 
 
@@ -447,19 +465,27 @@ class _PieceSet(_Value):
     def has_ramp(self):
         return any(p.kind == RAMP for p in self.pieces)
 
+    def sums(self, keys):
+        """The memoized ``_sum`` of each key, the missing ones in one walk; errors ``hold`` kept."""
+        cache, live = self._cache, None
+        for key in keys:
+            if key not in cache:
+                if live is None:
+                    live = [p for p in self.pieces if not p.is_zero]
+                cache[key] = hold(_sum, live, key)
+        return [cache[key] for key in keys]
+
     def moment(self, k):
         """Exact int g(r) r^k dr over the whole domain, memoized."""
         if k < 0:
             raise ValueError("moment order must be >= 0")
-        return self.memo(("moment", k), lambda s: _finite_sum(
-            (p.moment(k) for p in s.pieces), f"moment of order {k}"))
+        return release(self.sums((("moment", k),))[0])
 
     def power_moment(self, beta, k):
         """Exact/deterministic int g(r)**beta r^k dr, memoized."""
         if beta <= 0.0:
             raise ValueError("power must be > 0")
-        return self.memo(("power_moment", beta, k), lambda s: _finite_sum(
-            (p.power_moment(beta, k) for p in s.pieces), f"power moment ({beta}, {k})"))
+        return release(self.sums((("power_moment", beta, k),))[0])
 
 
 def _mass_prefix(profile):
@@ -577,16 +603,13 @@ class AngularProfile(_PieceSet):
         Raises DegenerateFactorError when m0 = 0 (normalization undefined);
         warns when m0 is positive but tiny.
         """
-        def compute(angular):
-            m0 = angular.moment(0)
-            if m0 <= 0.0:
-                raise DegenerateFactorError("angular profile integrates to zero")
-            return m0, angular.moment(1), angular.power_moment(1.5, 0)
-
-        moments = self.memo("moments", compute)
-        if moments[0] < NEAR_DEGENERATE_ANGULAR:
+        m0, m1, m32 = self.sums((("moment", 0), ("moment", 1), ("power_moment", 1.5, 0)))
+        if release(m0) <= 0.0:
+            raise DegenerateFactorError("angular profile integrates to zero")
+        moments = m0, release(m1), release(m32)
+        if m0 < NEAR_DEGENERATE_ANGULAR:
             warnings.warn(
-                f"angular profile nearly degenerate (integral {moments[0]:.3e})",
+                f"angular profile nearly degenerate (integral {m0:.3e})",
                 RuntimeWarning,
                 stacklevel=2,
             )

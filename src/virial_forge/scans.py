@@ -156,7 +156,8 @@ def uniform_ball_floor(grid):
     P -> inf with a -> -1.
     """
     uniform = solvers.FAMILIES["uniform"]
-    moments = [AngularProfile.cutoff(a).moments() for a in grid.a_values]
+    m0s, m1s, m32s = zip(*(AngularProfile.cutoff(a).moments() for a in grid.a_values))
+    extremes = min(m0s), max(m0s)
     radial, virials, l32_norms = [], [], []
     for P in grid.P_values:
         # The radial profiles depend on P alone; no cutoff of the ball is built.
@@ -164,10 +165,12 @@ def uniform_ball_floor(grid):
         rad = functionals.radial_functionals(uniform.factor(params, "spatial"),
                                              uniform.factor(params, "momentum"))
         radial.append((P, params.r, rad.kinetic, rad.potential, rad.total_energy))
-        for m0, m1, m32 in moments:
-            norm_constant(rad.scale, m0)  # raises, as ``evaluate`` would, where C is 0 or inf
-            virials.append(rad.virial(m0, m1))
-            l32_norms.append(rad.l32_norm(m0, m32))
+        # C is 0 or inf (and ``evaluate`` raises) at no m0 or at an extreme one:
+        # scale * m0 rounds monotonically in m0, over a span below 2e16.
+        for m0 in extremes:
+            norm_constant(rad.scale, m0)
+        virials.extend(map(rad.virial, m0s, m1s))
+        l32_norms.extend(map(rad.l32_norm, m0s, m32s))
 
     best = min(range(len(virials)), key=virials.__getitem__)
     n_a = len(grid.a_values)
@@ -269,12 +272,6 @@ def virial_unbounded_below(threshold, a=-0.9, P_values=None):
 format_float = functionals._format_float
 
 
-def _write_columns(columns, stream):
-    """Write the header and the rows of these cell columns, unquoted."""
-    lines = [",".join(CSV_COLUMNS), *map(",".join, zip(*columns))]
-    stream.write("\n".join(lines) + "\n")
-
-
 def rows_to_csv(rows, stream):
     """Write scan rows with the fixed column set.
 
@@ -285,19 +282,20 @@ def rows_to_csv(rows, stream):
     def cell(val):
         return "" if val is None else val if isinstance(val, str) else format_float(val)
 
-    _write_columns([[cell(row.get(col)) for row in rows] for col in CSV_COLUMNS], stream)
+    lines = [",".join(cell(row.get(col)) for col in CSV_COLUMNS) for row in rows]
+    stream.write("\n".join([",".join(CSV_COLUMNS), *lines]) + "\n")
 
 
 def floor_to_csv(result, stream):
-    """``rows_to_csv(result.rows, stream)`` from the floor scan's columns.
+    """``rows_to_csv(result.rows, stream)`` from the floor scan's columns, row by row.
 
-    P, R, KE, PE and E are formatted once per P, ``a`` once per scan, and
-    only V and l32_norm once per cell.
+    P, R, KE, PE and E are formatted once per P and ``a`` once per scan.
     """
-    n_a, n = len(result.a_values), len(result.virials)
-    per_p = zip(*([format_float(x) for x in radial] for radial in result.radial))
-    P, R, KE, PE, E = ([cell for cell in col for _ in range(n_a)] for col in per_p)
-    a = [format_float(a) for a in result.a_values] * len(result.radial)
-    _write_columns([["uniform"] * n, P, a, [""] * n, R, KE, PE, E,
-                    [format_float(v) for v in result.virials],
-                    [format_float(x) for x in result.l32_norms]], stream)
+    n_a, a_cells = len(result.a_values), [format_float(a) for a in result.a_values]
+    lines = [",".join(CSV_COLUMNS)]
+    for i, (P, *R_KE_PE_E) in enumerate(result.radial):
+        head, mid = f"uniform,{format_float(P)},", f",,{','.join(map(format_float, R_KE_PE_E))},"
+        cells = slice(i * n_a, (i + 1) * n_a)
+        lines += [f"{head}{a}{mid}{format_float(v)},{format_float(x)}"
+                  for a, v, x in zip(a_cells, result.virials[cells], result.l32_norms[cells])]
+    stream.write("\n".join(lines) + "\n")

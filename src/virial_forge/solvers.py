@@ -108,17 +108,25 @@ class RootBracket(namedtuple("RootBracket", "lo hi")):
 
     @classmethod
     def expand(cls, f, lo, hi):
-        """Double hi until f changes sign on [lo, hi], while the doubled hi is finite.
+        """Bracket the root of an increasing f: double hi or, where f(lo) > 0, halve lo.
 
-        Doubling is exact, so the k-th probe is hi * 2^k.  Doubling cannot
-        move a hi at or below max(lo, 0), so such a start raises BracketError
-        at once.
+        The k-th probe is hi * 2^k (exact) while it is finite, until f changes
+        sign on [lo, hi]; or lo / 2^k while positive, until f is not positive
+        there, giving [lo / 2^k, lo].  Doubling cannot move a hi at or below
+        max(lo, 0), so such a start raises BracketError at once.
         """
         if hi <= max(lo, 0.0):
             raise BracketError(f"cannot expand [{lo!r}, {hi!r}]: need hi > max(lo, 0)")
         flo = f(lo)
         if flo == 0.0:
             return cls(lo, lo)
+        if flo > 0.0:
+            down = 0.5 * lo
+            while down > 0.0:
+                if not f(down) > 0.0:
+                    return cls(down, lo)
+                down *= 0.5
+            raise BracketError(f"no sign change down from {lo!r}")
         while not flo * f(hi) < 0.0:
             if not math.isfinite(2.0 * hi):
                 raise BracketError(f"no sign change up to {hi!r}")
@@ -298,7 +306,8 @@ def solve_monotonic_P(r1, r2, r3, n):
     The potential energy is independent of the cutoff while the kinetic
     term increases strictly from its rest-mass floor of 1, so a root exists
     iff the potential energy lies below -1; it is bracketed and refined with
-    Brent iteration.
+    Brent iteration.  A root below ``BRACKET_START[0]`` is bracketed by
+    halving from there: the residual tends to 1 + potential < 0 as P -> 0.
     """
     eta = monotonic_eta(r1, r2, r3, n)
     pot = functionals.potential_energy_profile(eta)

@@ -240,6 +240,19 @@ class TestExitCodes:
         assert float(doc[key]) > above
         assert (abs(float(doc["energy_residual"])) <= float(doc["energy_tol"])) == (code == 0)
 
+    def test_monotonic_root_below_the_bracket_start_fails_on_virial(self, capsys):
+        # The potential is -1.00000001, so the cutoff root lies near 1.8e-4,
+        # below BRACKET_START[0] = 1e-3: the bracket halves down to it.
+        code, out, err = run_cli(capsys, [
+            "certify", "--family", "monotonic", "--r1", "0.1480619672900462",
+            "--r2", "1.3460178843203636", "--r3", "1.480619672900462", "--n", "3",
+            "--a", "-0.95", "--format", "kv"])
+        doc = kv_parse(out)
+        assert (code, err, doc["verdict"]) == (1, "", "fail")
+        assert 1e-4 < float(doc["P"]) < solvers.BRACKET_START[0]
+        assert float(doc["energy_residual"]) <= float(doc["energy_tol"])
+        assert float(doc["virial_margin"]) < 0.0
+
     @pytest.mark.parametrize("command", ["scan", "asymptotics"])
     def test_p_min_above_p_max_is_config_error(self, capsys, command):
         code, out, err = run_cli(capsys, [command, "--p-min", "200", "--p-max", "100"])
@@ -791,6 +804,18 @@ class TestExtremeFlags:
         assert code == 2
         assert err.startswith("error: numerical failure (OverflowError)")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["scan", "--p-min", "1e-102", "--p-max", "1e-102", "--p-points", "1",
+          "--a-points", "40"], "normalization constant is inf"),
+        (["certify", *COREHALO_NO_P, "--p", "1", "--alpha", "1e300"],
+         "squared spatial factor integral is inf"),
+    ], ids=["scan-tiny-P", "alpha-1e300"])
+    def test_degenerate_factor_message(self, capsys, argv, message):
+        # The scan's C leaves the float range at its smallest cutoff mass; the
+        # halo's mass squared overflows before its overflowing power moment
+        # is read.
+        assert run_cli(capsys, argv) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("p", ["1e-104", "1e-106", "1e-110", "1e-300"])
     def test_tiny_p_is_a_degenerate_factor(self, capsys, p):

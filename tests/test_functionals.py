@@ -15,7 +15,7 @@ from conftest import (
     tight_nested,
 )
 from virial_forge import functionals, profiles, quadrature
-from virial_forge.errors import DegenerateFactorError
+from virial_forge.errors import DegenerateFactorError, DivergentMomentError
 from virial_forge.functionals import (
     CRITICAL_L32_NORM,
     check_criteria,
@@ -23,6 +23,8 @@ from virial_forge.functionals import (
     kinetic_energy_ball,
     momentum_energy_moment,
     potential_energy_profile,
+    radial_functionals,
+    spatial_momentum_factor,
     total_energy,
     virial,
 )
@@ -788,3 +790,107 @@ class TestMomentSources:
     def test_unknown_method_rejected(self, call, method):
         with pytest.raises(ValueError, match="unknown evaluation method"):
             call(reference_corehalo(), method)
+
+
+RECORD_PROPERTY = settings(derandomize=True, deadline=None, max_examples=80, database=None)
+POSITIVE = st.floats(min_value=1e-3, max_value=1e3)
+CUTOFFS = st.floats(min_value=-0.99, max_value=1.0)
+RADII = st.lists(POSITIVE, min_size=3, max_size=3).map(sorted)
+STEP_DATA = st.one_of(
+    st.builds(lambda r, p, a: uniform_ansatz(UniformParams(r=r, p=p, a=a)),
+              POSITIVE, POSITIVE, CUTOFFS),
+    st.builds(lambda r, alpha, p, a: core_halo_ansatz(CoreHaloParams(*r, p=p, alpha=alpha, a=a)),
+              RADII, st.floats(min_value=1e-6, max_value=2.0), POSITIVE, CUTOFFS),
+    st.builds(lambda r, n, p, a: monotonic_ansatz(MonotonicParams(*r, n=n, p=p, a=a)),
+              RADII, st.floats(min_value=0.3, max_value=6.0), POSITIVE, CUTOFFS),
+)
+
+
+def _mollified(ansatz, fraction):
+    return SeparableAnsatz(*(mollify_profile(f, fraction * f.smallest_width)
+                             for f in (ansatz.spatial, ansatz.momentum, ansatz.angular)))
+
+
+def _ramp_literal(widths, level, p, a, t):
+    """A literal with a ramp in every factor: spatial core, ramp and shelf; a momentum
+    ramp from 1 at 0 down to 0 at p; an angular ramp down to 0 between a and 1."""
+    r1, r2, r3 = widths[0], widths[0] + widths[1], sum(widths)
+    b = a + t * (1.0 - a)
+    return SeparableAnsatz(
+        PiecewiseProfile.from_segments([Piece.constant(1.0, 0.0, r1),
+                                        Piece.ramp(1.0, level, r1, r2),
+                                        Piece.constant(level, r2, r3)]),
+        PiecewiseProfile.from_segments([Piece.ramp(1.0, 0.0, 0.0, p)],
+                                       domain_label="radial-momentum"),
+        AngularProfile((Piece.constant(1.0, -1.0, a), Piece.ramp(1.0, 0.0, a, b),
+                        Piece.constant(0.0, b, 1.0))))
+
+
+# Every kind of datum the exact record serves.
+RECORD_DATA = st.one_of(
+    STEP_DATA,
+    st.builds(_mollified, STEP_DATA, RAMP_FRACTIONS),
+    st.builds(lambda eta, p, a: SeparableAnsatz(eta, momentum_ball(p), AngularProfile.cutoff(a)),
+              stepped_profiles(power_laws=True), POSITIVE, CUTOFFS),
+    st.builds(_ramp_literal, st.lists(POSITIVE, min_size=3, max_size=3),
+              st.floats(min_value=1e-3, max_value=2.0), POSITIVE,
+              st.floats(min_value=-0.99, max_value=0.9), st.floats(min_value=0.1, max_value=0.9)),
+)
+
+
+class TestExactRecord:
+    """The one walk per profile gives each moment bit for bit as its own read did."""
+
+    @RECORD_PROPERTY
+    @given(RECORD_DATA)
+    def test_records_are_the_moments(self, ansatz):
+        # Each side reads a fresh profile, whose memo holds none of the other's sums.
+        for profile in (ansatz.spatial, ansatz.momentum):
+            alone = profile._replace()
+            assert functionals._EXACT.record(profile._replace()) == [
+                alone.moment(2), alone.moment(3), alone.power_moment(1.5, 2)]
+        angular = ansatz.angular._replace()
+        assert ansatz.angular._replace().moments() == (
+            angular.moment(0), angular.moment(1), angular.power_moment(1.5, 0))
+
+    @RECORD_PROPERTY
+    @given(RECORD_DATA)
+    def test_radial_functionals_are_the_per_moment_formulas(self, ansatz):
+        # The reference reads each moment of fresh profiles, one at a time.
+        eta, phi = ansatz.spatial._replace(), ansatz.momentum._replace()
+        m2q, m3q, m2p, m3p = eta.moment(2), eta.moment(3), phi.moment(2), phi.moment(3)
+        num, den = functionals._exact_kinetic(phi)
+        kinetic, potential = num / den, -functionals._exact_nested(eta) / m2q**2
+        expected = (kinetic, potential, kinetic + potential, profiles.radial_scale(eta, phi),
+                    (m3q / m2q) * (m3p / m2p),
+                    eta.power_moment(1.5, 2) * phi.power_moment(1.5, 2), m2q, m2p,
+                    2.0 * math.pi ** (2.0 / 3.0) * m2q * m2p)
+        assert tuple(radial_functionals(ansatz.spatial, ansatz.momentum)) == expected
+
+    def test_a_failing_entry_raises_where_a_formula_reads_it(self):
+        # The halo's power moment overflows (alpha^{3/2} > 1e308), yet the
+        # squared spatial mass fails first, as it did when every moment was
+        # its own read; the virial factor does not read the power moment.
+        eta, phi = core_halo_eta(0.2, 1.0, 2.0, 1e300), momentum_ball(1.0)
+        with pytest.raises(OverflowError):
+            eta._replace().power_moment(1.5, 2)
+        with pytest.raises(DegenerateFactorError, match="squared spatial factor integral is inf"):
+            radial_functionals(eta, phi)
+        assert spatial_momentum_factor(eta, phi) == (
+            (eta.moment(3) / eta.moment(2)) * (phi.moment(3) / phi.moment(2)))
+        # A halo thin enough for its mass to pass fails at the power moment,
+        # on every read, by a fresh error caused by the one the record keeps.
+        thin = core_halo_eta(1e-50, 1e-50, 2e-50, 1e300)
+        for _ in range(2):
+            with pytest.raises(OverflowError) as raised:
+                radial_functionals(thin, phi)
+            assert raised.value.__cause__ is functionals._EXACT.record(thin)[2]
+
+    def test_divergent_entries_keep_their_order(self):
+        # Both m2 and m3 diverge: the virial factor fails on m3, which it
+        # reads first, and radial_functionals on m2, which the potential reads.
+        eta, phi = uniform_eta(1e110), momentum_ball(1.0)
+        with pytest.raises(DivergentMomentError, match="moment of order 3 diverges"):
+            spatial_momentum_factor(eta, phi)
+        with pytest.raises(DivergentMomentError, match="moment of order 2 diverges"):
+            radial_functionals(eta, phi)

@@ -416,7 +416,7 @@ def rebalance_reference(params, spec, bracket=RootBracket.around):
 
 
 def half_x0_bracket(f, x0):
-    """The former search: [x0/2, x0], hi doubled until f changes sign."""
+    """The former search: ``RootBracket.expand`` from [x0/2, x0]."""
     return RootBracket.expand(f, 0.5 * x0, x0)
 
 

@@ -301,6 +301,13 @@ class TestPowerMoments:
         expected = ALPHA_REF**1.5 * (r3**3 - r2**3) / 3.0
         assert eta.power_moment(1.5, 2) == pytest.approx(expected, rel=1e-14)
 
+    def test_zero_piece_moments_are_zero(self):
+        # A profile's sums skip its zero pieces; a zero piece read on its
+        # own, the unbounded tail included, is 0 rather than 0 * inf.
+        for piece in (Piece.constant(0.0, 1.0, 2.0), Piece.constant(0.0, 1.0, math.inf),
+                      Piece.ramp(0.0, 0.0, 1.0, 2.0)):
+            assert piece.moment(2) == piece.power_moment(1.5, 2) == 0.0
+
     def test_atmosphere_power_piece_vs_quadrature(self):
         # beta * exponent = 4.5 with weight r^2: non-trivial antiderivative.
         r1, r2 = 0.01, 1.0 / 11.0

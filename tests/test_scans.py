@@ -3,15 +3,16 @@
 import csv
 import io
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from virial_forge import functionals, scans
-from virial_forge.errors import GridExhaustedError, VirialForgeError
-from virial_forge.functionals import kinetic_energy_ball
+from virial_forge import functionals, profiles, scans
+from virial_forge.errors import DegenerateFactorError, GridExhaustedError, VirialForgeError
+from virial_forge.functionals import evaluate, kinetic_energy_ball
 from virial_forge.functionals import FunctionalReport
 from virial_forge.profiles import AngularProfile, Piece
 from virial_forge.scans import (
@@ -26,7 +27,7 @@ from virial_forge.scans import (
     uniform_ball_floor,
     virial_unbounded_below,
 )
-from virial_forge.solvers import UniformParams, solve_uniform_R
+from virial_forge.solvers import UniformParams, solve_uniform_R, uniform_ansatz
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -54,6 +55,19 @@ class TestFloor:
         v = 27.0 * p * (a - 1.0) / (160.0 * kinetic_energy_ball(p))
         assert v > -0.45
         assert abs(v - (-0.45)) / 0.45 < 0.005
+
+    def test_normalization_is_checked_where_evaluate_checks_it(self):
+        # At P = 1e-102, 1/C = scale * m0 leaves the float range only where
+        # m0 = 1 + a is tiny.  The floor checks C at the smallest and largest
+        # m0 alone, and fails with evaluate's error at that point, here the
+        # last cutoff; without it the grid scans.
+        P, a_values = 1e-102, (0.9, 0.0, -0.999999)
+        message = "^normalization constant is inf$"
+        with pytest.raises(DegenerateFactorError, match=message):
+            uniform_ball_floor(ScanGrid((P,), a_values))
+        with pytest.raises(DegenerateFactorError, match=message):
+            evaluate(uniform_ansatz(UniformParams(r=solve_uniform_R(P), p=P, a=a_values[-1])))
+        assert len(uniform_ball_floor(ScanGrid((P,), a_values[:2])).virials) == 2
 
     def test_rows_are_zero_energy(self):
         result = uniform_ball_floor(SMALL_GRID)
@@ -269,20 +283,32 @@ class TestSharedProfiles:
 
     def test_radial_functionals_run_once_per_P(self, monkeypatch):
         # Counts calls and times nothing: a p x a grid evaluates the a-free
-        # functionals (here the exact kinetic weight) p times, not p * a.
-        calls = [0]
-        real = functionals._Exact.kinetic
+        # functionals (here the exact kinetic weight) p times, not p * a; it
+        # sums each moment of a P's two radial profiles once, and each of a
+        # cutoff's three once.  The crosscheck adds its own cutoff and the
+        # exact m2 of its two radial profiles, which the oracle's C reads.
+        calls = Counter()
+        kinetic, piece_sum = functionals._Exact.kinetic, profiles._sum
 
-        def counting(source, phi):
-            calls[0] += 1
-            return real(source, phi)
+        def counting_kinetic(source, phi):
+            calls["kinetic"] += 1
+            return kinetic(source, phi)
 
-        monkeypatch.setattr(functionals._Exact, "kinetic", counting)
+        def counting_sum(live, key):
+            calls[key] += 1
+            return piece_sum(live, key)
+
+        monkeypatch.setattr(functionals._Exact, "kinetic", counting_kinetic)
+        monkeypatch.setattr(profiles, "_sum", counting_sum)
         for n_p, n_a in ((3, 7), (5, 11)):
-            calls[0] = 0
+            calls.clear()
             uniform_ball_floor(ScanGrid(P_values=tuple(np.geomspace(1e-2, 1e4, n_p)),
                                         a_values=tuple(np.linspace(-0.9, 0.9, n_a))))
-            assert calls[0] == n_p
+            radial = {key: 2 * n_p for key in functionals._RECORD}
+            radial[("moment", 2)] += 2
+            angular = {key: n_a + 1 for key in (("moment", 0), ("moment", 1),
+                                                ("power_moment", 1.5, 0))}
+            assert calls == {"kinetic": n_p, **radial, **angular}
 
 
 P_VALUES = st.floats(-4.0, 9.0).map(lambda x: 10.0**x)

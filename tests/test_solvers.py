@@ -289,18 +289,41 @@ class TestQuadraticAndBracket:
             RootBracket.expand(lambda x: x + 1.0, 1.0, 2.0)
 
     def test_bracket_doubles_hi_while_finite(self):
-        # From BRACKET_START: 10 * 2^k for k = 0..1020, the last hi whose
-        # double is finite, and the error names it.
+        # From BRACKET_START, f negative: 10 * 2^k for k = 0..1020, the last
+        # hi whose double is finite, and the error names it.
         tried = []
 
-        def positive(x):
+        def negative(x):
             tried.append(x)
-            return 1.0
+            return -1.0
 
         with pytest.raises(BracketError, match=r"no sign change up to 1\.1235582092889474e\+308"):
-            RootBracket.expand(positive, *BRACKET_START)
+            RootBracket.expand(negative, *BRACKET_START)
         assert tried == [BRACKET_START[0], *(10.0 * 2.0**k for k in range(1021))]
         assert math.isinf(2.0 * tried[-1])
+
+    def test_bracket_halves_lo_where_f_is_positive_there(self):
+        # f(lo) > 0 puts an increasing f's root below lo: lo / 2^k is probed,
+        # never hi, until f is not positive; 1e-3 / 2^7 < 1e-5 < 1e-3 / 2^6.
+        tried = []
+
+        def f(x):
+            tried.append(x)
+            return x - 1e-5
+
+        assert RootBracket.expand(f, *BRACKET_START) == (1e-3 / 128, 1e-3)
+        assert tried == [1e-3 / 2.0**k for k in range(8)]
+        with pytest.raises(BracketError, match="no sign change down from 0.001"):
+            RootBracket.expand(lambda x: x + 1.0, *BRACKET_START)
+
+    def test_monotonic_root_below_the_bracket_start(self):
+        # Potential -1.00000001: the cutoff root lies near 1.8e-4.
+        r1, r2, r3 = 0.1480619672900462, 1.3460178843203636, 1.480619672900462
+        pot = potential_energy_profile(monotonic_eta(r1, r2, r3, 3.0))
+        p = solve_monotonic_P(r1, r2, r3, 3.0)
+        assert 1e-4 < p < BRACKET_START[0]
+        assert kinetic_energy_ball(p / 2) + pot < 0.0 < kinetic_energy_ball(2 * p) + pot
+        assert abs(kinetic_energy_ball(p) + pot) <= 1e-15
 
     def test_bracket_with_a_root_at_lo_is_that_point(self):
         assert RootBracket.expand(lambda x: x - 1.0, 1.0, 2.0) == (1.0, 1.0)
