@@ -13,11 +13,11 @@ functional reduces to products and ratios of one-dimensional moments:
 
 Each formula is written once and reads its moments from a moment source.
 The exact source (``method="auto"``) takes them from exact piecewise
-moments and a nested integral exact on plateaus and ramps; the self term
-of a spatial power law, the kinetic weight of a momentum profile that is
-not a ball and the fractional powers of ramps use the fixed Gauss-Legendre
-rules of ``profiles``, so this route integrates nothing adaptively and
-loads neither numpy nor scipy.  The adaptive source
+moments and a nested integral exact piece by piece (on a ramp, closed-form
+Bernstein sums); the self term of a spatial power law, the kinetic weight of
+a momentum profile that is not a ball and the fractional powers of ramps use
+the fixed GL14 rule of ``profiles`` (so a mollified report says
+``fixed-rule``): no adaptive integral, no numpy or scipy.  The adaptive source
 (``method="quadrature"``) integrates every moment adaptively, once per
 evaluation, and is kept as an independent oracle.  A source gives a
 radial profile's record (||g r^2||, ||g r^3||, int g^{3/2} r^2) at once,
@@ -38,7 +38,6 @@ from collections import namedtuple
 
 from .profiles import (
     CONSTANT,
-    GL6,
     POWER,
     RAMP,
     check_factor,
@@ -51,6 +50,7 @@ from .profiles import (
     plateau_self_nested,
     power_integral,
     radial_scale,
+    ramp_self_nested,
     release,
 )
 
@@ -185,12 +185,9 @@ def _exact_nested(profile):
     """Nested mass integral, exact piece by piece.
 
     Walks pieces left to right keeping the exact enclosed mass M and adds
-    int piece(q) * q * (M + local cumulative) dq.  On a power law (any real
-    exponent) the term in M has a closed form and the self term is a fixed
-    rule (``_power_self_nested``); a plateau's self term is
-    ``plateau_self_nested``.  On a smoothstep ramp the
-    integrand is a polynomial of degree 10 (cubic value, linear q, degree-6
-    cumulative), which the 6-point Gauss-Legendre rule integrates exactly.
+    int piece(q) * q * (M + local cumulative) dq: M times the piece's first
+    moment plus its self term, ``plateau_self_nested``, the fixed rule
+    ``_power_self_nested`` or the Bernstein sum ``ramp_self_nested``.
     """
     total = 0.0
     enclosed = 0.0
@@ -199,8 +196,8 @@ def _exact_nested(profile):
         if p.is_zero:
             continue
         if p.kind == RAMP:
-            total += gauss_legendre(
-                lambda q: p.value_at(q) * q * (enclosed + p.partial_moment(2, q)), lo, hi, GL6)
+            total += enclosed * p.moment(1) + (hi - lo) ** 2 * ramp_self_nested(
+                p.left, p.right, lo, hi)
             enclosed += p.moment(2)
         else:
             c, n = p.value, p.exponent
@@ -429,10 +426,10 @@ def evaluate(ansatz, method="auto"):
     """Full functional report for one ansatz.
 
     ``method`` picks the moment source: "auto" (closed forms wherever they
-    exist, the fixed GL14 rule for ramps, a momentum profile that is not a
-    ball and a spatial power law's self term; ``method`` in the report is
-    "closed-form" or "fixed-rule" accordingly) or "quadrature" (every
-    integral adaptive, each computed once -- the oracle route).
+    exist, the fixed GL14 rule for a ramp's fractional powers, a momentum
+    profile that is not a ball and a spatial power law's self term; the
+    report says "closed-form" or "fixed-rule" accordingly) or "quadrature"
+    (every integral adaptive, each computed once -- the oracle route).
     """
     if method not in _SOURCES:
         raise ValueError(f"unknown evaluation method {method!r}")

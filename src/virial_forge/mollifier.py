@@ -17,9 +17,10 @@ is C^1 at every former value jump only: slope jumps without a value jump
 
 Smoothing perturbs the energy balance, so ``rebalance`` re-solves each
 family's free parameter on the mollified profiles with one Brent solve for
-all of ``solvers.FAMILIES``, bracketed outward from the step solve; the
-nested potential integral stays exact on ramps (see ``functionals``).  It
-returns the root; ``functionals.check_criteria`` judges its energy.
+all of ``solvers.FAMILIES``, bracketed outward from the step solve; it
+returns the root, and ``functionals.check_criteria`` judges its energy.
+Ramp moments and nested self terms are closed-form Bernstein sums; ramp
+fractional powers and kinetic weights take GL14, so ``method=fixed-rule``.
 """
 
 from __future__ import annotations

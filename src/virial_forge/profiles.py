@@ -2,14 +2,15 @@
 
 The phase-space densities built by this package factor into three
 one-dimensional profiles: a radial spatial factor, a radial momentum factor,
-and an angular factor in the cosine of the position-momentum angle.  Each is
-a non-negative piecewise function assembled from constant plateaus, power-law
+and an angular factor in the cosine of the position-momentum angle.  Each is a
+non-negative piecewise function assembled from constant plateaus, power-law
 decays anchored at the left endpoint of their interval, and C^1 cubic
 smoothstep ramps.  A plateau is the power law of exponent 0, so one closed
-form gives every integer moment of both, piece by piece, and the nested
-potential integral in ``functionals`` is exact too.  Fractional powers of
-ramps and the kinetic weight of a momentum profile that is not a ball take
-the fixed Gauss-Legendre rules stored here; nothing integrates adaptively.
+form gives every integer moment of both; a ramp's integer moments and nested
+self term are sums of nonnegative Bernstein terms (Farouki and Rajan, CAGD 4,
+1987).  Fractional powers of ramps and the kinetic weight of a momentum
+profile that is not a ball take the GL14 rule stored here; nothing integrates
+adaptively.
 
 All profile objects are immutable after construction and safe to share
 between threads.  Derived quantities (the moments here, the exact route's
@@ -50,15 +51,12 @@ RAMP = "ramp"
 # Warn (but accept) when an angular profile integrates to less than this.
 NEAR_DEGENERATE_ANGULAR = 1e-8
 
-# Gauss-Legendre rules on [-1, 1] as (node, weight) pairs, correctly rounded.
-# GL6 is exact for polynomials up to degree 11.  For f analytic inside the
-# Bernstein ellipse E_rho with |f| <= M there, GL14 errs by at most
-# (64/15) M rho^-28 / (rho^2 - 1) (Trefethen, Approximation Theory and
-# Approximation Practice, Thm 19.3); the panels chosen here and in
-# ``functionals`` keep rho >= 3.7, where that is below a double's rounding.
-_GL6 = ((0.2386191860831969, 0.46791393457269104),
-        (0.6612093864662645, 0.3607615730481386),
-        (0.932469514203152, 0.17132449237917036))
+# The Gauss-Legendre rule GL14 on [-1, 1] as (node, weight) pairs, correctly
+# rounded.  For f analytic inside the Bernstein ellipse E_rho with |f| <= M
+# there, it errs by at most (64/15) M rho^-28 / (rho^2 - 1) (Trefethen,
+# Approximation Theory and Approximation Practice, Thm 19.3); the panels
+# chosen here and in ``functionals`` keep rho >= 3.7, where that is below a
+# double's rounding.
 _GL14 = ((0.10805494870734367, 0.2152638534631578),
          (0.31911236892788974, 0.2051984637212956),
          (0.5152486363581541, 0.18553839747793782),
@@ -66,20 +64,13 @@ _GL14 = ((0.10805494870734367, 0.2152638534631578),
          (0.827201315069765, 0.12151857068790319),
          (0.9284348836635735, 0.08015808715976021),
          (0.9862838086968123, 0.03511946033175186))
+GL14 = tuple((-x, w) for x, w in reversed(_GL14)) + _GL14
 
 
-def _full_rule(half_rule):
-    return tuple((-x, w) for x, w in reversed(half_rule)) + half_rule
-
-
-GL6 = _full_rule(_GL6)
-GL14 = _full_rule(_GL14)
-
-
-def gauss_legendre(f, lo, hi, rule=GL14):
-    """The Gauss-Legendre sum of f over [lo, hi] with ``rule`` (default GL14)."""
+def gauss_legendre(f, lo, hi):
+    """The GL14 sum of f over [lo, hi]."""
     half = 0.5 * (hi - lo)
-    return half * sum(w * f(lo + half * (1.0 + x)) for x, w in rule)
+    return half * sum(w * f(lo + half * (1.0 + x)) for x, w in GL14)
 
 
 def fixed_rule(f, edges):
@@ -148,6 +139,29 @@ def plateau_self_nested(lo, hi):
     """
     w = hi - lo
     return w * (7.5 * lo**3 * w + 10.0 * lo * lo * w * w + 5.0 * lo * w**3 + w**4) / 5.0 / 3.0
+
+
+# A ramp has Bernstein coefficients (left, left, right, right) and r^k has lo^(k-j) hi^j, so
+# the weights (alpha_j, beta_j) of its moment of order k sum int_0^1 B^3_i B^k_j dt =
+# C(3,i) C(k,j) / C(k+3,i+j) / (k+4) over i = 0, 1 and over i = 2, 3: no cancellation at lo >= 0.
+_BERNSTEIN = {0: ((1 / 2, 1 / 2),),
+              1: ((7 / 20, 3 / 20), (3 / 20, 7 / 20)),
+              2: ((4 / 15, 1 / 15), (1 / 6, 1 / 6), (1 / 15, 4 / 15)),
+              3: ((3 / 14, 1 / 28), (11 / 70, 13 / 140), (13 / 140, 11 / 70), (1 / 28, 3 / 14))}
+
+# Weights of (left^2, left right, right^2) at lo^3, lo^2 hi, lo hi^2, hi^3 in
+# int_0^1 v q int_0^t v q^2 ds dt, v = left + (right - left)(3t^2 - 2t^3), q = lo + (hi - lo) t.
+_RAMP_SELF = ((29 / 550, 631 / 15400, 97 / 15400),
+              (1997 / 39600, 8273 / 69300, 8369 / 277200),
+              (5029 / 277200, 4663 / 69300, 1897 / 39600),
+              (57 / 15400, 1033 / 46200, 67 / 1650))
+
+
+def ramp_self_nested(left, right, lo, hi):
+    """A ramp's nested self term over (hi - lo)^2 from ``_RAMP_SELF``: no cancellation."""
+    ll, lr, rr = left * left, left * right, right * right
+    return math.fsum((a * ll + b * lr + c * rr) * x for (a, b, c), x
+                     in zip(_RAMP_SELF, (lo**3, lo * lo * hi, lo * hi * hi, hi**3)))
 
 
 _setattr = object.__setattr__
@@ -320,8 +334,15 @@ class Piece(_Value):
         return pref * power_integral(k - self.exponent, self.lo, r)
 
     def moment(self, k):
-        """Exact int value(r) * r^k dr over the whole piece."""
-        return self.partial_moment(k, self.hi)  # 0 on a zero piece, the tail included
+        """Exact int value(r) * r^k dr over the whole piece; a ramp's, for k <= 3,
+        (hi - lo) sum_j (alpha_j left + beta_j right) lo^(k-j) hi^j by ``_BERNSTEIN``."""
+        if self.kind != RAMP or k not in _BERNSTEIN:
+            return self.partial_moment(k, self.hi)  # 0 on a zero piece, the tail included
+        lo, hi, left, right = self.lo, self.hi, self.left, self.right
+        total = 0.0
+        for j, (a, b) in enumerate(_BERNSTEIN[k]):
+            total += (a * left + b * right) * lo ** (k - j) * hi**j
+        return (hi - lo) * total
 
     def ramp_rule(self, f, edges):
         """int f(value(r), r) dr over a ramp, by GL14 on ``edges`` of v in [0, 1].
@@ -361,7 +382,7 @@ class Piece(_Value):
             raise ValueError(f"power {beta} of a ramp down to 0: 2 * beta must be whole")
         first = 1.0
         if 0.0 < small < big:
-            tau = 0.5 * math.sqrt(small / (big - small))
+            tau = 0.5 * math.sqrt(small) / math.sqrt(big - small)  # small / (big - small) may be 0
             first = min(first, 2.0 ** math.floor(math.log2(tau)))
         return self.ramp_rule(lambda value, r: value**beta * r**k,
                               [0.0, *panel_edges(first, 1.0, 0.0)])
@@ -489,8 +510,9 @@ class _PieceSet(_Value):
 
 
 def _mass_prefix(profile):
-    """int_0^lo g(s) s^2 ds at the left end of every piece."""
-    return list(accumulate((p.moment(2) for p in profile.pieces[:-1]), initial=0.0))
+    """int_0^lo g(s) s^2 ds at the left end of every piece, by the oracle's ``partial_moment``."""
+    masses = (p.partial_moment(2, p.hi) for p in profile.pieces[:-1])
+    return list(accumulate(masses, initial=0.0))
 
 
 class PiecewiseProfile(_PieceSet):

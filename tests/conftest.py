@@ -133,27 +133,33 @@ def mp_piece_integral(piece, f):
     return mpmath.quad(lambda r: f(value * (lo / r) ** n, r), [*cuts, hi])
 
 
-def mp_total_energy(spatial, momentum):
-    """Kinetic plus potential energy of piecewise profiles, in mpmath.
+def _weight(value, p):
+    return value * p * p
 
-    The kinetic energy is int sqrt(1+p^2) h p^2 / int h p^2; the potential is
-    -int g(q) q M(q) dq / M(inf)^2 with the enclosed mass M(q) = int_0^q g s^2 ds,
-    each piece's share from ``piece_mass``.
-    """
-    def weight(value, p):
-        return value * p * p
 
-    num = mpmath.fsum(mp_piece_integral(p, lambda v, x: weight(v, x) * mpmath.sqrt(1 + x * x))
-                      for p in momentum.pieces if not p.is_zero and math.isfinite(p.hi))
-    den = mpmath.fsum(mp_piece_integral(p, weight)
-                      for p in momentum.pieces if not p.is_zero and math.isfinite(p.hi))
+def mp_nested(spatial):
+    """(int g(q) q M(q) dq, M(inf)) in mpmath, M(q) = int_0^q g s^2 ds from ``piece_mass``."""
     nested = enclosed = mpmath.mpf(0)
     for p in spatial.pieces:
         if p.is_zero or not math.isfinite(p.hi):
             continue
         local = piece_mass(p)
         nested += mp_piece_integral(p, lambda v, q: v * q * (enclosed + local(q)))
-        enclosed += mp_piece_integral(p, weight)
+        enclosed += mp_piece_integral(p, _weight)
+    return nested, enclosed
+
+
+def mp_total_energy(spatial, momentum):
+    """Kinetic plus potential energy of piecewise profiles, in mpmath.
+
+    The kinetic energy is int sqrt(1+p^2) h p^2 / int h p^2; the potential is
+    -int g(q) q M(q) dq / M(inf)^2 (``mp_nested``).
+    """
+    num = mpmath.fsum(mp_piece_integral(p, lambda v, x: _weight(v, x) * mpmath.sqrt(1 + x * x))
+                      for p in momentum.pieces if not p.is_zero and math.isfinite(p.hi))
+    den = mpmath.fsum(mp_piece_integral(p, _weight)
+                      for p in momentum.pieces if not p.is_zero and math.isfinite(p.hi))
+    nested, enclosed = mp_nested(spatial)
     return num / den - nested / enclosed**2
 
 

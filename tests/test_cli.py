@@ -30,6 +30,11 @@ MONOTONIC = ["--family", "monotonic", "--r1", "0.01", "--r2", "0.090909090909090
 GOOD_SPATIAL = '"spatial": {"pieces": [{"kind": "constant", "lo": 0, "hi": 1, "value": 1}]}'
 GOOD_MOMENTUM = '"momentum": {"pieces": [{"kind": "constant", "lo": 0, "hi": 1, "value": 1}]}'
 
+# A momentum factor that is one ramp from 1e10 down to the least subnormal.
+RAMP_TO_SUBNORMAL = ('{"spatial": {"pieces": [{"kind": "constant", "lo": 0, "hi": 1, "value": 1}]}, '
+                     '"momentum": {"pieces": [{"kind": "ramp", "lo": 0, "hi": 1, "left": 1e10, '
+                     '"right": 5e-324}]}, "angular": {"cutoff": 0}}')
+
 
 def run_cli(capsys, argv):
     code = main(argv)
@@ -597,6 +602,18 @@ class TestCustomFamily:
         assert code == 2
         assert out == ""
         assert err == f"error: squared spatial factor integral is {squared}\n"
+
+    def test_ramp_down_to_the_least_subnormal_gets_a_verdict(self, capsys, tmp_path):
+        # small / (big - small) underflows to 0 on this momentum ramp: the
+        # dyadic panels of its L^{3/2} rule once took log2(0) and ended in a
+        # ValueError traceback.
+        path = tmp_path / "ramp.json"
+        path.write_text(RAMP_TO_SUBNORMAL)
+        code, out, err = run_cli(
+            capsys, ["certify", "--family", "custom", "--profiles", str(path), "--format", "kv"]
+        )
+        assert (code, err) == (1, "")
+        assert kv_parse(out)["verdict"] == "fail"
 
     def test_overflowing_norm_is_numerical_failure(self, capsys, tmp_path):
         # Both factor integrals are finite, but their product 1/C is not.

@@ -1,13 +1,15 @@
 """Smoothing of step profiles and zero-energy rebalancing."""
 
 import math
+import sys
 from itertools import accumulate
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import tight_integral, tight_nested
+from conftest import assert_rel, mp_nested, mp_piece_integral, tight_integral, tight_nested
 from virial_forge import functionals, mollifier, solvers
 from virial_forge.errors import (
     NoPositiveRootError,
@@ -53,6 +55,8 @@ from virial_forge.solvers import (
     solve_monotonic_P,
     solve_uniform_R,
 )
+
+EPS = sys.float_info.epsilon
 
 
 def reference_params(a=-0.85):
@@ -254,6 +258,46 @@ class TestAngularMollify:
             assert ang.moment(k) == pytest.approx(oracle.value, rel=1e-12, abs=1e-15)
         oracle32 = angular_moment_quad(ang, 0, beta=1.5)
         assert ang.power_moment(1.5, 0) == pytest.approx(oracle32.value, rel=1e-9)
+
+
+# Mollified data built afresh in each test, so no memo outlives a monkeypatch
+# (tests/test_probes.py): ramps wide enough to weigh in every moment, a
+# two-sided ramp between touching shells, and ramps 1e-6 of their radius.
+MOLLIFIED_RADIAL = {
+    "ball": lambda: mollify_profile(uniform_eta(1.0), 0.25),
+    "core-halo": lambda: mollify_profile(core_halo_eta(0.2, 1.0, 2.0, 0.3), 0.05),
+    "touching-shells": lambda: mollify_profile(core_halo_eta(0.5, 0.5, 1.0, 0.3), 0.1),
+    "thin-ramps": lambda: mollify_profile(core_halo_eta(1e3, 2e3, 3e3, 0.01), 1e-3),
+}
+MOLLIFIED_CUTOFFS = {"across-zero": (0.05, 0.1), "inward": (-0.8, 0.05)}
+
+
+def mp_moment(profile, k, f=lambda x, k: x**k):
+    """Sum over the nonzero finite pieces of int value f(x, k) dx, in mpmath."""
+    return mpmath.fsum(mp_piece_integral(p, lambda v, x: v * f(x, k)) for p in profile.pieces
+                       if not p.is_zero and math.isfinite(p.hi))
+
+
+class TestMollifiedAgainstMpmath:
+    """The exact route's ramp moments and nested term on mollified data, at 40 digits."""
+
+    @pytest.mark.parametrize("name", MOLLIFIED_RADIAL)
+    def test_radial_moments_and_nested(self, name):
+        eta = MOLLIFIED_RADIAL[name]()
+        with mpmath.workdps(40):
+            for k in (2, 3):
+                assert_rel(eta.moment(k), mp_moment(eta, k), 1e-15)
+            assert_rel(functionals._exact_nested(eta), mp_nested(eta)[0], 1e-15)
+
+    @pytest.mark.parametrize("name", MOLLIFIED_CUTOFFS)
+    def test_angular_moments(self, name):
+        ang = mollify_profile(AngularProfile.cutoff(MOLLIFIED_CUTOFFS[name][0]),
+                              MOLLIFIED_CUTOFFS[name][1])
+        with mpmath.workdps(40):
+            for k in (0, 1):
+                # x^k changes sign across 0: judged against eps int |v| |x|^k.
+                scale = mp_moment(ang, k, lambda x, k: abs(x) ** k)
+                assert abs(ang.moment(k) - mp_moment(ang, k)) <= 2.0 * EPS * scale
 
 
 class TestSeams:

@@ -2,13 +2,17 @@
 
 import math
 import pickle
+import sys
+from fractions import Fraction
+from itertools import product
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import assert_rel, mp_piece_integral, random_radial_profile
+from conftest import assert_rel, mp_nested, mp_piece_integral, random_radial_profile
+from virial_forge import functionals, profiles
 from virial_forge.errors import DegenerateFactorError, ProfileError
 from virial_forge.profiles import (
     AngularProfile,
@@ -26,6 +30,10 @@ from virial_forge.quadrature import integrate, profile_moment_quad
 
 ALPHA_REF = 7.816e-4  # representative halo level for evaluation tests
 RULE_PROPERTY = settings(derandomize=True, deadline=None, max_examples=80, database=None)
+EPS = sys.float_info.epsilon
+# Up to k + 1 Bernstein terms of both signs: 3,000 random angular ramps read
+# at most 4.4 eps int |v| |x|^k.
+ANGULAR_ULPS = 8
 
 
 class TestEval:
@@ -213,14 +221,110 @@ RAMP_VALUES = st.just(0.0) | st.floats(1e-8, 10.0)
        right=RAMP_VALUES, fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
 def test_ramp_partial_moment_is_the_per_term_formula(lo, width, left, right, fractions):
     # The terms are kept on the piece after the first call; every later
-    # point and order must still round exactly as the per-term formula.
+    # point and order must still round exactly as the per-term formula.  It
+    # is the oracle's; the exact route's ramp moments of orders 0-3 are
+    # Bernstein sums, judged against mpmath below.
     piece = Piece.ramp(left, right, lo, lo + width)
     for k in range(4):
         for f in fractions:
             r = min(piece.hi, piece.lo + f * piece.width)
             assert piece.partial_moment(k, r) == ramp_partial_moment_reference(piece, k, r)
-        if not piece.is_zero:
-            assert piece.moment(k) == ramp_partial_moment_reference(piece, k, piece.hi)
+        assert piece.partial_moment(k, piece.hi) == ramp_partial_moment_reference(
+            piece, k, piece.hi)
+    assert piece.moment(4) == ramp_partial_moment_reference(piece, 4, piece.hi)
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_integral(a):
+    """Ascending coefficients of int_0^t a(s) ds."""
+    return [Fraction(0)] + [c / (i + 1) for i, c in enumerate(a)]
+
+
+def test_ramp_weight_tables_are_exact():
+    # alpha_kj, beta_kj sum C(3,i) C(k,j) / C(k+3,i+j) / (k+4) over i = 0, 1
+    # and i = 2, 3; each stored weight is its correctly rounded float.
+    for k in range(4):
+        assert profiles._BERNSTEIN[k] == tuple(
+            tuple(float(sum(Fraction(math.comb(3, i) * math.comb(k, j),
+                                     math.comb(k + 3, i + j) * (k + 4)) for i in half))
+                  for half in ((0, 1), (2, 3)))
+            for j in range(k + 1))
+    assert profiles._BERNSTEIN[2] == ((4 / 15, 1 / 15), (1 / 6, 1 / 6), (1 / 15, 4 / 15))
+    # The self term, integrated exactly: v = left (1 - sigma) + right sigma,
+    # q = lo (1 - t) + hi t, and int_0^1 v q int_0^t v q^2 ds dt expanded
+    # into (left^2, left right, right^2) times (lo^3, lo^2 hi, lo hi^2, hi^3).
+    sigma = [Fraction(0), Fraction(0), Fraction(3), Fraction(-2)]
+    v = ([Fraction(1), Fraction(0), Fraction(-3), Fraction(2)], sigma)
+    q = ([Fraction(1), Fraction(-1)], [Fraction(0), Fraction(1)])
+    weights = [[Fraction(0)] * 3 for _ in range(4)]
+    for a, b in product((0, 1), repeat=2):
+        for x, y, z in product((0, 1), repeat=3):
+            inner = _poly_integral(_poly_mul(_poly_mul(v[b], q[y]), q[z]))
+            weights[x + y + z][a + b] += sum(_poly_integral(
+                _poly_mul(_poly_mul(v[a], q[x]), inner)))
+    assert profiles._RAMP_SELF == tuple(tuple(map(float, row)) for row in weights)
+    assert weights[0][0] == Fraction(29, 550) and weights[3][2] == Fraction(67, 1650)
+    assert sum(weights[3]) == Fraction(1, 15)
+
+
+SHAPES = ("up", "down", "up from 0", "down to 0")
+
+
+def ramp_of_shape(shape, low, high, lo, hi):
+    """A ramp going up or down, two-sided (low > 0) or one-sided (an end at 0)."""
+    low = 0.0 if shape.endswith("0") else low
+    left, right = (low, high) if shape.startswith("up") else (high, low)
+    return Piece.ramp(left, right, lo, hi)
+
+
+RAMP_ENDS = st.floats(-6.0, 1.0).map(lambda e: 10.0**e)
+MPMATH_PROPERTY = settings(RULE_PROPERTY, max_examples=30)
+
+
+@MPMATH_PROPERTY
+@given(shape=st.sampled_from(SHAPES), low=RAMP_ENDS, high=RAMP_ENDS,
+       lo=st.floats(-3.0, 4.0).map(lambda e: 10.0**e),
+       ratio=st.floats(-9.0, 1.0).map(lambda e: 10.0**e))
+@example(shape="down to 0", low=1.0, high=1.0, lo=1.0, ratio=1e-9)
+@example(shape="up", low=0.3, high=1.0, lo=1e4, ratio=1e-9)
+def test_ramp_moments_and_nested_term_match_mpmath(shape, low, high, lo, ratio):
+    # w / lo from 1e-9 to 10: a quadrature rule in r would lose eps lo / w
+    # at the thin end; the Bernstein sums keep every digit.
+    ramp = ramp_of_shape(shape, min(low, high), max(low, high), lo, lo * (1.0 + ratio))
+    profile = PiecewiseProfile.from_segments([Piece.constant(0.0, 0.0, lo), ramp])
+    with mpmath.workdps(40):
+        for k in range(4):
+            assert_rel(ramp.moment(k), mp_piece_integral(ramp, lambda v, r: v * r**k), 1e-15)
+        assert_rel(functionals._exact_nested(profile), mp_nested(profile)[0], 1e-15)
+
+
+@MPMATH_PROPERTY
+@given(shape=st.sampled_from(SHAPES), low=RAMP_ENDS, high=RAMP_ENDS,
+       lo=st.floats(-4.0, 0.0).map(lambda e: -(10.0**e)),
+       hi=st.floats(-4.0, 0.0).map(lambda e: 10.0**e))
+def test_angular_ramp_across_zero_moments_match_mpmath(shape, low, high, lo, hi):
+    # x^k changes sign inside the ramp, so the error is judged against
+    # eps int |v| |x|^k: terms of both signs may cancel, the sum's rounding cannot.
+    ramp = ramp_of_shape(shape, min(low, high), max(low, high), lo, hi)
+    with mpmath.workdps(40):
+        lo_, hi_ = mpmath.mpf(lo), mpmath.mpf(hi)
+        left, d = mpmath.mpf(ramp.left), mpmath.mpf(ramp.right) - ramp.left
+
+        def value(x):
+            t = (x - lo_) / (hi_ - lo_)
+            return left + d * t * t * (3 - 2 * t)
+
+        for k in range(4):
+            exact = mpmath.quad(lambda x: value(x) * x**k, [lo_, 0, hi_])
+            scale = mpmath.quad(lambda x: value(x) * abs(x) ** k, [lo_, 0, hi_])
+            assert abs(ramp.moment(k) - exact) <= ANGULAR_ULPS * EPS * scale, (k, ramp)
 
 
 def value_by_scan(profile, r):
