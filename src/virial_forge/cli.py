@@ -395,9 +395,9 @@ def _cmd_mollify(args):
     if delta is None:
         delta = mollifier.default_delta(step_ansatz)
     spec = mollifier.MollifySpec(delta=delta)
-    new_params, moll_ansatz = mollifier.rebalance(params, spec)
+    new_params, moll_ansatz = mollifier.rebalance(params, step_ansatz, spec)
     cert = functionals.check_criteria(moll_ansatz, energy_tol=args.tol_energy)
-    drift = mollifier.functional_drift(step_ansatz, moll_ansatz)
+    drift = mollifier.functional_drift(functionals.evaluate(step_ansatz), cert.report)
     pairs = _config_pairs(args)
     pairs.append(("delta", _fmt_value(delta)))
     pairs.append(("seam_smoothness", _fmt_value(

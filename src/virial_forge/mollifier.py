@@ -30,7 +30,7 @@ from collections import namedtuple
 
 from . import functionals, solvers
 from .errors import ProfileError, RampOverlapError
-from .profiles import RAMP, Piece, SeparableAnsatz
+from .profiles import RAMP, Piece, PiecewiseProfile, SeparableAnsatz
 from .solvers import RootBracket, brentq
 
 __all__ = [
@@ -115,30 +115,32 @@ def mollify(ansatz, spec):
                            mollify_profile(ansatz.angular, spec.delta))
 
 
-def rebalance(params, spec):
+def rebalance(params, step_ansatz, spec):
     """Re-solve the family's free parameter on the mollified profiles.
 
     ``params`` is a step datum whose free parameter x0 (radius for the
     uniform ball, halo level for the disjoint core-halo, momentum cutoff for
-    the monotonic family) is the step solve.  Returns ``(new_params,
-    mollified_ansatz)`` where that parameter is the Brent root of the
-    mollified datum's total energy.
+    the monotonic family) is the step solve; the caller built its
+    ``step_ansatz``.  Returns ``(new_params, mollified_ansatz)`` where that
+    parameter is the Brent root of the mollified datum's total energy.
 
     ``RootBracket.around`` brackets the root, which lies close to x0, by
-    probing outward from x0, and Brent iteration refines it.  The given
-    step ansatz is smoothed once, at x0; every other point rebuilds and
-    smooths only the factor the free parameter moves (``Family.moves``)
-    and shares the other two, with the integrals memoized on them.  Each
-    point's energy and mollified ansatz are computed once, however often
-    the bracket and the Brent iteration read them; the root's comes from
-    that memo.  With ``spec.delta == 0`` the given params and their step
-    ansatz are returned.
+    probing outward from x0, the side of a rising energy's root first, and
+    Brent iteration refines it.  The given step ansatz is smoothed once, at
+    x0; every other point rebuilds and smooths only the factor the free
+    parameter moves (``Family.moves``) and shares the other two, with the
+    integrals memoized on them.  Each point's energy and mollified ansatz
+    are computed once, however often the bracket and the Brent iteration
+    read them; the root's comes from that memo.  With ``spec.delta == 0``
+    the given params and step ansatz are returned.
     """
-    family = solvers.family_of(params)
     if spec.delta == 0.0:
-        return params, family.ansatz(params)
+        return params, step_ansatz
+    family = solvers.family_of(params)
     x0 = getattr(params, family.free)
-    first = mollify(family.ansatz(params), spec)
+    first = mollify(step_ansatz, spec)
+    factors = list(first._values())  # a point other than x0 replaces the moved one
+    slot = SeparableAnsatz._fields.index(family.moves)
     points = {}
 
     def point(x):
@@ -147,7 +149,9 @@ def rebalance(params, spec):
             ansatz = first
             if x != x0:
                 moved = family.factor(params._replace(**{family.free: x}), family.moves)
-                ansatz = first._replace(**{family.moves: mollify_profile(moved, spec.delta)})
+                factors[slot] = PiecewiseProfile(_mollify_pieces(moved.pieces, spec.delta),
+                                                 moved.domain_label)
+                ansatz = SeparableAnsatz(*factors)
             points[x] = functionals.total_energy(ansatz), ansatz
         return points[x]
 
@@ -191,12 +195,10 @@ def seam_smoothness(profile):
 _DRIFT_KEYS = ("mass", "kinetic", "potential", "total_energy", "virial", "l32_norm")
 
 
-def functional_drift(step_ansatz, mollified_ansatz):
-    """Per-functional |mollified - step| table (values and drifts)."""
-    step = functionals.evaluate(step_ansatz)
-    moll = functionals.evaluate(mollified_ansatz)
+def functional_drift(step_report, mollified_report):
+    """Per-functional |mollified - step| table (values and drifts) of two ``FunctionalReport``s."""
     out = {}
     for key in _DRIFT_KEYS:
-        s, m = getattr(step, key), getattr(moll, key)
+        s, m = getattr(step_report, key), getattr(mollified_report, key)
         out[key] = {"step": s, "mollified": m, "drift": abs(m - s)}
     return out

@@ -165,9 +165,9 @@ def test_criterion_8_mollification():
         certified = None
         for frac in (1e-2, 1e-3, 1e-4):
             spec = mollifier.MollifySpec(delta=frac * feature)
-            new_params, moll = mollifier.rebalance(params, spec)
+            new_params, moll = mollifier.rebalance(params, step, spec)
             assert new_params.alpha > 0.0
-            drift = mollifier.functional_drift(step, moll)
+            drift = mollifier.functional_drift(evaluate(step), evaluate(moll))
             ladder.append({k: drift[k]["drift"] for k in keys})
             for profile in (moll.spatial, moll.momentum):
                 assert mollifier.seam_smoothness(profile) < 1e-4

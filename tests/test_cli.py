@@ -388,6 +388,23 @@ class TestMollify:
         assert calls == [(0.2, 1.0, 2.0, 1.0)]
         assert abs(float(kv_parse(out)["step.total_energy"])) <= 1e-9
 
+    def test_one_step_ansatz_and_one_report_per_ansatz(self, capsys, monkeypatch):
+        # rebalance smooths the step ansatz the command built, and the drift
+        # table reads the step report and the certificate's own report.
+        real_ansatz, real_evaluate = solvers.Family.ansatz, functionals.evaluate
+        monkeypatch.setattr(solvers.Family, "ansatz",
+                            lambda self, params: built.append(params) or real_ansatz(self, params))
+        monkeypatch.setattr(functionals, "evaluate",
+                            lambda ansatz, *args: evaluated.append(ansatz)
+                            or real_evaluate(ansatz, *args))
+        for argv in (COREHALO, MONOTONIC):
+            built, evaluated = [], []
+            code, _, err = run_cli(capsys, ["mollify", *argv, "--format", "kv"])
+            assert code in (0, 1), err
+            assert len(built) == 1 and len(evaluated) == 2
+            (step,) = [ansatz for ansatz in evaluated if not ansatz.spatial.has_ramp]
+            assert step == solvers.family_of(built[0]).ansatz(built[0])
+
     def test_drift_table_shrinks_with_delta(self, capsys):
         values = {}
         for delta in ("0.01", "0.0001"):

@@ -64,6 +64,11 @@ def reference_params(a=-0.85):
     return CoreHaloParams(r1=0.2, r2=1.0, r3=2.0, p=1.0, alpha=alpha, a=a)
 
 
+def step_of(params):
+    """The step ansatz of a family datum, which ``rebalance`` smooths."""
+    return solvers.family_of(params).ansatz(params)
+
+
 def two_level_profile():
     """A custom profile with an interior positive-positive jump."""
     return PiecewiseProfile.from_segments(
@@ -229,7 +234,7 @@ class TestOnePass:
         alpha = solve_corehalo_alpha(0.0025, 20.0, 400.0, 20.0)
         params = CoreHaloParams(r1=0.0025, r2=20.0, r3=400.0, p=20.0, alpha=alpha, a=-0.9)
         spec = MollifySpec(delta=default_delta(core_halo_ansatz(params)))
-        new_params, moll = rebalance(params, spec)
+        new_params, moll = rebalance(params, step_of(params), spec)
         eta = moll.spatial
         assert 0.0 < new_params.alpha < 1e-15
         for a, b in zip(eta.pieces, eta.pieces[1:]):
@@ -331,7 +336,7 @@ class TestConvergence:
         ladders = {k: [] for k in keys}
         for frac in (1e-2, 5e-3, 2.5e-3, 1.25e-3, 6.25e-4):
             moll = mollify(step, MollifySpec(delta=frac * feature))
-            drift = functional_drift(step, moll)
+            drift = functional_drift(evaluate(step), evaluate(moll))
             for k in keys:
                 ladders[k].append(drift[k]["drift"])
         for k in keys:
@@ -347,14 +352,14 @@ class TestRebalance:
     def test_corehalo_levels_stay_close(self):
         params = reference_params()
         spec = MollifySpec(delta=1e-3)
-        new_params, moll = rebalance(params, spec)
+        new_params, moll = rebalance(params, step_of(params), spec)
         assert new_params.alpha > 0.0
         assert abs(new_params.alpha - params.alpha) <= 0.05 * params.alpha
         assert abs(total_energy(moll)) <= 1e-9
 
     def test_corehalo_certificate_passes(self):
         params = reference_params(a=-0.85)
-        _, moll = rebalance(params, MollifySpec(delta=1e-3))
+        _, moll = rebalance(params, step_of(params), MollifySpec(delta=1e-3))
         cert = check_criteria(moll)
         assert cert.passed
         assert cert.energy_residual <= 1e-9
@@ -362,8 +367,10 @@ class TestRebalance:
 
     def test_delta_zero_reproduces_step_solve(self):
         params = reference_params()
-        new_params, ansatz = rebalance(params, MollifySpec(delta=0.0))
+        step = step_of(params)
+        new_params, ansatz = rebalance(params, step, MollifySpec(delta=0.0))
         assert new_params.alpha == solve_corehalo_alpha(0.2, 1.0, 2.0, 1.0)
+        assert ansatz is step
         assert not any(f.has_ramp for f in (ansatz.spatial, ansatz.momentum, ansatz.angular))
 
     def test_brackets_from_the_given_step_solve(self, monkeypatch):
@@ -375,19 +382,19 @@ class TestRebalance:
         monkeypatch.setattr(solvers, "solve_corehalo_alpha",
                             lambda *args: calls.append(args) or real(*args))
         for delta in (0.0, 1e-3):
-            rebalance(params, MollifySpec(delta=delta))
+            rebalance(params, step_of(params), MollifySpec(delta=delta))
         assert calls == []
 
     def test_uniform_rebalance(self):
         params = UniformParams(r=solve_uniform_R(1.0), p=1.0, a=-0.5)
-        new_params, moll = rebalance(params, MollifySpec(delta=1e-3))
+        new_params, moll = rebalance(params, step_of(params), MollifySpec(delta=1e-3))
         assert abs(total_energy(moll)) <= 1e-9
         assert abs(new_params.r - params.r) <= 0.05 * params.r
 
     def test_monotonic_rebalance(self):
         p_step = solve_monotonic_P(0.01, 1.0 / 11.0, 0.1, 3.0)
         params = MonotonicParams(r1=0.01, r2=1.0 / 11.0, r3=0.1, n=3.0, p=p_step, a=-0.95)
-        new_params, moll = rebalance(params, MollifySpec(delta=2e-4))
+        new_params, moll = rebalance(params, step_of(params), MollifySpec(delta=2e-4))
         assert abs(total_energy(moll)) <= 1e-9
         assert abs(new_params.p - p_step) <= 0.05 * p_step
         cert = check_criteria(moll)
@@ -401,7 +408,7 @@ class TestRebalance:
         p_step = solve_monotonic_P(r1, r2, r3, n)
         params = MonotonicParams(r1=r1, r2=r2, r3=r3, n=n, p=p_step, a=a)
         spec = MollifySpec(delta=default_delta(monotonic_ansatz(params)))
-        _, moll = rebalance(params, spec)
+        _, moll = rebalance(params, step_of(params), spec)
         assert check_criteria(moll).passed
 
         eta, phi = moll.spatial, moll.momentum
@@ -421,7 +428,7 @@ class TestRebalance:
         params = CoreHaloParams(r1=0.2, r2=0.2, r3=2.0, p=1.0, alpha=alpha_step, a=-0.85)
         drifts = []
         for delta in (1e-3, 1e-4, 1e-5):
-            new_params, moll = rebalance(params, MollifySpec(delta=delta))
+            new_params, moll = rebalance(params, step_of(params), MollifySpec(delta=delta))
             assert abs(total_energy(moll)) <= 1e-10
             drifts.append(abs(new_params.alpha - alpha_step))
         assert drifts[0] > drifts[1] > drifts[2]
@@ -523,7 +530,7 @@ class TestRebalanceWork:
         assert {solvers.family_of(params).name for params, _ in data} == set(solvers.FAMILIES)
         for params, spec in data:
             family = solvers.family_of(params)
-            new_params, moll = rebalance(params, spec)
+            new_params, moll = rebalance(params, step_of(params), spec)
             x, ref_moll, ref_energy = rebalance_reference(params, spec)
             assert getattr(new_params, family.free) == x
             assert total_energy(moll) == ref_energy
@@ -537,7 +544,7 @@ class TestRebalanceWork:
         params, _ = one_per_family()[0]
         spec = MollifySpec(delta=2.0 * params.r)
         with pytest.raises(RampOverlapError) as ours:
-            rebalance(params, spec)
+            rebalance(params, step_of(params), spec)
         with pytest.raises(RampOverlapError) as reference:
             rebalance_reference(params, spec)
         assert str(ours.value) == str(reference.value)
@@ -546,6 +553,7 @@ class TestRebalanceWork:
     @pytest.mark.parametrize("params, spec", one_per_family(),
                              ids=["uniform", "core-halo", "monotonic"])
     def test_each_point_evaluated_once(self, monkeypatch, params, spec):
+        step = step_of(params)
         visited, energies, cutoffs = set(), [], []
 
         def visiting(f):
@@ -563,10 +571,10 @@ class TestRebalanceWork:
         monkeypatch.setattr(mollifier, "brentq",
                             lambda f, *args, **kwargs: brentq(visiting(f), *args, **kwargs))
 
-        new_params, _ = rebalance(params, spec)
+        new_params, _ = rebalance(params, step, spec)
         assert getattr(new_params, solvers.family_of(params).free) in visited
         assert len(energies) == len(visited)
-        assert len(cutoffs) <= 1
+        assert cutoffs == []
 
     def test_agrees_with_the_half_x0_bracket(self):
         # The former search bracketed on [x0/2, x0].  Both find the same root
@@ -576,7 +584,7 @@ class TestRebalanceWork:
         for params, spec in data:
             family = solvers.family_of(params)
             x0 = getattr(params, family.free)
-            ours = outcome(rebalance, params, spec)
+            ours = outcome(rebalance, params, step_of(params), spec)
             former = outcome(rebalance_reference, params, spec, half_x0_bracket)
             if isinstance(ours, type) or isinstance(former, type):
                 assert ours is former, params
@@ -588,9 +596,9 @@ class TestRebalanceWork:
             assert check_criteria(moll).passed == check_criteria(moll_old).passed, params
 
     def test_energy_evaluations_per_rebalance(self, monkeypatch):
-        # The root lies close to the step solve x0, so probing outward from x0
-        # brackets it tightly: ~5.6 evaluations with Brent's, against ~8.2
-        # from a bracket on [x0/2, x0].
+        # The root lies close to the step solve x0, so probing outward from x0,
+        # the root's side first, brackets it tightly: ~5.5 evaluations with
+        # Brent's, against ~8.2 from a bracket on [x0/2, x0].
         energies, counts = [], []
         real_energy = functionals.total_energy
         monkeypatch.setattr(functionals, "total_energy",
@@ -598,7 +606,7 @@ class TestRebalanceWork:
         data = seeded_data(5, per_family=4) + seeded_data(17, per_family=4) + one_per_family()
         for params, spec in data:
             before = len(energies)
-            rebalance(params, spec)
+            rebalance(params, step_of(params), spec)
             counts.append(len(energies) - before)
-        assert sum(counts) / len(counts) <= 6.0, counts
+        assert sum(counts) / len(counts) <= 5.5, counts
         assert max(counts) <= 10, counts

@@ -13,7 +13,7 @@ import test_mollifier
 from virial_forge import functionals, profiles
 from virial_forge.mollifier import MollifySpec, rebalance
 from virial_forge.profiles import Piece
-from virial_forge.solvers import CoreHaloParams, solve_corehalo_alpha
+from virial_forge.solvers import CoreHaloParams, core_halo_ansatz, solve_corehalo_alpha
 
 SCALE = 1.0 + 1e-9
 
@@ -57,9 +57,8 @@ def test_mutant_is_killed_by_a_semantic_test(monkeypatch, mutant):
 
 def mollified_datum():
     """The rebalanced mollified core-halo datum and its exact report, built afresh."""
-    alpha = solve_corehalo_alpha(0.2, 1.0, 2.0, 1.0)
-    params, ansatz = rebalance(CoreHaloParams(0.2, 1.0, 2.0, 1.0, alpha, -0.8),
-                               MollifySpec(0.05))
+    step = CoreHaloParams(0.2, 1.0, 2.0, 1.0, solve_corehalo_alpha(0.2, 1.0, 2.0, 1.0), -0.8)
+    params, ansatz = rebalance(step, core_halo_ansatz(step), MollifySpec(0.05))
     return params, functionals.evaluate(ansatz), ansatz
 
 

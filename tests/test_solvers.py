@@ -9,6 +9,7 @@ import pytest
 import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
+import test_mollifier
 from conftest import mp_total_energy
 from virial_forge import solvers
 from virial_forge.cli import main
@@ -29,6 +30,7 @@ from virial_forge.functionals import (
     total_energy,
     virial,
 )
+from virial_forge.mollifier import mollify
 from virial_forge.profiles import (
     AngularProfile,
     SeparableAnsatz,
@@ -40,6 +42,7 @@ from virial_forge.profiles import (
 from virial_forge.quadrature import nested_mass_quad
 from virial_forge.scans import ScanGrid
 from virial_forge.solvers import (
+    AROUND_EPS,
     BRACKET_START,
     FAMILIES,
     PARAM_TOL,
@@ -368,11 +371,13 @@ class TestBracketAround:
 
     @pytest.mark.parametrize("x0", [1.0, 3.7e-6, 2.5e4])
     def test_sign_change_below_x0(self, x0):
-        # Root at x0 / 1.005: the down probe at eps = 2^-9 has the smaller |f|,
-        # so at eps = 2^-7 the down probe goes first, and it hits.
+        # Root at x0 / 1.005: f(x0) > 0, so the down probe goes first at
+        # eps = 2^-9 and misses; the up probe follows, the down probe has the
+        # smaller |f|, so at eps = 2^-7 it goes first again, and it hits.
         f, tried = self.recording(lambda x: math.atan(x / x0 - 1.0 / 1.005))
         br = RootBracket.around(f, x0)
-        assert tried == [*self.probes(x0, 1), x0 / (1.0 + 2.0**-7)]
+        _, up1, down1 = self.probes(x0, 1)
+        assert tried == [x0, down1, up1, x0 / (1.0 + 2.0**-7)]
         assert (br.lo, br.hi) == (x0 / (1.0 + 2.0**-7), x0 / (1.0 + 2.0**-9))
         assert f(br.lo) < 0.0 < f(br.hi)
 
@@ -384,7 +389,7 @@ class TestBracketAround:
         br = RootBracket.around(f, x0)
         assert (br.lo, br.hi) == (x0 / (1.0 + 2.0**-3), x0 / (1.0 + 2.0**-5))
         _, up1, down1, up2, down2, up3, down3, _, down4 = self.probes(x0, 4)
-        assert tried == [x0, up1, down1, down2, up2, down3, up3, down4]
+        assert tried == [x0, down1, up1, down2, up2, down3, up3, down4]
 
     def test_first_probe_past_x0_brackets_against_x0(self):
         br = RootBracket.around(lambda x: x - 1.001, 1.0)
@@ -418,7 +423,10 @@ class TestBracketAround:
         with pytest.raises(BracketError) as err:
             RootBracket.around(f, 3.0)
         assert str(err.value) == f"no sign change on [{3.0 / grow!r}, {3.0 * grow!r}]"
-        assert tried == self.probes(3.0, 14)
+        # f(x0) > 0: the down probe goes first at the first eps only; then
+        # the tie in |f| keeps the up probe first.
+        x0, up1, down1, *rest = self.probes(3.0, 14)
+        assert tried == [x0, down1, up1, *rest]
 
     @pytest.mark.parametrize("x0", [1.0, 1e-3, 7.0e5])
     def test_reach_upward_covers_sixteen_doublings(self, x0):
@@ -428,6 +436,49 @@ class TestBracketAround:
         assert br.lo < root <= br.hi
         assert brentq(lambda x: x - root, br.lo, br.hi, xtol=1e-15 * x0) == pytest.approx(
             root, rel=1e-14)
+
+    @staticmethod
+    def above_first(f, x0):
+        """``around`` as it was: the probe above x0 first at the first eps too."""
+        f0 = f(x0)
+        if f0 == 0.0:
+            return RootBracket(x0, x0)
+        last, f_last = [x0, x0], [f0, f0]
+        for eps in AROUND_EPS:
+            for side in sorted((0, 1), key=lambda s: abs(f_last[s])):
+                far = x0 * (1.0 + eps) if side == 0 else x0 / (1.0 + eps)
+                f_far = f(far)
+                if f0 * f_far <= 0.0:
+                    return RootBracket(min(last[side], far), max(last[side], far))
+                last[side], f_last[side] = far, f_far
+        raise BracketError("no sign change")
+
+    def test_root_side_first_keeps_the_seeded_rebalance_brackets(self):
+        # Every family's mollified energy rises with its free parameter, so
+        # probing x0 / (1 + 2^-9) first where E(x0) > 0 gives the bracket of
+        # the above-first order, one probe sooner where that probe hits, and
+        # the same probes otherwise.
+        data = (test_mollifier.seeded_data(5, per_family=4)
+                + test_mollifier.seeded_data(17, per_family=4)
+                + test_mollifier.one_per_family())
+        saved = set()
+        for params, spec in data:
+            family = family_of(params)
+            x0 = getattr(params, family.free)
+
+            def residual(x, params=params, spec=spec, family=family):
+                return total_energy(mollify(family.ansatz(params._replace(**{family.free: x})),
+                                            spec))
+
+            f, tried = self.recording(residual)
+            f_old, tried_old = self.recording(residual)
+            br = RootBracket.around(f, x0)
+            assert br == self.above_first(f_old, x0), params
+            first_down_hits = br == (x0 / (1.0 + AROUND_EPS[0]), x0)
+            assert len(tried) == len(tried_old) - first_down_hits, params
+            if first_down_hits:
+                saved.add(family.name)
+        assert saved == {"core-halo"}
 
 
 def _brent_trace(solver, f, lo, hi, **kwargs):
