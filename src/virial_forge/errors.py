@@ -38,7 +38,7 @@ class ThresholdUnreachableError(VirialForgeError):
 
 
 class RampOverlapError(ProfileError):
-    """Mollification ramps would collide (the ramp half-width is too large)."""
+    """Mollification ramps would collide, or a ramp rounds to zero width (bad half-width)."""
 
 
 class GridExhaustedError(VirialForgeError):

@@ -19,10 +19,10 @@ a momentum profile that is not a ball and the fractional powers of ramps use
 the fixed GL14 rule of ``profiles`` (so a mollified report says
 ``fixed-rule``): no adaptive integral, no numpy or scipy.  The adaptive source
 (``method="quadrature"``) integrates every moment adaptively, once per
-evaluation, and is kept as an independent oracle.  A source gives a
-radial profile's record (||g r^2||, ||g r^3||, int g^{3/2} r^2) at once,
-the exact one summed in one walk over the pieces, computes the a-free part
-from the two records and completes it from the angular moments.  Only
+evaluation, and is kept as an independent oracle.  Each formula reads a
+moment from its source where it needs it (the exact source's are memoized
+per profile), computes the a-free part from the radial moments and
+completes it from the angular moments.  Only
 ``evaluate`` takes ``method``; ``radial_functionals`` (the exact a-free
 part, which the floor scan completes for each cutoff),
 ``spatial_momentum_factor``, and ``total_energy`` and
@@ -44,14 +44,12 @@ from .profiles import (
     check_positive,
     fixed_rule,
     gauss_legendre,
-    hold,
     norm_constant,
     panel_edges,
     plateau_self_nested,
     power_integral,
     radial_scale,
     ramp_self_nested,
-    release,
 )
 
 __all__ = [
@@ -209,23 +207,21 @@ def _exact_nested(profile):
     return total
 
 
-_RECORD = (("moment", 2), ("moment", 3), ("power_moment", 1.5, 2))
-
-
-def _virial_factor(spatial, momentum):
-    """(||g r^3||/||g r^2||) * (||h p^3||/||h p^2||) from the records of g and h, m3 first."""
-    m3q, m2q, m3p, m2p = map(release, (spatial[1], spatial[0], momentum[1], momentum[0]))
+def _virial_factor(source, eta, phi):
+    """(||g r^3||/||g r^2||) * (||h p^3||/||h p^2||), read from ``source``, m3 first."""
+    m3q, m2q = source.moment(eta, 3), source.moment(eta, 2)
+    m3p, m2p = source.moment(phi, 3), source.moment(phi, 2)
     return (m3q / check_factor(m2q, "spatial")) * (m3p / check_factor(m2p, "momentum"))
 
 
 class _MomentSource:
     """Every functional, written once over a source of one-dimensional moments.
 
-    A source supplies ``record(g)`` = (int g r^2, int g r^3, int g^{3/2} r^2),
-    each a value or the error ``profiles.hold`` kept, ``scale`` = 1/C without
-    its angular factor, ``angular(L)`` = (int L, int x L, int L^{3/2}),
-    ``kinetic(h)`` = (int sqrt(1+p^2) h p^2 dp, int h p^2 dp) up to a common
-    positive factor, and ``nested(g)`` = int g(q) q (int_0^q g s^2 ds) dq;
+    A source supplies ``moment(g, k)`` = int g r^k and ``moment(g, k, beta)``
+    = int g^beta r^k, read where a formula needs them, so an input fails with
+    the error of the first moment it reads; ``angular(L)`` = (int L, int x L,
+    int L^{3/2}), ``kinetic(h)`` = (int sqrt(1+p^2) h p^2 dp, int h p^2 dp) up
+    to a common positive factor, and ``nested(g)`` = int g(q) q (int_0^q g s^2 ds) dq;
     ``label`` and ``residuals`` fill the report's route and error estimates.
     """
 
@@ -242,18 +238,14 @@ class _MomentSource:
             squared = math.inf
         return -self.nested(eta) / check_factor(squared, "squared spatial")
 
-    def scale(self, eta, phi, m2q, m2p):
-        return 8.0 * math.pi**2 * m2q * m2p  # as ``radial_scale`` forms it
-
     def radial(self, eta, phi):
         """The a-free record of C * eta * phi * L, for any angular profile L."""
         kin = self.kinetic_energy(phi)
-        spatial, momentum = self.record(eta), self.record(phi)  # errors held, raised in use
-        m2q = release(spatial[0])
+        m2q = self.moment(eta, 2)
         pot = self.potential_energy(eta, m2q)
-        m2p = check_factor(release(momentum[0]), "momentum")
-        scale, factor = self.scale(eta, phi, m2q, m2p), _virial_factor(spatial, momentum)
-        norms = release(spatial[2]) * release(momentum[2])
+        m2p = check_factor(self.moment(phi, 2), "momentum")
+        scale, factor = radial_scale(eta, phi), _virial_factor(self, eta, phi)
+        norms = self.moment(eta, 2, 1.5) * self.moment(phi, 2, 1.5)
         return _Radial(kin, pot, kin + pot, scale, factor, norms, m2q, m2p,
                        2.0 * math.pi ** (2.0 / 3.0) * m2q * m2p)
 
@@ -292,8 +284,8 @@ class _Radial(namedtuple("_Radial", "kinetic potential total_energy scale factor
 class _Exact(_MomentSource):
     """Closed forms, else the fixed GL14 rule, memoized per profile; never adaptive."""
 
-    def record(self, profile):
-        return profile.sums(_RECORD)
+    def moment(self, profile, k, *beta):
+        return profile.power_moment(*beta, k) if beta else profile.moment(k)
 
     def angular(self, angular):
         return angular.moments()
@@ -332,12 +324,6 @@ class _Adaptive(_MomentSource):
 
     def moment(self, profile, k, *beta):
         return self._result(self.quad.profile_moment_quad, profile, k, *beta).value
-
-    def record(self, profile):
-        return [hold(self.moment, profile, *args) for args in ((2,), (3,), (2, 1.5))]
-
-    def scale(self, eta, phi, m2q, m2p):
-        return radial_scale(eta, phi)  # from the exact moments, as every route forms C
 
     def angular(self, angular):
         return tuple(
@@ -392,7 +378,7 @@ def total_energy(ansatz):
 
 def spatial_momentum_factor(eta, phi):
     """(||g r^3||/||g r^2||) * (||h p^3||/||h p^2||), the a-free virial factor."""
-    return _virial_factor(_EXACT.record(eta), _EXACT.record(phi))
+    return _virial_factor(_EXACT, eta, phi)
 
 
 def radial_functionals(spatial, momentum):

@@ -77,7 +77,8 @@ def _mollify_pieces(pieces, delta):
 
     Each piece keeps [start, lo): ``start`` is the end of the ramp before it
     (else its own lo) and ``lo`` the start of the ramp after it (else its own
-    hi).  A ramp must fit between ``start`` and the far edge of the next piece.
+    hi).  A ramp must fit between ``start`` and the far edge of the next piece,
+    and keep a nonzero width once its ends are rounded.
     """
     if delta == 0.0:
         return tuple(pieces)
@@ -94,6 +95,9 @@ def _mollify_pieces(pieces, delta):
                 raise RampOverlapError(
                     f"ramp [{lo}, {hi}] at breakpoint {b} would leave [{start}, {nxt.hi}], "
                     "crossing a piece edge or the ramp before it")
+            if lo == hi:
+                raise RampOverlapError(
+                    f"ramp half-width {delta!r} rounds to zero width at breakpoint {b!r}")
         if lo > start:
             p = Piece(p.kind, start, lo, p.value_at(start), p.exponent)
             out.append(p)
@@ -125,7 +129,7 @@ def rebalance(params, step_ansatz, spec):
     parameter is the Brent root of the mollified datum's total energy.
 
     ``RootBracket.around`` brackets the root, which lies close to x0, by
-    probing outward from x0, the side of a rising energy's root first, and
+    probing outward from x0 on the side of a rising energy's root, and
     Brent iteration refines it.  The given step ansatz is smoothed once, at
     x0; every other point rebuilds and smooths only the factor the free
     parameter moves (``Family.moves``) and shares the other two, with the

@@ -135,30 +135,24 @@ class RootBracket(namedtuple("RootBracket", "lo hi")):
 
     @classmethod
     def around(cls, f, x0):
-        """Probe x0 (1 + eps) and x0 / (1 + eps) per eps of AROUND_EPS until f changes sign.
+        """Probe outward from x0 on the side of a rising f's root until f changes sign.
 
-        At the first eps the probe below x0 goes first if f(x0) > 0, else the
-        one above: the side of a rising f's root.  Then the side whose last
-        probe had the smaller |f|, where a monotone f has its root.  Returns
-        the last two probes on the side of the sign change (x0 is the first
-        probe of both sides); an x0 <= 0 raises BracketError at once.
+        The probes are x0 / (1 + eps) if f(x0) > 0, else x0 (1 + eps), per eps
+        of AROUND_EPS.  Returns the last two probes (x0 the first); an x0 <= 0
+        raises BracketError at once.
         """
         if not x0 > 0.0:
             raise BracketError(f"cannot bracket around {x0!r}: need x0 > 0")
         f0 = f(x0)
         if f0 == 0.0:
             return cls(x0, x0)
-        last, f_last = [x0, x0], [f0, f0]  # the last probe above and below x0
-        sides = (1, 0) if f0 > 0.0 else (0, 1)
+        last = x0
         for eps in AROUND_EPS:
-            for side in sides:
-                far = x0 * (1.0 + eps) if side == 0 else x0 / (1.0 + eps)
-                f_far = f(far)
-                if f0 * f_far <= 0.0:
-                    return cls(min(last[side], far), max(last[side], far))
-                last[side], f_last[side] = far, f_far
-            sides = sorted((0, 1), key=lambda s: abs(f_last[s]))
-        raise BracketError(f"no sign change on [{last[1]!r}, {last[0]!r}]")
+            far = x0 / (1.0 + eps) if f0 > 0.0 else x0 * (1.0 + eps)
+            if f0 * f(far) <= 0.0:
+                return cls(min(last, far), max(last, far))
+            last = far
+        raise BracketError(f"no sign change on [{min(x0, last)!r}, {max(x0, last)!r}]")
 
 
 def brentq(f, a, b, xtol, maxiter=100):

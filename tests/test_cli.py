@@ -474,6 +474,20 @@ class TestMollify:
             "breakpoint 0.4760109662075118 would leave [0.0, inf], crossing a piece edge or "
             "the ramp before it\n")
 
+    @pytest.mark.parametrize("argv, delta, breakpoint", [
+        (["--family", "uniform", "--p", "1e-300", "--a", "-0.5"], "1.0000000000000001e-303",
+         "0.6"),
+        (["--family", "monotonic", "--r1", "0.01", "--r2", "0.0909090909", "--r3", "0.1",
+          "--n", "3", "--a", "-0.95", "--delta", "1e-320"], "1e-320", "0.1"),
+    ], ids=["default-delta", "given-delta"])
+    def test_ramp_rounding_to_zero_width_names_delta_and_breakpoint(self, capsys, argv, delta,
+                                                                    breakpoint):
+        # b - delta rounds to b: the ramp would be an empty interval.
+        code, out, err = run_cli(capsys, ["mollify", *argv])
+        assert code == 3 and out == ""
+        assert err == (f"error: invalid parameters: ramp half-width {delta} rounds to zero "
+                       f"width at breakpoint {breakpoint}\n")
+
     def test_large_p_datum_is_zero_energy_exactly(self, capsys):
         # At P ~ 333 a kinetic weight off by ~1e-11 relative left the printed
         # datum's exact energy at 2e-9, above energy_tol.  Rebuild the printed

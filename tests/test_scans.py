@@ -284,9 +284,10 @@ class TestSharedProfiles:
     def test_radial_functionals_run_once_per_P(self, monkeypatch):
         # Counts calls and times nothing: a p x a grid evaluates the a-free
         # functionals (here the exact kinetic weight) p times, not p * a; it
-        # sums each moment of a P's two radial profiles once, and each of a
-        # cutoff's three once.  The crosscheck adds its own cutoff and the
-        # exact m2 of its two radial profiles, which the oracle's C reads.
+        # sums each moment of a P's two radial profiles once, whichever
+        # formula reads it first, and each of a cutoff's three once.  The
+        # crosscheck adds its own cutoff and the exact m2 of its two radial
+        # profiles, which the oracle's C reads.
         calls = Counter()
         kinetic, piece_sum = functionals._Exact.kinetic, profiles._sum
 
@@ -294,9 +295,9 @@ class TestSharedProfiles:
             calls["kinetic"] += 1
             return kinetic(source, phi)
 
-        def counting_sum(live, key):
+        def counting_sum(profile, key):
             calls[key] += 1
-            return piece_sum(live, key)
+            return piece_sum(profile, key)
 
         monkeypatch.setattr(functionals._Exact, "kinetic", counting_kinetic)
         monkeypatch.setattr(profiles, "_sum", counting_sum)
@@ -304,7 +305,8 @@ class TestSharedProfiles:
             calls.clear()
             uniform_ball_floor(ScanGrid(P_values=tuple(np.geomspace(1e-2, 1e4, n_p)),
                                         a_values=tuple(np.linspace(-0.9, 0.9, n_a))))
-            radial = {key: 2 * n_p for key in functionals._RECORD}
+            radial = {key: 2 * n_p for key in (("moment", 2), ("moment", 3),
+                                                ("power_moment", 1.5, 2))}
             radial[("moment", 2)] += 2
             angular = {key: n_a + 1 for key in (("moment", 0), ("moment", 1),
                                                 ("power_moment", 1.5, 0))}

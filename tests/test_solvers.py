@@ -344,10 +344,10 @@ class TestQuadraticAndBracket:
 
 class TestBracketAround:
     @staticmethod
-    def probes(x0, steps):
-        """x0, then x0 (1 + eps) and x0 / (1 + eps) for eps = 2^-9 times 4^k, k < steps."""
+    def probes(x0, steps, up):
+        """x0, then x0 (1 + eps) (``up``) or x0 / (1 + eps) for eps = 2^-9 times 4^k, k < steps."""
         grows = [1.0 + 2.0 ** (2 * k - 9) for k in range(steps)]
-        return [x0, *(x for g in grows for x in (x0 * g, x0 / g))]
+        return [x0, *(x0 * g if up else x0 / g for g in grows)]
 
     @staticmethod
     def recording(f):
@@ -361,35 +361,34 @@ class TestBracketAround:
 
     @pytest.mark.parametrize("x0", [1.0, 3.7e-6, 2.5e4])
     def test_sign_change_above_x0(self, x0):
-        # Root at 1.3 x0: a miss at eps = 2^-9 .. 2^-3 on both sides, then a
-        # sign change at x0 (1 + 2^-1); the bracket is the last two probes above x0.
+        # Root at 1.3 x0 and f(x0) < 0: the probes go up only, miss at
+        # eps = 2^-9 .. 2^-3 and change sign at x0 (1 + 2^-1).
         f, tried = self.recording(lambda x: x - 1.3 * x0)
         br = RootBracket.around(f, x0)
-        assert tried == self.probes(x0, 5)[:-1]
+        assert tried == self.probes(x0, 5, up=True)
         assert (br.lo, br.hi) == (x0 * (1.0 + 2.0**-3), x0 * (1.0 + 2.0**-1))
         assert f(br.lo) < 0.0 < f(br.hi)
 
     @pytest.mark.parametrize("x0", [1.0, 3.7e-6, 2.5e4])
     def test_sign_change_below_x0(self, x0):
-        # Root at x0 / 1.005: f(x0) > 0, so the down probe goes first at
-        # eps = 2^-9 and misses; the up probe follows, the down probe has the
-        # smaller |f|, so at eps = 2^-7 it goes first again, and it hits.
+        # Root at x0 / 1.005 and f(x0) > 0: the probes go down only, miss
+        # at eps = 2^-9 and change sign at eps = 2^-7.
         f, tried = self.recording(lambda x: math.atan(x / x0 - 1.0 / 1.005))
         br = RootBracket.around(f, x0)
-        _, up1, down1 = self.probes(x0, 1)
-        assert tried == [x0, down1, up1, x0 / (1.0 + 2.0**-7)]
+        assert tried == self.probes(x0, 2, up=False)
         assert (br.lo, br.hi) == (x0 / (1.0 + 2.0**-7), x0 / (1.0 + 2.0**-9))
         assert f(br.lo) < 0.0 < f(br.hi)
 
     @pytest.mark.parametrize("x0", [1.0, 3.7e-6, 2.5e4])
     def test_root_side_goes_first_after_the_first_eps(self, x0):
-        # Root at 0.9 x0, found at eps = 2^-3: the bracket of the above-first
-        # order, (x0 / (1 + 2^-3), x0 / (1 + 2^-5)), whose last up probe is saved.
+        # Root at 0.9 x0, found at eps = 2^-3: the root's side goes first at
+        # every eps, and alone.  The bracket is the two-sided walk's,
+        # (x0 / (1 + 2^-3), x0 / (1 + 2^-5)), with no probe above x0.
         f, tried = self.recording(lambda x: x - 0.9 * x0)
         br = RootBracket.around(f, x0)
+        assert tried == self.probes(x0, 4, up=False)
         assert (br.lo, br.hi) == (x0 / (1.0 + 2.0**-3), x0 / (1.0 + 2.0**-5))
-        _, up1, down1, up2, down2, up3, down3, _, down4 = self.probes(x0, 4)
-        assert tried == [x0, down1, up1, down2, up2, down3, up3, down4]
+        assert br == self.above_first(lambda x: x - 0.9 * x0, x0)
 
     def test_first_probe_past_x0_brackets_against_x0(self):
         br = RootBracket.around(lambda x: x - 1.001, 1.0)
@@ -418,15 +417,15 @@ class TestBracketAround:
             RootBracket.around(f, x0)
 
     def test_no_sign_change_names_the_last_interval(self):
-        f, tried = self.recording(lambda x: 1.0)
+        # The interval from x0 to the last probe, on the side f(x0) picked.
         grow = 1.0 + 2.0**17
-        with pytest.raises(BracketError) as err:
-            RootBracket.around(f, 3.0)
-        assert str(err.value) == f"no sign change on [{3.0 / grow!r}, {3.0 * grow!r}]"
-        # f(x0) > 0: the down probe goes first at the first eps only; then
-        # the tie in |f| keeps the up probe first.
-        x0, up1, down1, *rest = self.probes(3.0, 14)
-        assert tried == [x0, down1, up1, *rest]
+        for level, up, interval in ((1.0, False, (3.0 / grow, 3.0)),
+                                    (-1.0, True, (3.0, 3.0 * grow))):
+            f, tried = self.recording(lambda x, level=level: level)
+            with pytest.raises(BracketError) as err:
+                RootBracket.around(f, 3.0)
+            assert str(err.value) == "no sign change on [{!r}, {!r}]".format(*interval)
+            assert tried == self.probes(3.0, 14, up)
 
     @pytest.mark.parametrize("x0", [1.0, 1e-3, 7.0e5])
     def test_reach_upward_covers_sixteen_doublings(self, x0):
@@ -439,7 +438,7 @@ class TestBracketAround:
 
     @staticmethod
     def above_first(f, x0):
-        """``around`` as it was: the probe above x0 first at the first eps too."""
+        """The two-sided walk: at the first eps above x0 first, then the side of smaller |f|."""
         f0 = f(x0)
         if f0 == 0.0:
             return RootBracket(x0, x0)
@@ -455,9 +454,8 @@ class TestBracketAround:
 
     def test_root_side_first_keeps_the_seeded_rebalance_brackets(self):
         # Every family's mollified energy rises with its free parameter, so
-        # probing x0 / (1 + 2^-9) first where E(x0) > 0 gives the bracket of
-        # the above-first order, one probe sooner where that probe hits, and
-        # the same probes otherwise.
+        # probing only below x0 where E(x0) > 0, else only above, gives the
+        # bracket of the two-sided walk, in no more energy evaluations.
         data = (test_mollifier.seeded_data(5, per_family=4)
                 + test_mollifier.seeded_data(17, per_family=4)
                 + test_mollifier.one_per_family())
@@ -472,11 +470,9 @@ class TestBracketAround:
 
             f, tried = self.recording(residual)
             f_old, tried_old = self.recording(residual)
-            br = RootBracket.around(f, x0)
-            assert br == self.above_first(f_old, x0), params
-            first_down_hits = br == (x0 / (1.0 + AROUND_EPS[0]), x0)
-            assert len(tried) == len(tried_old) - first_down_hits, params
-            if first_down_hits:
+            assert RootBracket.around(f, x0) == self.above_first(f_old, x0), params
+            assert len(tried) <= len(tried_old), params
+            if len(tried) < len(tried_old):
                 saved.add(family.name)
         assert saved == {"core-halo"}
 
