@@ -51,8 +51,8 @@ MOLLIFY_DELTA0 = {
 
 def _with_delta(argv, delta):
     """argv with --delta set to ``delta`` where it stood (None: dropped, the default)."""
-    at = argv.index("--delta") if "--delta" in argv else argv.index("--format")
-    rest = argv[at + 2:] if argv[at] == "--delta" else argv[at:]
+    at = next((argv.index(flag) for flag in ("--delta", "--format") if flag in argv), len(argv))
+    rest = argv[at + 2:] if argv[at:at + 1] == ["--delta"] else argv[at:]
     return [*argv[:at], *([] if delta is None else ["--delta", delta]), *rest]
 
 

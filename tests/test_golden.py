@@ -10,6 +10,7 @@ manifest of test_bench_outputs.py.
 """
 
 import argparse
+import re
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ MONOTONIC = ["--family", "monotonic", "--r1", "0.01", "--r2", "0.0909090909",
              "--r3", "0.1", "--n", "3", "--a", "-0.95"]
 MOLLIFY_COREHALO = ["--family", "core-halo", "--r1", "0.2", "--r2", "1", "--r3", "2",
                     "--p", "1", "--a", "-0.85", "--delta", "0.001"]
+SCAN = ["--p-points", "5", "--a-points", "4"]
 
 # name -> (argv, exit code)
 CASES = {
@@ -41,8 +43,16 @@ CASES = {
     "mollify-uniform.kv": (["mollify", *UNIFORM, "--format", "kv"], 1),
     "mollify-core-halo.kv": (["mollify", *MOLLIFY_COREHALO, "--format", "kv"], 0),
     "mollify-monotonic.kv": (["mollify", *MONOTONIC, "--format", "kv"], 0),
-    "scan.csv": (["scan", "--p-points", "5", "--a-points", "4", "--format", "csv"], 0),
+    "scan.csv": (["scan", *SCAN, "--format", "csv"], 0),
     "asymptotics.csv": (["asymptotics", "--format", "csv"], 0),
+    # The default format, human, of each command; kv of scan and asymptotics.
+    "certify-core-halo.txt": (["certify", *COREHALO], 0),
+    "report-uniform.txt": (["report", *UNIFORM], 0),
+    "mollify-monotonic.txt": (["mollify", *MONOTONIC], 0),
+    "scan.kv": (["scan", *SCAN, "--format", "kv"], 0),
+    "scan.txt": (["scan", *SCAN], 0),
+    "asymptotics.kv": (["asymptotics", "--format", "kv"], 0),
+    "asymptotics.txt": (["asymptotics"], 0),
 }
 
 # The three README reference sets; the free parameter is solved.
@@ -112,14 +122,23 @@ def test_stdout_matches_golden(name, capsys):
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
 
 
+# A kv line "key=value", its CSV comment "# key=value", or a human line
+# "key<padding>value"; a CSV row matches none.
+DOCUMENT_LINE = re.compile(r"(?:# )?([^=\s]+)(?:=| +)(.*)")
+
+
+def document_pairs(document):
+    """(key, value) of each line of a kv, human or CSV document that holds one."""
+    return [m.groups() for m in map(DOCUMENT_LINE.fullmatch, document.splitlines()) if m]
+
+
 def config_argv(document):
     """The argv a document's config.* lines echo (config.p_min is --p-min).
 
     An empty config.out is left out: it is the default, stdout.
     """
     argv = []
-    for line in document.splitlines():
-        key, _, value = line.removeprefix("# ").partition("=")
+    for key, value in document_pairs(document):
         if key == "config.command":
             argv.insert(0, value)
         elif key.startswith("config.") and not (key == "config.out" and value == ""):
@@ -146,8 +165,8 @@ def test_config_lines_rerun_the_document(name, capsys):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_config_lines_name_only_the_commands_flags(name):
     document = (GOLDEN / name).read_text(encoding="utf-8")
-    keys = [line.removeprefix("# ").partition("=")[0] for line in document.splitlines()]
-    names = {key.removeprefix("config.") for key in keys if key.startswith("config.")}
+    names = {key.removeprefix("config.") for key, _ in document_pairs(document)
+             if key.startswith("config.")}
     command = CASES[name][0][0]
     assert names - {"command"} <= subcommand_dests(command)
     assert ("tol_energy" in names) == (command in ("certify", "mollify"))
