@@ -237,6 +237,7 @@ def _step_datum(args):
 
 
 def _fmt_value(value):
+    """The print policy: None prints empty, a bool true/false, a float 17 significant digits."""
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -246,44 +247,54 @@ def _fmt_value(value):
     return str(value)
 
 
-def _config_pairs(args):
-    """The flags the command was given or defaulted, in parser order; unset ones are left out."""
-    return [("config." + name, _fmt_value(value))
-            for name, value in vars(args).items() if value is not None]
+def _render(args, pairs, csv_body=None, summary=()):
+    """The document of ``args.command``, the one place a value is printed (``_fmt_value``).
 
-
-def _render(pairs, fmt):
-    if fmt == "kv":
-        return "".join(f"{k}={v}\n" for k, v in pairs)
-    width = max(len(k) for k, _ in pairs)
-    return "".join(f"{k:<{width}}  {v}\n" for k, v in pairs)
+    kv prints ``key=value`` lines, human a ``key  value`` table aligned on the
+    longest key: first a ``config.*`` line for each flag the command was given
+    or defaulted, in parser order (unset ones are left out), then ``pairs``.
+    csv prints the ``config.*`` lines as ``# key=value`` comments, then the
+    CSV that ``csv_body(stream)`` writes, then each ``(template, *values)`` of
+    ``summary`` filled in as a ``# `` comment; ``pairs`` are not printed.
+    """
+    config = [("config." + name, value) for name, value in vars(args).items() if value is not None]
+    if args.format == "csv":
+        stream = io.StringIO()
+        stream.writelines(f"# {key}={_fmt_value(value)}\n" for key, value in config)
+        csv_body(stream)
+        stream.writelines(f"# {template.format(*map(_fmt_value, values))}\n"
+                          for template, *values in summary)
+        return stream.getvalue()
+    lines = [(key, _fmt_value(value)) for key, value in config + pairs]
+    if args.format == "kv":
+        return "".join(f"{key}={text}\n" for key, text in lines)
+    width = max(len(key) for key, _ in lines)
+    return "".join(f"{key:<{width}}  {text}\n" for key, text in lines)
 
 
 def _family_pairs(args, params, a_star):
     """family, the solved parameters (R, P, n, alpha), a and a_star."""
     pairs = [("family", args.family)]
-    pairs += [(key, _fmt_value(getattr(params, name, None))) for key, name in _SOLVED_KEYS]
-    return pairs + [("a", _fmt_value(args.a)), ("a_star", _fmt_value(a_star))]
+    pairs += [(key, getattr(params, name, None)) for key, name in _SOLVED_KEYS]
+    return pairs + [("a", args.a), ("a_star", a_star)]
 
 
 def _certificate_pairs(args, cert, params, a_star):
     rep = cert.report
     return _family_pairs(args, params, a_star) + [
-        (key, _fmt_value(value)) for key, value in (
-            ("norm_constant", rep.norm_constant),
-            ("mass", rep.mass),
-            ("kinetic", rep.kinetic),
-            ("potential", rep.potential),
-            ("total_energy", rep.total_energy),
-            ("energy_residual", cert.energy_residual),
-            ("energy_tol", cert.energy_tol),
-            ("virial", rep.virial),
-            ("virial_margin", cert.virial_margin),
-            ("l32_norm", rep.l32_norm),
-            ("norm_margin", cert.norm_margin),
-            ("critical_norm", cert.critical_norm),
-            ("verdict", "pass" if cert.passed else "fail"),
-        )
+        ("norm_constant", rep.norm_constant),
+        ("mass", rep.mass),
+        ("kinetic", rep.kinetic),
+        ("potential", rep.potential),
+        ("total_energy", rep.total_energy),
+        ("energy_residual", cert.energy_residual),
+        ("energy_tol", cert.energy_tol),
+        ("virial", rep.virial),
+        ("virial_margin", cert.virial_margin),
+        ("l32_norm", rep.l32_norm),
+        ("norm_margin", cert.norm_margin),
+        ("critical_norm", cert.critical_norm),
+        ("verdict", "pass" if cert.passed else "fail"),
     ]
 
 
@@ -298,36 +309,24 @@ def _cmd_certify(args):
     params, ansatz = _step_datum(args)
     cert = functionals.check_criteria(ansatz, energy_tol=args.tol_energy)
     a_star = _threshold_or_none(ansatz)
-    pairs = _config_pairs(args) + _certificate_pairs(args, cert, params, a_star)
-    return (0 if cert.passed else 1), _render(pairs, args.format)
+    return (0 if cert.passed else 1), _render(args, _certificate_pairs(args, cert, params, a_star))
 
 
 def _cmd_report(args):
     params, ansatz = _step_datum(args)
     rep = functionals.evaluate(ansatz)
-    pairs = _config_pairs(args) + _family_pairs(args, params, _threshold_or_none(ansatz))
-    pairs += [
+    pairs = _family_pairs(args, params, _threshold_or_none(ansatz)) + [
         ("method", rep.method),
-        ("norm_constant", _fmt_value(rep.norm_constant)),
-        ("mass", _fmt_value(rep.mass)),
-        ("kinetic", _fmt_value(rep.kinetic)),
-        ("potential", _fmt_value(rep.potential)),
-        ("total_energy", _fmt_value(rep.total_energy)),
-        ("virial", _fmt_value(rep.virial)),
-        ("l32_norm", _fmt_value(rep.l32_norm)),
-        ("critical_norm", _fmt_value(functionals.CRITICAL_L32_NORM)),
+        ("norm_constant", rep.norm_constant),
+        ("mass", rep.mass),
+        ("kinetic", rep.kinetic),
+        ("potential", rep.potential),
+        ("total_energy", rep.total_energy),
+        ("virial", rep.virial),
+        ("l32_norm", rep.l32_norm),
+        ("critical_norm", functionals.CRITICAL_L32_NORM),
     ]
-    return 0, _render(pairs, args.format)
-
-
-def _csv_with_config(args, write_body, summary_lines):
-    buf = io.StringIO()
-    for key, val in _config_pairs(args):
-        buf.write(f"# {key}={val}\n")
-    write_body(buf)
-    for line in summary_lines:
-        buf.write(line + "\n")
-    return buf.getvalue()
+    return 0, _render(args, pairs)
 
 
 def _p_values(args):
@@ -348,43 +347,36 @@ def _cmd_scan(args):
                           a_values=tuple(np.linspace(-1.0 + 1e-6, 0.9, args.a_points)))
     result = scans.uniform_ball_floor(grid)
     floor_ok = result.min_virial > -0.45
+    pairs = [
+        ("min_virial", result.min_virial),
+        ("argmin_P", result.argmin_P),
+        ("argmin_a", result.argmin_a),
+        ("floor_ok", floor_ok),
+    ]
     summary = [
-        f"# min_virial > -0.45: {'OK' if floor_ok else 'VIOLATED'}",
-        f"# min_virial={_format_float(result.min_virial)} "
-        f"at P={_format_float(result.argmin_P)} a={_format_float(result.argmin_a)}",
+        ("min_virial > -0.45: {}", "OK" if floor_ok else "VIOLATED"),
+        ("min_virial={} at P={} a={}", result.min_virial, result.argmin_P, result.argmin_a),
     ]
-    if args.format == "csv":
-        return 0, _csv_with_config(args, functools.partial(scans.floor_to_csv, result), summary)
-    pairs = _config_pairs(args) + [
-        ("min_virial", _fmt_value(result.min_virial)),
-        ("argmin_P", _fmt_value(result.argmin_P)),
-        ("argmin_a", _fmt_value(result.argmin_a)),
-        ("floor_ok", _fmt_value(floor_ok)),
-    ]
-    return 0, _render(pairs, args.format)
+    return 0, _render(args, pairs, functools.partial(scans.floor_to_csv, result), summary)
 
 
 def _cmd_asymptotics(args):
     from . import scans
 
     result = scans.asymptotic_scaling(_p_values(args), a=args.a)
-    summary = [
-        f"# alpha_slope={_format_float(result.alpha_fit.slope)}",
-        f"# virial_slope={_format_float(result.virial_fit.slope)}",
+    alpha, virial = result.alpha_fit, result.virial_fit
+    pairs = [
+        ("alpha_slope", alpha.slope),
+        ("alpha_intercept", alpha.intercept),
+        ("alpha_max_residual", alpha.max_residual),
+        ("virial_slope", virial.slope),
+        ("virial_intercept", virial.intercept),
+        ("virial_max_residual", virial.max_residual),
+        ("n_points", alpha.n_points),
+        ("n_failures", len(result.failures)),
     ]
-    if args.format == "csv":
-        return 0, _csv_with_config(args, functools.partial(scans.rows_to_csv, result.rows), summary)
-    pairs = _config_pairs(args) + [
-        ("alpha_slope", _fmt_value(result.alpha_fit.slope)),
-        ("alpha_intercept", _fmt_value(result.alpha_fit.intercept)),
-        ("alpha_max_residual", _fmt_value(result.alpha_fit.max_residual)),
-        ("virial_slope", _fmt_value(result.virial_fit.slope)),
-        ("virial_intercept", _fmt_value(result.virial_fit.intercept)),
-        ("virial_max_residual", _fmt_value(result.virial_fit.max_residual)),
-        ("n_points", str(result.alpha_fit.n_points)),
-        ("n_failures", str(len(result.failures))),
-    ]
-    return 0, _render(pairs, args.format)
+    summary = [("alpha_slope={}", alpha.slope), ("virial_slope={}", virial.slope)]
+    return 0, _render(args, pairs, functools.partial(scans.rows_to_csv, result.rows), summary)
 
 
 def _cmd_mollify(args):
@@ -398,17 +390,11 @@ def _cmd_mollify(args):
     new_params, moll_ansatz = mollifier.rebalance(params, step_ansatz, spec)
     cert = functionals.check_criteria(moll_ansatz, energy_tol=args.tol_energy)
     drift = mollifier.functional_drift(functionals.evaluate(step_ansatz), cert.report)
-    pairs = _config_pairs(args)
-    pairs.append(("delta", _fmt_value(delta)))
-    pairs.append(("seam_smoothness", _fmt_value(
-        mollifier.seam_smoothness(moll_ansatz.spatial)
-    )))
+    pairs = [("delta", delta), ("seam_smoothness", mollifier.seam_smoothness(moll_ansatz.spatial))]
     pairs += _certificate_pairs(args, cert, new_params, _threshold_or_none(moll_ansatz))
     for key, entry in drift.items():
-        pairs.append((f"step.{key}", _fmt_value(entry["step"])))
-        pairs.append((f"mollified.{key}", _fmt_value(entry["mollified"])))
-        pairs.append((f"drift.{key}", _fmt_value(entry["drift"])))
-    return (0 if cert.passed else 1), _render(pairs, args.format)
+        pairs += [(f"{stage}.{key}", entry[stage]) for stage in ("step", "mollified", "drift")]
+    return (0 if cert.passed else 1), _render(args, pairs)
 
 
 _COMMANDS = {

@@ -207,11 +207,9 @@ def _exact_nested(profile):
     return total
 
 
-def _virial_factor(source, eta, phi):
-    """(||g r^3||/||g r^2||) * (||h p^3||/||h p^2||), read from ``source``, m3 first."""
-    m3q, m2q = source.moment(eta, 3), source.moment(eta, 2)
-    m3p, m2p = source.moment(phi, 3), source.moment(phi, 2)
-    return (m3q / check_factor(m2q, "spatial")) * (m3p / check_factor(m2p, "momentum"))
+def _virial_factor(m3q, m2q, m3p, m2p):
+    """(||g r^3||/||g r^2||) * (||h p^3||/||h p^2||) of the checked m2q and m2p."""
+    return (m3q / m2q) * (m3p / m2p)
 
 
 class _MomentSource:
@@ -219,9 +217,11 @@ class _MomentSource:
 
     A source supplies ``moment(g, k)`` = int g r^k and ``moment(g, k, beta)``
     = int g^beta r^k, read where a formula needs them, so an input fails with
-    the error of the first moment it reads; ``angular(L)`` = (int L, int x L,
-    int L^{3/2}), ``kinetic(h)`` = (int sqrt(1+p^2) h p^2 dp, int h p^2 dp) up
-    to a common positive factor, and ``nested(g)`` = int g(q) q (int_0^q g s^2 ds) dq;
+    the error of the first moment it reads; ``angular(L, exact)`` = (int L,
+    int x L, int L^{3/2}), where ``exact`` is ``L.moments()``, which a report
+    reads once, for C; ``kinetic(h)`` = (int sqrt(1+p^2) h p^2 dp,
+    int h p^2 dp) up to a common positive factor, and
+    ``nested(g)`` = int g(q) q (int_0^q g s^2 ds) dq;
     ``label`` and ``residuals`` fill the report's route and error estimates.
     """
 
@@ -244,7 +244,9 @@ class _MomentSource:
         m2q = self.moment(eta, 2)
         pot = self.potential_energy(eta, m2q)
         m2p = check_factor(self.moment(phi, 2), "momentum")
-        scale, factor = radial_scale(eta, phi), _virial_factor(self, eta, phi)
+        # m2q passed potential_energy's check; C takes the exact m2 on both routes.
+        scale = radial_scale(eta, phi)
+        factor = _virial_factor(self.moment(eta, 3), m2q, self.moment(phi, 3), m2p)
         norms = self.moment(eta, 2, 1.5) * self.moment(phi, 2, 1.5)
         return _Radial(kin, pot, kin + pot, scale, factor, norms, m2q, m2p,
                        2.0 * math.pi ** (2.0 / 3.0) * m2q * m2p)
@@ -252,8 +254,9 @@ class _MomentSource:
     def report(self, eta, phi, angular):
         """The FunctionalReport of C * eta * phi * angular: the a-free record, completed."""
         rad = self.radial(eta, phi)
-        c = norm_constant(rad.scale, angular.moments()[0])
-        m0, m1, nl = self.angular(angular)
+        exact = angular.moments()
+        c = norm_constant(rad.scale, exact[0])
+        m0, m1, nl = self.angular(angular, exact)
         m0 = check_factor(m0, "angular")
         return FunctionalReport(
             norm_constant=c,
@@ -287,8 +290,8 @@ class _Exact(_MomentSource):
     def moment(self, profile, k, *beta):
         return profile.power_moment(*beta, k) if beta else profile.moment(k)
 
-    def angular(self, angular):
-        return angular.moments()
+    def angular(self, angular, exact):
+        return exact
 
     def kinetic(self, phi):
         return phi.memo("kinetic", _exact_kinetic)
@@ -325,7 +328,7 @@ class _Adaptive(_MomentSource):
     def moment(self, profile, k, *beta):
         return self._result(self.quad.profile_moment_quad, profile, k, *beta).value
 
-    def angular(self, angular):
+    def angular(self, angular, exact):
         return tuple(
             self._result(self.quad.angular_moment_quad, angular, k, beta).value
             for k, beta in ((0, 1.0), (1, 1.0), (0, 1.5))
@@ -377,8 +380,10 @@ def total_energy(ansatz):
 
 
 def spatial_momentum_factor(eta, phi):
-    """(||g r^3||/||g r^2||) * (||h p^3||/||h p^2||), the a-free virial factor."""
-    return _virial_factor(_EXACT, eta, phi)
+    """(||g r^3||/||g r^2||) * (||h p^3||/||h p^2||), the a-free virial factor; m3 is read first."""
+    m3q, m2q = eta.moment(3), eta.moment(2)
+    m3p, m2p = phi.moment(3), phi.moment(2)
+    return _virial_factor(m3q, check_factor(m2q, "spatial"), m3p, check_factor(m2p, "momentum"))
 
 
 def radial_functionals(spatial, momentum):

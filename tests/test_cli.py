@@ -8,6 +8,7 @@ import math
 import runpy
 import sys
 import types
+import warnings
 
 import mpmath
 import pytest
@@ -711,6 +712,35 @@ def test_any_profile_document_exits_with_a_documented_code(tmp_path_factory, doc
     if not all(_well_formed(section) for section in doc.values()):
         assert code == 3
         assert err.getvalue().startswith("error: invalid configuration: ")
+
+
+class TestNearDegenerateAngular:
+    """The near-degenerate-angular warning comes once per angular factor evaluated."""
+
+    ARGV = ["--family", "core-halo", "--r1", "0.2", "--r2", "1", "--r3", "2", "--p", "1",
+            "--a", "-0.999999999"]
+
+    def warnings_of(self, capsys, argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            main(argv)
+        capsys.readouterr()
+        return [str(w.message) for w in caught if "nearly degenerate" in str(w.message)]
+
+    def test_certify_warns_once(self, capsys):
+        assert len(self.warnings_of(capsys, ["certify", *self.ARGV])) == 1
+
+    def test_custom_slab_warns_once(self, capsys, tmp_path):
+        path = tmp_path / "slab.json"
+        path.write_text(f'{{{GOOD_SPATIAL}, {GOOD_MOMENTUM}, "angular": {{"pieces": ['
+                        '{"kind": "constant", "lo": -1, "hi": -0.999999999, "value": 1}, '
+                        '{"kind": "constant", "lo": -0.999999999, "hi": 1, "value": 0}]}}')
+        argv = ["certify", "--family", "custom", "--profiles", str(path)]
+        assert len(self.warnings_of(capsys, argv)) == 1
+
+    def test_mollify_warns_for_the_step_and_the_mollified_cutoff(self, capsys):
+        messages = self.warnings_of(capsys, ["mollify", *self.ARGV])
+        assert len(messages) == 2 and messages[0] != messages[1]
 
 
 class TestOutputFile:

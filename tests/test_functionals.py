@@ -1,6 +1,7 @@
 """Energies, norm, virial, and certification against independent oracles."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -875,6 +876,27 @@ class TestExactRecord:
             with pytest.raises(OverflowError) as raised:
                 radial_functionals(thin, phi)
             assert str(raised.value) == str(alone.value)
+
+    def test_each_factor_reads_its_m2_twice(self, monkeypatch):
+        # The record's read, which the virial factor reuses, and radial_scale's,
+        # which gives C the exact m2 on both routes.
+        eta, phi, reads = uniform_eta(1.0), momentum_ball(1.0), []
+        moment = profiles._PieceSet.moment
+        monkeypatch.setattr(profiles._PieceSet, "moment",
+                            lambda profile, k: reads.append((profile, k)) or moment(profile, k))
+        radial_functionals(eta, phi)
+        assert [sum(p is factor for p, k in reads if k == 2) for factor in (eta, phi)] == [2, 2]
+
+    @pytest.mark.parametrize("method", ["auto", "quadrature"])
+    def test_near_degenerate_angular_warns_once_per_report(self, method):
+        ansatz = SeparableAnsatz(uniform_eta(1.0), momentum_ball(1.0),
+                                 AngularProfile.cutoff(-1.0 + 1e-9))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rep = evaluate(ansatz, method=method)
+        assert len([w for w in caught if "nearly degenerate" in str(w.message)]) == 1
+        with pytest.warns(RuntimeWarning, match="nearly degenerate"):
+            assert rep.norm_constant == ansatz.norm_constant  # both routes: C from the exact m0
 
     def test_divergent_entries_keep_their_order(self):
         # Both m2 and m3 diverge: the virial factor fails on m3, which it

@@ -2,10 +2,10 @@
 
 The files under tests/golden/ hold the stdout of each command below, and
 oracle.txt the repr of ``evaluate(..., method="quadrature")`` for each
-ansatz of ORACLE_CASES.  A change that alters a single byte of kv/CSV
-output or of an oracle report fails here; if the change is deliberate,
-regenerate with ``PYTHONPATH=src python tests/test_golden.py`` and record
-the reason in CHANGES.md.  The same command rewrites the benchmark output
+ansatz of ORACLE_CASES.  A change that alters a single byte of a kv, human
+or CSV document or of an oracle report fails here; if the change is
+deliberate, regenerate with ``PYTHONPATH=src python tests/test_golden.py``
+and record the reason in CHANGES.md.  The same command rewrites the benchmark output
 manifest of test_bench_outputs.py.
 """
 
