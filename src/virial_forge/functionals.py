@@ -91,7 +91,7 @@ def momentum_energy_moment(p_max):
     takes over: the integrand's branch points +-i are far enough away for
     ~4e-16 relative.
     Raises OverflowError where the moment exceeds the float range (P above
-    ~4e76).
+    ~9.7e76, where the intermediate 2 P^4 overflows).
     """
     check_positive(p_max, "momentum cutoff", ValueError, zero_ok=True)
     if p_max < 1.0:

@@ -17,8 +17,9 @@ is C^1 at every former value jump only: slope jumps without a value jump
 
 Smoothing perturbs the energy balance, so ``rebalance`` re-solves each
 family's free parameter on the mollified profiles with one Brent solve for
-all of ``solvers.FAMILIES``, bracketed outward from the step solve; it
-returns the root, and ``functionals.check_criteria`` judges its energy.
+all of ``solvers.FAMILIES``, bracketed by ``RootBracket.expand`` (the one
+bracket walk) outward from the step solve; it returns the root, and
+``functionals.check_criteria`` judges its energy.
 Ramp moments and nested self terms are closed-form Bernstein sums; ramp
 fractional powers and kinetic weights take GL14, so ``method=fixed-rule``.
 """
@@ -128,7 +129,7 @@ def rebalance(params, step_ansatz, spec):
     ``step_ansatz``.  Returns ``(new_params, mollified_ansatz)`` where that
     parameter is the Brent root of the mollified datum's total energy.
 
-    ``RootBracket.around`` brackets the root, which lies close to x0, by
+    ``RootBracket.expand`` brackets the root, which lies close to x0, by
     probing outward from x0 on the side of a rising energy's root, and
     Brent iteration refines it.  The given step ansatz is smoothed once, at
     x0; every other point rebuilds and smooths only the factor the free
@@ -162,7 +163,7 @@ def rebalance(params, step_ansatz, spec):
     def residual(x):
         return point(x)[0]
 
-    bracket = RootBracket.around(residual, x0)
+    bracket = RootBracket.expand(residual, x0)
     x = brentq(residual, bracket.lo, bracket.hi, xtol=1e-15 * x0)
     return params._replace(**{family.free: x}), point(x)[1]
 

@@ -443,12 +443,21 @@ def _live(profile):
     return [p for p in profile.pieces if not p.is_zero]
 
 
+def _moment_name(key):
+    what = "moment of order {}" if key[0] == "moment" else "power moment ({}, {})"
+    return what.format(*key[1:])
+
+
 def _sum(profile, key):
     """Sum over the nonzero pieces: key ("moment", k) or ("power_moment", beta, k)."""
-    total = math.fsum(map(methodcaller(*key), profile.memo("live", _live)))
+    try:
+        total = math.fsum(map(methodcaller(*key), profile.memo("live", _live)))
+    except OverflowError as exc:
+        name = getattr(profile, "domain_label", "angular")
+        raise DegenerateFactorError(
+            f"{name} {_moment_name(key)} overflows the float range") from exc
     if not math.isfinite(total):
-        what = "moment of order {}" if key[0] == "moment" else "power moment ({}, {})"
-        raise DivergentMomentError(f"{what.format(*key[1:])} diverges")
+        raise DivergentMomentError(f"{_moment_name(key)} diverges")
     return total
 
 

@@ -6,8 +6,8 @@ energy to vanish exactly:
 * uniform ball: the spatial radius, R = 3 / (5 KE(P)), in closed form;
 * disjoint core-halo: the halo level, the positive root of an exact
   quadratic (the energy condition is degree two in the halo level);
-* monotonic core-halo: the momentum cutoff, found by bracketing + Brent
-  iteration (the kinetic term is strictly increasing in it).
+* monotonic core-halo: the momentum cutoff, by Brent iteration on a
+  bracket in closed form (the kinetic term is strictly increasing in it).
 
 A solve returns its root; ``functionals.check_criteria`` judges its energy.
 
@@ -76,8 +76,6 @@ __all__ = [
     "solve_threshold_a",
 ]
 
-PARAM_TOL = 1e-12
-BRACKET_START = (1e-3, 10.0)
 AROUND_EPS = tuple(2.0**k for k in range(-9, 18, 2))  # probes reach (1 + 2^17) x0
 # scipy's default (and smallest allowed) relative tolerance of brentq.
 _BRENT_RTOL = 4 * sys.float_info.epsilon
@@ -107,34 +105,7 @@ class RootBracket(namedtuple("RootBracket", "lo hi")):
     __slots__ = ()
 
     @classmethod
-    def expand(cls, f, lo, hi):
-        """Bracket the root of an increasing f: double hi or, where f(lo) > 0, halve lo.
-
-        The k-th probe is hi * 2^k (exact) while it is finite, until f changes
-        sign on [lo, hi]; or lo / 2^k while positive, until f is not positive
-        there, giving [lo / 2^k, lo].  Doubling cannot move a hi at or below
-        max(lo, 0), so such a start raises BracketError at once.
-        """
-        if hi <= max(lo, 0.0):
-            raise BracketError(f"cannot expand [{lo!r}, {hi!r}]: need hi > max(lo, 0)")
-        flo = f(lo)
-        if flo == 0.0:
-            return cls(lo, lo)
-        if flo > 0.0:
-            down = 0.5 * lo
-            while down > 0.0:
-                if not f(down) > 0.0:
-                    return cls(down, lo)
-                down *= 0.5
-            raise BracketError(f"no sign change down from {lo!r}")
-        while not flo * f(hi) < 0.0:
-            if not math.isfinite(2.0 * hi):
-                raise BracketError(f"no sign change up to {hi!r}")
-            hi *= 2.0
-        return cls(lo, hi)
-
-    @classmethod
-    def around(cls, f, x0):
+    def expand(cls, f, x0):
         """Probe outward from x0 on the side of a rising f's root until f changes sign.
 
         The probes are x0 / (1 + eps) if f(x0) > 0, else x0 (1 + eps), per eps
@@ -299,15 +270,17 @@ def solve_corehalo_alpha(r1, r2, r3, p, full_output=False):
 def solve_monotonic_P(r1, r2, r3, n):
     """Momentum cutoff balancing the monotonic profile's potential energy.
 
-    The potential energy is independent of the cutoff while the kinetic
-    term increases strictly from its rest-mass floor of 1, so a root exists
-    iff the potential energy lies below -1; it is bracketed and refined with
-    Brent iteration.  A root below ``BRACKET_START[0]`` is bracketed by
-    halving from there: the residual tends to 1 + potential < 0 as P -> 0.
+    The potential energy -K is independent of the cutoff, while the kinetic
+    term, the p^2-weighted mean of sqrt(1+p^2) over [0, P], increases
+    strictly from its rest-mass floor of 1, so a root exists iff 1 < K < inf.
+    That mean lies between 3P/4 and sqrt(1+P^2), so the residual KE(P) - K is
+    <= 0 at P = sqrt(K^2 - 1) and > 0 at P = 3K/2, and Brent iteration runs
+    on that bracket.  Any factor above 4/3 would do; 3/2 keeps the upper end
+    below the kinetic moment's overflow edge (P ~ 9.7e76) up to K ~ 6.5e76.
     """
     eta = monotonic_eta(r1, r2, r3, n)
     pot = functionals.potential_energy_profile(eta)
-    if pot >= -1.0:
+    if not -math.inf < pot < -1.0:
         raise NoRootError(
             f"potential energy {pot:.6g} cannot balance the rest-mass floor "
             "(needs potential < -1)"
@@ -316,8 +289,8 @@ def solve_monotonic_P(r1, r2, r3, n):
     def residual(p):
         return functionals.kinetic_energy_ball(p) + pot
 
-    bracket = RootBracket.expand(residual, *BRACKET_START)
-    return brentq(residual, bracket.lo, bracket.hi, xtol=PARAM_TOL)
+    lo = math.sqrt(-pot - 1.0) * math.sqrt(1.0 - pot)
+    return brentq(residual, lo, -1.5 * pot, xtol=1e-15 * lo)
 
 
 def solve_threshold_a(ansatz):

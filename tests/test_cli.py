@@ -228,9 +228,25 @@ class TestExitCodes:
         assert code == 2
         assert "positive" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["mollify", "--family", "monotonic", "--r1", "0.00018828575195959296",
+          "--r2", "0.0003446754996415485", "--r3", "0.00034467549964156577", "--n", "1e+30",
+          "--a", "0.5587531742610901", "--delta", "0.0"],
+         "error: radial-position moment of order 2 overflows the float range\n"),
+        (["certify", "--family", "monotonic", "--r1=1e-320", "--r2=0.0909090909", "--r3=0.1",
+          "--n=1e-320", "--a=0"],
+         "error: potential energy nan cannot balance the rest-mass floor "
+         "(needs potential < -1)\n"),
+    ], ids=["moment-overflow", "nan-potential"])
+    def test_numerical_failure_names_its_quantity(self, capsys, argv, message):
+        # A moment sum that overflows names its factor and moment, not the
+        # bare (34, 'Numerical result out of range'); a NaN potential is
+        # refused before any solve, not reported as an overflow at P ~ 1e77.
+        assert run_cli(capsys, argv) == (2, "", message)
+
     @pytest.mark.parametrize("argv, code, key, above", [
-        (["certify", "--family", "monotonic", "--r1", "3.9113963460412596e-07",
-          "--r2", "3.555459278551505e-06", "--r3", "3.911396346041259e-06", "--n", "3",
+        (["certify", "--family", "monotonic", "--r1", "1.9556981730206298e-07",
+          "--r2", "1.7777296392757524e-06", "--r3", "1.9556981730206297e-06", "--n", "3",
           "--a", "-0.95"], 0, "energy_residual", 1e-10),
         (["certify", "--family", "monotonic", "--r1", "1e-7", "--r2", "9.09e-7", "--r3", "1e-6",
           "--n", "3", "--a", "-0.95"], 0, "P", 655360.0),
@@ -248,14 +264,14 @@ class TestExitCodes:
 
     def test_monotonic_root_below_the_bracket_start_fails_on_virial(self, capsys):
         # The potential is -1.00000001, so the cutoff root lies near 1.8e-4,
-        # below BRACKET_START[0] = 1e-3: the bracket halves down to it.
+        # below 1e-3, inside the closed-form bracket [sqrt(K^2 - 1), 3K/2].
         code, out, err = run_cli(capsys, [
             "certify", "--family", "monotonic", "--r1", "0.1480619672900462",
             "--r2", "1.3460178843203636", "--r3", "1.480619672900462", "--n", "3",
             "--a", "-0.95", "--format", "kv"])
         doc = kv_parse(out)
         assert (code, err, doc["verdict"]) == (1, "", "fail")
-        assert 1e-4 < float(doc["P"]) < solvers.BRACKET_START[0]
+        assert 1e-4 < float(doc["P"]) < 1e-3
         assert float(doc["energy_residual"]) <= float(doc["energy_tol"])
         assert float(doc["virial_margin"]) < 0.0
 

@@ -1,6 +1,7 @@
 """Energies, norm, virial, and certification against independent oracles."""
 
 import math
+import sys
 import warnings
 
 import mpmath
@@ -860,8 +861,9 @@ class TestExactRecord:
         # The halo's power moment overflows (alpha^{3/2} > 1e308), yet the
         # squared spatial mass fails first, as it did when every moment was
         # its own read; the virial factor does not read the power moment.
+        overflow = r"^radial-position power moment \(1\.5, 2\) overflows the float range$"
         eta, phi = core_halo_eta(0.2, 1.0, 2.0, 1e300), momentum_ball(1.0)
-        with pytest.raises(OverflowError):
+        with pytest.raises(DegenerateFactorError, match=overflow):
             eta._replace().power_moment(1.5, 2)
         with pytest.raises(DegenerateFactorError, match="squared spatial factor integral is inf"):
             radial_functionals(eta, phi)
@@ -870,10 +872,11 @@ class TestExactRecord:
         # A halo thin enough for its mass to pass fails at the power moment,
         # with the same error on every read: a failed sum is not kept.
         thin = core_halo_eta(1e-50, 1e-50, 2e-50, 1e300)
-        with pytest.raises(OverflowError) as alone:
+        with pytest.raises(DegenerateFactorError, match=overflow) as alone:
             thin._replace().power_moment(1.5, 2)
+        assert isinstance(alone.value.__cause__, OverflowError)
         for _ in range(2):
-            with pytest.raises(OverflowError) as raised:
+            with pytest.raises(DegenerateFactorError) as raised:
                 radial_functionals(thin, phi)
             assert str(raised.value) == str(alone.value)
 
@@ -963,3 +966,39 @@ class TestRefinement:
         for key in ("kinetic", "potential", "virial", "l32_norm"):
             assert_rel(getattr(got, key), getattr(ref, key), 1e-14)
         assert abs(got.total_energy - ref.total_energy) <= 1e-14 * ref.kinetic
+
+
+EPS = sys.float_info.epsilon
+# Atmospheres whose exponent is a multiple of 1/16, so that every power the
+# moments raise a radius to (n, 3 - n, 5 - 2n, 1.5 n, ...) is exact.
+DYADIC_SHAPES = st.builds(lambda r1, w, n: monotonic_eta(r1, 1.0, 1.0 + w, n),
+                          st.one_of(relative_widths(-3.0, 0.0), THIN.map(lambda w: 1.0 - w)),
+                          st.one_of(THIN, relative_widths(-1.0, 1.0)),
+                          st.integers(8, 96).map(lambda m: m / 16.0))
+
+
+class TestDilation:
+    """Dilating the spatial factor by lam = 2^k scales every functional exactly."""
+
+    @REFINE_PROPERTY
+    @given(st.one_of(SHAPES, DYADIC_SHAPES), relative_widths(-4.0, 6.0), CUTOFFS,
+           st.integers(-30, 30))
+    def test_dilated_spatial_factor_scales_every_functional(self, shape, p, a, k):
+        # g(r) -> g(r / lam) keeps KE and gives PE / lam, lam V and L^{3/2} / lam.
+        # With lam = 2^k the dilated breakpoints are exact, so where every exponent
+        # is exact each relation holds to the rounding of the powers of a dilated
+        # radius, a few ulp (5.5 at most over 20,000 seeded dyadic data).  A rounded
+        # exponent e of a power piece scales by lam^fl(e), not lam^e: |k| ln 2
+        # |e - fl(e)|, up to ~|k| ulp.  L^{3/2} raises a product that scales by
+        # lam^3 to the power fl(2/3), which adds ~0.35 |k| ulp.
+        lam = 2.0**k
+        ansatz = SeparableAnsatz(shape, momentum_ball(p), AngularProfile.cutoff(a))
+        ref = evaluate(ansatz)
+        got = evaluate(ansatz._replace(spatial=shape.dilate(lam)))
+        rounded = any(piece.kind == "power" and (16.0 * piece.exponent) % 1.0
+                      for piece in shape.pieces)
+        ulps = 8.0 + (2.0 * abs(k) if rounded else 0.0)
+        assert got.kinetic == ref.kinetic
+        assert_rel(got.potential * lam, ref.potential, ulps * EPS)
+        assert_rel(got.virial / lam, ref.virial, ulps * EPS)
+        assert_rel(got.l32_norm * lam, ref.l32_norm, (ulps + 0.35 * abs(k)) * EPS)

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import assert_rel, mp_nested, mp_piece_integral, tight_integral, tight_nested
 from virial_forge import functionals, mollifier, solvers
 from virial_forge.errors import (
+    BracketError,
     NoPositiveRootError,
     NoRootError,
     ProfileError,
@@ -446,7 +447,7 @@ class TestSpec:
         assert default_delta(step) == pytest.approx(1.5e-4, rel=1e-12)
 
 
-def rebalance_reference(params, spec, bracket=RootBracket.around):
+def rebalance_reference(params, spec, bracket=RootBracket.expand):
     """Rebalance by full rebuild: the whole step ansatz smoothed anew at every point.
 
     ``bracket(residual, x0)`` brackets the root.  Returns the free parameter,
@@ -466,9 +467,32 @@ def rebalance_reference(params, spec, bracket=RootBracket.around):
     return x, mollified(x), residual(x)
 
 
+def doubling_bracket(f, lo, hi):
+    """The former walk for a rising f: double hi, or halve lo where f(lo) > 0.
+
+    Returns [lo, hi * 2^k] for the first k with a sign change, or
+    [lo / 2^k, lo] for the first k with f(lo / 2^k) <= 0.
+    """
+    flo = f(lo)
+    if flo == 0.0:
+        return RootBracket(lo, lo)
+    if flo > 0.0:
+        down = 0.5 * lo
+        while down > 0.0:
+            if not f(down) > 0.0:
+                return RootBracket(down, lo)
+            down *= 0.5
+        raise BracketError(f"no sign change down from {lo!r}")
+    while not flo * f(hi) < 0.0:
+        if not math.isfinite(2.0 * hi):
+            raise BracketError(f"no sign change up to {hi!r}")
+        hi *= 2.0
+    return RootBracket(lo, hi)
+
+
 def half_x0_bracket(f, x0):
-    """The former search: ``RootBracket.expand`` from [x0/2, x0]."""
-    return RootBracket.expand(f, 0.5 * x0, x0)
+    """The former search: ``doubling_bracket`` from [x0/2, x0]."""
+    return doubling_bracket(f, 0.5 * x0, x0)
 
 
 def outcome(solve, *args):
@@ -565,9 +589,9 @@ class TestRebalanceWork:
         real_cutoff = AngularProfile.cutoff.__func__
         monkeypatch.setattr(AngularProfile, "cutoff", classmethod(
             lambda cls, a: cutoffs.append(a) or real_cutoff(cls, a)))
-        real_around = RootBracket.around.__func__
-        monkeypatch.setattr(RootBracket, "around", classmethod(
-            lambda cls, f, x0: real_around(cls, visiting(f), x0)))
+        real_expand = RootBracket.expand.__func__
+        monkeypatch.setattr(RootBracket, "expand", classmethod(
+            lambda cls, f, x0: real_expand(cls, visiting(f), x0)))
         monkeypatch.setattr(mollifier, "brentq",
                             lambda f, *args, **kwargs: brentq(visiting(f), *args, **kwargs))
 

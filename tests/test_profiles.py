@@ -466,6 +466,25 @@ class TestPowerMoments:
         assert ramp.power_moment(1.5, 2) == pytest.approx(float(ref), rel=1e-12)
 
 
+    @pytest.mark.parametrize("profile, read, name", [
+        (monotonic_eta(0.00018828575195959296, 0.0003446754996415485,
+                       0.00034467549964156577, 1e30), lambda f: f.moment(2),
+         "radial-position moment of order 2"),
+        (PiecewiseProfile.from_segments([Piece.constant(1e300, 0.0, 1.0)],
+                                        domain_label="radial-momentum"),
+         lambda f: f.power_moment(1.5, 2), "radial-momentum power moment (1.5, 2)"),
+        (AngularProfile((Piece.constant(1e300, -1.0, 1.0),)), lambda f: f.power_moment(1.5, 0),
+         "angular power moment (1.5, 0)"),
+    ], ids=["position", "momentum", "angular"])
+    def test_overflowing_sum_names_factor_and_moment(self, profile, read, name):
+        # A float overflow in a piece's moment exits 2 like a zero factor,
+        # naming the factor's domain and the moment, chained to its cause.
+        with pytest.raises(DegenerateFactorError) as raised:
+            read(profile)
+        assert str(raised.value) == f"{name} overflows the float range"
+        assert isinstance(raised.value.__cause__, OverflowError)
+
+
 class TestPlateauSelfNested:
     @RULE_PROPERTY
     @given(lo=st.one_of(st.just(0.0), st.floats(-3.0, 3.0).map(lambda e: 10.0**e)),

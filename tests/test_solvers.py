@@ -43,9 +43,7 @@ from virial_forge.quadrature import nested_mass_quad
 from virial_forge.scans import ScanGrid
 from virial_forge.solvers import (
     AROUND_EPS,
-    BRACKET_START,
     FAMILIES,
-    PARAM_TOL,
     CoreHaloParams,
     MonotonicParams,
     RootBracket,
@@ -286,60 +284,29 @@ class TestQuadraticAndBracket:
 
     def test_bracket_expansion(self):
         f = lambda x: x - 12.0  # noqa: E731
-        br = RootBracket.expand(f, 1.0, 2.0)
+        br = RootBracket.expand(f, 1.0)
         assert f(br.lo) * f(br.hi) < 0.0
         with pytest.raises(BracketError):
-            RootBracket.expand(lambda x: x + 1.0, 1.0, 2.0)
-
-    def test_bracket_doubles_hi_while_finite(self):
-        # From BRACKET_START, f negative: 10 * 2^k for k = 0..1020, the last
-        # hi whose double is finite, and the error names it.
-        tried = []
-
-        def negative(x):
-            tried.append(x)
-            return -1.0
-
-        with pytest.raises(BracketError, match=r"no sign change up to 1\.1235582092889474e\+308"):
-            RootBracket.expand(negative, *BRACKET_START)
-        assert tried == [BRACKET_START[0], *(10.0 * 2.0**k for k in range(1021))]
-        assert math.isinf(2.0 * tried[-1])
-
-    def test_bracket_halves_lo_where_f_is_positive_there(self):
-        # f(lo) > 0 puts an increasing f's root below lo: lo / 2^k is probed,
-        # never hi, until f is not positive; 1e-3 / 2^7 < 1e-5 < 1e-3 / 2^6.
-        tried = []
-
-        def f(x):
-            tried.append(x)
-            return x - 1e-5
-
-        assert RootBracket.expand(f, *BRACKET_START) == (1e-3 / 128, 1e-3)
-        assert tried == [1e-3 / 2.0**k for k in range(8)]
-        with pytest.raises(BracketError, match="no sign change down from 0.001"):
-            RootBracket.expand(lambda x: x + 1.0, *BRACKET_START)
+            RootBracket.expand(lambda x: x + 1.0, 1.0)
 
     def test_monotonic_root_below_the_bracket_start(self):
-        # Potential -1.00000001: the cutoff root lies near 1.8e-4.
+        # Potential -1.00000001: the cutoff root lies near 1.8e-4, below 1e-3,
+        # inside the closed-form bracket [sqrt(K^2 - 1), 3K/2].
         r1, r2, r3 = 0.1480619672900462, 1.3460178843203636, 1.480619672900462
         pot = potential_energy_profile(monotonic_eta(r1, r2, r3, 3.0))
         p = solve_monotonic_P(r1, r2, r3, 3.0)
-        assert 1e-4 < p < BRACKET_START[0]
+        assert 1e-4 < p < 1e-3
         assert kinetic_energy_ball(p / 2) + pot < 0.0 < kinetic_energy_ball(2 * p) + pot
         assert abs(kinetic_energy_ball(p) + pot) <= 1e-15
 
-    def test_bracket_with_a_root_at_lo_is_that_point(self):
-        assert RootBracket.expand(lambda x: x - 1.0, 1.0, 2.0) == (1.0, 1.0)
-
-    @pytest.mark.parametrize("lo, hi", [(0.0, 0.0), (-1.0, 0.0), (-2.0, -1.0), (1.0, 1.0),
-                                        (2.0, 1.0), (0.0, -0.0)])
-    def test_bracket_that_doubling_cannot_move_is_rejected(self, lo, hi):
-        # Doubling leaves a hi <= max(lo, 0) where it is; the loop never ends.
-        def f(x):
-            raise AssertionError("the residual must not be evaluated")
-
-        with pytest.raises(BracketError, match="need hi > max"):
-            RootBracket.expand(f, lo, hi)
+    def test_bracket_with_a_root_at_lo_is_that_point(self, monkeypatch):
+        # K = 1 + ulp: KE(sqrt(K^2 - 1)) = 1 + 0.6 ulp rounds to K, so the
+        # closed-form bracket's lower end is a root and Brent returns it.
+        k = math.nextafter(1.0, 2.0)
+        monkeypatch.setattr(solvers.functionals, "potential_energy_profile", lambda eta: -k)
+        lo = math.sqrt(k - 1.0) * math.sqrt(k + 1.0)
+        assert kinetic_energy_ball(lo) == k
+        assert solve_monotonic_P(0.01, 1.0 / 11.0, 0.1, 3.0) == lo
 
 
 class TestBracketAround:
@@ -364,7 +331,7 @@ class TestBracketAround:
         # Root at 1.3 x0 and f(x0) < 0: the probes go up only, miss at
         # eps = 2^-9 .. 2^-3 and change sign at x0 (1 + 2^-1).
         f, tried = self.recording(lambda x: x - 1.3 * x0)
-        br = RootBracket.around(f, x0)
+        br = RootBracket.expand(f, x0)
         assert tried == self.probes(x0, 5, up=True)
         assert (br.lo, br.hi) == (x0 * (1.0 + 2.0**-3), x0 * (1.0 + 2.0**-1))
         assert f(br.lo) < 0.0 < f(br.hi)
@@ -374,7 +341,7 @@ class TestBracketAround:
         # Root at x0 / 1.005 and f(x0) > 0: the probes go down only, miss
         # at eps = 2^-9 and change sign at eps = 2^-7.
         f, tried = self.recording(lambda x: math.atan(x / x0 - 1.0 / 1.005))
-        br = RootBracket.around(f, x0)
+        br = RootBracket.expand(f, x0)
         assert tried == self.probes(x0, 2, up=False)
         assert (br.lo, br.hi) == (x0 / (1.0 + 2.0**-7), x0 / (1.0 + 2.0**-9))
         assert f(br.lo) < 0.0 < f(br.hi)
@@ -385,18 +352,18 @@ class TestBracketAround:
         # every eps, and alone.  The bracket is the two-sided walk's,
         # (x0 / (1 + 2^-3), x0 / (1 + 2^-5)), with no probe above x0.
         f, tried = self.recording(lambda x: x - 0.9 * x0)
-        br = RootBracket.around(f, x0)
+        br = RootBracket.expand(f, x0)
         assert tried == self.probes(x0, 4, up=False)
         assert (br.lo, br.hi) == (x0 / (1.0 + 2.0**-3), x0 / (1.0 + 2.0**-5))
         assert br == self.above_first(lambda x: x - 0.9 * x0, x0)
 
     def test_first_probe_past_x0_brackets_against_x0(self):
-        br = RootBracket.around(lambda x: x - 1.001, 1.0)
+        br = RootBracket.expand(lambda x: x - 1.001, 1.0)
         assert (br.lo, br.hi) == (1.0, 1.0 + 2.0**-9)
 
     def test_root_at_x0_returns_at_once(self):
         f, tried = self.recording(lambda x: x - 2.0)
-        br = RootBracket.around(f, 2.0)
+        br = RootBracket.expand(f, 2.0)
         assert (br.lo, br.hi) == (2.0, 2.0) and tried == [2.0]
         assert brentq(f, br.lo, br.hi, xtol=1e-15) == 2.0
 
@@ -404,7 +371,7 @@ class TestBracketAround:
         x0 = 1.0
         root = x0 / (1.0 + 2.0**-7)
         f = lambda x: 0.0 if x == root else x - 0.5 * (root + x0 / (1.0 + 2.0**-5))  # noqa: E731
-        br = RootBracket.around(f, x0)
+        br = RootBracket.expand(f, x0)
         assert (br.lo, br.hi) == (root, x0 / (1.0 + 2.0**-9))
         assert brentq(f, br.lo, br.hi, xtol=1e-15) == root
 
@@ -414,7 +381,7 @@ class TestBracketAround:
             raise AssertionError("the residual must not be evaluated")
 
         with pytest.raises(BracketError, match="need x0 > 0"):
-            RootBracket.around(f, x0)
+            RootBracket.expand(f, x0)
 
     def test_no_sign_change_names_the_last_interval(self):
         # The interval from x0 to the last probe, on the side f(x0) picked.
@@ -423,7 +390,7 @@ class TestBracketAround:
                                     (-1.0, True, (3.0, 3.0 * grow))):
             f, tried = self.recording(lambda x, level=level: level)
             with pytest.raises(BracketError) as err:
-                RootBracket.around(f, 3.0)
+                RootBracket.expand(f, 3.0)
             assert str(err.value) == "no sign change on [{!r}, {!r}]".format(*interval)
             assert tried == self.probes(3.0, 14, up)
 
@@ -431,7 +398,7 @@ class TestBracketAround:
     def test_reach_upward_covers_sixteen_doublings(self, x0):
         # AROUND_EPS's probes reach (1 + 2^17) x0, past 2^16 x0.
         root = x0 * 2.0**16
-        br = RootBracket.around(lambda x: x - root, x0)
+        br = RootBracket.expand(lambda x: x - root, x0)
         assert br.lo < root <= br.hi
         assert brentq(lambda x: x - root, br.lo, br.hi, xtol=1e-15 * x0) == pytest.approx(
             root, rel=1e-14)
@@ -470,11 +437,96 @@ class TestBracketAround:
 
             f, tried = self.recording(residual)
             f_old, tried_old = self.recording(residual)
-            assert RootBracket.around(f, x0) == self.above_first(f_old, x0), params
+            assert RootBracket.expand(f, x0) == self.above_first(f_old, x0), params
             assert len(tried) <= len(tried_old), params
             if len(tried) < len(tried_old):
                 saved.add(family.name)
         assert saved == {"core-halo"}
+
+
+class TestMonotonicBracket:
+    """``solve_monotonic_P`` runs Brent on [sqrt(K^2 - 1), 3K/2], K = -potential."""
+
+    @staticmethod
+    def potentials():
+        """K over (1, 1e76]: 1 + k ulp, 1 + 10^u and 10^u, weighted to both ends."""
+        rng = np.random.default_rng(20261020)
+        return [*(1.0 + k * 2.0**-52 for k in range(1, 65)),
+                *(1.0 + 10.0**u for u in rng.uniform(-15.0, 0.0, 200)),
+                *(10.0**u for u in rng.uniform(0.0, 76.0, 200)),
+                math.nextafter(1e76, 0.0), 1e76]
+
+    def test_bracket_ends_have_the_root_signs(self, monkeypatch):
+        # KE(P) lies between 3P/4 and sqrt(1 + P^2), so the solve's own
+        # residual is <= 0 at the lower end and > 0 at the upper end.  Brent
+        # stops within xtol + 4 eps P <= 1.9e-15 P of the root, and
+        # P KE'(P) = 3 (sqrt(1 + P^2) - KE) <= K there, so |E| <= 1.9e-15 K
+        # plus KE's rounding.
+        ends = []
+
+        def recording(f, a, b, xtol):
+            ends.append((f(a), f(b)))
+            return brentq(f, a, b, xtol)
+
+        monkeypatch.setattr(solvers, "brentq", recording)
+        for k in self.potentials():
+            monkeypatch.setattr(solvers.functionals, "potential_energy_profile",
+                                lambda eta, k=k: -k)
+            p = solve_monotonic_P(0.01, 1.0 / 11.0, 0.1, 3.0)
+            assert ends[-1][0] <= 0.0 < ends[-1][1], k
+            assert abs(kinetic_energy_ball(p) - k) <= 3e-15 * k, k
+
+    @pytest.mark.parametrize("pot", [math.nan, -math.inf, -1.0, 0.5])
+    def test_potential_outside_the_open_range_has_no_root(self, monkeypatch, pot):
+        monkeypatch.setattr(solvers.functionals, "potential_energy_profile", lambda eta: pot)
+        with pytest.raises(NoRootError, match=f"^potential energy {pot:.6g} cannot balance"):
+            solve_monotonic_P(0.01, 1.0 / 11.0, 0.1, 3.0)
+
+    @staticmethod
+    def former_solve(pot):
+        """(root, evaluations) of the former solve: a doubling walk from [1e-3, 10], xtol 1e-12."""
+        calls = []
+
+        def residual(p):
+            calls.append(p)
+            return kinetic_energy_ball(p) + pot
+
+        bracket = test_mollifier.doubling_bracket(residual, 1e-3, 10.0)
+        return brentq(residual, bracket.lo, bracket.hi, xtol=1e-12), len(calls)
+
+    @pytest.mark.parametrize("r1_exp", [-3.0, -6.0])
+    def test_no_worse_than_the_former_walk(self, monkeypatch, r1_exp):
+        # 500 seeded shapes, r1 from 10^r1_exp to 1, 337 and 420 of them
+        # solvable.  Fewer residual evaluations per solve (11.3 -> 6.6 and
+        # 14.6 -> 5.7) and a smaller mean |E| / K.  With r1 >= 1e-3 (K up to
+        # ~350) the mean and max |E| are smaller too; with r1 down to 1e-6, K
+        # reaches ~3e5, both solves end within a few ulp of K, and which lands
+        # nearer varies: mean |E| 2.1e-12 before, 2.5e-12 now, max equal.
+        rng = np.random.default_rng(41)
+        evals = []
+        real = solvers.functionals.kinetic_energy_ball
+        monkeypatch.setattr(solvers.functionals, "kinetic_energy_ball",
+                            lambda p: evals.append(p) or real(p))
+        rows = []
+        for _ in range(500):
+            r1 = 10.0 ** rng.uniform(r1_exp, 0.0)
+            r2 = r1 * rng.uniform(1.5, 30.0)
+            r3, n = r2 * rng.uniform(1.01, 2.0), rng.uniform(0.5, 6.0)
+            pot = potential_energy_profile(monotonic_eta(r1, r2, r3, n))
+            if not pot < -1.0:
+                continue
+            del evals[:]
+            p = solve_monotonic_P(r1, r2, r3, n)
+            ours = len(evals)
+            former, former_evals = self.former_solve(pot)
+            rows.append((ours, abs(real(p) + pot), former_evals, abs(real(former) + pot), -pot))
+        ours_n, ours_e, former_n, former_e, k = np.array(rows).T
+        assert len(rows) >= 300
+        assert ours_n.mean() < former_n.mean()
+        assert (ours_e / k).mean() < (former_e / k).mean()
+        if r1_exp == -3.0:
+            assert ours_e.mean() <= former_e.mean() and ours_e.max() <= former_e.max()
+        assert np.all(ours_e <= 3e-15 * k)
 
 
 def _brent_trace(solver, f, lo, hi, **kwargs):
@@ -517,7 +569,7 @@ class TestBrent:
     # The xtol/maxiter of every call site: solve_monotonic_P, then the
     # uniform, monotonic and core-halo rebalances of the mollifier.
     CALL_SITES = {
-        "param-tol": (lambda scale: {"xtol": PARAM_TOL}, (-1.0, 1.0)),
+        "param-tol": (lambda scale: {"xtol": 0.5e-15 * scale}, (-1.0, 1.0)),
         "rebalance-uniform": (lambda scale: {"xtol": 1e-14}, (-3.0, 0.0)),
         "rebalance-monotonic": (lambda scale: {"xtol": 1e-12}, (-1.0, 1.0)),
         "rebalance-corehalo": (lambda scale: {"xtol": max(1e-18, 1e-12 * scale),
@@ -545,10 +597,9 @@ class TestBrent:
             if pot >= -1.0:
                 continue
             residual = lambda p, pot=pot: kinetic_energy_ball(p) + pot  # noqa: E731
-            bracket = RootBracket.expand(residual, *BRACKET_START)
-            ours = _brent_trace(brentq, residual, bracket.lo, bracket.hi, xtol=PARAM_TOL)
-            theirs = _brent_trace(scipy.optimize.brentq, residual, bracket.lo, bracket.hi,
-                                  xtol=PARAM_TOL)
+            lo, hi = math.sqrt(-pot - 1.0) * math.sqrt(1.0 - pot), -1.5 * pot
+            ours = _brent_trace(brentq, residual, lo, hi, xtol=1e-15 * lo)
+            theirs = _brent_trace(scipy.optimize.brentq, residual, lo, hi, xtol=1e-15 * lo)
             assert ours == theirs
             assert solve_monotonic_P(r1, r2, r3, n).hex() == theirs[0]
             solved += 1
