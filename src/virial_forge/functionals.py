@@ -12,11 +12,11 @@ functional reduces to products and ratios of one-dimensional moments:
                         / (2 pi^{2/3} ||g r^2|| ||h p^2|| int L)
 
 Each formula is written once and reads its moments from a moment source.
-The exact source (``method="auto"``) takes them from exact piecewise
-moments and a nested integral exact piece by piece (on a ramp, closed-form
-Bernstein sums); the self term of a spatial power law, the kinetic weight of
-a momentum profile that is not a ball and the fractional powers of ramps use
-the fixed GL14 rule of ``profiles`` (so a mollified report says
+The exact source (``method="auto"``) sums what each piece of ``profiles``
+integrates: its moments, its kinetic weight, and its term of the nested
+integral given the mass enclosed before it.  A spatial power law's self
+term, a momentum profile that is not a ball and a ramp's fractional powers
+take the pieces' fixed GL14 rule (so a mollified report says
 ``fixed-rule``): no adaptive integral, no numpy or scipy.  The adaptive source
 (``method="quadrature"``) integrates every moment adaptively, once per
 evaluation, and is kept as an independent oracle.  Each formula reads a
@@ -39,17 +39,11 @@ from collections import namedtuple
 from .profiles import (
     CONSTANT,
     POWER,
-    RAMP,
     check_factor,
     check_positive,
-    fixed_rule,
-    gauss_legendre,
+    momentum_energy_moment,
     norm_constant,
-    panel_edges,
-    plateau_self_nested,
-    power_integral,
     radial_scale,
-    ramp_self_nested,
 )
 
 __all__ = [
@@ -83,26 +77,6 @@ def _format_float(x):
     return f"{x:.17g}"
 
 
-def momentum_energy_moment(p_max):
-    """Exact int_0^P sqrt(1+p^2) p^2 dp.
-
-    Uses the antiderivative (P(1+2P^2)sqrt(1+P^2) - asinh P)/8 from P = 1
-    on.  Below, where that expression cancels, one GL14 panel over [0, P]
-    takes over: the integrand's branch points +-i are far enough away for
-    ~4e-16 relative.
-    Raises OverflowError where the moment exceeds the float range (P above
-    ~9.7e76, where the intermediate 2 P^4 overflows).
-    """
-    check_positive(p_max, "momentum cutoff", ValueError, zero_ok=True)
-    if p_max < 1.0:
-        return gauss_legendre(lambda p: p * p * math.sqrt(1.0 + p * p), 0.0, p_max)
-    s = math.sqrt(1.0 + p_max * p_max)
-    moment = (p_max * (1.0 + 2.0 * p_max * p_max) * s - math.asinh(p_max)) / 8.0
-    if not math.isfinite(moment):
-        raise OverflowError(f"momentum energy moment overflows at P={p_max!r}")
-    return moment
-
-
 def kinetic_energy_ball(p_max):
     """Kinetic (rest mass included) energy of a unit-mass momentum ball.
 
@@ -128,82 +102,20 @@ def _is_ball(phi):
     return len(live) == 1 and live[0].kind == CONSTANT and live[0].lo == 0.0
 
 
-def _kinetic_integrand(value, p):
-    return value * p * p * math.sqrt(1.0 + p * p)
-
-
-def _kinetic_weight(piece):
-    """int sqrt(1+p^2) h(p) p^2 dp over one momentum piece.
-
-    A plateau from 0 takes ``momentum_energy_moment``; every other piece the
-    GL14 rule (on a thin shell a difference of antiderivatives would cancel),
-    on ``panel_edges``: ratio 2 for a power law, else max(1, left end) wide.
-    """
-    if piece.is_zero:
-        return 0.0
-    if piece.kind == CONSTANT and piece.lo == 0.0:
-        return piece.value * momentum_energy_moment(piece.hi)
-    edges = panel_edges(piece.lo, piece.hi, 0.0 if piece.kind == POWER else 1.0)
-    if piece.kind != RAMP:
-        return fixed_rule(lambda p: _kinetic_integrand(piece.value_at(p), p), edges)
-    # The edges in the ramp rule's coordinate, which runs from the smaller end.
-    small_end = piece.lo if piece.left <= piece.right else piece.hi
-    w = piece.hi - piece.lo
-    return piece.ramp_rule(_kinetic_integrand, sorted(abs(p - small_end) / w for p in edges))
-
-
 def _exact_kinetic(phi):
     """(int sqrt(1+p^2) h p^2 dp, int h p^2 dp), up to a common positive factor."""
     if phi.memo("ball", _is_ball):
         return kinetic_energy_ball(phi.support_radius), 1.0
-    return math.fsum(_kinetic_weight(p) for p in phi.pieces), phi.moment(2)
-
-
-def _power_self_nested(n, lo, hi):
-    """int_lo^hi q^(1-n) int_lo^q s^(2-n) ds dq, the self term of a power law (lo/r)**n.
-
-    q = lo e^s gives lo^(5-2n) int_0^u e^((2-n)s) expm1((3-n)s)/(3-n) ds,
-    u = log1p((hi - lo) / lo) (the quotient is s at n = 3), which cancels
-    nothing on a thin piece or near n = 3.  The integrand is entire, its
-    exponential rates between 2 - n and 5 - 2n, and largest at s = u where
-    5 - 2n > 0, else near s = 0.  GL14 panels 8/rate wide at that end,
-    doubling away from it, keep the sum within ~4e-15 of mpmath for n in
-    [0.5, 6] and w/lo in [1e-12, 1e4], and within ~eps |5 - 2n| u beyond.
-    """
-    k, u = 3.0 - n, math.log1p((hi - lo) / lo)
-    rate = max(abs(2.0 - n), abs(5.0 - 2.0 * n))
-    edges = [t / rate for t in panel_edges(0.0, rate * u, 8.0)[:-1]] + [u]
-    if n < 2.5:
-        edges = [u - s for s in reversed(edges)]
-    return lo ** (5.0 - 2.0 * n) * fixed_rule(
-        lambda s: math.exp((2.0 - n) * s) * (math.expm1(k * s) / k if k else s), edges)
+    return math.fsum(p.kinetic_weight() for p in phi.pieces), phi.moment(2)
 
 
 def _exact_nested(profile):
-    """Nested mass integral, exact piece by piece.
-
-    Walks pieces left to right keeping the exact enclosed mass M and adds
-    int piece(q) * q * (M + local cumulative) dq: M times the piece's first
-    moment plus its self term, ``plateau_self_nested``, the fixed rule
-    ``_power_self_nested`` or the Bernstein sum ``ramp_self_nested``.
-    """
-    total = 0.0
-    enclosed = 0.0
+    """Nested mass integral: each nonzero piece's ``nested`` term of the mass before it."""
+    total = enclosed = 0.0
     for p in profile.pieces:
-        lo, hi = p.lo, p.hi
-        if p.is_zero:
-            continue
-        if p.kind == RAMP:
-            total += enclosed * p.moment(1) + (hi - lo) ** 2 * ramp_self_nested(
-                p.left, p.right, lo, hi)
+        if not p.is_zero:
+            total += p.nested(enclosed)
             enclosed += p.moment(2)
-        else:
-            c, n = p.value, p.exponent
-            pref = c * lo**n
-            lead = enclosed * power_integral(1.0 - n, lo, hi)
-            inner = plateau_self_nested(lo, hi) if n == 0.0 else _power_self_nested(n, lo, hi)
-            total += pref * (lead + pref * inner)
-            enclosed += pref * power_integral(2.0 - n, lo, hi)
     return total
 
 

@@ -8,13 +8,15 @@ decays anchored at the left endpoint of their interval, and C^1 cubic
 smoothstep ramps.  A plateau is the power law of exponent 0, so one closed
 form gives every integer moment of both; a ramp's integer moments and nested
 self term are sums of nonnegative Bernstein terms (Farouki and Rajan, CAGD 4,
-1987).  Fractional powers of ramps and the kinetic weight of a momentum
-profile that is not a ball take the GL14 rule stored here; nothing integrates
-adaptively.
+1987).  Only this module integrates a piece: its (power) moments, kinetic
+weight and nested potential term, which ``functionals`` and ``solvers`` sum.
+Fractional powers of ramps, a power law's self term and the kinetic weight
+of any piece but a plateau from 0 take the GL14 rule stored here; nothing
+integrates adaptively.
 
 All profile objects are immutable after construction and safe to share
 between threads.  Derived quantities (the moments here, the exact route's
-kinetic and nested integrals in ``functionals``) are memoized per instance,
+kinetic and nested sums in ``functionals``) are memoized per instance,
 and so are the closures over the pieces that ``__call__`` and the oracle's
 integrands in ``quadrature`` call: the pointwise evaluator and the integrand
 of the nested potential, each built once.
@@ -55,8 +57,7 @@ NEAR_DEGENERATE_ANGULAR = 1e-8
 # rounded.  For f analytic inside the Bernstein ellipse E_rho with |f| <= M
 # there, it errs by at most (64/15) M rho^-28 / (rho^2 - 1) (Trefethen,
 # Approximation Theory and Approximation Practice, Thm 19.3); the panels
-# chosen here and in ``functionals`` keep rho >= 3.7, where that is below a
-# double's rounding.
+# chosen here keep rho >= 3.7, where that is below a double's rounding.
 _GL14 = ((0.10805494870734367, 0.2152638534631578),
          (0.31911236892788974, 0.2051984637212956),
          (0.5152486363581541, 0.18553839747793782),
@@ -132,6 +133,30 @@ def power_integral(exponent, lo, hi):
     return (hi**e1 - lo**e1) / e1
 
 
+def momentum_energy_moment(p_max):
+    """Exact int_0^P sqrt(1+p^2) p^2 dp.
+
+    Uses the antiderivative (P(1+2P^2)sqrt(1+P^2) - asinh P)/8 from P = 1
+    on.  Below, where that expression cancels, one GL14 panel over [0, P]
+    takes over: the integrand's branch points +-i are far enough away for
+    ~4e-16 relative.
+    Raises OverflowError where the moment exceeds the float range (P above
+    ~9.7e76, where the intermediate 2 P^4 overflows).
+    """
+    check_positive(p_max, "momentum cutoff", ValueError, zero_ok=True)
+    if p_max < 1.0:
+        return gauss_legendre(lambda p: p * p * math.sqrt(1.0 + p * p), 0.0, p_max)
+    s = math.sqrt(1.0 + p_max * p_max)
+    moment = (p_max * (1.0 + 2.0 * p_max * p_max) * s - math.asinh(p_max)) / 8.0
+    if not math.isfinite(moment):
+        raise OverflowError(f"momentum energy moment overflows at P={p_max!r}")
+    return moment
+
+
+def _kinetic_integrand(value, p):
+    return value * p * p * math.sqrt(1.0 + p * p)
+
+
 def plateau_self_nested(lo, hi):
     """Exact int_lo^hi q (q^3 - lo^3) / 3 dq, a unit plateau's nested self term.
 
@@ -139,6 +164,28 @@ def plateau_self_nested(lo, hi):
     """
     w = hi - lo
     return w * (7.5 * lo**3 * w + 10.0 * lo * lo * w * w + 5.0 * lo * w**3 + w**4) / 5.0 / 3.0
+
+
+def power_self_nested(n, lo, hi):
+    """int_lo^hi q^(1-n) int_lo^q s^(2-n) ds dq, the self term of a power law (lo/r)**n.
+
+    q = lo e^s gives lo^(5-2n) int_0^u e^((2-n)s) expm1((3-n)s)/(3-n) ds,
+    u = log1p((hi - lo) / lo) (the quotient is s at n = 3), which cancels
+    nothing on a thin piece or near n = 3.  The integrand is entire, its
+    exponential rates between 2 - n and 5 - 2n, and largest at s = u where
+    5 - 2n > 0, else near s = 0.  GL14 panels 8/rate wide at that end,
+    doubling away from it, keep the sum within ~4e-15 of mpmath for n in
+    [0.5, 6] and w/lo in [1e-12, 1e4], and within ~eps |5 - 2n| u beyond.
+    lo^(5-2n) is lo^e times lo to the rounding error of e = fl(5 - 2n), an
+    exact float sum: lo^e alone errs by up to ~eps |e log lo| / 2.
+    """
+    k, u, e = 3.0 - n, math.log1p((hi - lo) / lo), 5.0 - 2.0 * n
+    rate = max(abs(2.0 - n), abs(e))
+    edges = [t / rate for t in panel_edges(0.0, rate * u, 8.0)[:-1]] + [u]
+    if n < 2.5:
+        edges = [u - s for s in reversed(edges)]
+    return lo**e * lo ** math.fsum((5.0, -2.0 * n, -e)) * fixed_rule(
+        lambda s: math.exp((2.0 - n) * s) * (math.expm1(k * s) / k if k else s), edges)
 
 
 # A ramp has Bernstein coefficients (left, left, right, right) and r^k has lo^(k-j) hi^j, so
@@ -387,6 +434,39 @@ class Piece(_Value):
             first = min(first, 2.0 ** math.floor(math.log2(tau)))
         return self.ramp_rule(lambda value, r: value**beta * r**k,
                               [0.0, *panel_edges(first, 1.0, 0.0)])
+
+    def kinetic_weight(self):
+        """int sqrt(1+p^2) value(p) p^2 dp over the piece, a momentum piece.
+
+        A plateau from 0 takes ``momentum_energy_moment``; every other piece the
+        GL14 rule (on a thin shell a difference of antiderivatives would cancel),
+        on ``panel_edges``: ratio 2 for a power law, else max(1, left end) wide.
+        """
+        if self.is_zero:
+            return 0.0
+        if self.kind == CONSTANT and self.lo == 0.0:
+            return self.value * momentum_energy_moment(self.hi)
+        edges = panel_edges(self.lo, self.hi, 0.0 if self.kind == POWER else 1.0)
+        if self.kind != RAMP:
+            return fixed_rule(lambda p: _kinetic_integrand(self.value_at(p), p), edges)
+        # The edges in the ramp rule's coordinate, which runs from the smaller end.
+        small_end = self.lo if self.left <= self.right else self.hi
+        w = self.hi - self.lo
+        return self.ramp_rule(_kinetic_integrand, sorted(abs(p - small_end) / w for p in edges))
+
+    def nested(self, enclosed):
+        """int value(q) q (enclosed + int_lo^q value(s) s^2 ds) dq over a nonzero piece,
+        ``enclosed`` the mass int g s^2 before it: ``enclosed`` times the first moment
+        plus the self term (``plateau_self_nested``, ``power_self_nested`` or ``ramp_self_nested``)."""
+        lo, hi = self.lo, self.hi
+        if self.kind == RAMP:
+            return enclosed * self.moment(1) + (hi - lo) ** 2 * ramp_self_nested(
+                self.left, self.right, lo, hi)
+        n = self.exponent
+        pref = self.value * lo**n
+        lead = enclosed * power_integral(1.0 - n, lo, hi)
+        inner = plateau_self_nested(lo, hi) if n == 0.0 else power_self_nested(n, lo, hi)
+        return pref * (lead + pref * inner)
 
 
 def _check_coverage(pieces, start, end):

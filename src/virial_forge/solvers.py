@@ -46,14 +46,13 @@ from .errors import (
 )
 from .profiles import (
     AngularProfile,
+    Piece,
     SeparableAnsatz,
     check_positive,
     check_radii,
     core_halo_eta,
     momentum_ball,
     monotonic_eta,
-    plateau_self_nested,
-    power_integral,
     uniform_eta,
 )
 
@@ -207,16 +206,20 @@ def corehalo_energy_quadratic(r1, r2, r3, p):
 
     With m2(a) the spatial second moment and N(a) the nested mass integral,
     both quadratic in the halo level a, the zero-energy condition
-    KE = N / m2^2 is equivalent to g(a) = KE * m2(a)^2 - N(a) = 0, with the
-    moments the exact nested integral takes on the two plateaus.
+    KE = N / m2^2 is equivalent to g(a) = KE * m2(a)^2 - N(a) = 0.  The
+    moments and nested terms are those of a unit core [0, r1] and a unit
+    halo [r2, r3] piece; a zero-width halo (r2 == r3) has no piece.
     """
     ke = functionals.kinetic_energy_ball(p)
-    m2_core, m2_halo = power_integral(2.0, 0.0, r1), power_integral(2.0, r2, r3)
-    nested_cc, nested_hh = plateau_self_nested(0.0, r1), plateau_self_nested(r2, r3)
-    nested_ch = m2_core * power_integral(1.0, r2, r3)
+    core = Piece.constant(1.0, 0.0, r1)
+    m2_core = core.moment(2)
+    m2_halo = m1_halo = nested_hh = 0.0
+    if r2 < r3:
+        halo = Piece.constant(1.0, r2, r3)
+        m2_halo, m1_halo, nested_hh = halo.moment(2), halo.moment(1), halo.nested(0.0)
     a_coef = ke * m2_halo**2 - nested_hh
-    b_coef = 2.0 * ke * m2_core * m2_halo - nested_ch
-    c_coef = ke * m2_core**2 - nested_cc
+    b_coef = 2.0 * ke * m2_core * m2_halo - m2_core * m1_halo
+    c_coef = ke * m2_core**2 - core.nested(0.0)
     return a_coef, b_coef, c_coef
 
 
@@ -251,9 +254,10 @@ def solve_corehalo_alpha(r1, r2, r3, p, full_output=False):
     check_positive(p, "momentum cutoff")
     a_coef, b_coef, c_coef = corehalo_energy_quadratic(r1, r2, r3, p)
     if r2 == r3:
-        # Zero-width halo: the residual no longer depends on the halo level.
-        scale = max(abs(a_coef), abs(b_coef), 1.0)
-        if abs(c_coef) <= 1e-12 * scale:
+        # Zero-width halo: A = B = 0, so the core alone must balance: C = KE m2^2 - N
+        # within 1e-12 of the larger of KE m2^2 = C + N and N, both finite.
+        nested = Piece.constant(1.0, 0.0, r1).nested(0.0)
+        if abs(c_coef) <= 1e-12 * max(c_coef + nested, nested) < math.inf:
             return (0.0, (0.0,)) if full_output else 0.0
         raise NoPositiveRootError(
             "degenerate halo (r2 == r3) and the core alone does not balance")

@@ -304,6 +304,19 @@ class TestExitCodes:
         assert code == 0
         assert "virial" in kv_parse(out)
 
+    @pytest.mark.parametrize("command", ["certify", "mollify"])
+    def test_small_core_without_halo_does_not_balance(self, capsys, command):
+        # Both terms of the core's energy are below 1e-16: judged against
+        # them, not against 1e-12, the core alone is far from balance.
+        code, out, err = run_cli(
+            capsys,
+            [command, "--family", "core-halo", "--r1", "1e-3", "--r2", "1", "--r3", "1",
+             "--p", "1", "--a", "-0.8"],
+        )
+        assert (code, out) == (2, "")
+        assert err == ("error: degenerate halo (r2 == r3) and the core alone does not "
+                       "balance\n")
+
 
 class TestDeterminism:
     def test_certify_bytes_identical(self, capsys):

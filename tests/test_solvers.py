@@ -171,6 +171,15 @@ class TestCoreHalo:
         r = solve_uniform_R(1.0)
         assert solve_corehalo_alpha(r, 2.0, 2.0, 1.0) == 0.0
 
+    def test_degenerate_halo_judged_against_the_core_terms(self):
+        # The core's KE m2^2 and N are ~1e-32 here: 1e-6 of imbalance is
+        # refused, which a bound absolute at 1e-12 let through.
+        p = 1e6
+        r1 = 3.0 / (5.0 * kinetic_energy_ball(p))
+        assert solve_corehalo_alpha(r1, 1.0, 1.0, p) == 0.0
+        with pytest.raises(NoPositiveRootError, match="core alone does not balance"):
+            solve_corehalo_alpha(r1 * (1.0 + 1e-6), 1.0, 1.0, p)
+
     def test_unbalanceable_configuration(self):
         # A fat core already has positive energy; a halo only raises it.
         roots = solve_quadratic(*corehalo_energy_quadratic(2.0, 2.0, 2.5, 1.0))
@@ -566,14 +575,13 @@ def _seeded_residuals(seed, count, scale_exp):
 class TestBrent:
     """``solvers.brentq`` is bit-identical to ``scipy.optimize.brentq``."""
 
-    # The xtol/maxiter of every call site: solve_monotonic_P, then the
-    # uniform, monotonic and core-halo rebalances of the mollifier.
+    # The xtol of every call site, each at the default maxiter, over the scale
+    # of its root: solve_monotonic_P's cutoff (1e-15 of the bracket's lower
+    # end, here 0.5 scale), and mollifier.rebalance's radius, halo level or
+    # cutoff (1e-15 of the step root x0, here the scale).
     CALL_SITES = {
-        "param-tol": (lambda scale: {"xtol": 0.5e-15 * scale}, (-1.0, 1.0)),
-        "rebalance-uniform": (lambda scale: {"xtol": 1e-14}, (-3.0, 0.0)),
-        "rebalance-monotonic": (lambda scale: {"xtol": 1e-12}, (-1.0, 1.0)),
-        "rebalance-corehalo": (lambda scale: {"xtol": max(1e-18, 1e-12 * scale),
-                                              "maxiter": 200}, (-14.0, 0.0)),
+        "solve_monotonic_P": (lambda scale: {"xtol": 0.5e-15 * scale}, (-1.0, 1.0)),
+        "rebalance": (lambda scale: {"xtol": 1e-15 * scale}, (-14.0, 1.0)),
     }
 
     @pytest.mark.parametrize("site", sorted(CALL_SITES))
