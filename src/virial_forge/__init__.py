@@ -11,10 +11,9 @@ import importlib
 # Defining module -> the public names the package re-exports from it.
 _EXPORTS = {
     "errors": (
-        "BracketError", "ConfigError", "DegenerateFactorError", "DivergentMomentError",
-        "GridExhaustedError", "NoPositiveRootError", "NoRootError", "ProfileError",
-        "QuadratureBudgetError", "RampOverlapError", "ThresholdUnreachableError",
-        "VirialForgeError",
+        "BracketError", "ConfigError", "DegenerateFactorError", "GridExhaustedError",
+        "NoPositiveRootError", "NoRootError", "ProfileError", "QuadratureBudgetError",
+        "RampOverlapError", "ThresholdUnreachableError", "VirialForgeError",
     ),
     "functionals": (
         "CRITICAL_L32_NORM", "Certificate", "FunctionalReport", "check_criteria", "evaluate",

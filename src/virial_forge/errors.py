@@ -9,10 +9,6 @@ class ProfileError(VirialForgeError):
     """Invalid piecewise profile construction (coverage, signs, intervals)."""
 
 
-class DivergentMomentError(ProfileError):
-    """A requested moment integral is not finite."""
-
-
 class DegenerateFactorError(VirialForgeError):
     """A factor integral needed for normalization is zero or infinite."""
 

@@ -18,13 +18,12 @@ integral given the mass enclosed before it.  A spatial power law's self
 term, a momentum profile that is not a ball and a ramp's fractional powers
 take the pieces' fixed GL14 rule (so a mollified report says
 ``fixed-rule``): no adaptive integral, no numpy or scipy.  The adaptive source
-(``method="quadrature"``) integrates every moment adaptively, once per
-evaluation, and is kept as an independent oracle.  Each formula reads a
-moment from its source where it needs it (the exact source's are memoized
-per profile), computes the a-free part from the radial moments and
-completes it from the angular moments.  Only
-``evaluate`` takes ``method``; ``radial_functionals`` (the exact a-free
-part, which the floor scan completes for each cutoff),
+(``method="quadrature"``) is the independent oracle, ``quadrature._Adaptive``,
+which ``evaluate`` alone imports.  Each formula reads a moment from its
+source where it needs it (the exact source's are memoized per profile),
+computes the a-free part from the radial moments and completes it from the
+angular moments.  Only ``evaluate`` takes ``method``; ``radial_functionals``
+(the exact a-free part, which the floor scan completes for each cutoff),
 ``spatial_momentum_factor``, and ``total_energy`` and
 ``potential_energy_profile`` (which read ||g r^2|| alone) take the exact
 source.  Certification checks the three blow-up hypotheses: zero total
@@ -36,6 +35,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
+from .errors import DegenerateFactorError
 from .profiles import (
     CONSTANT,
     POWER,
@@ -92,10 +92,6 @@ def kinetic_energy_ball(p_max):
     return 3.0 * momentum_energy_moment(p_max) / p_max**3
 
 
-def _relativistic(p):
-    return math.sqrt(1.0 + p * p)
-
-
 def _is_ball(phi):
     """True when the only nonzero piece of phi is a plateau from 0."""
     live = [p for p in phi.pieces if not p.is_zero]
@@ -112,10 +108,14 @@ def _exact_kinetic(phi):
 def _exact_nested(profile):
     """Nested mass integral: each nonzero piece's ``nested`` term of the mass before it."""
     total = enclosed = 0.0
-    for p in profile.pieces:
-        if not p.is_zero:
-            total += p.nested(enclosed)
-            enclosed += p.moment(2)
+    try:
+        for p in profile.pieces:
+            if not p.is_zero:
+                total += p.nested(enclosed)
+                enclosed += p.moment(2)
+    except OverflowError as exc:
+        raise DegenerateFactorError(
+            f"{profile.domain_label} nested potential integral overflows the float range") from exc
     return total
 
 
@@ -222,61 +222,6 @@ class _Exact(_MomentSource):
         return {}
 
 
-class _Adaptive(_MomentSource):
-    """Every integral by adaptive quadrature, kept by profile identity so it runs once."""
-
-    def __init__(self):
-        from . import quadrature  # here, so the exact route never loads it
-
-        self.quad = quadrature
-        self.results = {}
-
-    def _result(self, integral, profile, *args):
-        key = (integral, id(profile), *args)
-        if key not in self.results:
-            self.results[key] = integral(profile, *args)
-        return self.results[key]
-
-    def moment(self, profile, k, *beta):
-        return self._result(self.quad.profile_moment_quad, profile, k, *beta).value
-
-    def angular(self, angular, exact):
-        return tuple(
-            self._result(self.quad.angular_moment_quad, angular, k, beta).value
-            for k, beta in ((0, 1.0), (1, 1.0), (0, 1.5))
-        )
-
-    def kinetic(self, phi):
-        weighted = self._result(self.quad.profile_moment_quad, phi, 2, 1.0, _relativistic)
-        return weighted.value, self.moment(phi, 2)
-
-    def nested(self, eta):
-        return self._result(self.quad.nested_mass_quad, eta).value
-
-    def label(self, eta, phi, angular):
-        return _QUAD
-
-    def residuals(self, eta, phi, angular):
-        """Crude relative error estimates propagated from the integrator."""
-
-        def rel(integral, *args):
-            result = self._result(integral, *args)
-            return abs(result.abs_error_estimate / result.value) if result.value else 0.0
-
-        moment, angular_moment = self.quad.profile_moment_quad, self.quad.angular_moment_quad
-        base = rel(moment, eta, 2) + rel(moment, phi, 2) + rel(angular_moment, angular, 0, 1.0)
-        return {
-            "mass": base,
-            "kinetic": base + rel(moment, phi, 2, 1.0, _relativistic),
-            "potential": base + rel(self.quad.nested_mass_quad, eta),
-            "virial": base + rel(moment, eta, 3) + rel(moment, phi, 3)
-            + rel(angular_moment, angular, 1, 1.0),
-            "l32_norm": base + rel(moment, eta, 2, 1.5) + rel(moment, phi, 2, 1.5)
-            + rel(angular_moment, angular, 0, 1.5),
-        }
-
-
-_SOURCES = {"auto": _Exact, _QUAD: _Adaptive}
 _EXACT = _Exact()
 
 
@@ -334,9 +279,15 @@ def evaluate(ansatz, method="auto"):
     report says "closed-form" or "fixed-rule" accordingly) or "quadrature"
     (every integral adaptive, each computed once -- the oracle route).
     """
-    if method not in _SOURCES:
+    if method == "auto":
+        source = _EXACT
+    elif method == _QUAD:
+        from .quadrature import _Adaptive  # here, so the exact route never loads the oracle
+
+        source = _Adaptive()
+    else:
         raise ValueError(f"unknown evaluation method {method!r}")
-    return _SOURCES[method]().report(ansatz.spatial, ansatz.momentum, ansatz.angular)
+    return source.report(ansatz.spatial, ansatz.momentum, ansatz.angular)
 
 
 class Certificate(namedtuple("Certificate", "report energy_residual virial_margin norm_margin "

@@ -17,9 +17,10 @@ integrates adaptively.
 All profile objects are immutable after construction and safe to share
 between threads.  Derived quantities (the moments here, the exact route's
 kinetic and nested sums in ``functionals``) are memoized per instance,
-and so are the closures over the pieces that ``__call__`` and the oracle's
-integrands in ``quadrature`` call: the pointwise evaluator and the integrand
-of the nested potential, each built once.
+and so is the pointwise evaluator that ``__call__`` and the adaptive
+oracle's integrands call.  A valid piece is finite on finite support, so
+its true moments are finite: a moment sum that leaves the float range
+raises DegenerateFactorError naming the factor's domain and the moment.
 """
 
 from __future__ import annotations
@@ -27,10 +28,9 @@ from __future__ import annotations
 import bisect
 import math
 import warnings
-from itertools import accumulate
 from operator import methodcaller
 
-from .errors import DegenerateFactorError, DivergentMomentError, ProfileError
+from .errors import DegenerateFactorError, ProfileError
 
 __all__ = [
     "Piece",
@@ -481,14 +481,9 @@ def _check_coverage(pieces, start, end):
         raise ProfileError(f"pieces must end at {end}, got {pieces[-1].hi}")
 
 
-def _piece_starts(profile):
-    # Module-level, like _mass_prefix: pointwise memo hits then allocate nothing.
-    return [p.lo for p in profile.pieces]
-
-
 def _evaluator(profile):
     """The profile's value at a point of its domain: right-continuous, closed at the end."""
-    starts = profile.memo("starts", _piece_starts)
+    starts = [p.lo for p in profile.pieces]
     value_at = [p.value_at for p in profile.pieces]
     end, end_value = profile.pieces[-1].hi, profile.pieces[-1].right_value()
 
@@ -498,25 +493,6 @@ def _evaluator(profile):
         return value_at[bisect.bisect_right(starts, r) - 1](r)
 
     return value
-
-
-def _nested_integrand(profile):
-    """q -> g(q) q int_0^q g(s) s^2 ds on [0, inf), the integrand of the nested potential.
-
-    The piece's value times q times the mass before the piece plus its
-    ``partial_moment(2, q)``, the piece found by one bisect of the piece
-    starts per point.
-    """
-    starts = profile.memo("starts", _piece_starts)
-    prefix = profile.memo("prefix2", _mass_prefix)
-    pieces = profile.pieces
-
-    def integrand(q):
-        i = bisect.bisect_right(starts, q) - 1
-        piece = pieces[i]
-        return piece.value_at(q) * q * (prefix[i] + piece.partial_moment(2, q))
-
-    return integrand
 
 
 def _live(profile):
@@ -532,12 +508,12 @@ def _sum(profile, key):
     """Sum over the nonzero pieces: key ("moment", k) or ("power_moment", beta, k)."""
     try:
         total = math.fsum(map(methodcaller(*key), profile.memo("live", _live)))
+        if not math.isfinite(total):  # a product overflowed: a true moment is finite
+            raise OverflowError(total)
     except OverflowError as exc:
         name = getattr(profile, "domain_label", "angular")
         raise DegenerateFactorError(
             f"{name} {_moment_name(key)} overflows the float range") from exc
-    if not math.isfinite(total):
-        raise DivergentMomentError(f"{_moment_name(key)} diverges")
     return total
 
 
@@ -587,12 +563,6 @@ class _PieceSet(_Value):
         if beta <= 0.0:
             raise ValueError("power must be > 0")
         return self._read(("power_moment", beta, k))
-
-
-def _mass_prefix(profile):
-    """int_0^lo g(s) s^2 ds at the left end of every piece, by the oracle's ``partial_moment``."""
-    masses = (p.partial_moment(2, p.hi) for p in profile.pieces[:-1])
-    return list(accumulate(masses, initial=0.0))
 
 
 class PiecewiseProfile(_PieceSet):
@@ -649,11 +619,6 @@ class PiecewiseProfile(_PieceSet):
         if not widths:
             raise ProfileError("profile has no finite piece")
         return min(widths)
-
-    @property
-    def _mass_integrand(self):
-        """``_nested_integrand``, built once: no range check, so callers keep to [0, inf)."""
-        return self.memo("mass_integrand", _nested_integrand)
 
     def dilate(self, lam):
         """Profile r -> g(r / lam): support scales by lam, values unchanged."""

@@ -1,4 +1,10 @@
-"""Adaptive integration used as an independent oracle for every closed form.
+"""The adaptive-quadrature oracle: its integrals, integrands and error estimates.
+
+Everything the oracle computes lives here.  ``_Adaptive``, the moment
+source of ``evaluate(method="quadrature")``, integrates each moment, the
+kinetic integral and the nested potential once per evaluation and
+propagates the integrator's error estimates into ``residuals``; only the
+nested integrand's inner mass is exact, each piece's ``partial_moment``.
 
 Backed by QUADPACK's adaptive Gauss-Kronrod rules: QAGP, which accepts
 interior breakpoints so subdivision never straddles a supplied
@@ -7,9 +13,9 @@ binding of the two routines, the extension ``scipy.integrate._quadpack``,
 directly, because ``integrate`` has already sorted and clipped the
 breakpoints that ``scipy.integrate.quad`` would sort again.  Improper
 upper limits are never integrated: compact support is enforced upstream,
-so all integrals here run over finite intervals.  Each integrand calls a
-memoized closure of the profile, fetched once per integral, not its
-range-checked ``__call__``: QUADPACK stays in [lo, hi].
+so all integrals here run over finite intervals.  Each integrand calls the
+profile's memoized pointwise evaluator, not its range-checked
+``__call__``: QUADPACK stays in [lo, hi].
 
 scipy is imported on the first integration, not with the package: the
 closed-form route for step data never integrates, so certifying it does
@@ -23,14 +29,17 @@ one copy, shared with ``import scipy.integrate`` in either order.
 
 from __future__ import annotations
 
+import bisect
 import importlib.machinery
 import importlib.util
 import math
 import os
 import sys
 from collections import namedtuple
+from itertools import accumulate
 
 from .errors import QuadratureBudgetError
+from .functionals import _QUAD, _MomentSource
 
 __all__ = [
     "QuadResult",
@@ -150,33 +159,96 @@ def integrate(f, lo, hi, breakpoints=(), abs_tol=DEFAULT_ABS_TOL,
     )
 
 
-def profile_moment_quad(profile, k, beta=1.0, weight=None):
-    """Numeric int weight(r) * g(r)**beta * r^k dr over the profile's support."""
+def _over_support(profile, f):
+    """``integrate(f)`` from 0 to the profile's support radius, split at its breakpoints."""
     upper = profile.support_radius
     if upper == 0.0:
         return QuadResult(0.0, 0.0, 0)
-    g = profile._value
-    if weight is None:
-        f = lambda r: g(r) ** beta * r**k  # noqa: E731
-    else:
-        f = lambda r: weight(r) * g(r) ** beta * r**k  # noqa: E731
     return integrate(f, 0.0, upper, breakpoints=profile.breakpoints)
+
+
+def profile_moment_quad(profile, k, beta=1.0):
+    """Numeric int g(r)**beta * r^k dr over the profile's support."""
+    g = profile._value
+    return _over_support(profile, lambda r: g(r) ** beta * r**k)
+
+
+def _kinetic_quad(phi):
+    """Numeric int sqrt(1+p^2) h(p) p^2 dp over the momentum profile's support."""
+    h = phi._value
+    return _over_support(phi, lambda p: math.sqrt(1.0 + p * p) * h(p) * p**2)
 
 
 def angular_moment_quad(angular, k=0, beta=1.0):
     """Numeric int L(x)**beta * x^k dx over [-1, 1]."""
     g = angular._value
-    f = lambda x: g(x) ** beta * x**k  # noqa: E731
-    return integrate(f, -1.0, 1.0, breakpoints=angular.breakpoints)
+    return integrate(lambda x: g(x) ** beta * x**k, -1.0, 1.0, breakpoints=angular.breakpoints)
+
+
+def _nested_integrand(profile):
+    """q -> g(q) q int_0^q g(s) s^2 ds on [0, inf), the integrand of the nested potential:
+    the piece's value (one bisect per point) times q times the mass before the piece
+    plus its ``partial_moment(2, q)``."""
+    pieces = profile.pieces
+    starts = [p.lo for p in pieces]
+    prefix = list(accumulate((p.partial_moment(2, p.hi) for p in pieces[:-1]), initial=0.0))
+
+    def integrand(q):
+        i = bisect.bisect_right(starts, q) - 1
+        piece = pieces[i]
+        return piece.value_at(q) * q * (prefix[i] + piece.partial_moment(2, q))
+
+    return integrand
 
 
 def nested_mass_quad(eta):
-    """Double radial integral int g(q) q (int_0^q g(s) s^2 ds) dq as QuadResult.
+    """int g(q) q (int_0^q g(s) s^2 ds) dq: exact inner mass, adaptive outer integral."""
+    return _over_support(eta, _nested_integrand(eta))
 
-    The inner cumulative mass is evaluated through the exact piecewise
-    antiderivative; only the outer integral is adaptive.
-    """
-    upper = eta.support_radius
-    if upper == 0.0:
-        return QuadResult(0.0, 0.0, 0)
-    return integrate(eta._mass_integrand, 0.0, upper, breakpoints=eta.breakpoints)
+
+class _Adaptive(_MomentSource):
+    """Every integral by adaptive quadrature, kept by profile identity so it runs once."""
+
+    def __init__(self):
+        self.results = {}
+
+    def _result(self, integral, profile, *args):
+        key = (integral, id(profile), *args)
+        if key not in self.results:
+            self.results[key] = integral(profile, *args)
+        return self.results[key]
+
+    def moment(self, profile, k, *beta):
+        return self._result(profile_moment_quad, profile, k, *beta).value
+
+    def angular(self, angular, exact):
+        return tuple(self._result(angular_moment_quad, angular, k, beta).value
+                     for k, beta in ((0, 1.0), (1, 1.0), (0, 1.5)))
+
+    def kinetic(self, phi):
+        return self._result(_kinetic_quad, phi).value, self.moment(phi, 2)
+
+    def nested(self, eta):
+        return self._result(nested_mass_quad, eta).value
+
+    def label(self, eta, phi, angular):
+        return _QUAD
+
+    def residuals(self, eta, phi, angular):
+        """Crude relative error estimates propagated from the integrator."""
+
+        def rel(integral, *args):
+            result = self._result(integral, *args)
+            return abs(result.abs_error_estimate / result.value) if result.value else 0.0
+
+        moment, angular_moment = profile_moment_quad, angular_moment_quad
+        base = rel(moment, eta, 2) + rel(moment, phi, 2) + rel(angular_moment, angular, 0, 1.0)
+        return {
+            "mass": base,
+            "kinetic": base + rel(_kinetic_quad, phi),
+            "potential": base + rel(nested_mass_quad, eta),
+            "virial": base + rel(moment, eta, 3) + rel(moment, phi, 3)
+            + rel(angular_moment, angular, 1, 1.0),
+            "l32_norm": base + rel(moment, eta, 2, 1.5) + rel(moment, phi, 2, 1.5)
+            + rel(angular_moment, angular, 0, 1.5),
+        }

@@ -40,6 +40,7 @@ from collections import namedtuple
 from . import functionals
 from .errors import (
     BracketError,
+    DegenerateFactorError,
     NoPositiveRootError,
     NoRootError,
     ThresholdUnreachableError,
@@ -208,18 +209,25 @@ def corehalo_energy_quadratic(r1, r2, r3, p):
     both quadratic in the halo level a, the zero-energy condition
     KE = N / m2^2 is equivalent to g(a) = KE * m2(a)^2 - N(a) = 0.  The
     moments and nested terms are those of a unit core [0, r1] and a unit
-    halo [r2, r3] piece; a zero-width halo (r2 == r3) has no piece.
+    halo [r2, r3] piece; a zero-width halo (r2 == r3) has no piece.  A term
+    that overflows the float range raises DegenerateFactorError naming r1,
+    r2, r3 and p.
     """
     ke = functionals.kinetic_energy_ball(p)
     core = Piece.constant(1.0, 0.0, r1)
-    m2_core = core.moment(2)
-    m2_halo = m1_halo = nested_hh = 0.0
-    if r2 < r3:
-        halo = Piece.constant(1.0, r2, r3)
-        m2_halo, m1_halo, nested_hh = halo.moment(2), halo.moment(1), halo.nested(0.0)
-    a_coef = ke * m2_halo**2 - nested_hh
-    b_coef = 2.0 * ke * m2_core * m2_halo - m2_core * m1_halo
-    c_coef = ke * m2_core**2 - core.nested(0.0)
+    try:
+        m2_core = core.moment(2)
+        m2_halo = m1_halo = nested_hh = 0.0
+        if r2 < r3:
+            halo = Piece.constant(1.0, r2, r3)
+            m2_halo, m1_halo, nested_hh = halo.moment(2), halo.moment(1), halo.nested(0.0)
+        a_coef = ke * m2_halo**2 - nested_hh
+        b_coef = 2.0 * ke * m2_core * m2_halo - m2_core * m1_halo
+        c_coef = ke * m2_core**2 - core.nested(0.0)
+    except OverflowError as exc:
+        raise DegenerateFactorError(
+            "core-halo energy quadratic overflows the float range "
+            f"for r1={r1}, r2={r2}, r3={r3}, p={p}") from exc
     return a_coef, b_coef, c_coef
 
 

@@ -37,6 +37,24 @@ RAMP_TO_SUBNORMAL = ('{"spatial": {"pieces": [{"kind": "constant", "lo": 0, "hi"
                      '"right": 5e-324}]}, "angular": {"cutoff": 0}}')
 
 
+# Flags whose float arithmetic overflows: a moment sum that a product takes to
+# inf, a power law's nested self term (lo**(5 - 2n)), and the core-halo
+# quadratic's halo self term (lo**3) and squared halo mass.
+OVERFLOW_ARGVS = [
+    ["report", "--family", "core-halo", "--r1", "0.2", "--r2", "1", "--r3", "1e103",
+     "--p", "1", "--alpha", "1", "--a", "-0.5"],
+    ["report", "--family", "monotonic", "--r1", "2.64083634246679e-51",
+     "--r2", "6.917494651316799e-51", "--r3", "6.917494651344859e-51",
+     "--n", "5.646928096593282", "--a", "0.5179900537566141"],
+    ["certify", "--family", "core-halo", "--r1", "1.1468373963150448e+299",
+     "--r2", "8.164608079842758e+299", "--r3", "8.185657354085542e+299",
+     "--p", "0.3517185077609665", "--a", "-0.8875788944287191"],
+    ["certify", "--family", "core-halo", "--r1", "1.4808740894131274e+52",
+     "--r2", "2.9242691935685735e+53", "--r3", "2.9352014375671993e+53",
+     "--p", "2.0", "--a", "-0.19850770251006156"],
+]
+
+
 def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -237,7 +255,20 @@ class TestExitCodes:
           "--n=1e-320", "--a=0"],
          "error: potential energy nan cannot balance the rest-mass floor "
          "(needs potential < -1)\n"),
-    ], ids=["moment-overflow", "nan-potential"])
+        (OVERFLOW_ARGVS[0],
+         "error: radial-position moment of order 2 overflows the float range\n"),
+        (OVERFLOW_ARGVS[1],
+         "error: radial-position nested potential integral overflows the float range\n"),
+        (OVERFLOW_ARGVS[2],
+         "error: core-halo energy quadratic overflows the float range for "
+         "r1=1.1468373963150448e+299, r2=8.164608079842758e+299, r3=8.185657354085542e+299, "
+         "p=0.3517185077609665\n"),
+        (OVERFLOW_ARGVS[3],
+         "error: core-halo energy quadratic overflows the float range for "
+         "r1=1.4808740894131274e+52, r2=2.9242691935685735e+53, r3=2.9352014375671993e+53, "
+         "p=2.0\n"),
+    ], ids=["moment-overflow", "nan-potential", "moment-inf", "power-self-nested",
+            "plateau-self-nested", "halo-mass-squared"])
     def test_numerical_failure_names_its_quantity(self, capsys, argv, message):
         # A moment sum that overflows names its factor and moment, not the
         # bare (34, 'Numerical result out of range'); a NaN potential is
@@ -931,6 +962,26 @@ class TestExtremeFlags:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "ZeroDivisionError" not in err
+
+
+def test_differential_corpus_exits_with_one_named_error(capsys, tmp_path):
+    # The seeded corpus of tests/differential.py and the overflow argvs: every
+    # argv exits 0-3 without a traceback, no error is a bare float overflow or
+    # a "diverges" (a valid piece's true moment is finite), and a failure
+    # prints one error line.
+    import differential
+
+    broken = []
+    for argv in [*differential.corpus(20261020, 3000, str(tmp_path)), *OVERFLOW_ARGVS]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(argv)
+        err = capsys.readouterr().err
+        if (code not in (0, 1, 2, 3) or "(34, 'Numerical result out of range')" in err
+                or "diverges" in err
+                or code >= 2 and [line[:6] for line in err.splitlines()] != ["error:"]):
+            broken.append((argv, code, err))
+    assert broken == []
 
 
 VALID_FLAGS = {

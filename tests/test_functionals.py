@@ -17,7 +17,7 @@ from conftest import (
     tight_nested,
 )
 from virial_forge import functionals, profiles, quadrature
-from virial_forge.errors import DegenerateFactorError, DivergentMomentError
+from virial_forge.errors import DegenerateFactorError
 from virial_forge.functionals import (
     CRITICAL_L32_NORM,
     check_criteria,
@@ -192,7 +192,7 @@ class TestKineticEnergy:
             domain_label="radial-momentum",
         )
         ans = SeparableAnsatz(uniform_eta(1.0), phi, AngularProfile.cutoff(1.0))
-        num = profile_moment_quad(phi, 2, weight=lambda p: math.sqrt(1.0 + p * p))
+        num = quadrature._kinetic_quad(phi)
         den = profile_moment_quad(phi, 2)
         assert evaluate(ans).kinetic == pytest.approx(num.value / den.value, rel=1e-12)
 
@@ -722,7 +722,8 @@ class TestMomentSources:
         assert rules == []
 
         oracle_calls = []
-        for name in ("profile_moment_quad", "angular_moment_quad", "nested_mass_quad"):
+        for name in ("profile_moment_quad", "_kinetic_quad", "angular_moment_quad",
+                     "nested_mass_quad"):
             def counted(*args, _real=getattr(quadrature, name), **kwargs):
                 oracle_calls.append(_real)
                 return _real(*args, **kwargs)
@@ -903,12 +904,14 @@ class TestExactRecord:
             assert rep.norm_constant == ansatz.norm_constant  # both routes: C from the exact m0
 
     def test_divergent_entries_keep_their_order(self):
-        # Both m2 and m3 diverge: the virial factor fails on m3, which it
-        # reads first, and radial_functionals on m2, which the potential reads.
+        # Both m2 and m3 overflow to inf: the virial factor fails on m3, which
+        # it reads first, and radial_functionals on m2, which the potential reads.
         eta, phi = uniform_eta(1e110), momentum_ball(1.0)
-        with pytest.raises(DivergentMomentError, match="moment of order 3 diverges"):
+        with pytest.raises(DegenerateFactorError,
+                           match="^radial-position moment of order 3 overflows the float range$"):
             spatial_momentum_factor(eta, phi)
-        with pytest.raises(DivergentMomentError, match="moment of order 2 diverges"):
+        with pytest.raises(DegenerateFactorError,
+                           match="^radial-position moment of order 2 overflows the float range$"):
             radial_functionals(eta, phi)
 
 

@@ -37,10 +37,9 @@ sys.stderr.write("\\n" + repr([code, loaded]))
 # Every name the package exported when ``__init__`` imported each module
 # eagerly, by defining module.
 EAGER_EXPORTS = {
-    "errors": ("BracketError", "ConfigError", "DegenerateFactorError",
-               "DivergentMomentError", "GridExhaustedError", "NoPositiveRootError",
-               "NoRootError", "ProfileError", "QuadratureBudgetError", "RampOverlapError",
-               "ThresholdUnreachableError", "VirialForgeError"),
+    "errors": ("BracketError", "ConfigError", "DegenerateFactorError", "GridExhaustedError",
+               "NoPositiveRootError", "NoRootError", "ProfileError", "QuadratureBudgetError",
+               "RampOverlapError", "ThresholdUnreachableError", "VirialForgeError"),
     "functionals": ("CRITICAL_L32_NORM", "Certificate", "FunctionalReport", "check_criteria",
                     "evaluate", "kinetic_energy_ball", "potential_energy_profile",
                     "spatial_momentum_factor", "total_energy", "virial"),

@@ -17,6 +17,7 @@ from virial_forge.profiles import (
     PiecewiseProfile,
     SeparableAnsatz,
     core_halo_eta,
+    momentum_ball,
     uniform_eta,
 )
 from virial_forge.quadrature import (
@@ -140,23 +141,28 @@ class TestNestedMass:
         assert res.subdivisions >= 1
 
 
-def test_profile_moment_quad_weight():
-    phi = uniform_eta(1.0)
-    res = profile_moment_quad(phi, 2, weight=lambda p: math.sqrt(1.0 + p * p))
+def test_kinetic_quad_is_the_ball_moment():
+    phi = momentum_ball(1.0)
+    res = quadrature._kinetic_quad(phi)
     assert res.value == pytest.approx(momentum_energy_moment(1.0), rel=1e-12)
 
 
-# The oracle's moment integrals with integrands that call the profile itself,
+# The oracle's integrals with integrands that call the profile itself,
 # range check included, each expression in the same operation order.
-def profile_moment_by_call(profile, k, beta=1.0, weight=None):
+def profile_moment_by_call(profile, k, beta=1.0):
     upper = profile.support_radius
     if upper == 0.0:
         return QuadResult(0.0, 0.0, 0)
-    if weight is None:
-        f = lambda r: profile(r) ** beta * r**k  # noqa: E731
-    else:
-        f = lambda r: weight(r) * profile(r) ** beta * r**k  # noqa: E731
+    f = lambda r: profile(r) ** beta * r**k  # noqa: E731
     return integrate(f, 0.0, upper, breakpoints=profile.breakpoints)
+
+
+def kinetic_by_call(phi):
+    upper = phi.support_radius
+    if upper == 0.0:
+        return QuadResult(0.0, 0.0, 0)
+    f = lambda p: math.sqrt(1.0 + p * p) * phi(p) * p**2  # noqa: E731
+    return integrate(f, 0.0, upper, breakpoints=phi.breakpoints)
 
 
 def angular_moment_by_call(angular, k=0, beta=1.0):
@@ -219,6 +225,7 @@ def test_oracle_report_is_that_of_the_profile_calls(monkeypatch, seed, template)
         fast = evaluate(ansatz, method="quadrature")
         with monkeypatch.context() as patched:
             patched.setattr(quadrature, "profile_moment_quad", profile_moment_by_call)
+            patched.setattr(quadrature, "_kinetic_quad", kinetic_by_call)
             patched.setattr(quadrature, "angular_moment_quad", angular_moment_by_call)
             patched.setattr(quadrature, "nested_mass_quad", nested_mass_by_call)
             by_call = evaluate(ansatz, method="quadrature")
@@ -308,11 +315,10 @@ def test_oracle_runs_no_scipy_quad_and_no_unique(monkeypatch):
     # and builds the nested-mass integrand of its spatial profile once.
     import scipy.integrate
 
-    from virial_forge import profiles
-
     counts = {"quad": 0, "unique": 0}
     built = []
-    real_quad, real_unique, real_build = scipy.integrate.quad, np.unique, profiles._nested_integrand
+    real_quad, real_unique = scipy.integrate.quad, np.unique
+    real_build = quadrature._nested_integrand
 
     def counting(key, real):
         def wrapper(*args, **kwargs):
@@ -322,7 +328,7 @@ def test_oracle_runs_no_scipy_quad_and_no_unique(monkeypatch):
 
     monkeypatch.setattr(scipy.integrate, "quad", counting("quad", real_quad))
     monkeypatch.setattr(np, "unique", counting("unique", real_unique))
-    monkeypatch.setattr(profiles, "_nested_integrand",
+    monkeypatch.setattr(quadrature, "_nested_integrand",
                         lambda profile: built.append(profile) or real_build(profile))
     ansatz = template_ansatz(np.random.default_rng(5), 1)
     assert ansatz.spatial.breakpoints
@@ -339,11 +345,10 @@ def test_nested_integrand_is_value_times_cumulative_mass(eta, fractions):
     # included) and a point inside the zero tail.  The enclosed mass is the
     # test judge's own, so the two agree to rounding, and the integrals within
     # their error estimates.
-    integrand, mass = eta._mass_integrand, enclosed_mass(eta)
+    integrand, mass = quadrature._nested_integrand(eta), enclosed_mass(eta)
     points = [p.lo + f * p.width for p in eta.pieces if math.isfinite(p.hi) for f in fractions]
     points += [p.lo for p in eta.pieces] + [2.0 * eta.pieces[-1].lo + 1.0]
     for q in points:
         assert_rel(integrand(q), eta._value(q) * q * mass(q), 1e-13)
-    assert integrand is eta._mass_integrand
     fast, by_call = nested_mass_quad(eta), nested_mass_by_call(eta)
     assert abs(fast.value - by_call.value) <= fast.abs_error_estimate + by_call.abs_error_estimate
