@@ -102,7 +102,11 @@ def _exact_kinetic(phi):
     """(int sqrt(1+p^2) h p^2 dp, int h p^2 dp), up to a common positive factor."""
     if phi.memo("ball", _is_ball):
         return kinetic_energy_ball(phi.support_radius), 1.0
-    return math.fsum(p.kinetic_weight() for p in phi.pieces), phi.moment(2)
+    try:
+        return math.fsum(p.kinetic_weight() for p in phi.pieces), phi.moment(2)
+    except OverflowError as exc:
+        raise DegenerateFactorError(
+            f"{phi.domain_label} kinetic integral overflows the float range") from exc
 
 
 def _exact_nested(profile):

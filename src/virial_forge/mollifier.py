@@ -16,10 +16,10 @@ is C^1 at every former value jump only: slope jumps without a value jump
 ``seam_smoothness`` examines the ends of ramps only.
 
 Smoothing perturbs the energy balance, so ``rebalance`` re-solves each
-family's free parameter on the mollified profiles with one Brent solve for
-all of ``solvers.FAMILIES``, bracketed by ``RootBracket.expand`` (the one
-bracket walk) outward from the step solve; it returns the root, and
-``functionals.check_criteria`` judges its energy.
+family's free parameter on the mollified profiles: core-halo shells by the
+step solve's energy quadratic, any other datum by one Brent solve bracketed
+by ``RootBracket.expand`` from the step solve; ``check_criteria`` judges
+the energy at the root.
 Ramp moments and nested self terms are closed-form Bernstein sums; ramp
 fractional powers and kinetic weights take GL14, so ``method=fixed-rule``.
 """
@@ -123,21 +123,18 @@ def mollify(ansatz, spec):
 def rebalance(params, step_ansatz, spec):
     """Re-solve the family's free parameter on the mollified profiles.
 
-    ``params`` is a step datum whose free parameter x0 (radius for the
-    uniform ball, halo level for the disjoint core-halo, momentum cutoff for
-    the monotonic family) is the step solve; the caller built its
-    ``step_ansatz``.  Returns ``(new_params, mollified_ansatz)`` where that
-    parameter is the Brent root of the mollified datum's total energy.
+    ``params`` is a step datum whose free parameter x0 (radius, halo level or
+    momentum cutoff) is the step solve; its ``step_ansatz`` is smoothed first,
+    so a ramp misfit names the datum's own breakpoint.  Returns
+    ``(new_params, mollified_ansatz)``; with ``spec.delta == 0``, the given pair.
 
-    ``RootBracket.expand`` brackets the root, which lies close to x0, by
-    probing outward from x0 on the side of a rising energy's root, and
-    Brent iteration refines it.  The given step ansatz is smoothed once, at
-    x0; every other point rebuilds and smooths only the factor the free
-    parameter moves (``Family.moves``) and shares the other two, with the
-    integrals memoized on them.  Each point's energy and mollified ansatz
-    are computed once, however often the bracket and the Brent iteration
-    read them; the root's comes from that memo.  With ``spec.delta == 0``
-    the given params and step ansatz are returned.
+    Disjoint shells (r1 < r2 < r3) leave the core alone and scale every halo
+    piece, ramps included, with the level, so it is the smaller positive root
+    of the energy quadratic of the spatial factor mollified at level 1
+    (``solvers.corehalo_level``), at which the factor is mollified once more.
+    Any other datum takes the Brent root of its total energy, bracketed by
+    ``RootBracket.expand`` outward from x0; a point rebuilds and smooths only
+    the factor the free parameter moves (``Family.moves``) and is evaluated once.
     """
     if spec.delta == 0.0:
         return params, step_ansatz
@@ -146,6 +143,21 @@ def rebalance(params, step_ansatz, spec):
     first = mollify(step_ansatz, spec)
     factors = list(first._values())  # a point other than x0 replaces the moved one
     slot = SeparableAnsatz._fields.index(family.moves)
+
+    def moved(x):
+        step = family.factor(params._replace(**{family.free: x}), family.moves)
+        return PiecewiseProfile(_mollify_pieces(step.pieces, spec.delta), step.domain_label)
+
+    if family.name == "core-halo" and params.r1 < params.r2 < params.r3:
+        unit = moved(1.0).pieces
+        alpha = solvers.corehalo_level(
+            functionals._EXACT.kinetic_energy(first.momentum),
+            [p for p in unit if p.hi <= params.r1],
+            [p for p in unit if p.lo >= params.r2 and not p.is_zero],
+            lambda: f"r1={params.r1}, r2={params.r2}, r3={params.r3}, p={params.p}, "
+                    f"delta={spec.delta}")[0]
+        return (params._replace(alpha=alpha),
+                SeparableAnsatz(moved(alpha), first.momentum, first.angular))
     points = {}
 
     def point(x):
@@ -153,9 +165,7 @@ def rebalance(params, step_ansatz, spec):
         if x not in points:
             ansatz = first
             if x != x0:
-                moved = family.factor(params._replace(**{family.free: x}), family.moves)
-                factors[slot] = PiecewiseProfile(_mollify_pieces(moved.pieces, spec.delta),
-                                                 moved.domain_label)
+                factors[slot] = moved(x)
                 ansatz = SeparableAnsatz(*factors)
             points[x] = functionals.total_energy(ansatz), ansatz
         return points[x]

@@ -66,6 +66,7 @@ _GL14 = ((0.10805494870734367, 0.2152638534631578),
          (0.9284348836635735, 0.08015808715976021),
          (0.9862838086968123, 0.03511946033175186))
 GL14 = tuple((-x, w) for x, w in reversed(_GL14)) + _GL14
+_GL14_UNIT = tuple((1.0 + x, w) for x, w in GL14)  # a panel [a, b]'s nodes: a + (b - a)/2 * u
 
 
 def gauss_legendre(f, lo, hi):
@@ -151,10 +152,6 @@ def momentum_energy_moment(p_max):
     if not math.isfinite(moment):
         raise OverflowError(f"momentum energy moment overflows at P={p_max!r}")
     return moment
-
-
-def _kinetic_integrand(value, p):
-    return value * p * p * math.sqrt(1.0 + p * p)
 
 
 def plateau_self_nested(lo, hi):
@@ -312,7 +309,7 @@ class Piece(_Value):
 
     @staticmethod
     def constant(value, lo, hi):
-        return Piece(CONSTANT, float(lo), float(hi), value=float(value))
+        return Piece(CONSTANT, float(lo), float(hi), float(value))
 
     @staticmethod
     def power(value, exponent, lo, hi):
@@ -392,21 +389,27 @@ class Piece(_Value):
             total += (a * left + b * right) * lo ** (k - j) * hi**j
         return (hi - lo) * total
 
-    def ramp_rule(self, f, edges):
-        """int f(value(r), r) dr over a ramp, by GL14 on ``edges`` of v in [0, 1].
+    def ramp_rule(self, edges, power=None):
+        """int f(value(r), r) dr over a ramp by GL14 on ``edges`` of v in [0, 1], in one loop.
 
-        v runs from the ramp's smaller end: value = small + D v^2 (3 - 2v),
-        r = lo + w v (or hi - w v), so no digit is lost to r - lo on a ramp
-        narrow against its radius, nor near the small end.
+        f is value**beta * r**k for ``power`` = (beta, k), else value r^2 sqrt(1 + r^2).
+        v runs from the ramp's smaller end: value = small + D v^2 (3 - 2v), r = lo + w v
+        (or hi - w v), so no digit is lost to r - lo on a ramp narrow against its radius.
         """
         small, big = sorted((self.left, self.right))
         w, d = self.hi - self.lo, big - small
-        if self.left <= self.right:
-            start, step = self.lo, w
-        else:
-            start, step = self.hi, -w
-        return w * fixed_rule(
-            lambda v: f(small + d * (v * v * (3.0 - 2.0 * v)), start + step * v), edges)
+        start, step = (self.lo, w) if self.left <= self.right else (self.hi, -w)
+        beta, k = power or (None, None)
+        sqrt, panels = math.sqrt, []
+        for a, b in zip(edges, edges[1:]):
+            half, terms = 0.5 * (b - a), []
+            for u, weight in _GL14_UNIT:
+                v = a + half * u
+                value, r = small + d * (v * v * (3.0 - 2.0 * v)), start + step * v
+                terms.append(weight * (value * r * r * sqrt(1.0 + r * r) if beta is None
+                                       else value**beta * r**k))
+            panels.append(half * sum(terms))
+        return w * math.fsum(panels)
 
     def power_moment(self, beta, k):
         """int value(r)**beta * r^k dr over the piece.
@@ -432,8 +435,7 @@ class Piece(_Value):
         if 0.0 < small < big:
             tau = 0.5 * math.sqrt(small) / math.sqrt(big - small)  # small / (big - small) may be 0
             first = min(first, 2.0 ** math.floor(math.log2(tau)))
-        return self.ramp_rule(lambda value, r: value**beta * r**k,
-                              [0.0, *panel_edges(first, 1.0, 0.0)])
+        return self.ramp_rule([0.0, *panel_edges(first, 1.0, 0.0)], (beta, k))
 
     def kinetic_weight(self):
         """int sqrt(1+p^2) value(p) p^2 dp over the piece, a momentum piece.
@@ -448,11 +450,12 @@ class Piece(_Value):
             return self.value * momentum_energy_moment(self.hi)
         edges = panel_edges(self.lo, self.hi, 0.0 if self.kind == POWER else 1.0)
         if self.kind != RAMP:
-            return fixed_rule(lambda p: _kinetic_integrand(self.value_at(p), p), edges)
+            return fixed_rule(lambda p: self.value_at(p) * p * p * math.sqrt(1.0 + p * p),
+                              edges)
         # The edges in the ramp rule's coordinate, which runs from the smaller end.
         small_end = self.lo if self.left <= self.right else self.hi
         w = self.hi - self.lo
-        return self.ramp_rule(_kinetic_integrand, sorted(abs(p - small_end) / w for p in edges))
+        return self.ramp_rule(sorted(abs(p - small_end) / w for p in edges))
 
     def nested(self, enclosed):
         """int value(q) q (enclosed + int_lo^q value(s) s^2 ds) dq over a nonzero piece,

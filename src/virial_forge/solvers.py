@@ -5,7 +5,7 @@ energy to vanish exactly:
 
 * uniform ball: the spatial radius, R = 3 / (5 KE(P)), in closed form;
 * disjoint core-halo: the halo level, the positive root of an exact
-  quadratic (the energy condition is degree two in the halo level);
+  quadratic in it, for step and mollified data (``mollifier.rebalance``);
 * monotonic core-halo: the momentum cutoff, by Brent iteration on a
   bracket in closed form (the kinetic term is strictly increasing in it).
 
@@ -71,6 +71,7 @@ __all__ = [
     "monotonic_ansatz",
     "solve_uniform_R",
     "corehalo_energy_quadratic",
+    "corehalo_level",
     "solve_corehalo_alpha",
     "solve_monotonic_P",
     "solve_threshold_a",
@@ -202,33 +203,50 @@ def solve_uniform_R(p):
     return 3.0 / (5.0 * functionals.kinetic_energy_ball(p))
 
 
-def corehalo_energy_quadratic(r1, r2, r3, p):
+def corehalo_energy_quadratic(ke, core, halo):
     """Coefficients (A, B, C) with zero energy iff A a^2 + B a + C = 0.
 
-    With m2(a) the spatial second moment and N(a) the nested mass integral,
-    both quadratic in the halo level a, the zero-energy condition
-    KE = N / m2^2 is equivalent to g(a) = KE * m2(a)^2 - N(a) = 0.  The
-    moments and nested terms are those of a unit core [0, r1] and a unit
-    halo [r2, r3] piece; a zero-width halo (r2 == r3) has no piece.  A term
-    that overflows the float range raises DegenerateFactorError naming r1,
-    r2, r3 and p.
+    ``core`` are the spatial pieces the halo level a leaves alone, ``halo``
+    the nonzero ones at a = 1, which a scales, and ``ke`` the kinetic energy:
+    m2(a) = m2_core + a m2_halo, the nested mass integral N(a) = N_core +
+    a m2_core m1_halo + a^2 N_halo, and g(a) = KE m2(a)^2 - N(a) = 0.
     """
-    ke = functionals.kinetic_energy_ball(p)
-    core = Piece.constant(1.0, 0.0, r1)
+    m2_core = nested_core = m2_halo = m1_halo = nested_hh = 0.0
+    for piece in core:  # each nested term takes the mass before it, as functionals folds
+        nested_core += piece.nested(m2_core)
+        m2_core += piece.moment(2)
+    for piece in halo:
+        nested_hh += piece.nested(m2_halo)
+        m2_halo += piece.moment(2)
+        m1_halo += piece.moment(1)
+    return (ke * m2_halo**2 - nested_hh, 2.0 * ke * m2_core * m2_halo - m2_core * m1_halo,
+            ke * m2_core**2 - nested_core)
+
+
+def corehalo_level(ke, core, halo, datum):
+    """(alpha, roots): the smaller positive root of ``corehalo_energy_quadratic``.
+
+    Errors name the input as ``datum()`` does.  With no halo piece, A = B = 0
+    and alpha = 0 iff C = KE m2^2 - N is within 1e-12 of the larger of
+    KE m2^2 = C + N and N, both finite.
+    """
     try:
-        m2_core = core.moment(2)
-        m2_halo = m1_halo = nested_hh = 0.0
-        if r2 < r3:
-            halo = Piece.constant(1.0, r2, r3)
-            m2_halo, m1_halo, nested_hh = halo.moment(2), halo.moment(1), halo.nested(0.0)
-        a_coef = ke * m2_halo**2 - nested_hh
-        b_coef = 2.0 * ke * m2_core * m2_halo - m2_core * m1_halo
-        c_coef = ke * m2_core**2 - core.nested(0.0)
+        a_coef, b_coef, c_coef = corehalo_energy_quadratic(ke, core, halo)
+        nested = 0.0 if halo else -corehalo_energy_quadratic(0.0, core, halo)[2]  # -C at KE 0
     except OverflowError as exc:
         raise DegenerateFactorError(
-            "core-halo energy quadratic overflows the float range "
-            f"for r1={r1}, r2={r2}, r3={r3}, p={p}") from exc
-    return a_coef, b_coef, c_coef
+            f"core-halo energy quadratic overflows the float range for {datum()}") from exc
+    if not halo:
+        if abs(c_coef) <= 1e-12 * max(c_coef + nested, nested) < math.inf:
+            return 0.0, (0.0,)
+        raise NoPositiveRootError(
+            "degenerate halo (r2 == r3) and the core alone does not balance")
+    roots = solve_quadratic(a_coef, b_coef, c_coef)
+    positive = [x for x in roots if x > 0.0]
+    if not positive:
+        raise NoPositiveRootError(
+            f"zero-energy condition has no positive halo level (roots {roots}) for {datum()}")
+    return min(positive), roots
 
 
 def solve_quadratic(a, b, c):
@@ -251,31 +269,16 @@ def solve_quadratic(a, b, c):
 def solve_corehalo_alpha(r1, r2, r3, p, full_output=False):
     """Halo level making the disjoint core-halo energy exactly zero.
 
-    Returns the positive root of the energy quadratic; when both roots are
-    positive the smaller one (the tiny-halo branch) is returned.  Raises
-    NoPositiveRootError, whose message gives both roots, when the
-    configuration cannot reach zero energy with a positive halo.
-
-    With ``full_output`` the returned value is ``(alpha, roots)``.
+    The smaller positive root of the energy quadratic of a unit core and a
+    unit halo piece (``corehalo_level``), or with ``full_output`` the pair
+    ``(alpha, roots)``; NoPositiveRootError, giving the roots, if none is.
     """
     check_radii(r1, r2, r3)
     check_positive(p, "momentum cutoff")
-    a_coef, b_coef, c_coef = corehalo_energy_quadratic(r1, r2, r3, p)
-    if r2 == r3:
-        # Zero-width halo: A = B = 0, so the core alone must balance: C = KE m2^2 - N
-        # within 1e-12 of the larger of KE m2^2 = C + N and N, both finite.
-        nested = Piece.constant(1.0, 0.0, r1).nested(0.0)
-        if abs(c_coef) <= 1e-12 * max(c_coef + nested, nested) < math.inf:
-            return (0.0, (0.0,)) if full_output else 0.0
-        raise NoPositiveRootError(
-            "degenerate halo (r2 == r3) and the core alone does not balance")
-    roots = solve_quadratic(a_coef, b_coef, c_coef)
-    positive = [x for x in roots if x > 0.0]
-    if not positive:
-        raise NoPositiveRootError(
-            "zero-energy condition has no positive halo level "
-            f"(roots {roots}) for r1={r1}, r2={r2}, r3={r3}, p={p}")
-    alpha = min(positive)
+    halo = (Piece.constant(1.0, r2, r3),) if r2 < r3 else ()
+    alpha, roots = corehalo_level(functionals.kinetic_energy_ball(p),
+                                  (Piece.constant(1.0, 0.0, r1),), halo,
+                                  lambda: f"r1={r1}, r2={r2}, r3={r3}, p={p}")
     return (alpha, roots) if full_output else alpha
 
 

@@ -12,13 +12,14 @@ each argv's exit code, stdout and stderr.
 
 The corpus is seeded: ``certify``, ``report`` and ``mollify`` of the three
 families over values from 5e-324 to 1.7e308 (momentum cutoffs on both sides
-of the kinetic moment's overflow edge, P ~ 9.7e76, included), the free
-parameter given as an override, and generated ``--family custom``
-documents.  The output counts the identical and the differing results and
-groups the differing ones by what differs: the exit code, the first stdout
-key whose value differs (or the layout), and the stderr form (numbers
-masked), with the first ``--show`` argvs of each group.  Exits 0 if every
-result is identical, else 1.
+of the kinetic moment's overflow edge, P ~ 9.7e76, included), about one
+core-halo or monotonic datum in ten from the ranges where the step and the
+mollified data have a root, the free parameter given as an override, and
+generated ``--family custom`` documents.  The output counts the identical
+and the differing results and groups the differing ones by what differs:
+the exit code, the first stdout key whose value differs (or the layout),
+and the stderr form (numbers masked), with the first ``--show`` argvs of
+each group.  Exits 0 if every result is identical, else 1.
 
 Tier-1 does not collect this file.
 """
@@ -28,6 +29,7 @@ import collections
 import contextlib
 import io
 import json
+import math
 import os
 import random
 import re
@@ -64,8 +66,28 @@ def _flags(**values):
     return [token for name, value in values.items() for token in (f"--{name}", repr(value))]
 
 
+def _log_uniform(rng, lo, hi):
+    return 10.0 ** rng.uniform(math.log10(lo), math.log10(hi))
+
+
+def _solvable(rng, family):
+    """A core-halo or monotonic datum from the solvable ranges of ``seeded_data`` in
+    tests/test_mollifier.py, so ``mollify`` reaches a rebalance root."""
+    if family == "core-halo":
+        r1 = _log_uniform(rng, 0.05, 0.5)
+        r2 = r1 * rng.uniform(2.0, 10.0)
+        return _flags(r1=r1, r2=r2, r3=r2 * rng.uniform(1.2, 3.0), p=_log_uniform(rng, 0.3, 10.0),
+                      a=rng.uniform(-0.99, -0.3)), "alpha"
+    r1 = _log_uniform(rng, 0.005, 0.05)
+    r2 = r1 * rng.uniform(3.0, 15.0)
+    return _flags(r1=r1, r2=r2, r3=r2 * rng.uniform(1.05, 1.5), n=rng.uniform(2.0, 4.0),
+                  a=rng.uniform(-0.99, -0.5)), "p"
+
+
 def _datum(rng, family):
     """The input flags of one datum of ``family``, and its free parameter's name."""
+    if family != "uniform" and rng.random() < 0.1:
+        return _solvable(rng, family)
     if family == "uniform":
         return _flags(p=rng.choice(P_EDGES) if rng.random() < 0.1 else _value(rng),
                       a=_cutoff(rng)), "r"

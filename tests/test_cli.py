@@ -54,6 +54,19 @@ OVERFLOW_ARGVS = [
      "--p", "2.0", "--a", "-0.19850770251006156"],
 ]
 
+# A momentum plateau to 6.9e76 and two ramps to 9.7e76: each kinetic weight is
+# finite, their sum is not (argv 3713 of the differential corpus at seed 20261020).
+KINETIC_OVERFLOW_DOCUMENT = {
+    "spatial": {"pieces": [{"kind": "constant", "lo": 0, "hi": 1, "value": 1}]},
+    "momentum": {"pieces": [
+        {"kind": "constant", "lo": 0, "hi": 6.911538513498401e+76, "value": 10.236774355252221},
+        {"kind": "ramp", "lo": 6.911538513498401e+76, "hi": 7.622346182668107e+76,
+         "left": 131.23502613987145, "right": 0.0},
+        {"kind": "ramp", "lo": 7.622346182668107e+76, "hi": 9.7e+76,
+         "left": 3703.1910017176615, "right": 0.0}]},
+    "angular": {"cutoff": 0},
+}
+
 
 def run_cli(capsys, argv):
     code = main(argv)
@@ -965,20 +978,24 @@ class TestExtremeFlags:
 
 
 def test_differential_corpus_exits_with_one_named_error(capsys, tmp_path):
-    # The seeded corpus of tests/differential.py and the overflow argvs: every
+    # The seeded corpus of tests/differential.py, the overflow argvs and a
+    # momentum factor whose kinetic weights sum past the float range: every
     # argv exits 0-3 without a traceback, no error is a bare float overflow or
     # a "diverges" (a valid piece's true moment is finite), and a failure
     # prints one error line.
     import differential
 
+    kinetic = tmp_path / "kinetic-overflow.json"
+    kinetic.write_text(json.dumps(KINETIC_OVERFLOW_DOCUMENT), encoding="utf-8")
     broken = []
-    for argv in [*differential.corpus(20261020, 3000, str(tmp_path)), *OVERFLOW_ARGVS]:
+    for argv in [*differential.corpus(20261020, 3000, str(tmp_path)), *OVERFLOW_ARGVS,
+                 ["certify", "--family", "custom", "--profiles", str(kinetic)]]:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             code = main(argv)
         err = capsys.readouterr().err
         if (code not in (0, 1, 2, 3) or "(34, 'Numerical result out of range')" in err
-                or "diverges" in err
+                or "intermediate overflow" in err or "diverges" in err
                 or code >= 2 and [line[:6] for line in err.splitlines()] != ["error:"]):
             broken.append((argv, code, err))
     assert broken == []

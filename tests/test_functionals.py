@@ -698,7 +698,7 @@ class TestMomentSources:
     def test_exact_route_memoizes_per_profile(self, monkeypatch):
         # The exact route integrates nothing adaptively: its six ramp
         # integrals (the momentum kinetic weight and five ramp power moments)
-        # take the fixed rule, and a second exact evaluate reads each back
+        # take the GL14 ramp rule, and a second exact evaluate reads each back
         # from the profiles; the oracle reads none of those memos.
         def build():
             return mollify(reference_corehalo(), MollifySpec(0.01))
@@ -712,7 +712,7 @@ class TestMomentSources:
 
         adaptive, rules = [], []
         monkeypatch.setattr(quadrature, "integrate", counting(adaptive, quadrature.integrate))
-        monkeypatch.setattr(profiles, "fixed_rule", counting(rules, profiles.fixed_rule))
+        monkeypatch.setattr(profiles.Piece, "ramp_rule", counting(rules, profiles.Piece.ramp_rule))
         ans = build()
         evaluate(ans)
         assert adaptive == []

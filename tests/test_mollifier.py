@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import assert_rel, mp_nested, mp_piece_integral, tight_integral, tight_nested
 from virial_forge import functionals, mollifier, solvers
+from virial_forge.cli import main
 from virial_forge.errors import (
     BracketError,
     NoPositiveRootError,
@@ -550,8 +551,10 @@ def one_per_family():
 class TestRebalanceWork:
     @pytest.mark.parametrize("seed", [5, 17])
     def test_bit_identical_to_full_rebuild(self, seed):
-        data = seeded_data(seed, per_family=4)
-        assert {solvers.family_of(params).name for params, _ in data} == set(solvers.FAMILIES)
+        # The Brent families; core-halo data take the quadratic's root (TestCoreHaloQuadratic).
+        data = [(params, spec) for params, spec in seeded_data(seed, per_family=4)
+                if not isinstance(params, CoreHaloParams)]
+        assert {solvers.family_of(params).name for params, _ in data} == {"uniform", "monotonic"}
         for params, spec in data:
             family = solvers.family_of(params)
             new_params, moll = rebalance(params, step_of(params), spec)
@@ -574,8 +577,7 @@ class TestRebalanceWork:
         assert str(ours.value) == str(reference.value)
         assert f"at breakpoint {params.r!r} " in str(ours.value)
 
-    @pytest.mark.parametrize("params, spec", one_per_family(),
-                             ids=["uniform", "core-halo", "monotonic"])
+    @pytest.mark.parametrize("params, spec", one_per_family()[::2], ids=["uniform", "monotonic"])
     def test_each_point_evaluated_once(self, monkeypatch, params, spec):
         step = step_of(params)
         visited, energies, cutoffs = set(), [], []
@@ -621,8 +623,9 @@ class TestRebalanceWork:
 
     def test_energy_evaluations_per_rebalance(self, monkeypatch):
         # The root lies close to the step solve x0, so probing outward from x0
-        # on the root's side brackets it tightly: ~5.3 evaluations with
-        # Brent's, against ~8.2 from a bracket on [x0/2, x0].
+        # on the root's side brackets it tightly: ~5.2 evaluations with
+        # Brent's for uniform and monotonic data, against ~8.2 from a bracket
+        # on [x0/2, x0]; core-halo data take the quadratic's root and none.
         energies, counts = [], []
         real_energy = functionals.total_energy
         monkeypatch.setattr(functionals, "total_energy",
@@ -634,3 +637,69 @@ class TestRebalanceWork:
             counts.append(len(energies) - before)
         assert sum(counts) / len(counts) <= 5.4, counts
         assert max(counts) <= 7, counts
+
+
+def corehalo_data():
+    """The solvable core-halo data of ``seeded_data`` (seeds 5 and 17) and the README datum."""
+    seeded = seeded_data(5, per_family=8) + seeded_data(17, per_family=8)
+    return [(params, spec) for params, spec in seeded + one_per_family()
+            if isinstance(params, CoreHaloParams)]
+
+
+class TestCoreHaloQuadratic:
+    """Disjoint shells: the mollified energy is the step solve's quadratic in the halo level."""
+
+    def test_root_matches_the_brent_root(self):
+        data = corehalo_data()
+        assert len(data) >= 10
+        for params, spec in data:
+            new_params, moll = rebalance(params, step_of(params), spec)
+            x, ref_moll, ref_energy = rebalance_reference(params, spec)
+            assert abs(new_params.alpha - x) <= 1e-13 * x, params
+            ke = evaluate(moll).kinetic
+            assert abs(total_energy(moll)) <= abs(ref_energy) + 4.0 * EPS * ke, params
+            assert check_criteria(moll).passed == check_criteria(ref_moll).passed, params
+
+    def test_takes_no_bracket_no_brent_and_no_energy(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(functionals, "total_energy", lambda ansatz: calls.append("energy"))
+        monkeypatch.setattr(RootBracket, "expand", classmethod(
+            lambda cls, f, x0: calls.append("expand")))
+        monkeypatch.setattr(mollifier, "brentq", lambda *args, **kwargs: calls.append("brentq"))
+        for params, spec in corehalo_data():
+            new_params, moll = rebalance(params, step_of(params), spec)
+            assert new_params.alpha > 0.0
+            assert moll.spatial.has_ramp
+        assert calls == []
+
+    def test_the_smaller_positive_root_is_taken(self, monkeypatch):
+        # No family datum has two positive roots, which need C/A > 0 > B/A: the
+        # nested halo term is at most m1 m2 / 2, so A < 0 forces B < 0, and with
+        # A > 0, B < 0 needs KE < 1/(2 r2), below the 3/(5 r1) that C > 0 needs.
+        # So the solve is handed a second, larger root, first or last.
+        params, spec = one_per_family()[1]
+        expected, _ = rebalance(params, step_of(params), spec)
+        real, larger = solvers.solve_quadratic, 2.0 * expected.alpha
+        for order in (lambda roots: (*roots, larger), lambda roots: (larger, *roots)):
+            monkeypatch.setattr(solvers, "solve_quadratic",
+                                lambda *coefs, order=order: order(real(*coefs)))
+            assert rebalance(params, step_of(params), spec)[0] == expected
+
+    def test_no_positive_root_names_the_datum(self, monkeypatch, capsys):
+        # The step solve keeps its root; the mollified quadratic is handed none.
+        params, spec = one_per_family()[1]
+        real = solvers.solve_quadratic
+        step = solvers.corehalo_energy_quadratic(
+            functionals.kinetic_energy_ball(1.0), [Piece.constant(1.0, 0.0, 0.2)],
+            [Piece.constant(1.0, 1.0, 2.0)])
+        monkeypatch.setattr(solvers, "solve_quadratic",
+                            lambda *coefs: real(*coefs) if coefs == step else (-2.0, -1.0))
+        with pytest.raises(NoPositiveRootError) as err:
+            rebalance(params, step_of(params), spec)
+        assert str(err.value) == (
+            "zero-energy condition has no positive halo level (roots (-2.0, -1.0)) for "
+            "r1=0.2, r2=1.0, r3=2.0, p=1.0, delta=0.001")
+        argv = ["mollify", "--family", "core-halo", "--r1", "0.2", "--r2", "1", "--r3", "2",
+                "--p", "1", "--a", "-0.85", "--delta", "0.001"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {err.value}\n"

@@ -33,6 +33,7 @@ from virial_forge.functionals import (
 from virial_forge.mollifier import mollify
 from virial_forge.profiles import (
     AngularProfile,
+    Piece,
     SeparableAnsatz,
     core_halo_eta,
     momentum_ball,
@@ -114,6 +115,12 @@ class TestUniform:
         assert worst < 9.0 / 20.0
 
 
+def step_quadratic(r1, r2, r3, p):
+    """The step solve's energy quadratic: a unit core [0, r1] and a unit halo [r2, r3]."""
+    return corehalo_energy_quadratic(kinetic_energy_ball(p), (Piece.constant(1.0, 0.0, r1),),
+                                     (Piece.constant(1.0, r2, r3),))
+
+
 class TestCoreHalo:
     def test_matches_displayed_formula(self):
         alpha = solve_corehalo_alpha(0.2, 1.0, 2.0, 1.0)
@@ -144,7 +151,7 @@ class TestCoreHalo:
             eta = core_halo_eta(r1, r2, r3, float(alpha))
             values.append(ke * eta.moment(2) ** 2 - nested_mass_quad(eta).value)
         fitted = np.polyfit(samples, values, 2)
-        a_coef, b_coef, c_coef = corehalo_energy_quadratic(r1, r2, r3, p)
+        a_coef, b_coef, c_coef = step_quadratic(r1, r2, r3, p)
         assert fitted[0] == pytest.approx(a_coef, rel=1e-10)
         assert fitted[1] == pytest.approx(b_coef, rel=1e-10)
         assert fitted[2] == pytest.approx(c_coef, rel=1e-10, abs=1e-16)
@@ -182,7 +189,7 @@ class TestCoreHalo:
 
     def test_unbalanceable_configuration(self):
         # A fat core already has positive energy; a halo only raises it.
-        roots = solve_quadratic(*corehalo_energy_quadratic(2.0, 2.0, 2.5, 1.0))
+        roots = solve_quadratic(*step_quadratic(2.0, 2.0, 2.5, 1.0))
         with pytest.raises(NoPositiveRootError) as err:
             solve_corehalo_alpha(2.0, 2.0, 2.5, 1.0)
         assert f"(roots {roots})" in str(err.value)
